@@ -69,6 +69,18 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The file named by ``--config PATH`` or ``--config=PATH``, if any."""
+    for i, token in enumerate(argv):
+        if token == "--config":
+            if i + 1 == len(argv):
+                raise UsageError("--config expects a file path")
+            return argv[i + 1]
+        if token.startswith("--config="):
+            return token.partition("=")[2]
+    return None
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
     actions = {a.dest: a for a in parser._actions}
     for key, raw in values.items():
@@ -613,8 +625,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
+        cfg_path = _config_path(argv)
+        if cfg_path is not None:
             values = _read_config_file(cfg_path)
             # defaults live on the subcommand parser
             for action in parser._actions:

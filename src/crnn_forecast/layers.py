@@ -1,9 +1,12 @@
 """Differentiable layer primitives with hand-derived forward and backward passes.
 
-Layers operate on raw float64 ndarrays whose trailing axes are
-(channels, length) for convolutional pieces and (features,) for recurrent
-and dense pieces. Every forward accepts an optional leading batch axis; the
-same einsum expressions cover both the per-sample and the batched case.
+Layers operate on raw float64 ndarrays. The convolutional pieces (Conv1D,
+Deconv1D, ChannelMerge) act on a group of n series at once: their inputs
+have trailing axes (n, channels, length), and their weights carry a leading
+series axis, so series s is transformed by its own filters ``w[s]``. One
+call covers every series; each filter tap is one broadcast matmul over the
+series axis and any leading batch axes. Recurrent and dense pieces act on a
+trailing (features,) axis. Every forward accepts optional leading batch axes.
 
 Each backward pass is the exact adjoint of its forward map and is checked
 against central finite differences in the test suite.
@@ -14,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, sigmoid_values
 
@@ -35,27 +37,51 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Conv1D:
-    """Same-length 1-D cross-correlation: (..., C_in, L) -> (..., F, L).
+def _check_group(layer: str, x: np.ndarray, num_series: int, channels: int) -> None:
+    if x.ndim < 3 or x.shape[-3:-1] != (num_series, channels):
+        raise ShapeError(f"{layer} expects (..., {num_series} series, {channels} channels, "
+                         f"length), got shape {x.shape}")
+
+
+def _sum_to_group(a: np.ndarray) -> np.ndarray:
+    """Sum a (..., n, rows, cols) array over its leading batch axes."""
+    return a.reshape((-1,) + a.shape[-3:]).sum(axis=0)
+
+
+class _FilterGroup:
+    """Per-series filter banks w (n, F, C_in, K) and biases b (n, F).
+
+    Weights start at zero; ``init_series`` draws one series' filters, so a
+    caller can interleave the draws of several layers in any order.
+    """
+
+    def __init__(self, num_series: int, in_channels: int, num_filters: int,
+                 filter_size: int):
+        if min(num_series, in_channels, num_filters, filter_size) < 1:
+            raise ShapeError(f"{type(self).__name__} sizes must be positive")
+        self.num_series = num_series
+        self.in_channels = in_channels
+        self.num_filters = num_filters
+        self.filter_size = filter_size
+        self.w = np.zeros((num_series, num_filters, in_channels, filter_size))
+        self.b = np.zeros((num_series, num_filters))
+
+    def init_series(self, s: int, rng: np.random.Generator) -> None:
+        """Draw series s's Glorot-uniform filters from rng."""
+        k = self.filter_size
+        self.w[s] = glorot_uniform(rng, self.w.shape[1:], self.in_channels * k,
+                                   self.num_filters * k)
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w": self.w, "b": self.b}
+
+
+class Conv1D(_FilterGroup):
+    """Same-length 1-D cross-correlation per series: (..., n, C_in, L) -> (..., n, F, L).
 
     Zero padding keeps the time length unchanged: symmetric for odd filter
     sizes, all on the right for even ones.
     """
-
-    def __init__(self, in_channels: int, num_filters: int, filter_size: int,
-                 rng: np.random.Generator):
-        if in_channels < 1 or num_filters < 1 or filter_size < 1:
-            raise ShapeError("Conv1D sizes must be positive")
-        self.in_channels = in_channels
-        self.num_filters = num_filters
-        self.filter_size = filter_size
-        fan_in = in_channels * filter_size
-        fan_out = num_filters * filter_size
-        self.w = glorot_uniform(rng, (num_filters, in_channels, filter_size), fan_in, fan_out)
-        self.b = np.zeros(num_filters)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
 
     def _padding(self) -> tuple[int, int]:
         k = self.filter_size
@@ -63,34 +89,29 @@ class Conv1D:
         return off, k - 1 - off
 
     def forward(self, x: np.ndarray):
-        if x.shape[-2] != self.in_channels:
-            raise ShapeError(
-                f"Conv1D expects {self.in_channels} input channels, got shape {x.shape}")
+        _check_group("Conv1D", x, self.num_series, self.in_channels)
         pad_l, pad_r = self._padding()
-        pad = [(0, 0)] * (x.ndim - 1) + [(pad_l, pad_r)]
-        xp = np.pad(x, pad)
-        win = sliding_window_view(xp, self.filter_size, axis=-1)  # (..., C, L, K)
-        y = np.einsum("fck,...clk->...fl", self.w, win) + self.b[:, None]
-        return y, win
+        xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad_l, pad_r)])
+        length = x.shape[-1]
+        y = self.w[..., 0] @ xp[..., :length]
+        for k in range(1, self.filter_size):
+            y += self.w[..., k] @ xp[..., k:k + length]
+        y += self.b[..., None]
+        return y, xp
 
     def backward(self, cache, grad_out: np.ndarray):
-        win = cache
-        if grad_out.shape[-2] != self.num_filters:
-            raise ShapeError(
-                f"Conv1D backward expects {self.num_filters} channels, got {grad_out.shape}")
-        pad_l, _ = self._padding()
-        k_size = self.filter_size
+        xp = cache
+        _check_group("Conv1D backward", grad_out, self.num_series, self.num_filters)
         length = grad_out.shape[-1]
-        lead = grad_out.shape[:-2]
-        g3 = grad_out.reshape((-1,) + grad_out.shape[-2:])
-        win4 = win.reshape((-1,) + win.shape[-3:])
-        gb = np.einsum("bfl->f", g3)
-        gw = np.einsum("bfl,bclk->fck", g3, win4)
-        gxp = np.zeros((g3.shape[0], self.in_channels, length + k_size - 1))
-        for k in range(k_size):
-            gxp[:, :, k:k + length] += np.einsum("bfl,fc->bcl", g3, self.w[:, :, k])
-        gx = gxp[:, :, pad_l:pad_l + length].reshape(lead + (self.in_channels, length))
-        return gx, {"w": gw, "b": gb}
+        gw = np.empty_like(self.w)
+        gxp = np.zeros(xp.shape)
+        for k in range(self.filter_size):
+            win = xp[..., k:k + length]
+            gw[..., k] = _sum_to_group(grad_out @ win.swapaxes(-1, -2))
+            gxp[..., k:k + length] += self.w[..., k].swapaxes(-1, -2) @ grad_out
+        pad_l, _ = self._padding()
+        gb = _sum_to_group(grad_out).sum(axis=-1)
+        return gxp[..., pad_l:pad_l + length], {"w": gw, "b": gb}
 
 
 class MaxPool1D:
@@ -132,8 +153,8 @@ class MaxPool1D:
         return base + take_right.astype(np.int64)
 
 
-class Deconv1D:
-    """Stride-2 transposed convolution: (..., C_in, L) -> (..., F, 2L).
+class Deconv1D(_FilterGroup):
+    """Stride-2 transposed convolution per series: (..., n, C_in, L) -> (..., n, F, 2L).
 
     Each input position scatters its filter response at offset 2*i; anything
     past 2L is cropped so one deconvolution exactly undoes one pooling halving.
@@ -141,89 +162,73 @@ class Deconv1D:
 
     stride = 2
 
-    def __init__(self, in_channels: int, num_filters: int, filter_size: int,
-                 rng: np.random.Generator):
-        self.in_channels = in_channels
-        self.num_filters = num_filters
-        self.filter_size = filter_size
-        fan_in = in_channels * filter_size
-        fan_out = num_filters * filter_size
-        self.w = glorot_uniform(rng, (num_filters, in_channels, filter_size), fan_in, fan_out)
-        self.b = np.zeros(num_filters)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
-
-    def forward(self, x: np.ndarray):
-        if x.shape[-2] != self.in_channels:
-            raise ShapeError(
-                f"Deconv1D expects {self.in_channels} input channels, got shape {x.shape}")
-        l_in = x.shape[-1]
-        l_out = 2 * l_in
-        y = np.zeros(x.shape[:-2] + (self.num_filters, l_out))
+    def _taps(self, l_out: int):
+        """(tap k, number of input positions whose tap-k output lands inside 2L)."""
         for k in range(self.filter_size):
             n_k = (l_out - k + 1) // 2
             if n_k <= 0:
                 break
-            y[..., :, k::2] += np.einsum("fc,...ci->...fi", self.w[:, :, k], x[..., :, :n_k])
-        y += self.b[:, None]
+            yield k, n_k
+
+    def forward(self, x: np.ndarray):
+        _check_group("Deconv1D", x, self.num_series, self.in_channels)
+        l_out = 2 * x.shape[-1]
+        y = np.zeros(x.shape[:-2] + (self.num_filters, l_out))
+        for k, n_k in self._taps(l_out):
+            y[..., k::2] += self.w[..., k] @ x[..., :n_k]
+        y += self.b[..., None]
         return y, x
 
     def backward(self, cache, grad_out: np.ndarray):
         x = cache
-        l_in = x.shape[-1]
-        l_out = 2 * l_in
-        if grad_out.shape[-1] != l_out or grad_out.shape[-2] != self.num_filters:
+        l_out = 2 * x.shape[-1]
+        if grad_out.shape != x.shape[:-2] + (self.num_filters, l_out):
             raise ShapeError(
                 f"Deconv1D backward: gradient shape {grad_out.shape} does not match "
-                f"output shape (..., {self.num_filters}, {l_out})")
-        lead = x.shape[:-2]
-        g3 = grad_out.reshape((-1,) + grad_out.shape[-2:])
-        x3 = x.reshape((-1,) + x.shape[-2:])
-        gb = np.einsum("bft->f", g3)
+                f"output shape (..., {self.num_series}, {self.num_filters}, {l_out})")
         gw = np.zeros_like(self.w)
-        gx3 = np.zeros_like(x3)
-        for k in range(self.filter_size):
-            n_k = (l_out - k + 1) // 2
-            if n_k <= 0:
-                break
-            gk = g3[:, :, k::2]
-            gw[:, :, k] = np.einsum("bfi,bci->fc", gk, x3[:, :, :n_k])
-            gx3[:, :, :n_k] += np.einsum("fc,bfi->bci", self.w[:, :, k], gk)
-        return gx3.reshape(lead + x.shape[-2:]), {"w": gw, "b": gb}
+        gx = np.zeros(x.shape)
+        for k, n_k in self._taps(l_out):
+            gk = grad_out[..., k::2]
+            gw[..., k] = _sum_to_group(gk @ x[..., :n_k].swapaxes(-1, -2))
+            gx[..., :n_k] += self.w[..., k].swapaxes(-1, -2) @ gk
+        gb = _sum_to_group(grad_out).sum(axis=-1)
+        return gx, {"w": gw, "b": gb}
 
 
 class ChannelMerge:
-    """Learned 1x1 reduction of C channels to one, followed by a sigmoid.
+    """Learned 1x1 reduction of C channels to one per series, followed by a sigmoid.
 
-    Collapses a group of feature rows (..., C, L) into a single bounded row
-    (..., 1, L) with values in (0, 1).
+    Collapses each series' feature rows (..., n, C, L) into a single bounded
+    row (..., n, 1, L) with values in (0, 1). Weights w (n, C) and biases
+    b (n,) start at zero; ``init_series`` draws one series' weights.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator):
+    def __init__(self, num_series: int, channels: int):
+        self.num_series = num_series
         self.channels = channels
-        self.w = glorot_uniform(rng, (channels,), channels, 1)
-        self.b = np.zeros(1)
+        self.w = np.zeros((num_series, channels))
+        self.b = np.zeros(num_series)
+
+    def init_series(self, s: int, rng: np.random.Generator) -> None:
+        """Draw series s's Glorot-uniform weights from rng."""
+        self.w[s] = glorot_uniform(rng, (self.channels,), self.channels, 1)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
 
     def forward(self, x: np.ndarray):
-        if x.shape[-2] != self.channels:
-            raise ShapeError(
-                f"ChannelMerge expects {self.channels} channels, got shape {x.shape}")
-        z = np.einsum("c,...cl->...l", self.w, x) + self.b[0]
+        _check_group("ChannelMerge", x, self.num_series, self.channels)
+        z = self.w[:, None, :] @ x + self.b[:, None, None]
         y = sigmoid_values(z)
-        return y[..., None, :], (x, y)
+        return y, (x, y)
 
     def backward(self, cache, grad_out: np.ndarray):
         x, y = cache
-        gz = grad_out[..., 0, :] * y * (1.0 - y)
-        gz2 = gz.reshape(-1, gz.shape[-1])
-        x3 = x.reshape((-1,) + x.shape[-2:])
-        gw = np.einsum("bl,bcl->c", gz2, x3)
-        gb = np.array([gz.sum()])
-        gx = self.w[:, None] * gz[..., None, :]
+        gz = grad_out * y * (1.0 - y)
+        gw = _sum_to_group(gz @ x.swapaxes(-1, -2))[:, 0, :]
+        gb = _sum_to_group(gz).sum(axis=(-2, -1))
+        gx = self.w[:, :, None] * gz
         return gx, {"w": gw, "b": gb}
 
 

@@ -2,12 +2,16 @@
 
 Two model kinds are provided:
 
-* ``CRNN`` – per-series 1-D convolution + max-pool stacks whose pooled
+* ``CRNN`` – a 1-D convolution + max-pool stack per series whose pooled
   feature cubes are concatenated and fed to a recurrent cell, with a dense
   readout producing the forecast horizon.
 * ``AECRNN`` – the same encoder plus, per series, a mirrored deconvolution
   decoder that reconstructs the input window through a sigmoid, trained
   jointly so reconstruction acts as a regularizer.
+
+Every series has its own filters, but they are stored grouped: one array per
+stage with a leading series axis (``conv{j}``, ``deconv{j}``, ``merge``), so
+each encoder and decoder stage is a single layer call over all series.
 
 Both expose identical per-sample and batched entry points; the batched path
 is the one the trainer drives. All gradients are hand-derived and checked
@@ -16,12 +20,14 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Mapping
 
 import numpy as np
 
+from .data import DataError
 from .layers import ChannelMerge, Conv1D, Deconv1D, Dense, LSTMCell, MaxPool1D, RNNCell
 from .tensor import NumericError, ShapeError, Tensor
 
@@ -335,15 +341,16 @@ class CRNN(ParamModel):
         self.horizon = config.horizon
         self._rng = np.random.default_rng(config.seed)
         self._pool = MaxPool1D()
-        self._encoders: list[list[Conv1D]] = []
-        for s in range(config.num_series):
-            stack = []
-            for j in range(config.conv_pool_stages):
-                in_ch = 1 if j == 0 else config.filters_per_layer
-                conv = Conv1D(in_ch, config.filters_per_layer, config.filter_size, self._rng)
-                self._register(f"series{s}.conv{j}", conv)
-                stack.append(conv)
-            self._encoders.append(stack)
+        n, alpha = config.num_series, config.filters_per_layer
+        self._convs = [Conv1D(n, 1 if j == 0 else alpha, alpha, config.filter_size)
+                       for j in range(config.conv_pool_stages)]
+        for j, conv in enumerate(self._convs):
+            self._register(f"conv{j}", conv)
+        # Draw series by series, each series' stages in turn: the order of the
+        # per-series layers of format 1, so every seed keeps its initial values.
+        for s in range(n):
+            for conv in self._convs:
+                conv.init_series(s, self._rng)
         cell_cls = RNNCell if config.cell_kind == "rnn" else LSTMCell
         self._cell = cell_cls(config.rnn_input_size, config.rnn_hidden, self._rng)
         self._register("rnn", self._cell)
@@ -353,48 +360,39 @@ class CRNN(ParamModel):
     # -- batched core -------------------------------------------------------
 
     def _encode(self, x: np.ndarray):
-        cubes = []
+        """Pooled feature cubes (batch, n, alpha, pooled) for windows (batch, n, l)."""
+        h = x[:, :, None, :]
         caches = []
         tanh_act = self.config.conv_activation == "tanh"
-        for s in range(self.config.num_series):
-            h = x[:, s:s + 1, :]
-            stage_caches = []
-            for conv in self._encoders[s]:
-                h, conv_cache = conv.forward(h)
-                act = None
-                if tanh_act:
-                    h = np.tanh(h)
-                    act = h
-                h, pool_cache = self._pool.forward(h)
-                stage_caches.append((conv_cache, act, pool_cache))
-            cubes.append(h)
-            caches.append(stage_caches)
-        return cubes, caches
+        for conv in self._convs:
+            h, conv_cache = conv.forward(h)
+            act = None
+            if tanh_act:
+                h = np.tanh(h)
+                act = h
+            h, pool_cache = self._pool.forward(h)
+            caches.append((conv_cache, act, pool_cache))
+        return h, caches
 
-    def _encode_backward(self, caches, d_cubes, grads) -> None:
-        for s in range(self.config.num_series):
-            g = d_cubes[s]
-            for j in reversed(range(self.config.conv_pool_stages)):
-                conv_cache, act, pool_cache = caches[s][j]
-                g = self._pool.backward(pool_cache, g)
-                if act is not None:
-                    g = g * (1.0 - act * act)
-                g, conv_grads = self._encoders[s][j].backward(conv_cache, g)
-                grads[f"series{s}.conv{j}.w"] += conv_grads["w"]
-                grads[f"series{s}.conv{j}.b"] += conv_grads["b"]
+    def _encode_backward(self, caches, d_cube, grads) -> None:
+        g = d_cube
+        for j in reversed(range(self.config.conv_pool_stages)):
+            conv_cache, act, pool_cache = caches[j]
+            g = self._pool.backward(pool_cache, g)
+            if act is not None:
+                g = g * (1.0 - act * act)
+            g, conv_grads = self._convs[j].backward(conv_cache, g)
+            grads[f"conv{j}.w"] += conv_grads["w"]
+            grads[f"conv{j}.b"] += conv_grads["b"]
 
-    def _head(self, cubes):
+    def _head(self, cube):
         cfg = self.config
+        batch = cube.shape[0]
         if cfg.rnn_layout == "sequence":
-            xs = [np.concatenate([c[:, :, t] for c in cubes], axis=1)
-                  for t in range(cfg.pooled_length)]
+            # step t sees every series' filters at pooled position t, series-major
+            xs = list(np.moveaxis(cube, -1, 0).reshape(cfg.pooled_length, batch, -1))
         else:
-            flat = np.concatenate([c.reshape(c.shape[0], -1) for c in cubes], axis=1)
-            if flat.shape[1] != cfg.feature_vector_length:
-                raise ShapeError(
-                    f"feature vector length {flat.shape[1]} != expected "
-                    f"{cfg.feature_vector_length}")
-            xs = [flat]
+            xs = [cube.reshape(batch, cfg.feature_vector_length)]
         _, h_final, cell_cache = self._cell.forward(xs)
         z, readout_cache = self._readout.forward(h_final)
         return z, (cell_cache, readout_cache)
@@ -408,25 +406,16 @@ class CRNN(ParamModel):
         gxs, _, cell_grads = self._cell.backward(cell_cache, dh)
         for k, v in cell_grads.items():
             grads[f"rnn.{k}"] += v
-        n, alpha, pooled = cfg.num_series, cfg.filters_per_layer, cfg.pooled_length
-        batch = dz.shape[0]
-        d_cubes = [np.zeros((batch, alpha, pooled)) for _ in range(n)]
+        shape = (dz.shape[0], cfg.num_series, cfg.filters_per_layer, cfg.pooled_length)
         if cfg.rnn_layout == "sequence":
-            for t in range(pooled):
-                for s in range(n):
-                    d_cubes[s][:, :, t] = gxs[t][:, s * alpha:(s + 1) * alpha]
-        else:
-            chunk = alpha * pooled
-            for s in range(n):
-                d_cubes[s][...] = gxs[0][:, s * chunk:(s + 1) * chunk].reshape(
-                    batch, alpha, pooled)
-        return d_cubes
+            return np.stack(gxs, axis=-1).reshape(shape)
+        return gxs[0].reshape(shape)
 
     def batch_forecast(self, x: np.ndarray) -> np.ndarray:
         """Forecasts for a batch of windows; returns (batch, horizon)."""
         self._check_batch(x)
-        cubes, _ = self._encode(x)
-        z, _ = self._head(cubes)
+        cube, _ = self._encode(x)
+        z, _ = self._head(cube)
         return z
 
     def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
@@ -442,14 +431,14 @@ class CRNN(ParamModel):
         del include_reconstruction  # no decoder on this model
         self._check_batch(x)
         self._check_targets(y, x.shape[0])
-        cubes, enc_caches = self._encode(x)
-        z, head_cache = self._head(cubes)
+        cube, enc_caches = self._encode(x)
+        z, head_cache = self._head(cube)
         loss = self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
         grads = self.zero_grads()
         if include_forecast:
             dz = 2.0 * (z - y) / y.size
-            d_cubes = self._head_backward(head_cache, dz, grads)
-            self._encode_backward(enc_caches, d_cubes, grads)
+            d_cube = self._head_backward(head_cache, dz, grads)
+            self._encode_backward(enc_caches, d_cube, grads)
         return loss, grads
 
     def checkpoint_fields(self) -> "OrderedDict[str, str]":
@@ -467,61 +456,50 @@ class AECRNN(CRNN):
         # Shared encoder/recurrent/readout parameters draw first, in the same
         # order as CRNN, so equal seeds give equal shared initial values.
         super().__init__(config)
-        self._decoders: list[list[Deconv1D]] = []
-        self._merges: list[ChannelMerge] = []
-        alpha = config.filters_per_layer
-        for s in range(config.num_series):
-            stack = []
-            for j in range(config.conv_pool_stages):
-                deconv = Deconv1D(alpha, alpha, config.filter_size, self._rng)
-                self._register(f"series{s}.deconv{j}", deconv)
-                stack.append(deconv)
-            self._decoders.append(stack)
-            merge = ChannelMerge(alpha, self._rng)
-            self._register(f"series{s}.merge", merge)
-            self._merges.append(merge)
+        n, alpha = config.num_series, config.filters_per_layer
+        self._deconvs = [Deconv1D(n, alpha, alpha, config.filter_size)
+                         for _ in range(config.conv_pool_stages)]
+        for j, deconv in enumerate(self._deconvs):
+            self._register(f"deconv{j}", deconv)
+        self._merge = ChannelMerge(n, alpha)
+        self._register("merge", self._merge)
+        for s in range(n):
+            for deconv in self._deconvs:
+                deconv.init_series(s, self._rng)
+            self._merge.init_series(s, self._rng)
 
-    def _decode(self, cubes):
-        recon_rows = []
-        caches = []
-        for s in range(self.config.num_series):
-            d = cubes[s]
-            deconv_caches = []
-            for deconv in self._decoders[s]:
-                d, c = deconv.forward(d)
-                deconv_caches.append(c)
-            r, merge_cache = self._merges[s].forward(d)
-            recon_rows.append(r[:, 0, :])
-            caches.append((deconv_caches, merge_cache))
-        return np.stack(recon_rows, axis=1), caches
+    def _decode(self, cube):
+        d = cube
+        deconv_caches = []
+        for deconv in self._deconvs:
+            d, c = deconv.forward(d)
+            deconv_caches.append(c)
+        r, merge_cache = self._merge.forward(d)
+        return r[:, :, 0, :], (deconv_caches, merge_cache)
 
     def _decode_backward(self, caches, d_recon, grads):
-        contributions = []
-        for s in range(self.config.num_series):
-            deconv_caches, merge_cache = caches[s]
-            g = d_recon[:, s][:, None, :]
-            g, merge_grads = self._merges[s].backward(merge_cache, g)
-            grads[f"series{s}.merge.w"] += merge_grads["w"]
-            grads[f"series{s}.merge.b"] += merge_grads["b"]
-            for j in reversed(range(self.config.conv_pool_stages)):
-                g, dec_grads = self._decoders[s][j].backward(deconv_caches[j], g)
-                grads[f"series{s}.deconv{j}.w"] += dec_grads["w"]
-                grads[f"series{s}.deconv{j}.b"] += dec_grads["b"]
-            contributions.append(g)
-        return contributions
+        deconv_caches, merge_cache = caches
+        g, merge_grads = self._merge.backward(merge_cache, d_recon[:, :, None, :])
+        grads["merge.w"] += merge_grads["w"]
+        grads["merge.b"] += merge_grads["b"]
+        for j in reversed(range(self.config.conv_pool_stages)):
+            g, dec_grads = self._deconvs[j].backward(deconv_caches[j], g)
+            grads[f"deconv{j}.w"] += dec_grads["w"]
+            grads[f"deconv{j}.b"] += dec_grads["b"]
+        return g
 
     def batch_reconstruct(self, x: np.ndarray) -> np.ndarray:
         self._check_batch(x)
-        cubes, _ = self._encode(x)
-        recon, _ = self._decode(cubes)
+        cube, _ = self._encode(x)
+        recon, _ = self._decode(cube)
         return recon
 
     def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
         self._check_batch(x)
         self._check_targets(y, x.shape[0])
-        cubes, _ = self._encode(x)
-        z, _ = self._head(cubes)
-        recon, _ = self._decode(cubes)
+        cube, _ = self._encode(x)
+        z, _ = self._head(cube)
+        recon, _ = self._decode(cube)
         j1 = float(np.mean((z - y) ** 2))
         j2 = float(np.mean((recon - np.clip(x, 0.0, 1.0)) ** 2))
         return self._finished_loss(LossBreakdown.of(j1, j2))
@@ -533,42 +511,41 @@ class AECRNN(CRNN):
         objective term for diagnostics while the reported loss stays complete."""
         self._check_batch(x)
         self._check_targets(y, x.shape[0])
-        cubes, enc_caches = self._encode(x)
-        z, head_cache = self._head(cubes)
-        recon, dec_caches = self._decode(cubes)
+        cube, enc_caches = self._encode(x)
+        z, head_cache = self._head(cube)
+        recon, dec_caches = self._decode(cube)
         ref = np.clip(x, 0.0, 1.0)
         j1 = float(np.mean((z - y) ** 2))
         j2 = float(np.mean((recon - ref) ** 2))
         loss = self._finished_loss(LossBreakdown.of(j1, j2))
         grads = self.zero_grads()
-        batch = x.shape[0]
-        d_cubes = [np.zeros_like(c) for c in cubes]
+        d_cube = np.zeros_like(cube)
         if include_forecast:
             dz = 2.0 * (z - y) / y.size
-            for s, dc in enumerate(self._head_backward(head_cache, dz, grads)):
-                d_cubes[s] += dc
+            d_cube += self._head_backward(head_cache, dz, grads)
         if include_reconstruction:
-            d_recon = 2.0 * (recon - ref) / (
-                batch * self.config.num_series * self.config.input_length)
-            for s, dc in enumerate(self._decode_backward(dec_caches, d_recon, grads)):
-                d_cubes[s] += dc
+            d_recon = 2.0 * (recon - ref) / recon.size
+            d_cube += self._decode_backward(dec_caches, d_recon, grads)
         if include_forecast or include_reconstruction:
-            self._encode_backward(enc_caches, d_cubes, grads)
+            self._encode_backward(enc_caches, d_cube, grads)
         return loss, grads
 
     def forward(self, window):
         x = self._window_batch(window)
         self._check_batch(x)
-        cubes, _ = self._encode(x)
-        z, _ = self._head(cubes)
-        recon, _ = self._decode(cubes)
+        cube, _ = self._encode(x)
+        z, _ = self._head(cube)
+        recon, _ = self._decode(cube)
         return Forecast(z[0]), Reconstruction(recon[0])
 
 
 # -- checkpoint container -----------------------------------------------------
 
 _FLOAT_FMT = "%.17g"
-CHECKPOINT_FORMAT = "1"
+CHECKPOINT_FORMAT = "2"
+# Format 1 stored each series' conv/deconv/merge parameters under its own
+# name, series{s}.<name>; model_from_checkpoint stacks them on load.
+_READABLE_FORMATS = ("1", CHECKPOINT_FORMAT)
 
 _MODEL_BUILDERS: dict[str, callable] = {}
 
@@ -605,8 +582,21 @@ def save_checkpoint(path, model, extra_tensors: Mapping[str, np.ndarray] | None 
         fh.write("\n".join(lines) + "\n")
 
 
+def _checkpoint_format(fields: Mapping[str, str]) -> str:
+    fmt = fields.get("format")
+    if fmt not in _READABLE_FORMATS:
+        raise ConfigError(f"unsupported checkpoint format {fmt!r} "
+                          f"(readable formats: {', '.join(_READABLE_FORMATS)})")
+    return fmt
+
+
 def load_checkpoint(path):
-    """Read a checkpoint; returns (header fields, name -> ndarray)."""
+    """Read a checkpoint; returns (header fields, name -> ndarray).
+
+    Raises DataError naming the tensor when a line is malformed, a name
+    repeats, or the number of values does not match the recorded shape
+    (as in a truncated file).
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -615,27 +605,56 @@ def load_checkpoint(path):
     for token in lines[0].split():
         key, _, value = token.partition("=")
         fields[key] = value
-    if fields.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format {fields.get('format')!r}")
+    _checkpoint_format(fields)
     tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for line in lines[1:]:
-        name, shape_txt, values_txt = line.split(" ", 2)
-        shape = tuple(int(d) for d in shape_txt.split("x"))
-        arr = np.array([float(v) for v in values_txt.split()], dtype=np.float64)
+        name, _, rest = line.partition(" ")
+        if name in tensors:
+            raise DataError(f"checkpoint {path}: tensor {name!r} appears twice")
+        shape_txt, _, values_txt = rest.partition(" ")
+        try:
+            shape = tuple(int(d) for d in shape_txt.split("x"))
+            arr = np.array([float(v) for v in values_txt.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"checkpoint {path}: tensor {name!r} is malformed: {exc}") from None
+        if min(shape) < 0 or arr.size != math.prod(shape):
+            raise DataError(f"checkpoint {path}: tensor {name!r} has {arr.size} values, "
+                            f"its shape {shape_txt} needs {math.prod(shape)}")
         tensors[name] = arr.reshape(shape)
     return fields, tensors
+
+
+def _stack_series_tensors(model, tensors: Mapping[str, np.ndarray]):
+    """Format-1 tensors with the series{s}. prefix, stacked into the grouped
+    parameters they became; every other tensor passes through."""
+    out: "OrderedDict[str, np.ndarray]" = OrderedDict(tensors)
+    for name, target in model.params.items():
+        parts = [f"series{s}.{name}" for s in range(model.num_series)]
+        if name in out or not all(part in out for part in parts):
+            continue
+        pieces = [out.pop(part) for part in parts]
+        if len({piece.shape for piece in pieces}) != 1:
+            raise ShapeError(f"format-1 tensors {parts[0]}... differ in shape")
+        stacked = np.stack(pieces)
+        # merge.b was (1,) per series and is (n,) grouped
+        out[name] = stacked.reshape(target.shape) if stacked.size == target.size else stacked
+    return out
 
 
 def model_from_checkpoint(fields: Mapping[str, str], tensors: Mapping[str, np.ndarray]):
     """Rebuild a model from checkpoint contents.
 
     Returns (model, extras) where extras holds tensors that are not model
-    parameters (e.g. normalization statistics).
+    parameters (e.g. normalization statistics). Format-1 contents are
+    converted to the grouped parameters of format 2.
     """
+    fmt = _checkpoint_format(fields)
     kind = fields.get("model")
     if kind not in _MODEL_BUILDERS:
         raise ConfigError(f"checkpoint names unknown model kind {kind!r}")
     model = _MODEL_BUILDERS[kind](fields)
+    if fmt == "1":
+        tensors = _stack_series_tensors(model, tensors)
     missing = [k for k in model.params if k not in tensors]
     if missing:
         raise ConfigError(f"checkpoint is missing parameters: {missing[:3]}...")

@@ -20,6 +20,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "gradcheck",
+    "mean_j1",
     "train",
 ]
 
@@ -40,7 +41,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     shuffle: bool = True
-    determinism: bool = True
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
@@ -124,6 +124,17 @@ class TrainReport:
                    self.stopping_reason))
 
 
+def mean_j1(model, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    """Forecast loss j1 over a whole window set, evaluated batch_size windows
+    at a time: the size-weighted mean of the per-slice j1, so memory stays
+    bounded by one batch's activations."""
+    total = 0.0
+    for start in range(0, len(x), batch_size):
+        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+        total += model.batch_loss(xb, yb).j1 * (len(xb) / len(x))
+    return total
+
+
 def train(model, samples: Sequence[WindowSample], config: TrainConfig,
           val_samples: Sequence[WindowSample] | None = None):
     """Fit a model by mini-batch gradient descent.
@@ -136,9 +147,7 @@ def train(model, samples: Sequence[WindowSample], config: TrainConfig,
     if not samples:
         raise ValueError("train() needs at least one training sample")
     x_train, y_train = stack_samples(samples)
-    have_val = bool(val_samples)
-    if have_val:
-        x_val, y_val = stack_samples(val_samples)
+    x_mon, y_mon = stack_samples(val_samples) if val_samples else (x_train, y_train)
 
     optimizer = _make_optimizer(config)
     rng = np.random.default_rng(config.seed)
@@ -160,8 +169,7 @@ def train(model, samples: Sequence[WindowSample], config: TrainConfig,
                 sum_j2 += loss.j2 * idx.size
             epoch_j1 = sum_j1 / n
             epoch_j2 = sum_j2 / n
-            monitored = (model.batch_loss(x_val, y_val).j1 if have_val
-                         else model.batch_loss(x_train, y_train).j1)
+            monitored = mean_j1(model, x_mon, y_mon, config.batch_size)
         except NumericError as exc:
             log.warning("training diverged at epoch %d: %s", epoch, exc)
             report.stopping_reason = "diverged"

@@ -106,6 +106,21 @@ class TestTrain:
         assert fields["input_length"] == "8"   # from config file
         assert fields["horizon"] == "2"        # CLI flag wins over config
 
+    def test_config_equals_path_is_read(self, dataset, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l=8\np=4\nepochs=2\n")
+        out = tmp_path / "t"
+        code = main(["train", "--model", "crnn", "--data", str(dataset),
+                     f"--config={cfg}", "--out", str(out)])
+        assert code == 0
+        fields, _ = load_checkpoint(out / "checkpoint.txt")
+        assert fields["input_length"] == "8" and fields["horizon"] == "4"
+
+    def test_bare_trailing_config_is_usage_error(self, dataset, capsys):
+        code = main(["train", "--model", "crnn", "--data", str(dataset), "--config"])
+        assert code == 1
+        assert "--config expects a file path" in capsys.readouterr().err
+
     def test_manifest_feeds_back_as_config(self, dataset, tmp_path):
         out1 = tmp_path / "t1"
         assert main(train_args(dataset, out1)) == 0
@@ -149,6 +164,17 @@ class TestForecast:
                      "--data", str(bad), "--out", str(tmp_path / "f")])
         assert code == 2
         assert "series" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_data_error(self, dataset, tmp_path, capsys):
+        train_out = tmp_path / "t"
+        main(train_args(dataset, train_out))
+        ckpt = train_out / "checkpoint.txt"
+        text = ckpt.read_text()
+        ckpt.write_text(text[:text.index("rnn.w_xh") + 30])
+        code = main(["forecast", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert "rnn.w_xh" in capsys.readouterr().err
 
     def test_out_of_range_offset_is_data_error(self, dataset, tmp_path):
         train_out = tmp_path / "t"

@@ -9,6 +9,13 @@ from crnn_forecast.tensor import ShapeError
 FD_TOL = 1e-5
 
 
+def drawn(layer, rng):
+    """The layer with every series' initial weights drawn from rng."""
+    for s in range(layer.num_series):
+        layer.init_series(s, rng)
+    return layer
+
+
 def weighted_sum_loss(layer, x, coeffs):
     """Linear functional of the layer output; its gradient wrt the output is
     exactly `coeffs`, which keeps the finite-difference oracle simple."""
@@ -20,61 +27,63 @@ def weighted_sum_loss(layer, x, coeffs):
 
 class TestConv1D:
     def test_identity_kernel(self):
-        conv = Conv1D(1, 1, 1, np.random.default_rng(0))
+        conv = Conv1D(1, 1, 1, 1)
         conv.w[...] = 1.0
         conv.b[...] = 0.0
-        y, _ = conv.forward(np.array([[5.0, -2.0, 3.0]]))
-        assert y.tolist() == [[5.0, -2.0, 3.0]]
+        y, _ = conv.forward(np.array([[[5.0, -2.0, 3.0]]]))
+        assert y.tolist() == [[[5.0, -2.0, 3.0]]]
 
     def test_even_filter_right_padding(self):
-        conv = Conv1D(1, 1, 2, np.random.default_rng(0))
+        conv = Conv1D(1, 1, 1, 2)
         conv.w[...] = 1.0
         conv.b[...] = 0.0
-        y, _ = conv.forward(np.array([[1.0, 2.0, 3.0]]))
-        assert y.tolist() == [[3.0, 5.0, 3.0]]
+        y, _ = conv.forward(np.array([[[1.0, 2.0, 3.0]]]))
+        assert y.tolist() == [[[3.0, 5.0, 3.0]]]
 
     def test_output_shape_matches_filter_count(self):
-        conv = Conv1D(1, 3, 3, np.random.default_rng(0))
-        y, _ = conv.forward(np.ones((1, 8)))
-        assert y.shape == (3, 8)
+        conv = drawn(Conv1D(2, 1, 3, 3), np.random.default_rng(0))
+        y, _ = conv.forward(np.ones((2, 1, 8)))
+        assert y.shape == (2, 3, 8)
 
     def test_channel_mismatch(self):
-        conv = Conv1D(2, 1, 3, np.random.default_rng(0))
+        conv = Conv1D(1, 2, 1, 3)
         with pytest.raises(ShapeError):
-            conv.forward(np.ones((3, 8)))
+            conv.forward(np.ones((1, 3, 8)))
+        with pytest.raises(ShapeError):
+            conv.forward(np.ones((3, 2, 8)))  # series count differs
 
     def test_same_length_for_all_grid_filter_sizes(self):
         for k in (1, 2, 3, 5, 10):
-            conv = Conv1D(1, 2, k, np.random.default_rng(k))
-            y, _ = conv.forward(np.ones((1, 12)))
-            assert y.shape == (2, 12)
+            conv = drawn(Conv1D(3, 1, 2, k), np.random.default_rng(k))
+            y, _ = conv.forward(np.ones((3, 1, 12)))
+            assert y.shape == (3, 2, 12)
 
     def test_backward_zero_gradient(self):
-        conv = Conv1D(1, 2, 3, np.random.default_rng(0))
-        x = np.random.default_rng(1).uniform(-1, 1, (1, 6))
+        conv = drawn(Conv1D(2, 1, 2, 3), np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(-1, 1, (2, 1, 6))
         _, cache = conv.forward(x)
-        gx, grads = conv.backward(cache, np.zeros((2, 6)))
+        gx, grads = conv.backward(cache, np.zeros((2, 2, 6)))
         assert not gx.any() and not grads["w"].any() and not grads["b"].any()
 
     def test_backward_identity_adjoint(self):
-        conv = Conv1D(1, 1, 1, np.random.default_rng(0))
+        conv = Conv1D(1, 1, 1, 1)
         conv.w[...] = 1.0
-        x = np.random.default_rng(2).uniform(-1, 1, (1, 5))
+        x = np.random.default_rng(2).uniform(-1, 1, (1, 1, 5))
         _, cache = conv.forward(x)
-        g = np.random.default_rng(3).uniform(-1, 1, (1, 5))
+        g = np.random.default_rng(3).uniform(-1, 1, (1, 1, 5))
         gx, _ = conv.backward(cache, g)
         assert np.array_equal(gx, g)
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(4)
-        conv = Conv1D(2, 3, 3, rng)
-        x1 = rng.uniform(-1, 1, (2, 8))
-        x2 = rng.uniform(-1, 1, (2, 8))
+        conv = drawn(Conv1D(2, 2, 3, 3), rng)
+        x1 = rng.uniform(-1, 1, (2, 2, 8))
+        x2 = rng.uniform(-1, 1, (2, 2, 8))
         a, b = 0.7, -1.3
         mixed, _ = conv.forward(a * x1 + b * x2)
         y1, _ = conv.forward(x1)
         y2, _ = conv.forward(x2)
-        bias = conv.b[:, None]
+        bias = conv.b[..., None]
         lhs = mixed - bias
         rhs = a * (y1 - bias) + b * (y2 - bias)
         assert np.allclose(lhs, rhs, atol=1e-9)
@@ -82,9 +91,10 @@ class TestConv1D:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        conv = Conv1D(2, 3, 3 if seed % 2 else 2, rng)
-        x = rng.uniform(-1, 1, (2, 6))
-        coeffs = rng.uniform(-1, 1, (3, 6))
+        conv = drawn(Conv1D(2, 2, 3, 3 if seed % 2 else 2), rng)
+        conv.b[...] = rng.uniform(-1, 1, conv.b.shape)
+        x = rng.uniform(-1, 1, (2, 2, 6))
+        coeffs = rng.uniform(-1, 1, (2, 3, 6))
         loss = weighted_sum_loss(conv, x, coeffs)
         _, cache = conv.forward(x)
         gx, grads = conv.backward(cache, coeffs)
@@ -94,8 +104,8 @@ class TestConv1D:
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(7)
-        conv = Conv1D(2, 3, 3, rng)
-        xb = rng.uniform(-1, 1, (4, 2, 6))
+        conv = drawn(Conv1D(2, 2, 3, 3), rng)
+        xb = rng.uniform(-1, 1, (4, 2, 2, 6))
         yb, _ = conv.forward(xb)
         for i in range(4):
             yi, _ = conv.forward(xb[i])
@@ -164,35 +174,38 @@ class TestMaxPool1D:
 
 class TestDeconv1D:
     def test_doubles_length(self):
-        deconv = Deconv1D(2, 2, 3, np.random.default_rng(0))
-        y, _ = deconv.forward(np.ones((2, 4)))
-        assert y.shape == (2, 8)
+        deconv = drawn(Deconv1D(3, 2, 2, 3), np.random.default_rng(0))
+        y, _ = deconv.forward(np.ones((3, 2, 4)))
+        assert y.shape == (3, 2, 8)
 
     def test_unit_input_copies_filter_at_stride_two(self):
-        deconv = Deconv1D(1, 1, 3, np.random.default_rng(0))
-        deconv.w[0, 0] = np.array([1.0, 2.0, 3.0])
+        deconv = Deconv1D(1, 1, 1, 3)
+        deconv.w[0, 0, 0] = np.array([1.0, 2.0, 3.0])
         deconv.b[...] = 0.0
-        x = np.array([[0.0, 1.0, 0.0, 0.0]])
+        x = np.array([[[0.0, 1.0, 0.0, 0.0]]])
         y, _ = deconv.forward(x)
         # the unit at input index 1 lands at output offset 2
-        assert y.tolist() == [[0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0]]
+        assert y.tolist() == [[[0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0]]]
 
     def test_zero_input_gives_bias_only(self):
-        deconv = Deconv1D(2, 3, 3, np.random.default_rng(1))
-        y, _ = deconv.forward(np.zeros((2, 4)))
-        assert np.array_equal(y, np.broadcast_to(deconv.b[:, None], (3, 8)))
+        rng = np.random.default_rng(1)
+        deconv = drawn(Deconv1D(2, 2, 3, 3), rng)
+        deconv.b[...] = rng.uniform(-1, 1, deconv.b.shape)
+        y, _ = deconv.forward(np.zeros((2, 2, 4)))
+        assert np.array_equal(y, np.broadcast_to(deconv.b[..., None], (2, 3, 8)))
 
     def test_channel_mismatch(self):
-        deconv = Deconv1D(2, 2, 3, np.random.default_rng(0))
+        deconv = Deconv1D(1, 2, 2, 3)
         with pytest.raises(ShapeError):
-            deconv.forward(np.ones((3, 4)))
+            deconv.forward(np.ones((1, 3, 4)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        deconv = Deconv1D(2, 2, 3 if seed % 2 else 5, rng)
-        x = rng.uniform(-1, 1, (2, 4))
-        coeffs = rng.uniform(-1, 1, (2, 8))
+        deconv = drawn(Deconv1D(2, 2, 2, 3 if seed % 2 else 5), rng)
+        deconv.b[...] = rng.uniform(-1, 1, deconv.b.shape)
+        x = rng.uniform(-1, 1, (2, 2, 4))
+        coeffs = rng.uniform(-1, 1, (2, 2, 8))
         loss = weighted_sum_loss(deconv, x, coeffs)
         _, cache = deconv.forward(x)
         gx, grads = deconv.backward(cache, coeffs)
@@ -203,31 +216,71 @@ class TestDeconv1D:
 
 class TestChannelMerge:
     def test_sigmoid_of_zero(self):
-        merge = ChannelMerge(1, np.random.default_rng(0))
+        merge = ChannelMerge(1, 1)
         merge.w[...] = 1.0
         merge.b[...] = 0.0
-        y, _ = merge.forward(np.array([[0.0, 0.0]]))
-        assert y.tolist() == [[0.5, 0.5]]
+        y, _ = merge.forward(np.array([[[0.0, 0.0]]]))
+        assert y.tolist() == [[[0.5, 0.5]]]
 
     def test_output_bounded(self):
         # strict (0,1) holds up to float64 rounding, i.e. |pre-activation| < ~36
-        merge = ChannelMerge(3, np.random.default_rng(1))
-        x = np.random.default_rng(2).uniform(-10, 10, (3, 10))
+        merge = drawn(ChannelMerge(2, 3), np.random.default_rng(1))
+        x = np.random.default_rng(2).uniform(-10, 10, (2, 3, 10))
         y, _ = merge.forward(x)
+        assert y.shape == (2, 1, 10)
         assert np.all(y > 0.0) and np.all(y < 1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        merge = ChannelMerge(3, rng)
-        x = rng.uniform(-1, 1, (3, 6))
-        coeffs = rng.uniform(-1, 1, (1, 6))
+        merge = drawn(ChannelMerge(2, 3), rng)
+        merge.b[...] = rng.uniform(-1, 1, merge.b.shape)
+        x = rng.uniform(-1, 1, (2, 3, 6))
+        coeffs = rng.uniform(-1, 1, (2, 1, 6))
         loss = weighted_sum_loss(merge, x, coeffs)
         _, cache = merge.forward(x)
         gx, grads = merge.backward(cache, coeffs)
         assert rel_error(grads["w"], numeric_grad(loss, merge.w)) < FD_TOL
         assert rel_error(grads["b"], numeric_grad(loss, merge.b)) < FD_TOL
         assert rel_error(gx, numeric_grad(loss, x)) < FD_TOL
+
+
+class TestSeriesGrouping:
+    """n grouped series equal n single-series layers on the weight slices."""
+
+    @staticmethod
+    def slice_layer(layer, s):
+        if isinstance(layer, ChannelMerge):
+            one = ChannelMerge(1, layer.channels)
+        else:
+            one = type(layer)(1, layer.in_channels, layer.num_filters, layer.filter_size)
+        one.w[...] = layer.w[s:s + 1]
+        one.b[...] = layer.b[s:s + 1]
+        return one
+
+    @staticmethod
+    def layers(k, rng):
+        return [drawn(layer, rng) for layer in
+                (Conv1D(4, 3, 2, k), Deconv1D(4, 3, 2, k), ChannelMerge(4, 3))]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+    def test_forward_and_backward_equal_per_series_calls(self, k):
+        rng = np.random.default_rng(k)
+        for layer in self.layers(k, rng):
+            layer.b[...] = rng.uniform(-1, 1, layer.b.shape)
+            x = rng.uniform(-1, 1, (5, 4, 3, 6))
+            y, cache = layer.forward(x)
+            g = rng.uniform(-1, 1, y.shape)
+            gx, grads = layer.backward(cache, g)
+            for s in range(4):
+                one = self.slice_layer(layer, s)
+                ys, cache_s = one.forward(x[:, s:s + 1])
+                gxs, grads_s = one.backward(cache_s, g[:, s:s + 1])
+                name = type(layer).__name__
+                assert rel_error(y[:, s:s + 1], ys) < 1e-12, name
+                assert rel_error(gx[:, s:s + 1], gxs) < 1e-12, name
+                for p in ("w", "b"):
+                    assert rel_error(grads[p][s:s + 1], grads_s[p]) < 1e-12, (name, p)
 
 
 class TestDense:

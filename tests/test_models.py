@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import numeric_grad, rel_error
+from crnn_forecast.data import DataError
 from crnn_forecast.models import (AECRNN, CRNN, ConfigError, Forecast,
                                   LossBreakdown, ModelConfig, Reconstruction,
                                   build_model, forecast_loss, joint_loss,
@@ -9,6 +12,7 @@ from crnn_forecast.models import (AECRNN, CRNN, ConfigError, Forecast,
                                   save_checkpoint)
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor
 
+FIXTURES = Path(__file__).with_name("data")
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
              filters_per_layer=2, filter_size=3, rnn_hidden=3)
 
@@ -299,6 +303,45 @@ class TestModelGradients:
         for k in sums:
             assert np.allclose(batch_grads[k], sums[k], atol=1e-12)
 
+    def test_five_series_two_stage_tanh_gradient_check(self):
+        cfg = ModelConfig(num_series=5, input_length=16, horizon=2,
+                          conv_pool_stages=2, filters_per_layer=2,
+                          filter_size=3, rnn_hidden=3, conv_activation="tanh",
+                          seed=12)
+        model = AECRNN(cfg)
+        rng = np.random.default_rng(120)
+        x = rng.uniform(0.0, 1.0, (2, 5, 16))
+        y = rng.uniform(0.0, 1.0, (2, 2))
+        for name in model.params:
+            if name.endswith(".b"):  # move biases off zero so their gradients count
+                model.params[name][...] = rng.uniform(-0.5, 0.5, model.params[name].shape)
+        _, grads = model.batch_backward(x, y)
+
+        def loss():
+            return model.batch_loss(x, y).j
+
+        for name, param in model.params.items():
+            assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-5, name
+
+
+class TestGroupedParameters:
+    # the benchmark's wide and pair models
+    WIDE = dict(num_series=16, input_length=32, horizon=8, conv_pool_stages=2,
+                filters_per_layer=8, filter_size=3, rnn_hidden=6)
+    PAIR = dict(num_series=2, input_length=32, horizon=8, conv_pool_stages=1,
+                filters_per_layer=4, filter_size=3, rnn_hidden=4, cell_kind="lstm")
+
+    def test_one_array_per_stage_not_per_series(self):
+        wide = AECRNN(ModelConfig(**self.WIDE))
+        assert len(wide.params) == 15
+        assert list(wide.params) == [
+            "conv0.w", "conv0.b", "conv1.w", "conv1.b", "rnn.w_xh", "rnn.w_hh", "rnn.b",
+            "readout.w", "readout.b", "deconv0.w", "deconv0.b", "deconv1.w", "deconv1.b",
+            "merge.w", "merge.b"]
+        assert wide.params["conv1.w"].shape == (16, 8, 8, 3)
+        assert wide.params["merge.w"].shape == (16, 8)
+        assert len(AECRNN(ModelConfig(**self.PAIR)).params) == 11
+
 
 class TestMultiTaskReduction:
     def test_decoder_off_matches_crnn_exactly(self):
@@ -361,7 +404,7 @@ class TestCheckpoint:
         header = path.read_text().splitlines()[0]
         assert "model=crnn" in header
         assert "conv_activation=tanh" in header
-        assert "format=1" in header
+        assert "format=2" in header
 
     def test_missing_parameters_rejected(self, tmp_path):
         cfg = small_config(seed=17)
@@ -371,4 +414,100 @@ class TestCheckpoint:
         fields, tensors = load_checkpoint(path)
         tensors.pop("readout.b")
         with pytest.raises(ConfigError):
+            model_from_checkpoint(fields, tensors)
+
+    @pytest.mark.parametrize("fmt", ["0", "3", ""])
+    def test_unknown_format_rejected_by_name(self, tmp_path, fmt):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        fields, tensors = load_checkpoint(path)
+        fields["format"] = fmt
+        with pytest.raises(ConfigError, match=f"format '{fmt}'"):
+            model_from_checkpoint(fields, tensors)
+        text = path.read_text().replace("format=2", f"format={fmt}", 1)
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"format '{fmt}'"):
+            load_checkpoint(path)
+
+    def test_truncated_file_names_the_tensor(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, AECRNN(small_config(seed=18)))
+        text = path.read_text()
+        cut = text.index("deconv0.w")
+        path.write_text(text[:cut + 40])
+        with pytest.raises(DataError, match="deconv0.w"):
+            load_checkpoint(path)
+
+    def test_extra_values_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        lines = path.read_text().splitlines()
+        lines[-1] += " 1.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="readout.b"):
+            load_checkpoint(path)
+
+    def test_duplicate_names_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(DataError, match="appears twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", ["rnn.b", "rnn.b 2x 1 2", "rnn.b 3 1 2 x"])
+    def test_malformed_line_names_the_tensor(self, tmp_path, line):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(DataError, match="rnn.b"):
+            load_checkpoint(path)
+
+
+class TestFormat1Checkpoints:
+    """Fixtures written by save_checkpoint at checkpoint format 1, which stored
+    each series' conv/deconv/merge parameters as series{s}.<name>."""
+
+    def test_initial_model_matches_grouped_initial_values(self):
+        fields, tensors = load_checkpoint(FIXTURES / "checkpoint_format1_aecrnn_init.txt")
+        assert fields["format"] == "1"
+        rebuilt, extras = model_from_checkpoint(fields, tensors)
+        fresh = AECRNN(ModelConfig.from_fields(fields))
+        assert not extras
+        assert list(rebuilt.params) == list(fresh.params)
+        for k, v in fresh.params.items():
+            assert np.array_equal(rebuilt.params[k], v), k
+        window, _ = random_case(fresh.config, 3)
+        assert np.array_equal(rebuilt.forward(window)[0].values,
+                              fresh.forward(window)[0].values)
+
+    def test_trained_model_reproduces_its_recorded_forecast(self):
+        fields, tensors = load_checkpoint(FIXTURES / "checkpoint_format1_aecrnn_trained.txt")
+        model, extras = model_from_checkpoint(fields, tensors)
+        assert sorted(extras) == ["check.forecast", "check.reconstruction", "check.window"]
+        forecast, recon = model.forward(extras["check.window"])
+        assert rel_error(forecast.values, extras["check.forecast"]) < 1e-12
+        assert rel_error(recon.values, extras["check.reconstruction"]) < 1e-12
+        for s in range(model.num_series):
+            assert np.array_equal(model.params["conv1.w"][s], tensors[f"series{s}.conv1.w"])
+            assert np.array_equal(model.params["deconv0.b"][s],
+                                  tensors[f"series{s}.deconv0.b"])
+            assert model.params["merge.b"][s] == tensors[f"series{s}.merge.b"][0]
+
+    def test_resaved_as_format_2_round_trips(self, tmp_path):
+        model, _ = model_from_checkpoint(
+            *load_checkpoint(FIXTURES / "checkpoint_format1_aecrnn_trained.txt"))
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, model)
+        fields, tensors = load_checkpoint(path)
+        assert fields["format"] == "2"
+        assert not any(name.startswith("series") for name in tensors)
+        rebuilt, _ = model_from_checkpoint(fields, tensors)
+        for k, v in model.params.items():
+            assert np.array_equal(rebuilt.params[k], v), k
+
+    def test_mismatched_series_shapes_rejected(self):
+        fields, tensors = load_checkpoint(FIXTURES / "checkpoint_format1_aecrnn_init.txt")
+        tensors["series1.conv0.w"] = tensors["series1.conv0.w"][:, :, :2]
+        with pytest.raises(ShapeError, match="conv0.w"):
             model_from_checkpoint(fields, tensors)

@@ -10,7 +10,7 @@ from crnn_forecast.models import (CRNN, LossBreakdown, ModelConfig, ParamModel,
                                   model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import Tensor
 from crnn_forecast.training import (Adam, GradcheckReport, Sgd, TrainConfig,
-                                    gradcheck, train)
+                                    gradcheck, mean_j1, train)
 
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
              filters_per_layer=2, filter_size=3, rnn_hidden=4)
@@ -137,6 +137,15 @@ class TestTrain:
         model = CRNN(ModelConfig(**SMALL))
         with pytest.raises(ValueError):
             train(model, [], TrainConfig())
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 1000])
+    def test_batched_monitored_loss_equals_full_set_loss(self, batch_size):
+        samples = toy_samples(seed=8)
+        model = build_model("aecrnn", ModelConfig(**SMALL, seed=8))
+        x = np.stack([s.input.array for s in samples])
+        y = np.stack([s.target for s in samples])
+        full = model.batch_loss(x, y).j1
+        assert abs(mean_j1(model, x, y, batch_size) - full) <= 1e-12 * full
 
     def test_checkpoint_reproduces_validation_loss_bitwise(self, tmp_path):
         samples = toy_samples(seed=7)
