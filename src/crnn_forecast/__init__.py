@@ -9,9 +9,10 @@ from .models import (  # noqa: F401
     ConfigError,
     Forecast,
     LossBreakdown,
+    MODELS,
     ModelConfig,
     Reconstruction,
-    build_model,
+    RecurrentBaseline,
     forecast_loss,
     joint_loss,
     load_checkpoint,
@@ -29,15 +30,11 @@ from .data import (  # noqa: F401
     generate_synthetic,
     ingest_csv,
     make_uncorrelated,
+    prepare,
     segment,
     split,
 )
-from .baselines import (  # noqa: F401
-    RecurrentBaseline,
-    ewma_forecast,
-    train_recurrent_baseline,
-    yesterday_forecast,
-)
+from .baselines import ewma_forecast, yesterday_forecast  # noqa: F401
 from .training import TrainConfig, TrainReport, gradcheck, train  # noqa: F401
 from .evaluation import (  # noqa: F401
     ExperimentSpec,

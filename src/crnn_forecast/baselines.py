@@ -1,170 +1,56 @@
-"""Reference forecasters: last-value propagation, exponential smoothing, and
-plain recurrent networks over the raw series.
+"""Naive reference forecasters: last-value propagation and exponential
+smoothing of the target row.
 
-All baselines consume the same (num_series, input_length) windows and emit
-the same Forecast type as the convolutional models, so the evaluation
-harness treats every method uniformly.
+The batched forms map windows (batch, num_series, input_length) to forecasts
+(batch, horizon) and are what the evaluation harness runs; the per-window
+forms wrap them. The recurrent baselines are ``models.RecurrentBaseline``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
 import numpy as np
 
-from .layers import Dense, LSTMCell, RNNCell
-from .models import (Forecast, LossBreakdown, ParamModel, _as_window_array,
-                     register_model_builder)
-from .tensor import ShapeError
+from .models import Forecast, _as_window_array
 
 __all__ = [
-    "RecurrentBaseline",
+    "ewma_batch",
     "ewma_forecast",
-    "train_recurrent_baseline",
+    "yesterday_batch",
     "yesterday_forecast",
 ]
 
 
-def yesterday_forecast(window, horizon: int) -> Forecast:
-    """Propagate the last observed target value across the whole horizon."""
-    w = _as_window_array(window)
-    if w.shape[1] < 1:
-        raise ShapeError("window holds no observations")
+def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    last = float(w[0, -1])
-    return Forecast(np.full(horizon, last))
 
 
-def ewma_forecast(window, smoothing: float, horizon: int) -> Forecast:
-    """Exponentially weighted moving average of the target row.
+def yesterday_batch(x: np.ndarray, horizon: int) -> np.ndarray:
+    """Propagate each window's last observed target value across the horizon."""
+    _check_horizon(horizon)
+    return np.repeat(x[:, 0, -1:], horizon, axis=1)
+
+
+def ewma_batch(x: np.ndarray, smoothing: float, horizon: int) -> np.ndarray:
+    """Exponentially weighted moving average of each window's target row.
 
     s_t = smoothing * x_t + (1 - smoothing) * s_{t-1}, seeded with s_1 = x_1;
     the final smoothed level is propagated across the horizon.
     """
     if not 0.0 < smoothing <= 1.0:
         raise ValueError(f"smoothing factor must be in (0, 1], got {smoothing}")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    w = _as_window_array(window)
-    target_row = w[0]
-    level = float(target_row[0])
-    for x in target_row[1:]:
-        level = smoothing * float(x) + (1.0 - smoothing) * level
-    return Forecast(np.full(horizon, level))
+    _check_horizon(horizon)
+    level = x[:, 0, 0].copy()
+    for t in range(1, x.shape[2]):
+        level = smoothing * x[:, 0, t] + (1.0 - smoothing) * level
+    return np.repeat(level[:, None], horizon, axis=1)
 
 
-class RecurrentBaseline(ParamModel):
-    """RNN or LSTM applied step-by-step to the raw window, then a dense readout.
-
-    ``features="target"`` feeds only the target series; ``features="all"``
-    stacks every series into the per-step feature vector.
-    """
-
-    def __init__(self, cell_kind: str, num_series: int, input_length: int,
-                 horizon: int, hidden: int, features: str = "all", seed: int = 0):
-        super().__init__()
-        if cell_kind not in ("rnn", "lstm"):
-            raise ValueError(f"unknown cell kind {cell_kind!r}")
-        if features not in ("target", "all"):
-            raise ValueError(f"unknown feature mode {features!r}")
-        self.kind = f"{cell_kind}-baseline"
-        self.cell_kind = cell_kind
-        self.num_series = num_series
-        self.input_length = input_length
-        self.horizon = horizon
-        self.hidden = hidden
-        self.features = features
-        self.seed = seed
-        rng = np.random.default_rng(seed)
-        input_size = 1 if features == "target" else num_series
-        cell_cls = RNNCell if cell_kind == "rnn" else LSTMCell
-        self._cell = cell_cls(input_size, hidden, rng)
-        self._register("rnn", self._cell)
-        self._readout = Dense(hidden, horizon, rng)
-        self._register("readout", self._readout)
-
-    def _steps(self, x: np.ndarray) -> list[np.ndarray]:
-        rows = x[:, :1, :] if self.features == "target" else x
-        return [rows[:, :, t] for t in range(self.input_length)]
-
-    def batch_forecast(self, x: np.ndarray) -> np.ndarray:
-        self._check_batch(x)
-        _, h_final, _ = self._cell.forward(self._steps(x))
-        z, _ = self._readout.forward(h_final)
-        return z
-
-    def batch_loss(self, x, y):
-        z = self.batch_forecast(x)
-        self._check_targets(y, x.shape[0])
-        return self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
-
-    def batch_backward(self, x, y, *, include_forecast: bool = True,
-                       include_reconstruction: bool = True):
-        del include_reconstruction
-        self._check_batch(x)
-        self._check_targets(y, x.shape[0])
-        _, h_final, cell_cache = self._cell.forward(self._steps(x))
-        z, readout_cache = self._readout.forward(h_final)
-        loss = self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
-        grads = self.zero_grads()
-        if include_forecast:
-            dz = 2.0 * (z - y) / y.size
-            dh, readout_grads = self._readout.backward(readout_cache, dz)
-            for k, v in readout_grads.items():
-                grads[f"readout.{k}"] += v
-            _, _, cell_grads = self._cell.backward(cell_cache, dh)
-            for k, v in cell_grads.items():
-                grads[f"rnn.{k}"] += v
-        return loss, grads
-
-    def checkpoint_fields(self) -> "OrderedDict[str, str]":
-        return OrderedDict(
-            model=self.kind,
-            num_series=str(self.num_series),
-            input_length=str(self.input_length),
-            horizon=str(self.horizon),
-            rnn_hidden=str(self.hidden),
-            features=self.features,
-            seed=str(self.seed),
-        )
+def yesterday_forecast(window, horizon: int) -> Forecast:
+    """``yesterday_batch`` for a single (num_series, input_length) window."""
+    return Forecast(yesterday_batch(_as_window_array(window)[None], horizon)[0])
 
 
-def _baseline_builder(cell_kind: str):
-    def build(fields):
-        return RecurrentBaseline(
-            cell_kind,
-            num_series=int(fields["num_series"]),
-            input_length=int(fields["input_length"]),
-            horizon=int(fields["horizon"]),
-            hidden=int(fields["rnn_hidden"]),
-            features=fields.get("features", "all"),
-            seed=int(fields.get("seed", "0")),
-        )
-    return build
-
-
-register_model_builder("rnn-baseline", _baseline_builder("rnn"))
-register_model_builder("lstm-baseline", _baseline_builder("lstm"))
-
-
-def train_recurrent_baseline(cell_kind: str, samples, train_config,
-                             *, hidden: int, features: str = "all",
-                             val_samples=None, seed: int = 0):
-    """Build and fit a recurrent baseline on windowed samples.
-
-    Window geometry is read off the first sample. Returns the fitted model
-    and its training report.
-    """
-    from .training import train
-
-    if not samples:
-        raise ValueError("baseline training needs at least one sample")
-    first = samples[0]
-    num_series, input_length = first.input.shape
-    horizon = first.target.size
-    model = RecurrentBaseline(cell_kind, num_series, input_length, horizon,
-                              hidden=hidden, features=features, seed=seed)
-    _, report = train(model, samples, train_config, val_samples=val_samples)
-    return model, report
+def ewma_forecast(window, smoothing: float, horizon: int) -> Forecast:
+    """``ewma_batch`` for a single (num_series, input_length) window."""
+    return Forecast(ewma_batch(_as_window_array(window)[None], smoothing, horizon)[0])

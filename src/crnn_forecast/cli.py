@@ -10,7 +10,6 @@ as keys), input digests, and output paths; feeding it back through
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import multiprocessing
@@ -21,14 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import RecurrentBaseline
 from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticConfig,
-                   WindowSample, generate_synthetic, ingest_csv, segment, split,
-                   train_val_split, write_csv)
-from .evaluation import ExperimentSpec, MetricReport, robustness_experiment, run_experiment
-from .models import (GRID_FILTER_SIZES, GRID_FILTERS, GRID_HIDDEN, GRID_STAGES,
-                     ConfigError, ModelConfig, build_model, load_checkpoint,
-                     model_from_checkpoint, save_checkpoint)
+                   WindowSample, generate_synthetic, ingest_csv, prepare, write_csv)
+from .evaluation import (METHODS, ExperimentSpec, MetricReport, robustness_experiment,
+                         run_experiment)
+from .models import (GRID_FILTER_SIZES, GRID_FILTERS, GRID_HIDDEN, GRID_STAGES, MODELS,
+                     ConfigError, load_checkpoint, model_from_checkpoint, save_checkpoint)
 from .tensor import NumericError, ShapeError, Tensor
 from .training import TrainConfig, gradcheck, train
 
@@ -198,14 +195,21 @@ def _train_config(args) -> TrainConfig:
         patience=args.patience, seed=args.seed)
 
 
-def _model_config(args, num_series: int) -> ModelConfig:
-    return ModelConfig(
+def _model_fields(args, num_series: int) -> dict[str, object]:
+    """The model flags under the names every builder in ``models.MODELS``
+    reads (those of the checkpoint header)."""
+    return dict(
         num_series=num_series, input_length=args.l, horizon=args.p,
         conv_pool_stages=args.stages, filters_per_layer=args.filters,
         filter_size=args.filter_size, rnn_hidden=args.hidden,
         cell_kind=args.cell, rnn_layout=args.layout,
-        conv_activation=args.conv_activation, seed=args.seed,
-        allow_off_grid=args.allow_off_grid)
+        conv_activation=args.conv_activation, features=args.features,
+        seed=args.seed, allow_off_grid=args.allow_off_grid)
+
+
+def _prepare(args, cset: CorrelatedSet):
+    return prepare(cset, args.l, args.p, train_frac=args.train_frac,
+                   val_fraction=args.val_frac)
 
 
 # -- commands --------------------------------------------------------------------
@@ -259,29 +263,14 @@ def _add_csv_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--timestamp", help="timestamp column (checked for uniform spacing)")
 
 
-def _build_trainable(args, num_series: int):
-    if args.model in ("crnn", "aecrnn"):
-        return build_model(args.model, _model_config(args, num_series))
-    return RecurrentBaseline(args.model, num_series, args.l, args.p,
-                             hidden=args.hidden, features=args.features,
-                             seed=args.seed)
-
-
 def cmd_train(args) -> int:
     out = _out_dir(args, "train")
     cset = _load_dataset(args)
-    train_set, _ = split(cset, args.train_frac)
-    norm = Normalizer.fit(train_set)
-    windows = segment(norm.transform(train_set), args.l, args.p, stride=1)
-    if not windows:
-        raise DataError(
-            f"training segment of length {train_set.length} is too short for "
-            f"l+p = {args.l + args.p}")
-    tr, val = train_val_split(windows, args.val_frac)
-    model = _build_trainable(args, cset.num_series)
-    _, report = train(model, tr, _train_config(args), val_samples=val)
+    prepared = _prepare(args, cset)
+    model = MODELS[args.model](_model_fields(args, cset.num_series))
+    _, report = train(model, prepared.train, _train_config(args), val_samples=prepared.val)
     ckpt_path = out / "checkpoint.txt"
-    save_checkpoint(ckpt_path, model, extra_tensors=norm.tensors())
+    save_checkpoint(ckpt_path, model, extra_tensors=prepared.norm.tensors())
     report_path = out / "train_report.tsv"
     report_path.write_text(report.to_table(), encoding="ascii")
     write_manifest(out, "train", args, {"data": Path(args.data)},
@@ -320,44 +309,20 @@ def cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _experiment_spec(args, method: str | None = None) -> ExperimentSpec:
-    data = None
-    csv_path = None
-    layout = None
-    if args.data:
-        csv_path = args.data
-        columns = _parse_columns(getattr(args, "columns", None))
-        layout = CsvLayout(columns=columns, timestamp=getattr(args, "timestamp", None))
-    else:
-        data = _synthetic_from_args(args)
+def _experiment_spec(args, method: str, num_series: int, **extra) -> ExperimentSpec:
     return ExperimentSpec(
-        method=method or args.method,
-        num_series=args.x,
-        input_length=args.l,
-        horizon=args.p,
-        data=data,
-        csv_path=csv_path,
-        csv_layout=layout,
-        seeds=_seed_list(args.seeds),
-        train_frac=args.train_frac,
-        val_fraction=args.val_frac,
-        eval_stride=args.eval_stride,
-        train=_train_config(args),
-        conv_pool_stages=args.stages,
-        filters_per_layer=args.filters,
-        filter_size=args.filter_size,
-        rnn_hidden=args.hidden,
-        cell_kind=args.cell,
-        rnn_layout=args.layout,
-        conv_activation=args.conv_activation,
-        ewma_smoothing=args.ewma_smoothing,
-        baseline_features=args.features,
-    )
+        method=method, num_series=num_series, input_length=args.l, horizon=args.p,
+        seeds=_seed_list(args.seeds), train_frac=args.train_frac,
+        val_fraction=args.val_frac, train=_train_config(args),
+        hparams=_model_fields(args, num_series), **extra)
 
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args, "evaluate")
-    spec = _experiment_spec(args)
+    source = ({"dataset": _load_dataset(args)} if args.data
+              else {"data": _synthetic_from_args(args)})
+    spec = _experiment_spec(args, args.method, args.x, eval_stride=args.eval_stride,
+                            ewma_smoothing=args.ewma_smoothing, **source)
     report = run_experiment(spec, out_dir=out)
     inputs = {"data": Path(args.data)} if args.data else {}
     write_manifest(out, "evaluate", args, inputs, {"report": out / "report.tsv"})
@@ -374,12 +339,9 @@ def cmd_robustness(args) -> int:
             raise DataError("robustness needs a target and a correlated series")
     else:
         cset = generate_synthetic(_synthetic_from_args(args))
-    report = robustness_experiment(
-        cset.series[0], cset.series[1], _seed_list(args.seeds),
-        input_length=args.l, horizon=args.p,
-        conv_pool_stages=args.stages, filters_per_layer=args.filters,
-        filter_size=args.filter_size, rnn_hidden=args.hidden,
-        train_config=_train_config(args))
+    # the template's method and series count are set per table cell
+    template = _experiment_spec(args, "crnn", 2)
+    report = robustness_experiment(cset.series[0], cset.series[1], template)
     table_path = out / "robustness.tsv"
     table_path.write_text(report.table(), encoding="ascii")
     inputs = {"data": Path(args.data)} if args.data else {}
@@ -414,42 +376,28 @@ def _grid_cells(args) -> list[dict[str, int]]:
     ]
 
 
-def _grid_cell_worker(payload) -> tuple[dict[str, int], float | None, str]:
-    """Train one grid cell; returns (cell, best validation j1 or None, note)."""
-    cell, argvars, csv_path = payload
-    args = argparse.Namespace(**argvars)
+def _grid_cell_worker(payload):
+    """Train one grid cell; returns (cell, best validation j1 or None, note,
+    trained parameters, normalizer), the last two None for a failed cell."""
+    cell, args, cset = payload
+    args = argparse.Namespace(**{**vars(args), **cell})
     try:
-        cset = ingest_csv(csv_path, CsvLayout(columns=_parse_columns(args.columns),
-                                              timestamp=args.timestamp))
-        if args.target is not None:
-            cset = _reorder_target(cset, args.target)
-        train_set, _ = split(cset, args.train_frac)
-        norm = Normalizer.fit(train_set)
-        windows = segment(norm.transform(train_set), args.l, args.p, stride=1)
-        tr, val = train_val_split(windows, args.val_frac)
-        if not tr or not val:
+        prepared = _prepare(args, cset)
+        if not prepared.val:
             raise DataError("not enough windows for a train/validation split")
-        config = ModelConfig(
-            num_series=cset.num_series, input_length=args.l, horizon=args.p,
-            conv_pool_stages=cell["stages"], filters_per_layer=cell["filters"],
-            filter_size=cell["filter_size"], rnn_hidden=cell["hidden"],
-            cell_kind=args.cell, rnn_layout=args.layout,
-            conv_activation=args.conv_activation, seed=args.seed)
-        model = build_model(args.model, config)
-        _, report = train(model, tr, TrainConfig(
-            optimizer=args.optimizer, learning_rate=args.lr,
-            batch_size=args.batch_size, max_epochs=args.epochs,
-            patience=args.patience, seed=args.seed), val_samples=val)
-        return cell, report.best_val_j1, report.stopping_reason
+        model = MODELS[args.model](_model_fields(args, cset.num_series))
+        params, report = train(model, prepared.train, _train_config(args),
+                               val_samples=prepared.val)
+        return cell, report.best_val_j1, report.stopping_reason, params, prepared.norm
     except (ValueError, ArithmeticError) as exc:
-        return cell, None, f"{type(exc).__name__}: {exc}"
+        return cell, None, f"{type(exc).__name__}: {exc}", None, None
 
 
 def cmd_gridsearch(args) -> int:
     out = _out_dir(args, "gridsearch")
+    cset = _load_dataset(args)
     cells = _grid_cells(args)
-    argvars = {k: v for k, v in vars(args).items() if k not in ("func", "grid")}
-    payloads = [(cell, argvars, args.data) for cell in cells]
+    payloads = [(cell, args, cset) for cell in cells]
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_grid_cell_worker, payloads)
@@ -458,11 +406,11 @@ def cmd_gridsearch(args) -> int:
 
     ranked = sorted((r for r in results if r[1] is not None), key=lambda r: r[1])
     lines = ["rank\tstages\tfilters\tfilter_size\thidden\tval_j1\tstatus"]
-    for rank, (cell, val_j1, note) in enumerate(ranked, 1):
+    for rank, (cell, val_j1, note, _, _) in enumerate(ranked, 1):
         lines.append("%d\t%d\t%d\t%d\t%d\t%.17g\t%s"
                      % (rank, cell["stages"], cell["filters"], cell["filter_size"],
                         cell["hidden"], val_j1, note))
-    for cell, _, note in (r for r in results if r[1] is None):
+    for cell, _, note, _, _ in (r for r in results if r[1] is None):
         lines.append("-\t%d\t%d\t%d\t%d\t-\tFAILED: %s"
                      % (cell["stages"], cell["filters"], cell["filter_size"],
                         cell["hidden"], note))
@@ -471,22 +419,10 @@ def cmd_gridsearch(args) -> int:
 
     outputs = {"grid_report": report_path}
     if ranked:
-        best_cell = ranked[0][0]
-        for key, value in best_cell.items():
-            setattr(args, key.replace("-", "_"), value)
-        # Retrain the winning cell to persist its checkpoint.
-        ckpt_args = argparse.Namespace(**vars(args))
-        ckpt_args.stages = best_cell["stages"]
-        ckpt_args.filters = best_cell["filters"]
-        ckpt_args.filter_size = best_cell["filter_size"]
-        ckpt_args.hidden = best_cell["hidden"]
-        cset = _load_dataset(ckpt_args)
-        train_set, _ = split(cset, ckpt_args.train_frac)
-        norm = Normalizer.fit(train_set)
-        windows = segment(norm.transform(train_set), ckpt_args.l, ckpt_args.p, stride=1)
-        tr, val = train_val_split(windows, ckpt_args.val_frac)
-        model = _build_trainable(ckpt_args, cset.num_series)
-        train(model, tr, _train_config(ckpt_args), val_samples=val)
+        best_cell, _, _, params, norm = ranked[0]
+        vars(args).update(best_cell)
+        model = MODELS[args.model](_model_fields(args, cset.num_series))
+        model.set_params(params)
         ckpt_path = out / "best_checkpoint.txt"
         save_checkpoint(ckpt_path, model, extra_tensors=norm.tensors())
         outputs["best_checkpoint"] = ckpt_path
@@ -500,12 +436,7 @@ def cmd_gradcheck(args) -> int:
     if args.small:
         args.x, args.l, args.p = 2, 8, 2
         args.stages, args.filters, args.filter_size, args.hidden = 1, 2, 3, 3
-    if args.model in ("crnn", "aecrnn"):
-        model = build_model(args.model, _model_config(args, args.x))
-    else:
-        model = RecurrentBaseline(args.model, args.x, args.l, args.p,
-                                  hidden=args.hidden, features=args.features,
-                                  seed=args.seed)
+    model = MODELS[args.model](_model_fields(args, args.x))
     rng = np.random.default_rng(args.seed)
     sample = WindowSample(0, Tensor(rng.uniform(0.0, 1.0, (args.x, args.l))),
                           rng.uniform(0.0, 1.0, args.p))
@@ -549,7 +480,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model and save its checkpoint")
     common(p)
     _add_csv_flags(p)
-    p.add_argument("--model", choices=("crnn", "aecrnn", "rnn", "lstm"), required=True)
+    p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("--l", type=int, required=True, help="input window length")
     p.add_argument("--p", type=int, required=True, help="forecast horizon")
     _add_model_flags(p)
@@ -568,8 +499,7 @@ def build_parser() -> _Parser:
     common(p)
     _add_csv_flags(p, required=False)
     synth_flags(p)
-    p.add_argument("--method", required=True,
-                   choices=("yesterday", "ewma", "rnn", "lstm", "crnn", "aecrnn"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--x", type=int, default=2, help="number of series used")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
@@ -596,7 +526,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gridsearch", help="rank hyper-parameter cells by validation loss")
     common(p)
     _add_csv_flags(p)
-    p.add_argument("--model", choices=("crnn", "aecrnn"), default="crnn")
+    p.add_argument("--model", choices=tuple(MODELS), default="crnn")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--grid", help="key=value file overriding the default axes "
@@ -608,7 +538,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
     common(p)
-    p.add_argument("--model", choices=("crnn", "aecrnn", "rnn", "lstm"), default="crnn")
+    p.add_argument("--model", choices=tuple(MODELS), default="crnn")
     p.add_argument("--small", action="store_true",
                    help="use the small reference configuration")
     p.add_argument("--x", type=int, default=2)

@@ -1,8 +1,9 @@
 """Data pipeline: ingestion, normalization, windowing, and synthetic sources.
 
-The pipeline order used by the harness is: split the raw series set
-chronologically, fit min-max normalization on the training segment only,
-normalize both segments with those statistics, then cut sliding windows.
+``prepare`` is the one pipeline that training, grid search and evaluation
+use: split the raw series set chronologically, fit min-max normalization on
+the training segment only, normalize both segments with those statistics,
+then cut sliding windows and carve the last of them off for validation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "CsvLayout",
     "DataError",
     "Normalizer",
+    "Prepared",
     "SyntheticConfig",
     "TimeSeries",
     "WindowSample",
@@ -28,6 +30,7 @@ __all__ = [
     "ingest_csv",
     "make_uncorrelated",
     "pearson",
+    "prepare",
     "segment",
     "split",
     "stack_samples",
@@ -232,6 +235,42 @@ def stack_samples(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarr
     x = np.stack([s.input.array for s in samples])
     y = np.stack([s.target for s in samples])
     return x, y
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """Windows of one series set, normalized with its training statistics."""
+
+    norm: Normalizer
+    train: list[WindowSample]
+    val: list[WindowSample]
+    test: list[WindowSample]
+
+
+def prepare(cset: CorrelatedSet, input_length: int, horizon: int, *,
+            train_frac: float, val_fraction: float,
+            test_stride: int | None = None) -> Prepared:
+    """Split, normalize on the training part, and cut stride-1 training
+    windows whose last ``val_fraction`` become validation. Test windows are
+    cut at ``test_stride`` when it is given, and are empty otherwise.
+
+    Raises DataError when there is no training window, or no test window
+    although one was asked for.
+    """
+    train_set, test_set = split(cset, train_frac)
+    norm = Normalizer.fit(train_set)
+    windows = segment(norm.transform(train_set), input_length, horizon, stride=1)
+    if not windows:
+        raise DataError(
+            f"training segment of length {train_set.length} is too short for "
+            f"l+p = {input_length + horizon}")
+    tr, val = train_val_split(windows, val_fraction)
+    test = []
+    if test_stride is not None:
+        test = segment(norm.transform(test_set), input_length, horizon, stride=test_stride)
+        if not test:
+            raise DataError("test segment is too short for a single evaluation window")
+    return Prepared(norm, tr, val, test)
 
 
 # -- CSV ingestion --------------------------------------------------------------

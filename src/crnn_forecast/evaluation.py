@@ -7,8 +7,8 @@ training cases, held-out test windows, and RMSE/MAPE in original units.
 input series is helpful, absent, or pure noise.
 
 For synthetic sources each seed regenerates the dataset (seed k uses data
-seed base+k), so seeds act as independent trials; CSV sources are fixed and
-seeds vary only the model initialization and batch order.
+seed base+k), so seeds act as independent trials; a given dataset is fixed
+and seeds vary only the model initialization and batch order.
 """
 
 from __future__ import annotations
@@ -16,18 +16,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import train_recurrent_baseline
-from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticConfig,
-                   TimeSeries, generate_synthetic, ingest_csv, make_uncorrelated,
-                   segment, split, stack_samples, train_val_split)
-from .models import ModelConfig, build_model
+from .baselines import ewma_batch, yesterday_batch
+from .data import (CorrelatedSet, DataError, Prepared, SyntheticConfig, TimeSeries,
+                   generate_synthetic, make_uncorrelated, prepare, stack_samples)
+from .models import MODELS
 from .training import TrainConfig, train
 
 __all__ = [
+    "METHODS",
     "ExperimentSpec",
     "MetricReport",
     "RobustnessReport",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 MAPE_EPSILON = 1e-8
+METHODS = ("yesterday", "ewma", *MODELS)
 
 
 def rmse(pred, truth) -> float:
@@ -90,35 +91,30 @@ class WindowResult:
 
 @dataclass
 class ExperimentSpec:
-    """One experiment cell: a method, a problem setting, and a data source."""
+    """One experiment cell: a method, a problem setting, and a data source.
+
+    The source is ``dataset`` when it is given, else ``data``. ``hparams``
+    holds the model hyper-parameters under the names every builder in
+    ``models.MODELS`` reads; the geometry and the seed come from the spec.
+    """
 
     method: str
     num_series: int
     input_length: int
     horizon: int
     data: SyntheticConfig | None = None
-    csv_path: str | None = None
-    csv_layout: CsvLayout | None = None
+    dataset: CorrelatedSet | None = None
     seeds: tuple[int, ...] = (0,)
     train_frac: float = 0.84
     val_fraction: float = 0.15
     eval_stride: int | None = None      # default: non-overlapping (l + p)
     train: TrainConfig = field(default_factory=TrainConfig)
-    conv_pool_stages: int = 1
-    filters_per_layer: int = 2
-    filter_size: int = 3
-    rnn_hidden: int = 4
-    cell_kind: str = "rnn"
-    rnn_layout: str = "sequence"
-    conv_activation: str = "linear"
     ewma_smoothing: float = 0.3
-    baseline_features: str = "all"
-
-    _METHODS = ("yesterday", "ewma", "rnn", "lstm", "crnn", "aecrnn")
+    hparams: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in self._METHODS:
-            raise ValueError(f"unknown method {self.method!r}; pick one of {self._METHODS}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
@@ -202,84 +198,46 @@ class MetricReport:
 
 
 def _load_data(spec: ExperimentSpec, seed: int) -> CorrelatedSet:
-    if spec.csv_path is not None:
-        cset = ingest_csv(spec.csv_path, spec.csv_layout)
+    if spec.dataset is not None:
+        cset = spec.dataset
     elif spec.data is not None:
         cfg = dataclasses.replace(spec.data, seed=spec.data.seed + seed)
         cset = generate_synthetic(cfg)
     else:
-        raise ValueError("experiment needs a synthetic config or a csv path")
+        raise ValueError("experiment needs a synthetic config or a dataset")
     if cset.num_series < spec.num_series:
         raise DataError(
             f"data offers {cset.num_series} series but the spec needs {spec.num_series}")
     return cset.take(spec.num_series)
 
 
-def _ewma_predictor(smoothing: float, horizon: int) -> Callable[[np.ndarray], np.ndarray]:
-    def predict(x: np.ndarray) -> np.ndarray:
-        level = x[:, 0, 0].copy()
-        for t in range(1, x.shape[2]):
-            level = smoothing * x[:, 0, t] + (1.0 - smoothing) * level
-        return np.repeat(level[:, None], horizon, axis=1)
-    return predict
-
-
-def _fit_forecaster(spec: ExperimentSpec, train_windows, val_windows,
+def _fit_forecaster(spec: ExperimentSpec, prepared: Prepared,
                     seed: int) -> Callable[[np.ndarray], np.ndarray]:
     """Return a batched window -> forecast function for the chosen method."""
     if spec.method == "yesterday":
-        return lambda x: np.repeat(x[:, 0, -1:], spec.horizon, axis=1)
+        return lambda x: yesterday_batch(x, spec.horizon)
     if spec.method == "ewma":
-        return _ewma_predictor(spec.ewma_smoothing, spec.horizon)
-    train_cfg = dataclasses.replace(spec.train, seed=seed)
-    if spec.method in ("crnn", "aecrnn"):
-        config = ModelConfig(
-            num_series=spec.num_series,
-            input_length=spec.input_length,
-            horizon=spec.horizon,
-            conv_pool_stages=spec.conv_pool_stages,
-            filters_per_layer=spec.filters_per_layer,
-            filter_size=spec.filter_size,
-            rnn_hidden=spec.rnn_hidden,
-            cell_kind=spec.cell_kind,
-            rnn_layout=spec.rnn_layout,
-            conv_activation=spec.conv_activation,
-            seed=seed,
-        )
-        model = build_model(spec.method, config)
-        train(model, train_windows, train_cfg, val_samples=val_windows)
-        return model.batch_forecast
-    model, _ = train_recurrent_baseline(
-        spec.method, train_windows, train_cfg, hidden=spec.rnn_hidden,
-        features=spec.baseline_features, val_samples=val_windows, seed=seed)
+        return lambda x: ewma_batch(x, spec.ewma_smoothing, spec.horizon)
+    model = MODELS[spec.method]({**spec.hparams, "num_series": spec.num_series,
+                                 "input_length": spec.input_length,
+                                 "horizon": spec.horizon, "seed": seed})
+    train(model, prepared.train, dataclasses.replace(spec.train, seed=seed),
+          val_samples=prepared.val)
     return model.batch_forecast
 
 
 def _evaluate_on_set(cset: CorrelatedSet, spec: ExperimentSpec,
                      seed: int) -> list[WindowResult]:
     """Run the full protocol on one prepared series set for one seed."""
-    train_set, test_set = split(cset, spec.train_frac)
-    norm = Normalizer.fit(train_set)
-    train_windows = segment(norm.transform(train_set), spec.input_length,
-                            spec.horizon, stride=1)
-    stride = spec.eval_stride or (spec.input_length + spec.horizon)
-    test_windows = segment(norm.transform(test_set), spec.input_length,
-                           spec.horizon, stride=stride)
-    if not test_windows:
-        raise DataError("test segment is too short for a single evaluation window")
-    needs_training = spec.method not in ("yesterday", "ewma")
-    if needs_training:
-        if not train_windows:
-            raise DataError("training segment is too short for a single window")
-        tr, val = train_val_split(train_windows, spec.val_fraction)
-    else:
-        tr, val = train_windows, []
-    forecaster = _fit_forecaster(spec, tr, val, seed)
-    x_test, y_test = stack_samples(test_windows)
-    preds = norm.inverse_target(forecaster(x_test))
-    truths = norm.inverse_target(y_test)
+    prepared = prepare(cset, spec.input_length, spec.horizon,
+                       train_frac=spec.train_frac, val_fraction=spec.val_fraction,
+                       test_stride=spec.eval_stride or (spec.input_length + spec.horizon))
+    forecaster = _fit_forecaster(spec, prepared, seed)
+    x_test, y_test = stack_samples(prepared.test)
+    preds = prepared.norm.inverse_target(forecaster(x_test))
+    truths = prepared.norm.inverse_target(y_test)
     results = []
-    for i, w in enumerate(test_windows):
+    for i, w in enumerate(prepared.test):
         m_value, m_skipped = mape_detailed(preds[i], truths[i])
         results.append(WindowResult(seed=seed, offset=w.offset,
                                     rmse=rmse(preds[i], truths[i]),
@@ -350,23 +308,19 @@ class RobustnessReport:
 
 
 def robustness_experiment(target: TimeSeries, correlated: TimeSeries,
-                          seeds: Sequence[int] | int, *,
-                          input_length: int = 50, horizon: int = 25,
-                          conv_pool_stages: int = 1, filters_per_layer: int = 2,
-                          filter_size: int = 3, rnn_hidden: int = 4,
-                          train_config: TrainConfig | None = None,
+                          template: ExperimentSpec, *,
                           uncorrelated_seed_base: int = 7000) -> RobustnessReport:
     """Evaluate CRNN and AECRNN under three companion-series regimes.
 
     Rows: the target alone, the target with the genuinely correlated series,
     and the target with a phase-randomized surrogate that matches the
-    target's moments but carries no information about it.
+    target's moments but carries no information about it. Each cell runs
+    ``template`` for one of its seeds, with the method and series count
+    replaced; its data source is not used.
     """
-    seed_list = (seeds,) if isinstance(seeds, int) else tuple(seeds)
-    train_cfg = train_config or TrainConfig()
     per_seed: dict[tuple[str, str], dict[int, float]] = {
         (row, model): {} for row in ROBUSTNESS_ROWS for model in ROBUSTNESS_MODELS}
-    for seed in seed_list:
+    for seed in template.seeds:
         companions = {
             "single": None,
             "correlated": correlated,
@@ -376,21 +330,11 @@ def robustness_experiment(target: TimeSeries, correlated: TimeSeries,
             series = (target,) if companion is None else (target, companion)
             cset = CorrelatedSet(series)
             for model in ROBUSTNESS_MODELS:
-                spec = ExperimentSpec(
-                    method=model,
-                    num_series=cset.num_series,
-                    input_length=input_length,
-                    horizon=horizon,
-                    seeds=(seed,),
-                    train=train_cfg,
-                    conv_pool_stages=conv_pool_stages,
-                    filters_per_layer=filters_per_layer,
-                    filter_size=filter_size,
-                    rnn_hidden=rnn_hidden,
-                )
+                spec = dataclasses.replace(template, method=model,
+                                           num_series=cset.num_series, seeds=(seed,))
                 windows = _evaluate_on_set(cset, spec, seed)
                 per_seed[(row, model)][seed] = float(
                     np.mean([w.mape for w in windows]))
     pooled = {key: float(np.mean(list(vals.values())))
               for key, vals in per_seed.items()}
-    return RobustnessReport(mape=pooled, per_seed=per_seed, seeds=seed_list)
+    return RobustnessReport(mape=pooled, per_seed=per_seed, seeds=template.seeds)

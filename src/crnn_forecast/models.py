@@ -1,6 +1,6 @@
 """Forecasting networks built from the layer primitives.
 
-Two model kinds are provided:
+Three model families are provided:
 
 * ``CRNN`` – a 1-D convolution + max-pool stack per series whose pooled
   feature cubes are concatenated and fed to a recurrent cell, with a dense
@@ -8,12 +8,17 @@ Two model kinds are provided:
 * ``AECRNN`` – the same encoder plus, per series, a mirrored deconvolution
   decoder that reconstructs the input window through a sigmoid, trained
   jointly so reconstruction acts as a regularizer.
+* ``RecurrentBaseline`` – an RNN or LSTM over the raw window, the paper's
+  recurrent baselines.
 
 Every series has its own filters, but they are stored grouped: one array per
 stage with a leading series axis (``conv{j}``, ``deconv{j}``, ``merge``), so
 each encoder and decoder stage is a single layer call over all series.
 
-Both expose identical per-sample and batched entry points; the batched path
+``MODELS`` maps each model kind (crnn, aecrnn, rnn, lstm) to its builder; it
+is the one way a kind becomes a model, for training and for checkpoints.
+
+All expose identical per-sample and batched entry points; the batched path
 is the one the trainer drives. All gradients are hand-derived and checked
 against finite differences in the test suite.
 """
@@ -41,15 +46,15 @@ __all__ = [
     "GRID_HIDDEN",
     "GRID_STAGES",
     "LossBreakdown",
+    "MODELS",
     "ModelConfig",
     "ParamModel",
     "Reconstruction",
-    "build_model",
+    "RecurrentBaseline",
     "forecast_loss",
     "joint_loss",
     "load_checkpoint",
     "model_from_checkpoint",
-    "register_model_builder",
     "save_checkpoint",
 ]
 
@@ -539,6 +544,102 @@ class AECRNN(CRNN):
         return Forecast(z[0]), Reconstruction(recon[0])
 
 
+class RecurrentBaseline(ParamModel):
+    """RNN or LSTM applied step-by-step to the raw window, then a dense readout.
+
+    ``features="target"`` feeds only the target series; ``features="all"``
+    stacks every series into the per-step feature vector.
+    """
+
+    def __init__(self, cell_kind: str, num_series: int, input_length: int,
+                 horizon: int, hidden: int, features: str = "all", seed: int = 0):
+        super().__init__()
+        if cell_kind not in ("rnn", "lstm"):
+            raise ValueError(f"unknown cell kind {cell_kind!r}")
+        if features not in ("target", "all"):
+            raise ValueError(f"unknown feature mode {features!r}")
+        self.kind = f"{cell_kind}-baseline"
+        self.cell_kind = cell_kind
+        self.num_series = num_series
+        self.input_length = input_length
+        self.horizon = horizon
+        self.hidden = hidden
+        self.features = features
+        self.seed = seed
+        rng = np.random.default_rng(seed)
+        input_size = 1 if features == "target" else num_series
+        cell_cls = RNNCell if cell_kind == "rnn" else LSTMCell
+        self._cell = cell_cls(input_size, hidden, rng)
+        self._register("rnn", self._cell)
+        self._readout = Dense(hidden, horizon, rng)
+        self._register("readout", self._readout)
+
+    @classmethod
+    def from_fields(cls, cell_kind: str, fields: Mapping[str, str]) -> "RecurrentBaseline":
+        """Build from named hyper-parameters; the conv-model names are ignored."""
+        return cls(cell_kind, int(fields["num_series"]), int(fields["input_length"]),
+                   int(fields["horizon"]),
+                   hidden=int(fields.get("rnn_hidden", ModelConfig.rnn_hidden)),
+                   features=fields.get("features", "all"), seed=int(fields.get("seed", 0)))
+
+    def _steps(self, x: np.ndarray) -> list[np.ndarray]:
+        rows = x[:, :1, :] if self.features == "target" else x
+        return [rows[:, :, t] for t in range(self.input_length)]
+
+    def batch_forecast(self, x: np.ndarray) -> np.ndarray:
+        self._check_batch(x)
+        _, h_final, _ = self._cell.forward(self._steps(x))
+        z, _ = self._readout.forward(h_final)
+        return z
+
+    def batch_loss(self, x, y):
+        z = self.batch_forecast(x)
+        self._check_targets(y, x.shape[0])
+        return self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
+
+    def batch_backward(self, x, y, *, include_forecast: bool = True,
+                       include_reconstruction: bool = True):
+        del include_reconstruction
+        self._check_batch(x)
+        self._check_targets(y, x.shape[0])
+        _, h_final, cell_cache = self._cell.forward(self._steps(x))
+        z, readout_cache = self._readout.forward(h_final)
+        loss = self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
+        grads = self.zero_grads()
+        if include_forecast:
+            dz = 2.0 * (z - y) / y.size
+            dh, readout_grads = self._readout.backward(readout_cache, dz)
+            for k, v in readout_grads.items():
+                grads[f"readout.{k}"] += v
+            _, _, cell_grads = self._cell.backward(cell_cache, dh)
+            for k, v in cell_grads.items():
+                grads[f"rnn.{k}"] += v
+        return loss, grads
+
+    def checkpoint_fields(self) -> "OrderedDict[str, str]":
+        return OrderedDict(
+            model=self.kind,
+            num_series=str(self.num_series),
+            input_length=str(self.input_length),
+            horizon=str(self.horizon),
+            rnn_hidden=str(self.hidden),
+            features=self.features,
+            seed=str(self.seed),
+        )
+
+
+# Model kind -> builder. Every builder reads the same named hyper-parameters,
+# the checkpoint header fields, given as strings (from a file) or as values.
+# The conv models validate them through ModelConfig; the baselines read only
+# their geometry, rnn_hidden, features and seed, so no conv-grid check applies.
+MODELS = {
+    "crnn": lambda fields: CRNN(ModelConfig.from_fields(fields)),
+    "aecrnn": lambda fields: AECRNN(ModelConfig.from_fields(fields)),
+    "rnn": lambda fields: RecurrentBaseline.from_fields("rnn", fields),
+    "lstm": lambda fields: RecurrentBaseline.from_fields("lstm", fields),
+}
+
+
 # -- checkpoint container -----------------------------------------------------
 
 _FLOAT_FMT = "%.17g"
@@ -546,24 +647,6 @@ CHECKPOINT_FORMAT = "2"
 # Format 1 stored each series' conv/deconv/merge parameters under its own
 # name, series{s}.<name>; model_from_checkpoint stacks them on load.
 _READABLE_FORMATS = ("1", CHECKPOINT_FORMAT)
-
-_MODEL_BUILDERS: dict[str, callable] = {}
-
-
-def register_model_builder(kind: str, builder) -> None:
-    _MODEL_BUILDERS[kind] = builder
-
-
-def build_model(kind: str, config: ModelConfig):
-    if kind == "crnn":
-        return CRNN(config)
-    if kind == "aecrnn":
-        return AECRNN(config)
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-register_model_builder("crnn", lambda f: CRNN(ModelConfig.from_fields(f)))
-register_model_builder("aecrnn", lambda f: AECRNN(ModelConfig.from_fields(f)))
 
 
 def save_checkpoint(path, model, extra_tensors: Mapping[str, np.ndarray] | None = None) -> None:
@@ -600,7 +683,7 @@ def load_checkpoint(path):
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
-        raise ConfigError(f"checkpoint {path} is empty")
+        raise DataError(f"checkpoint {path} is empty")
     fields: "OrderedDict[str, str]" = OrderedDict()
     for token in lines[0].split():
         key, _, value = token.partition("=")
@@ -649,15 +732,17 @@ def model_from_checkpoint(fields: Mapping[str, str], tensors: Mapping[str, np.nd
     converted to the grouped parameters of format 2.
     """
     fmt = _checkpoint_format(fields)
-    kind = fields.get("model")
-    if kind not in _MODEL_BUILDERS:
+    kind = fields.get("model", "")
+    # the baselines' header kinds are rnn-baseline and lstm-baseline
+    builder = MODELS.get(kind.removesuffix("-baseline"))
+    model = builder(fields) if builder else None
+    if model is None or model.kind != kind:
         raise ConfigError(f"checkpoint names unknown model kind {kind!r}")
-    model = _MODEL_BUILDERS[kind](fields)
     if fmt == "1":
         tensors = _stack_series_tensors(model, tensors)
     missing = [k for k in model.params if k not in tensors]
     if missing:
-        raise ConfigError(f"checkpoint is missing parameters: {missing[:3]}...")
+        raise DataError(f"checkpoint is missing parameters: {missing[:3]}...")
     model.set_params({k: v for k, v in tensors.items() if k in model.params})
     extras = {k: v for k, v in tensors.items() if k not in model.params}
     return model, extras

@@ -8,7 +8,7 @@ propagating silently into metrics.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -16,15 +16,7 @@ __all__ = [
     "NumericError",
     "ShapeError",
     "Tensor",
-    "add",
-    "concat_flatten",
-    "elementwise",
-    "matmul",
-    "mul",
-    "scale",
-    "sigmoid",
-    "sub",
-    "tanh",
+    "sigmoid_values",
 ]
 
 
@@ -49,8 +41,7 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
 class Tensor:
     """Immutable dense array of 64-bit reals with rank 1, 2, or 3.
 
-    Data is stored row-major. Instances are safe to share across threads;
-    all operations return new tensors.
+    Data is stored row-major. Instances are safe to share across threads.
     """
 
     __slots__ = ("_a",)
@@ -100,71 +91,3 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self._a!r})"
-
-
-def _binary_check(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} differ")
-    return Tensor(a.array @ b.array)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check(a, b, "add")
-    return Tensor(a.array + b.array)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check(a, b, "sub")
-    return Tensor(a.array - b.array)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check(a, b, "mul")
-    return Tensor(a.array * b.array)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    return Tensor(a.array * float(c))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return Tensor(sigmoid_values(a.array))
-
-
-def tanh(a: Tensor) -> Tensor:
-    return Tensor(np.tanh(a.array))
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-}
-
-
-def elementwise(op: str, *args) -> Tensor:
-    """Dispatch a pointwise operation by name (add/sub/mul/sigmoid/tanh/scale)."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
-
-
-def concat_flatten(cubes: Iterable[Tensor]) -> Tensor:
-    """Flatten each tensor row-major and concatenate them in input order."""
-    parts = [c.data for c in cubes]
-    if not parts:
-        raise ValueError("concat_flatten: empty input")
-    return Tensor(np.concatenate(parts))

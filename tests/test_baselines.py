@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from crnn_forecast.baselines import (RecurrentBaseline, ewma_forecast,
-                                     train_recurrent_baseline, yesterday_forecast)
+from crnn_forecast.baselines import ewma_forecast, yesterday_forecast
 from crnn_forecast.data import CorrelatedSet, TimeSeries, segment
-from crnn_forecast.models import load_checkpoint, model_from_checkpoint, save_checkpoint
+from crnn_forecast.models import (MODELS, RecurrentBaseline, load_checkpoint,
+                                  model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import Tensor
-from crnn_forecast.training import TrainConfig
+from crnn_forecast.training import TrainConfig, train
 
 
 def window_of(target_row, extra_rows=0):
@@ -77,27 +77,28 @@ class TestRecurrentBaseline:
         cset = CorrelatedSet((TimeSeries("t", np.full(n, value)),))
         return segment(cset, l, p)
 
+    def fitted(self, kind, samples, cfg, **fields):
+        model = MODELS[kind](dict(num_series=1, input_length=6, horizon=2, **fields))
+        _, report = train(model, samples, cfg)
+        return model, report
+
     def test_overfits_constant_series(self):
         samples = self.constant_samples()
         cfg = TrainConfig(learning_rate=1e-2, max_epochs=300, patience=300,
                           batch_size=8, seed=0)
-        model, _ = train_recurrent_baseline("rnn", samples, cfg, hidden=4,
-                                            features="target", seed=0)
+        model, _ = self.fitted("rnn", samples, cfg, rnn_hidden=4,
+                               features="target", seed=0)
         pred = model.forward(samples[0].input)
         assert np.max(np.abs(pred.values - 0.6)) < 0.01
 
     def test_deterministic_training(self):
         samples = self.constant_samples()
         cfg = TrainConfig(max_epochs=5, seed=3)
-        m1, r1 = train_recurrent_baseline("lstm", samples, cfg, hidden=3, seed=3)
-        m2, r2 = train_recurrent_baseline("lstm", samples, cfg, hidden=3, seed=3)
+        m1, r1 = self.fitted("lstm", samples, cfg, rnn_hidden=3, seed=3)
+        m2, r2 = self.fitted("lstm", samples, cfg, rnn_hidden=3, seed=3)
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
         assert r1.epochs == r2.epochs
-
-    def test_empty_sample_list_rejected(self):
-        with pytest.raises(ValueError):
-            train_recurrent_baseline("rnn", [], TrainConfig(), hidden=3)
 
     def test_feature_modes_change_input_width(self):
         target_only = RecurrentBaseline("rnn", 3, 8, 2, hidden=4, features="target")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from crnn_forecast import cli
 from crnn_forecast.cli import main
-from crnn_forecast.data import Normalizer, ingest_csv
+from crnn_forecast.data import CorrelatedSet, Normalizer, ingest_csv, write_csv
 from crnn_forecast.models import load_checkpoint, model_from_checkpoint
 from crnn_forecast.tensor import Tensor
 
@@ -95,6 +96,15 @@ class TestTrain:
         fields, _ = load_checkpoint(out / "checkpoint.txt")
         assert fields["model"] == "lstm-baseline"
 
+    def test_baseline_skips_conv_grid_checks(self, dataset, tmp_path):
+        # l=15 is not divisible by 2 and hidden=8 is off the grid
+        out = tmp_path / "t"
+        code = main(["train", "--model", "rnn", "--data", str(dataset), "--l", "15",
+                     "--p", "2", "--hidden", "8", "--epochs", "1", "--out", str(out)])
+        assert code == 0
+        fields, _ = load_checkpoint(out / "checkpoint.txt")
+        assert fields["input_length"] == "15" and fields["rnn_hidden"] == "8"
+
     def test_config_file_supplies_defaults_cli_overrides(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("l=8\np=4\nepochs=2\n")
@@ -176,6 +186,19 @@ class TestForecast:
         assert code == 2
         assert "rnn.w_xh" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep_lines", [0, 5])
+    def test_checkpoint_cut_at_a_line_boundary_is_data_error(self, dataset, tmp_path,
+                                                              capsys, keep_lines):
+        train_out = tmp_path / "t"
+        main(train_args(dataset, train_out))
+        ckpt = train_out / "checkpoint.txt"
+        lines = ckpt.read_text().splitlines(keepends=True)
+        ckpt.write_text("".join(lines[:keep_lines]))
+        code = main(["forecast", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert "error: data:" in capsys.readouterr().err
+
     def test_out_of_range_offset_is_data_error(self, dataset, tmp_path):
         train_out = tmp_path / "t"
         main(train_args(dataset, train_out))
@@ -201,6 +224,31 @@ class TestEvaluate:
         code = main(["evaluate", "--method", "ewma", "--len", "260",
                      "--l", "8", "--p", "2", "--out", str(out)])
         assert code == 0
+
+    @pytest.mark.parametrize("smoothing", ["0", "2.5"])
+    def test_ewma_smoothing_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                                 smoothing):
+        code = main(["evaluate", "--method", "ewma", "--len", "260", "--l", "8",
+                     "--p", "2", "--ewma-smoothing", smoothing, "--out", str(tmp_path)])
+        assert code == 1
+        assert "smoothing" in capsys.readouterr().err
+
+    def test_target_flag_reorders_the_series(self, dataset, tmp_path):
+        cset = ingest_csv(dataset)
+        swapped = tmp_path / "swapped.csv"
+        write_csv(CorrelatedSet(cset.series[::-1]), swapped)
+        common = ["evaluate", "--method", "yesterday", "--l", "8", "--p", "2"]
+        assert main(common + ["--data", str(dataset), "--target", "driver",
+                              "--out", str(tmp_path / "a")]) == 0
+        assert main(common + ["--data", str(swapped), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "report.tsv").read_bytes()
+                == (tmp_path / "b" / "report.tsv").read_bytes())
+
+    def test_allow_off_grid_reaches_the_model(self, dataset, tmp_path):
+        args = ["evaluate", "--method", "crnn", "--data", str(dataset), "--l", "8",
+                "--p", "2", "--filters", "7", "--epochs", "1", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert main(args + ["--allow-off-grid"]) == 0
 
 
 class TestGridsearch:
@@ -241,6 +289,45 @@ class TestGridsearch:
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert ((serial / "grid_report.tsv").read_text()
                 == (parallel / "grid_report.tsv").read_text())
+        assert ((serial / "best_checkpoint.txt").read_bytes()
+                == (parallel / "best_checkpoint.txt").read_bytes())
+
+    def test_trains_each_cell_once(self, dataset, tmp_path, monkeypatch):
+        calls = []
+        real_train = cli.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counting_train)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2,3\nfilter-size=3\nhidden=3,4\n")
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 4
+        assert (tmp_path / "best_checkpoint.txt").exists()
+
+    def test_allow_off_grid_cell_ranks(self, dataset, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=7\nfilter-size=3\nhidden=4\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", "--allow-off-grid",
+                     "--out", str(out)]) == 0
+        report = (out / "grid_report.tsv").read_text().splitlines()
+        assert report[1].startswith("1\t1\t7\t3\t4\t")
+
+    def test_target_among_columns_ranks_cells(self, dataset, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2\nfilter-size=3\nhidden=3,4\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--columns", "target", "--target", "driver", "--grid", str(grid),
+                     "--epochs", "1", "--out", str(out)]) == 0
+        assert "FAILED" not in (out / "grid_report.tsv").read_text()
+        fields, _ = load_checkpoint(out / "best_checkpoint.txt")
+        assert fields["num_series"] == "2"
 
 
 class TestGradcheckCommand:
@@ -266,6 +353,16 @@ class TestRobustnessCommand:
         table = (out / "robustness.tsv").read_text().splitlines()
         assert len(table) == 4
         assert table[0] == "input\tcrnn_mape\taecrnn_mape"
+
+    @pytest.mark.parametrize("flag", [("--cell", "lstm"), ("--layout", "single-step"),
+                                      ("--conv-activation", "tanh"),
+                                      ("--train-frac", "0.7"), ("--val-frac", "0.3")])
+    def test_model_and_split_flags_are_honoured(self, tmp_path, flag):
+        base = ["robustness", "--len", "260", "--l", "8", "--p", "2", "--epochs", "2"]
+        assert main(base + ["--out", str(tmp_path / "default")]) == 0
+        assert main(base + [*flag, "--out", str(tmp_path / "flag")]) == 0
+        assert ((tmp_path / "default" / "robustness.tsv").read_text()
+                != (tmp_path / "flag" / "robustness.tsv").read_text())
 
 
 class TestOutputRoot:

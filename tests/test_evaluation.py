@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crnn_forecast.data import SyntheticConfig, generate_synthetic, write_csv
+from crnn_forecast.data import SyntheticConfig, generate_synthetic, ingest_csv, write_csv
 from crnn_forecast.evaluation import (ExperimentSpec, MetricReport, WindowResult,
                                       mape, mape_detailed, rmse,
                                       robustness_experiment, run_experiment)
@@ -102,7 +102,7 @@ class TestRunExperiment:
     def test_yesterday_deterministic_across_seeds_on_fixed_data(self, tmp_path):
         csv = tmp_path / "fixed.csv"
         write_csv(generate_synthetic(SyntheticConfig(length=260, seed=1)), csv)
-        spec = tiny_spec(data=None, csv_path=str(csv), seeds=(0, 1, 2))
+        spec = tiny_spec(data=None, dataset=ingest_csv(csv), seeds=(0, 1, 2))
         report = run_experiment(spec)
         values = list(report.seed_rmse.values())
         assert values[0] == values[1] == values[2]
@@ -181,9 +181,7 @@ class TestRunExperiment:
 class TestRobustness:
     def test_table_shape_and_cells(self):
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
-        report = robustness_experiment(
-            cset.series[0], cset.series[1], seeds=(0,),
-            input_length=8, horizon=2, train_config=FAST_TRAIN)
+        report = robustness_experiment(cset.series[0], cset.series[1], tiny_spec())
         assert set(report.mape) == {
             (row, model)
             for row in ("single", "correlated", "uncorrelated")
@@ -196,9 +194,7 @@ class TestRobustness:
 
     def test_degradation_helper(self):
         cset = generate_synthetic(SyntheticConfig(length=260, seed=6))
-        report = robustness_experiment(
-            cset.series[0], cset.series[1], seeds=0,
-            input_length=8, horizon=2, train_config=FAST_TRAIN)
+        report = robustness_experiment(cset.series[0], cset.series[1], tiny_spec())
         for model in ("crnn", "aecrnn"):
             expected = (report.per_seed[("uncorrelated", model)][0]
                         - report.per_seed[("single", model)][0])

@@ -6,8 +6,8 @@ import pytest
 from conftest import numeric_grad, rel_error
 from crnn_forecast.data import DataError
 from crnn_forecast.models import (AECRNN, CRNN, ConfigError, Forecast,
-                                  LossBreakdown, ModelConfig, Reconstruction,
-                                  build_model, forecast_loss, joint_loss,
+                                  MODELS, LossBreakdown, ModelConfig, Reconstruction,
+                                  forecast_loss, joint_loss,
                                   load_checkpoint, model_from_checkpoint,
                                   save_checkpoint)
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor
@@ -209,7 +209,7 @@ class TestModelGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradients_match_finite_differences(self, kind, seed):
         cfg = small_config(seed=seed)
-        model = build_model(kind, cfg)
+        model = MODELS[kind](cfg.to_fields())
         window, target = random_case(cfg, seed + 100)
         x, y = window[None], target[None]
         _, grads = model.batch_backward(x, y)
@@ -413,7 +413,7 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         fields, tensors = load_checkpoint(path)
         tensors.pop("readout.b")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="missing parameters"):
             model_from_checkpoint(fields, tensors)
 
     @pytest.mark.parametrize("fmt", ["0", "3", ""])

@@ -5,8 +5,8 @@ from crnn_forecast.data import (CorrelatedSet, SyntheticConfig, TimeSeries,
                                 WindowSample, generate_synthetic, segment,
                                 train_val_split)
 from crnn_forecast.layers import Dense
-from crnn_forecast.models import (CRNN, LossBreakdown, ModelConfig, ParamModel,
-                                  build_model, load_checkpoint,
+from crnn_forecast.models import (AECRNN, CRNN, LossBreakdown, ModelConfig, ParamModel,
+                                  load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import Tensor
 from crnn_forecast.training import (Adam, GradcheckReport, Sgd, TrainConfig,
@@ -70,7 +70,7 @@ class TestTrain:
         tr, val = train_val_split(samples)
         runs = []
         for _ in range(2):
-            model = build_model("aecrnn", ModelConfig(**SMALL, seed=1))
+            model = AECRNN(ModelConfig(**SMALL, seed=1))
             _, report = train(model, tr, TrainConfig(max_epochs=8, seed=1),
                               val_samples=val)
             runs.append(report)
@@ -92,7 +92,7 @@ class TestTrain:
     def test_j_equals_j1_plus_j2_every_epoch(self):
         samples = toy_samples(seed=3)
         tr, val = train_val_split(samples)
-        model = build_model("aecrnn", ModelConfig(**SMALL, seed=3))
+        model = AECRNN(ModelConfig(**SMALL, seed=3))
         _, report = train(model, tr, TrainConfig(max_epochs=6, seed=3),
                           val_samples=val)
         for e in report.epochs:
@@ -141,7 +141,7 @@ class TestTrain:
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 1000])
     def test_batched_monitored_loss_equals_full_set_loss(self, batch_size):
         samples = toy_samples(seed=8)
-        model = build_model("aecrnn", ModelConfig(**SMALL, seed=8))
+        model = AECRNN(ModelConfig(**SMALL, seed=8))
         x = np.stack([s.input.array for s in samples])
         y = np.stack([s.target for s in samples])
         full = model.batch_loss(x, y).j1
@@ -150,7 +150,7 @@ class TestTrain:
     def test_checkpoint_reproduces_validation_loss_bitwise(self, tmp_path):
         samples = toy_samples(seed=7)
         tr, val = train_val_split(samples)
-        model = build_model("aecrnn", ModelConfig(**SMALL, seed=7))
+        model = AECRNN(ModelConfig(**SMALL, seed=7))
         _, report = train(model, tr, TrainConfig(max_epochs=6, seed=7),
                           val_samples=val)
         path = tmp_path / "ckpt.txt"
@@ -211,7 +211,7 @@ class TestGradcheck:
         assert report.max_rel_error < 1e-9
 
     def test_full_model_passes(self):
-        model = build_model("aecrnn", ModelConfig(
+        model = AECRNN(ModelConfig(
             num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
             filters_per_layer=2, filter_size=3, rnn_hidden=3, seed=0))
         report = gradcheck(model, one_window(1))
