@@ -86,11 +86,16 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict[str, st
         if action is None:
             raise UsageError(f"config file sets unknown option {key!r}")
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            parser.set_defaults(**{dest: raw.lower() in ("1", "true", "yes")})
+            value = raw.lower() in ("1", "true", "yes")
         elif action.type is not None:
-            parser.set_defaults(**{dest: action.type(raw)})
+            value = action.type(raw)
         else:
-            parser.set_defaults(**{dest: raw})
+            value = raw
+        # argparse checks choices on the command line only, not on defaults
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config file sets {key}={raw}, not one of "
+                             f"{', '.join(map(str, action.choices))}")
+        parser.set_defaults(**{dest: value})
         action.required = False  # satisfied from the config file
 
 
@@ -448,57 +453,45 @@ def cmd_gradcheck(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="crnn-forecast",
-                     description="Correlated time series forecasting toolkit")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="output directory (default: $%s/<command>)"
+                                 % OUTPUT_ROOT_ENV)
+    p.add_argument("--config", help="key=value file; CLI flags take precedence")
+    p.add_argument("--seed", type=int, default=0)
 
-    def common(p):
-        p.add_argument("--out", help="output directory (default: $%s/<command>)"
-                                     % OUTPUT_ROOT_ENV)
-        p.add_argument("--config", help="key=value file; CLI flags take precedence")
-        p.add_argument("--seed", type=int, default=0)
 
-    def synth_flags(p):
-        p.add_argument("--kind", choices=("lagged", "independent"), default="lagged")
-        p.add_argument("--len", type=int, default=2000, help="series length")
-        p.add_argument("--lag", type=int, default=5,
-                       help="steps by which the driver leads the target")
-        p.add_argument("--noise", type=float, default=0.05)
-        p.add_argument("--base", type=float, default=5.0)
-        p.add_argument("--period", type=int, default=40)
-        p.add_argument("--season-amp", type=float, default=1.0)
-        p.add_argument("--stoch-amp", type=float, default=0.7)
-        p.add_argument("--ar", type=float, default=0.9)
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("lagged", "independent"), default="lagged")
+    p.add_argument("--len", type=int, default=2000, help="series length")
+    p.add_argument("--lag", type=int, default=5,
+                   help="steps by which the driver leads the target")
+    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--base", type=float, default=5.0)
+    p.add_argument("--period", type=int, default=40)
+    p.add_argument("--season-amp", type=float, default=1.0)
+    p.add_argument("--stoch-amp", type=float, default=0.7)
+    p.add_argument("--ar", type=float, default=0.9)
 
-    p = sub.add_parser("generate", help="write a synthetic correlated pair as CSV")
-    common(p)
-    synth_flags(p)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train a model and save its checkpoint")
-    common(p)
+def _train_flags(p: argparse.ArgumentParser) -> None:
     _add_csv_flags(p)
     p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("--l", type=int, required=True, help="input window length")
     p.add_argument("--p", type=int, required=True, help="forecast horizon")
     _add_model_flags(p)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("forecast", help="forecast from a checkpoint and a data window")
-    common(p)
+
+def _forecast_flags(p: argparse.ArgumentParser) -> None:
     _add_csv_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--offset", type=int,
                    help="window start index (default: last full window)")
-    p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("evaluate", help="run one experiment cell across seeds")
-    common(p)
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     _add_csv_flags(p, required=False)
-    synth_flags(p)
+    _add_synth_flags(p)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--x", type=int, default=2, help="number of series used")
     p.add_argument("--l", type=int, required=True)
@@ -509,22 +502,19 @@ def build_parser() -> _Parser:
     p.add_argument("--ewma-smoothing", type=float, default=0.3)
     _add_model_flags(p)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("robustness",
-                       help="compare models with correlated vs uncorrelated inputs")
-    common(p)
+
+def _robustness_flags(p: argparse.ArgumentParser) -> None:
     _add_csv_flags(p, required=False)
-    synth_flags(p)
+    _add_synth_flags(p)
     p.add_argument("--l", type=int, default=50)
     p.add_argument("--p", type=int, default=25)
     p.add_argument("--seeds", default="0")
     _add_model_flags(p)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_robustness)
 
-    p = sub.add_parser("gridsearch", help="rank hyper-parameter cells by validation loss")
-    common(p)
+
+def _gridsearch_flags(p: argparse.ArgumentParser) -> None:
     _add_csv_flags(p)
     p.add_argument("--model", choices=tuple(MODELS), default="crnn")
     p.add_argument("--l", type=int, required=True)
@@ -534,10 +524,9 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_model_flags(p)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_gridsearch)
 
-    p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
-    common(p)
+
+def _gradcheck_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=tuple(MODELS), default="crnn")
     p.add_argument("--small", action="store_true",
                    help="use the small reference configuration")
@@ -546,24 +535,67 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--tolerance", type=float, default=1e-5)
     _add_model_flags(p)
-    p.set_defaults(func=cmd_gradcheck)
 
+
+# Command name -> (help, adder of the flags beyond the common ones, handler),
+# in the order the help lists them.
+COMMANDS = {
+    "generate": ("write a synthetic correlated pair as CSV", _add_synth_flags, cmd_generate),
+    "train": ("train a model and save its checkpoint", _train_flags, cmd_train),
+    "forecast": ("forecast from a checkpoint and a data window", _forecast_flags,
+                 cmd_forecast),
+    "evaluate": ("run one experiment cell across seeds", _evaluate_flags, cmd_evaluate),
+    "robustness": ("compare models with correlated vs uncorrelated inputs",
+                   _robustness_flags, cmd_robustness),
+    "gridsearch": ("rank hyper-parameter cells by validation loss", _gridsearch_flags,
+                   cmd_gridsearch),
+    "gradcheck": ("verify analytic gradients by finite differences", _gradcheck_flags,
+                  cmd_gradcheck),
+}
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The command argv names, or None when it names none. It is the first
+    token that is not an option: no top-level option takes a value."""
+    for token in argv:
+        if not token.startswith("-"):
+            return token if token in COMMANDS else None
+    return None
+
+
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The command-line parser. Every command is registered with its name and
+    help; flags are added for the command that ``argv`` names only, or for
+    every command when ``argv`` is None or names none (``-h``, ``--version``,
+    an unknown command). A process parses one command line, so the other
+    commands' flags would be built for nothing."""
+    parser = _Parser(prog="crnn-forecast",
+                     description="Correlated time series forecasting toolkit")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = _named_command(argv or [])
+    for name, (help_text, add_flags, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            _add_common_flags(p)
+            add_flags(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         cfg_path = _config_path(argv)
         if cfg_path is not None:
             values = _read_config_file(cfg_path)
-            # defaults live on the subcommand parser
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for name, sp in action.choices.items():
-                        if name in argv:
-                            _apply_config_defaults(sp, values)
+            command = _named_command(argv)
+            if command is not None:
+                # defaults live on the subcommand parser
+                sub = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction))
+                _apply_config_defaults(sub.choices[command], values)
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -305,19 +305,45 @@ def _resolve_column(spec: str | int, header: list[str] | None, path: str) -> int
         raise DataError(f"{path}: no column named {spec!r} (header: {header})") from None
 
 
+def _raise_row_error(path, data_rows: list[list[str]], width: int, indices: list[int],
+                     ts_index: int | None, first_line: int) -> None:
+    """Raise the DataError for the first data row, in file order, that is
+    ragged or holds a selected cell that float() rejects."""
+    for r, row in enumerate(data_rows):
+        line = first_line + r
+        if len(row) != width:
+            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+        for idx in indices:
+            cell = row[idx].strip()
+            if not cell:
+                raise DataError(f"{path}: row {line} has a blank cell in column {idx}")
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {line} column {idx} is not numeric: {cell!r}") from None
+        if ts_index is not None:
+            try:
+                float(row[ts_index].strip())
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {line} has a non-numeric timestamp") from None
+
+
 def ingest_csv(path, layout: CsvLayout | None = None) -> CorrelatedSet:
     """Read an aligned series set from a delimited text file.
 
-    Any blank or non-numeric cell, ragged row, or non-uniform timestamp
-    column aborts ingestion with the offending row number.
+    A cell is read as float() reads it. Any blank or non-numeric cell,
+    ragged row, or non-uniform timestamp column aborts ingestion with the
+    offending row number.
     """
     layout = layout or CsvLayout()
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh, delimiter=layout.delimiter))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in rows if "".join(r).strip()]  # drop rows of blank cells
     if not rows:
         raise DataError(f"{path}: file holds no data rows")
     header = rows[0] if _looks_like_header(rows[0]) else None
@@ -338,27 +364,16 @@ def ingest_csv(path, layout: CsvLayout | None = None) -> CorrelatedSet:
         if not 0 <= idx < width:
             raise DataError(f"{path}: column index {idx} outside row width {width}")
 
-    columns = np.empty((len(indices), len(data_rows)))
-    timestamps = np.empty(len(data_rows)) if ts_index is not None else None
-    for r, row in enumerate(data_rows):
-        line = first_data_line + r
-        if len(row) != width:
-            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
-        for c, idx in enumerate(indices):
-            cell = row[idx].strip()
-            if not cell:
-                raise DataError(f"{path}: row {line} has a blank cell in column {idx}")
-            try:
-                columns[c, r] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {line} column {idx} is not numeric: {cell!r}") from None
-        if timestamps is not None:
-            try:
-                timestamps[r] = float(row[ts_index].strip())
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {line} has a non-numeric timestamp") from None
+    # One cast per column set; numpy reads each str cell with float().
+    timestamps = None
+    try:
+        cells = list(zip(*data_rows, strict=True))  # ValueError on a ragged row
+        columns = np.array([cells[idx] for idx in indices], dtype=np.float64)
+        if ts_index is not None:
+            timestamps = np.array(cells[ts_index], dtype=np.float64)
+    except ValueError:
+        _raise_row_error(path, data_rows, width, indices, ts_index, first_data_line)
+        raise
 
     start, interval = 0.0, 1.0
     if timestamps is not None and len(timestamps) > 1:
@@ -373,6 +388,8 @@ def ingest_csv(path, layout: CsvLayout | None = None) -> CorrelatedSet:
         if header is not None and isinstance(spec, str) and not spec.lstrip("-").isdigit():
             names.append(spec)
         elif header is not None:
+            if indices[c] >= len(header):
+                raise DataError(f"{path}: the header has no name for column {indices[c]}")
             names.append(header[indices[c]])
         else:
             names.append(f"col{indices[c]}")

@@ -337,10 +337,10 @@ class LSTMCell:
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         n = self.hidden_size
         z = x @ self.w_x.T + h @ self.w_h.T + self.b
-        gi = sigmoid_values(z[..., 0:n])
-        gf = sigmoid_values(z[..., n:2 * n])
+        # one sigmoid over all four gate blocks; the candidate block takes tanh
+        s = sigmoid_values(z)
+        gi, gf, go = s[..., 0:n], s[..., n:2 * n], s[..., 3 * n:4 * n]
         gc = np.tanh(z[..., 2 * n:3 * n])
-        go = sigmoid_values(z[..., 3 * n:4 * n])
         c_new = gf * c + gi * gc
         h_new = go * np.tanh(c_new)
         return h_new, c_new, (gi, gf, gc, go)

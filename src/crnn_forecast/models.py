@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from typing import Mapping
 
 import numpy as np
@@ -67,6 +67,18 @@ GRID_HIDDEN = (3, 4, 5, 6)
 
 class ConfigError(ValueError):
     """A model configuration violates its contract."""
+
+
+def _int_field(fields: Mapping[str, object], name: str, default=MISSING) -> int:
+    """fields[name] as an int, or default when the field is absent."""
+    if name not in fields:
+        if default is MISSING:
+            raise DataError(f"model header lacks the field {name!r}")
+        return default
+    try:
+        return int(fields[name])
+    except ValueError:
+        raise DataError(f"model header field {name}={fields[name]!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -154,17 +166,16 @@ class ModelConfig:
 
     @classmethod
     def from_fields(cls, fields: Mapping[str, str]) -> "ModelConfig":
+        """Build from named values; DataError names a required field that is
+        absent or an integer field that does not hold an integer."""
         kwargs = {}
         for f in dataclass_fields(cls):
-            if f.name not in fields:
-                continue
-            raw = fields[f.name]
             if f.type == "int":
-                kwargs[f.name] = int(raw)
+                kwargs[f.name] = _int_field(fields, f.name, f.default)
             elif f.type == "bool":
-                kwargs[f.name] = bool(int(raw))
-            else:
-                kwargs[f.name] = raw
+                kwargs[f.name] = bool(_int_field(fields, f.name, f.default))
+            elif f.name in fields:
+                kwargs[f.name] = fields[f.name]
         return cls(**kwargs)
 
 
@@ -577,10 +588,11 @@ class RecurrentBaseline(ParamModel):
     @classmethod
     def from_fields(cls, cell_kind: str, fields: Mapping[str, str]) -> "RecurrentBaseline":
         """Build from named hyper-parameters; the conv-model names are ignored."""
-        return cls(cell_kind, int(fields["num_series"]), int(fields["input_length"]),
-                   int(fields["horizon"]),
-                   hidden=int(fields.get("rnn_hidden", ModelConfig.rnn_hidden)),
-                   features=fields.get("features", "all"), seed=int(fields.get("seed", 0)))
+        return cls(cell_kind, _int_field(fields, "num_series"),
+                   _int_field(fields, "input_length"), _int_field(fields, "horizon"),
+                   hidden=_int_field(fields, "rnn_hidden", ModelConfig.rnn_hidden),
+                   features=fields.get("features", "all"),
+                   seed=_int_field(fields, "seed", 0))
 
     def _steps(self, x: np.ndarray) -> list[np.ndarray]:
         rows = x[:, :1, :] if self.features == "target" else x
@@ -680,8 +692,11 @@ def load_checkpoint(path):
     repeats, or the number of values does not match the recorded shape
     (as in a truncated file).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"checkpoint {path} is not ASCII text: {exc}") from None
     if not lines:
         raise DataError(f"checkpoint {path} is empty")
     fields: "OrderedDict[str, str]" = OrderedDict()
@@ -697,7 +712,7 @@ def load_checkpoint(path):
         shape_txt, _, values_txt = rest.partition(" ")
         try:
             shape = tuple(int(d) for d in shape_txt.split("x"))
-            arr = np.array([float(v) for v in values_txt.split()], dtype=np.float64)
+            arr = np.array(values_txt.split(), dtype=np.float64)
         except ValueError as exc:
             raise DataError(f"checkpoint {path}: tensor {name!r} is malformed: {exc}") from None
         if min(shape) < 0 or arr.size != math.prod(shape):

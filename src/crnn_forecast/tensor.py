@@ -29,13 +29,13 @@ class NumericError(ArithmeticError):
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function on a raw ndarray."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function on a raw ndarray.
+
+    Both branches use e = exp(-|x|), which never overflows: 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below zero.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Tensor:

@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,27 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+def _flags_by_command(parser) -> dict[str, list[str]]:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+
+class TestParser:
+    def test_only_the_named_command_gets_its_flags(self):
+        every = _flags_by_command(cli.build_parser())
+        assert list(every) == list(cli.COMMANDS)
+        for name in cli.COMMANDS:
+            built = _flags_by_command(cli.build_parser(["--", name, "--out", "x"]))
+            assert list(built) == list(every)
+            assert built[name] == every[name]
+            assert all(built[other] == ["help"] for other in built if other != name)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--version"], ["frobnicate", "-h"]])
+    def test_argv_naming_no_command_builds_every_command(self, argv):
+        assert _flags_by_command(cli.build_parser(argv)) == _flags_by_command(
+            cli.build_parser())
 
 
 class TestGenerate:
@@ -131,6 +154,17 @@ class TestTrain:
         assert code == 1
         assert "--config expects a file path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["model=foo", "cell=gru"])
+    def test_config_value_outside_its_choices_is_usage_error(self, dataset, tmp_path,
+                                                            capsys, line):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line + "\n")
+        args = train_args(dataset, tmp_path / "t")
+        del args[1:3]  # --model crnn, so the config file's value is the one used
+        code = main(args + ["--config", str(cfg)])
+        assert code == 1
+        assert f"config file sets {line}, not one of" in capsys.readouterr().err
+
     def test_manifest_feeds_back_as_config(self, dataset, tmp_path):
         out1 = tmp_path / "t1"
         assert main(train_args(dataset, out1)) == 0
@@ -198,6 +232,25 @@ class TestForecast:
                      "--out", str(tmp_path / "f")])
         assert code == 2
         assert "error: data:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["crnn", "rnn"])
+    @pytest.mark.parametrize("old, new, message", [
+        (" num_series=2", "", "lacks the field 'num_series'"),
+        ("input_length=8", "input_length=eight", "input_length='eight' is not an integer"),
+    ])
+    def test_bad_header_field_is_data_error(self, dataset, tmp_path, capsys, model,
+                                            old, new, message):
+        train_out = tmp_path / "t"
+        assert main(train_args(dataset, train_out, model=model, epochs="1")) == 0
+        ckpt = train_out / "checkpoint.txt"
+        header, rest = ckpt.read_text().split("\n", 1)
+        assert old in header
+        ckpt.write_text(header.replace(old, new) + "\n" + rest)
+        capsys.readouterr()
+        code = main(["forecast", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_out_of_range_offset_is_data_error(self, dataset, tmp_path):
         train_out = tmp_path / "t"

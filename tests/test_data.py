@@ -1,8 +1,11 @@
+import csv
 import logging
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crnn_forecast.data import (CorrelatedSet, CsvLayout, DataError, Normalizer,
                                 SyntheticConfig, TimeSeries, generate_synthetic,
@@ -273,6 +276,135 @@ class TestCsv:
         write_csv(cset, path)
         again = ingest_csv(path)
         assert np.array_equal(again.values_matrix(), cset.values_matrix())
+
+
+    def test_header_shorter_than_the_rows_is_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(DataError, match="no name for column 2"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("content", [b"a,b\n\xff,2\n",
+                                         b'a,b\n1,"' + b"9" * 200_000 + b'"\n'],
+                             ids=["not-utf8", "field-over-csv-limit"])
+    def test_unreadable_text_is_data_error(self, tmp_path, content):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="cannot read"):
+            ingest_csv(path)
+
+    def test_series_rows_are_c_contiguous(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("t,a,b\n0,1,2\n1,3,4\n2,5,6\n")
+        cset = ingest_csv(path, CsvLayout(columns=["b", "a"], timestamp="t"))
+        assert [s.values.tolist() for s in cset.series] == [[2.0, 4.0, 6.0], [1.0, 3.0, 5.0]]
+        assert all(s.values.flags.c_contiguous for s in cset.series)
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_row_error(path, rows: list[list[str]]) -> str | None:
+    """The DataError message a cell-by-cell reading of a header plus ``rows``
+    gives (rows counted after dropping blank ones), or None if all are valid."""
+    data = [r for r in rows if any(cell.strip() for cell in r)]
+    if not data:
+        return f"{path}: file holds no data rows"
+    width = len(data[0])
+    for line, row in enumerate(data, 2):
+        if len(row) != width:
+            return f"{path}: row {line} has {len(row)} cells, expected {width}"
+        for idx, cell in enumerate(row):
+            if not cell.strip():
+                return f"{path}: row {line} has a blank cell in column {idx}"
+            if not _parses(cell):
+                return f"{path}: row {line} column {idx} is not numeric: {cell.strip()!r}"
+    return None
+
+
+def _write_rows(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
+    lambda name: not _parses(name))
+ODD_CELLS = [" 1.5 ", "\t2\n", "nan", "-inf", "1_0", "", "  ", "0x10", "1e", "1e5",
+             "\u0661\u0662", "1__0", "+.5", "1e400", "-0"]
+ROW_CELLS = st.one_of(FINITE.map(repr), FINITE.map(repr),
+                      st.sampled_from(["", " ", "x", "1e", "0x10", "1__0", " 7 "]))
+_TMP_PATH_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCsvProperties:
+    @_TMP_PATH_OK
+    @given(data=st.data())
+    def test_write_csv_then_ingest_csv_is_bit_exact(self, tmp_path, data):
+        n = data.draw(st.integers(1, 4))
+        matrix = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 30))),
+                                  elements=FINITE))
+        names = data.draw(st.lists(NAMES, min_size=n, max_size=n))
+        cset = CorrelatedSet(tuple(TimeSeries(names[i], matrix[i]) for i in range(n)))
+        path = tmp_path / "d.csv"
+        write_csv(cset, path)
+        again = ingest_csv(path)
+        assert [s.id for s in again.series] == names
+        assert again.values_matrix().tobytes() == matrix.tobytes()
+
+    @_TMP_PATH_OK
+    @given(cell=st.one_of(st.text(max_size=12), st.sampled_from(ODD_CELLS)))
+    def test_a_cell_is_accepted_exactly_when_float_accepts_it(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        _write_rows(path, [["a", "b"], ["1", cell]])
+        if not _parses(cell):
+            with pytest.raises(DataError) as info:
+                ingest_csv(path)
+            assert str(info.value) == _first_row_error(path, [["1", cell]])
+        elif not math.isfinite(float(cell)):
+            with pytest.raises(DataError, match="non-finite"):
+                ingest_csv(path)
+        else:
+            values = ingest_csv(path).series[1].values
+            assert values.tobytes() == np.float64(float(cell)).tobytes()
+
+    @_TMP_PATH_OK
+    @given(rows=st.lists(st.lists(ROW_CELLS, min_size=1, max_size=4), min_size=1, max_size=6))
+    @example(rows=[["1", "2"], ["3"], ["x", "4"]])
+    @example(rows=[["1", "2"], [" ", ""], ["5", " "]])
+    def test_malformed_rows_raise_the_first_bad_rows_error(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        _write_rows(path, [["h0", "h1", "h2", "h3"], *rows])
+        expected = _first_row_error(path, rows)
+        if expected is None:
+            data = [[float(c) for c in r] for r in rows if any(c.strip() for c in r)]
+            assert np.array_equal(ingest_csv(path).values_matrix(), np.array(data).T)
+        else:
+            with pytest.raises(DataError) as info:
+                ingest_csv(path)
+            assert str(info.value) == expected
+
+    @_TMP_PATH_OK
+    @given(stamps=st.lists(st.one_of(st.integers(0, 9).map(str), st.sampled_from(["", "t"])),
+                           min_size=1, max_size=5))
+    def test_timestamp_column_errors_cite_the_first_bad_row(self, tmp_path, stamps):
+        path = tmp_path / "d.csv"
+        _write_rows(path, [["t", "a"], *[[t, "1"] for t in stamps]])
+        bad = next((line for line, t in enumerate(stamps, 2) if not _parses(t)), None)
+        if bad is None:
+            try:
+                ingest_csv(path, CsvLayout(timestamp="t"))
+            except DataError as exc:
+                assert "uniformly spaced" in str(exc)
+        else:
+            with pytest.raises(DataError) as info:
+                ingest_csv(path, CsvLayout(timestamp="t"))
+            assert str(info.value) == f"{path}: row {bad} has a non-numeric timestamp"
 
 
 class TestMakeUncorrelated:

@@ -1,7 +1,11 @@
+import math
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
 from crnn_forecast.data import DataError
@@ -462,6 +466,99 @@ class TestCheckpoint:
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(DataError, match="rnn.b"):
             load_checkpoint(path)
+
+    def test_non_ascii_file_is_data_error(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        path.write_bytes(path.read_bytes() + "rnn.b 1 \u00b5\n".encode("utf-8"))
+        with pytest.raises(DataError, match="not ASCII"):
+            load_checkpoint(path)
+
+
+def _reference_load(path):
+    """load_checkpoint as a per-value float() loop: the parse it must match."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    tensors = {}
+    for line in lines[1:]:
+        name, _, rest = line.partition(" ")
+        if name in tensors:
+            raise DataError(f"checkpoint {path}: tensor {name!r} appears twice")
+        shape_txt, _, values_txt = rest.partition(" ")
+        try:
+            shape = tuple(int(d) for d in shape_txt.split("x"))
+            arr = np.array([float(v) for v in values_txt.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"checkpoint {path}: tensor {name!r} is malformed: {exc}") from None
+        if min(shape) < 0 or arr.size != math.prod(shape):
+            raise DataError(f"checkpoint {path}: tensor {name!r} has {arr.size} values, "
+                            f"its shape {shape_txt} needs {math.prod(shape)}")
+        tensors[name] = arr.reshape(shape)
+    return tensors
+
+
+# ASCII without line breaks, which would split a line in two
+LINE_TEXT = st.text(alphabet=string.printable.replace("\n", "").replace("\r", ""),
+                    max_size=8)
+_TMP_PATH_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+                        deadline=None)
+
+
+class TestCheckpointProperties:
+    @_TMP_PATH_OK
+    @given(kind=st.sampled_from(tuple(MODELS)), data=st.data())
+    def test_save_load_rebuild_is_bit_exact_for_every_kind(self, tmp_path, kind, data):
+        model = MODELS[kind](dict(SMALL))
+        values = st.floats(allow_nan=False)
+        for arr in model.params.values():
+            arr[...] = data.draw(arrays(np.float64, arr.shape, elements=values))
+        extra = {"norm.min": data.draw(arrays(np.float64, 2, elements=values)),
+                 "norm.max": data.draw(arrays(np.float64, 2, elements=values))}
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, model, extra_tensors=extra)
+        rebuilt, extras = model_from_checkpoint(*load_checkpoint(path))
+        assert rebuilt.kind == model.kind
+        assert rebuilt.checkpoint_fields() == model.checkpoint_fields()
+        assert list(rebuilt.params) == list(model.params)
+        for name, arr in model.params.items():
+            assert rebuilt.params[name].tobytes() == arr.tobytes(), name
+        assert {k: v.tobytes() for k, v in extras.items()} == {
+            k: v.tobytes() for k, v in extra.items()}
+
+    @_TMP_PATH_OK
+    @given(data=st.data())
+    def test_malformed_lines_raise_todays_data_errors(self, tmp_path, data):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        lines = path.read_text().splitlines()
+        i = data.draw(st.integers(1, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        mutation = data.draw(st.sampled_from(["replace", "drop", "repeat", "cut"]))
+        if mutation == "replace":
+            tokens[j] = data.draw(LINE_TEXT)
+        elif mutation == "drop":
+            del tokens[j]
+        elif mutation == "repeat":
+            tokens.insert(j, tokens[j])
+        else:
+            del tokens[j + 1:]
+        lines[i] = " ".join(tokens)
+        if data.draw(st.booleans()):
+            lines.insert(data.draw(st.integers(1, len(lines))), lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            expected = _reference_load(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                load_checkpoint(path)
+            assert str(info.value) == str(exc)
+        else:
+            _, tensors = load_checkpoint(path)
+            assert {k: v.tobytes() for k, v in tensors.items()} == {
+                k: v.tobytes() for k, v in expected.items()}
+            assert {k: v.shape for k, v in tensors.items()} == {
+                k: v.shape for k, v in expected.items()}
 
 
 class TestFormat1Checkpoints:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor, sigmoid_values
 
@@ -58,3 +59,13 @@ class TestSigmoidValues:
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = sigmoid_values(np.array([-700.0, 700.0]))
         assert np.isfinite(out).all()
+
+    @given(arrays(np.float64, st.integers(1, 32), elements=st.floats(allow_nan=False)))
+    @example(np.array([0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308]))
+    def test_same_bits_as_the_masked_formula(self, x):
+        reference = np.empty_like(x)
+        pos = x >= 0
+        reference[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        reference[~pos] = ex / (1.0 + ex)
+        assert sigmoid_values(x).tobytes() == reference.tobytes()
