@@ -13,7 +13,6 @@ from .models import (  # noqa: F401
     ModelConfig,
     Reconstruction,
     RecurrentBaseline,
-    forecast_loss,
     joint_loss,
     load_checkpoint,
     model_from_checkpoint,

@@ -25,7 +25,7 @@ from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticCon
 from .evaluation import (METHODS, ExperimentSpec, MetricReport, robustness_experiment,
                          run_experiment)
 from .models import (GRID_FILTER_SIZES, GRID_FILTERS, GRID_HIDDEN, GRID_STAGES, MODELS,
-                     ConfigError, load_checkpoint, model_from_checkpoint, save_checkpoint)
+                     load_checkpoint, model_from_checkpoint, save_checkpoint)
 from .tensor import NumericError, ShapeError, Tensor
 from .training import TrainConfig, gradcheck, train
 
@@ -300,9 +300,7 @@ def cmd_forecast(args) -> int:
         raise DataError(
             f"window [{offset}, {offset + length}) outside series of length {cset.length}")
     window_set = norm.transform(cset.slice_time(offset, offset + length))
-    forecast = model.forward(Tensor(window_set.values_matrix()))
-    if isinstance(forecast, tuple):
-        forecast = forecast[0]
+    forecast, _ = model.forward(Tensor(window_set.values_matrix()))
     values = norm.inverse_target(forecast.values)
     pred_path = out / "predictions.tsv"
     lines = ["step\tvalue"] + ["%d\t%.17g" % (i + 1, v) for i, v in enumerate(values)]
@@ -604,18 +602,12 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except DataError as exc:
+    except (DataError, ShapeError, OSError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ShapeError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # models.ConfigError among them
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

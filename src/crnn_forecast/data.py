@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -167,9 +168,6 @@ class Normalizer:
         """Map normalized target-series values back to original units."""
         return np.asarray(values, dtype=np.float64) * self.spans[0] + self.mins[0]
 
-    def transform_target(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.mins[0]) / self.spans[0]
-
     def tensors(self) -> dict[str, np.ndarray]:
         """Serializable form, stored alongside model checkpoints."""
         return {"norm.min": self.mins.copy(), "norm.max": self.maxs.copy()}
@@ -305,12 +303,27 @@ def _resolve_column(spec: str | int, header: list[str] | None, path: str) -> int
         raise DataError(f"{path}: no column named {spec!r} (header: {header})") from None
 
 
-def _raise_row_error(path, data_rows: list[list[str]], width: int, indices: list[int],
-                     ts_index: int | None, first_line: int) -> None:
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def _row_lines(records: list[list[str]]) -> list[int]:
+    """The file line each non-blank record starts on. A record takes one
+    line plus one per line break inside its quoted cells, as csv.reader
+    counts the lines of a file opened with newline=""."""
+    starts, line = [], 1
+    for record in records:
+        if "".join(record).strip():
+            starts.append(line)
+        line += 1 + sum(len(_LINE_BREAK.findall(cell)) for cell in record)
+    return starts
+
+
+def _raise_row_error(path, data_rows: list[list[str]], lines: list[int], width: int,
+                     indices: list[int], ts_index: int | None) -> None:
     """Raise the DataError for the first data row, in file order, that is
-    ragged or holds a selected cell that float() rejects."""
-    for r, row in enumerate(data_rows):
-        line = first_line + r
+    ragged or holds a selected cell that float() rejects; ``lines`` holds the
+    file line each row starts on."""
+    for row, line in zip(data_rows, lines):
         if len(row) != width:
             raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
         for idx in indices:
@@ -334,21 +347,20 @@ def ingest_csv(path, layout: CsvLayout | None = None) -> CorrelatedSet:
     """Read an aligned series set from a delimited text file.
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
-    ragged row, or non-uniform timestamp column aborts ingestion with the
-    offending row number.
+    ragged row, or non-uniform timestamp column aborts ingestion; a bad row
+    is named by the file line it starts on.
     """
     layout = layout or CsvLayout()
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh, delimiter=layout.delimiter))
+            records = list(csv.reader(fh, delimiter=layout.delimiter))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if "".join(r).strip()]  # drop rows of blank cells
+    rows = [r for r in records if "".join(r).strip()]  # drop rows of blank cells
     if not rows:
         raise DataError(f"{path}: file holds no data rows")
     header = rows[0] if _looks_like_header(rows[0]) else None
     data_rows = rows[1:] if header is not None else rows
-    first_data_line = 2 if header is not None else 1
     if not data_rows:
         raise DataError(f"{path}: file holds no data rows")
 
@@ -372,7 +384,9 @@ def ingest_csv(path, layout: CsvLayout | None = None) -> CorrelatedSet:
         if ts_index is not None:
             timestamps = np.array(cells[ts_index], dtype=np.float64)
     except ValueError:
-        _raise_row_error(path, data_rows, width, indices, ts_index, first_data_line)
+        # only a failed cast pays for numbering the lines
+        lines = _row_lines(records)[len(rows) - len(data_rows):]
+        _raise_row_error(path, data_rows, lines, width, indices, ts_index)
         raise
 
     start, interval = 0.0, 1.0

@@ -121,9 +121,6 @@ class MaxPool1D:
     deterministic. The forward cache records the winning positions.
     """
 
-    window = 2
-    stride = 2
-
     def forward(self, x: np.ndarray):
         length = x.shape[-1]
         if length % 2 != 0:
@@ -140,17 +137,10 @@ class MaxPool1D:
             raise ShapeError(
                 f"max-pool backward: gradient shape {grad_out.shape} does not match "
                 f"the recorded forward shape {take_right.shape}")
-        gx = np.zeros(in_shape)
+        gx = np.empty(in_shape)  # the two strided writes fill every element
         gx[..., 0::2] = np.where(take_right, 0.0, grad_out)
         gx[..., 1::2] = np.where(take_right, grad_out, 0.0)
         return gx
-
-    @staticmethod
-    def argmax_indices(cache) -> np.ndarray:
-        """Input positions that won each window, as absolute time indices."""
-        take_right, _ = cache
-        base = 2 * np.arange(take_right.shape[-1])
-        return base + take_right.astype(np.int64)
 
 
 class Deconv1D(_FilterGroup):
@@ -159,8 +149,6 @@ class Deconv1D(_FilterGroup):
     Each input position scatters its filter response at offset 2*i; anything
     past 2L is cropped so one deconvolution exactly undoes one pooling halving.
     """
-
-    stride = 2
 
     def _taps(self, l_out: int):
         """(tap k, number of input positions whose tap-k output lands inside 2L)."""

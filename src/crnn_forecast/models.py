@@ -18,9 +18,14 @@ each encoder and decoder stage is a single layer call over all series.
 ``MODELS`` maps each model kind (crnn, aecrnn, rnn, lstm) to its builder; it
 is the one way a kind becomes a model, for training and for checkpoints.
 
-All expose identical per-sample and batched entry points; the batched path
-is the one the trainer drives. All gradients are hand-derived and checked
-against finite differences in the test suite.
+``ParamModel`` holds the one forecast, loss and gradient path. A window
+batch is encoded, fed step by step to a recurrent cell whose final state a
+dense readout maps to the horizon, and, when the model has a decoder,
+reconstructed from its code; ``joint_loss`` scores both outputs. The models
+supply only their parts: the encoder (CRNN, AECRNN; the identity for the
+baselines), how the code becomes the cell's steps, and the decoder (AECRNN).
+All gradients are hand-derived and checked against finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ __all__ = [
     "ParamModel",
     "Reconstruction",
     "RecurrentBaseline",
-    "forecast_loss",
     "joint_loss",
     "load_checkpoint",
     "model_from_checkpoint",
@@ -153,10 +157,6 @@ class ModelConfig:
             return self.num_series * self.filters_per_layer
         return self.feature_vector_length
 
-    @property
-    def rnn_steps(self) -> int:
-        return self.pooled_length if self.rnn_layout == "sequence" else 1
-
     def to_fields(self) -> "OrderedDict[str, str]":
         out: OrderedDict[str, str] = OrderedDict()
         for f in dataclass_fields(self):
@@ -215,9 +215,6 @@ class Reconstruction:
         v.setflags(write=False)
         self.values = v
 
-    def per_series(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -243,41 +240,61 @@ def _as_window_array(window) -> np.ndarray:
     return a
 
 
-def forecast_loss(forecast, target) -> LossBreakdown:
-    """Mean squared error between a forecast and its ground-truth horizon."""
-    z = forecast.values if isinstance(forecast, Forecast) else np.asarray(forecast, float)
-    y = np.asarray(target, dtype=np.float64)
-    if z.shape != y.shape:
-        raise ShapeError(f"forecast length {z.shape} does not match target {y.shape}")
-    return LossBreakdown.of(float(np.mean((z - y) ** 2)))
+def joint_loss(z: np.ndarray, y: np.ndarray, recon: np.ndarray | None = None,
+               x: np.ndarray | None = None):
+    """The objective of a batch and its gradients with respect to the outputs.
 
+    j1 is the MSE of the forecasts z against the targets y, both (batch,
+    horizon). j2 is the MSE of the reconstructions recon against the windows
+    x, both (batch, n, l), averaged over all series and steps; without a
+    reconstruction j2 = 0. The reconstruction reference is clamped to [0, 1]
+    so out-of-range test windows stay comparable with the sigmoid-bounded
+    decoder output; the forecast term is never clamped.
 
-def joint_loss(forecast, reconstruction, window, target) -> LossBreakdown:
-    """Forecast MSE plus reconstruction MSE averaged over all series and steps.
-
-    The reconstruction reference is clamped to [0, 1] so out-of-range test
-    windows stay comparable with the sigmoid-bounded decoder output; the
-    forecast term is never clamped.
+    Returns (LossBreakdown, dj/dz, dj/drecon or None). NumericError when the
+    objective is not finite.
     """
-    base = forecast_loss(forecast, target)
-    r = (reconstruction.values if isinstance(reconstruction, Reconstruction)
-         else np.asarray(reconstruction, float))
-    w = _as_window_array(window)
-    if r.shape != w.shape:
-        raise ShapeError(f"reconstruction shape {r.shape} does not match window {w.shape}")
-    j2 = float(np.mean((r - np.clip(w, 0.0, 1.0)) ** 2))
-    return LossBreakdown.of(base.j1, j2)
+    if z.shape != y.shape:
+        raise ShapeError(f"forecasts {z.shape} do not match targets {y.shape}")
+    ez = z - y
+    j2, d_recon = 0.0, None
+    if recon is not None:
+        if recon.shape != x.shape:
+            raise ShapeError(f"reconstructions {recon.shape} do not match windows {x.shape}")
+        er = recon - np.clip(x, 0.0, 1.0)
+        j2 = float(np.mean(er ** 2))
+        d_recon = 2.0 * er / er.size
+    loss = LossBreakdown.of(float(np.mean(ez ** 2)), j2)
+    if not np.isfinite(loss.j):
+        raise NumericError(f"objective diverged: j1={loss.j1}, j2={loss.j2}")
+    return loss, 2.0 * ez / ez.size, d_recon
+
+
+def _collect(grads: dict, prefix: str, layer_grads: Mapping[str, np.ndarray]) -> None:
+    """Store one layer's parameter gradients under the model's names for them."""
+    for name, g in layer_grads.items():
+        grads[f"{prefix}.{name}"] = g
 
 
 class ParamModel:
-    """Parameter registry plus the batch-shape contract shared by all
-    trainable forecasters (the conv-recurrent models and the recurrent
-    baselines)."""
+    """Parameter registry plus the one forecast, loss and gradient path of
+    every trainable forecaster (the conv-recurrent models and the recurrent
+    baselines).
+
+    The path for a window batch x (batch, n, l): ``_encode`` turns x into a
+    code (the identity here); ``_steps`` cuts the code into the steps of the
+    recurrent cell ``_cell``, whose final state the dense ``_readout`` maps to
+    the forecasts; ``_decode`` reconstructs the windows from the code (no
+    decoder here, so j2 = 0). Each part's ``*_backward`` twin stores its
+    layers' gradients with ``_collect`` and returns the gradient of its input.
+    """
 
     kind = ""
     num_series: int
     input_length: int
     horizon: int
+    _cell: RNNCell | LSTMCell
+    _readout: Dense
 
     def __init__(self):
         self.params: "OrderedDict[str, np.ndarray]" = OrderedDict()
@@ -285,10 +302,6 @@ class ParamModel:
     def _register(self, prefix: str, layer) -> None:
         for name, arr in layer.params().items():
             self.params[f"{prefix}.{name}"] = arr
-
-    @property
-    def num_params(self) -> int:
-        return sum(a.size for a in self.params.values())
 
     def get_params_copy(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
@@ -304,9 +317,6 @@ class ParamModel:
                     f"parameter {name}: shape {src.shape} does not match {target.shape}")
             target[...] = src
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
     def _check_batch(self, x: np.ndarray) -> None:
         if (x.ndim != 3 or x.shape[1] != self.num_series
                 or x.shape[2] != self.input_length):
@@ -316,32 +326,67 @@ class ParamModel:
         if not np.isfinite(x).all():
             raise NumericError("window batch holds non-finite values")
 
-    def _check_targets(self, y: np.ndarray, batch: int) -> None:
-        if y.shape != (batch, self.horizon):
-            raise ShapeError(f"targets must be (batch, {self.horizon}), got {y.shape}")
+    # -- the parts a model supplies -------------------------------------------
 
-    @staticmethod
-    def _finished_loss(loss: LossBreakdown) -> LossBreakdown:
-        if not np.isfinite(loss.j):
-            raise NumericError(f"objective diverged: j1={loss.j1}, j2={loss.j2}")
-        return loss
+    def _encode(self, x: np.ndarray):
+        return x, None
 
-    def _window_batch(self, window) -> np.ndarray:
-        return _as_window_array(window)[None]
+    def _encode_backward(self, cache, d_code, grads) -> None:
+        """Nothing is learned before the cell, so nothing needs d_code."""
 
-    # Per-sample wrappers over the batched implementations.
+    def _decode(self, code):
+        return None, None
 
-    def forward(self, window) -> Forecast:
-        z = self.batch_forecast(self._window_batch(window))
-        return Forecast(z[0])
+    def _head(self, code):
+        _, h_final, cell_cache = self._cell.forward(self._steps(code))
+        z, readout_cache = self._readout.forward(h_final)
+        return z, (cell_cache, readout_cache)
 
-    def loss(self, window, target) -> LossBreakdown:
-        y = np.asarray(target, dtype=np.float64)[None]
-        return self.batch_loss(self._window_batch(window), y)
+    def _head_backward(self, cache, dz, grads):
+        cell_cache, readout_cache = cache
+        dh, readout_grads = self._readout.backward(readout_cache, dz)
+        _collect(grads, "readout", readout_grads)
+        gxs, _, cell_grads = self._cell.backward(cell_cache, dh)
+        _collect(grads, "rnn", cell_grads)
+        return self._steps_backward(gxs)
 
-    def backward(self, window, target, **flags):
-        y = np.asarray(target, dtype=np.float64)[None]
-        return self.batch_backward(self._window_batch(window), y, **flags)
+    # -- the one path -----------------------------------------------------------
+
+    def _run(self, x: np.ndarray):
+        """Forecasts, reconstructions (None without a decoder) and the caches
+        of every part, for a window batch."""
+        self._check_batch(x)
+        code, enc_cache = self._encode(x)
+        z, head_cache = self._head(code)
+        recon, dec_cache = self._decode(code)
+        return z, recon, (enc_cache, head_cache, dec_cache)
+
+    def batch_forecast(self, x: np.ndarray) -> np.ndarray:
+        """Forecasts (batch, horizon) for windows (batch, n, l); no decoder runs."""
+        self._check_batch(x)
+        z, _ = self._head(self._encode(x)[0])
+        return z
+
+    def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
+        z, recon, _ = self._run(x)
+        return joint_loss(z, y, recon, x)[0]
+
+    def batch_backward(self, x: np.ndarray, y: np.ndarray):
+        """Loss and exact parameter gradients for a batch of windows."""
+        z, recon, (enc_cache, head_cache, dec_cache) = self._run(x)
+        loss, dz, d_recon = joint_loss(z, y, recon, x)
+        grads: dict[str, np.ndarray] = {}
+        d_code = self._head_backward(head_cache, dz, grads)
+        if recon is not None:
+            d_code = d_code + self._decode_backward(dec_cache, d_recon, grads)
+        self._encode_backward(enc_cache, d_code, grads)
+        return loss, grads
+
+    def forward(self, window) -> tuple[Forecast, Reconstruction | None]:
+        """Forecast and reconstruction (None without a decoder) of one
+        (num_series, input_length) window."""
+        z, recon, _ = self._run(_as_window_array(window)[None])
+        return Forecast(z[0]), None if recon is None else Reconstruction(recon[0])
 
 
 class CRNN(ParamModel):
@@ -373,8 +418,6 @@ class CRNN(ParamModel):
         self._readout = Dense(config.rnn_hidden, config.horizon, self._rng)
         self._register("readout", self._readout)
 
-    # -- batched core -------------------------------------------------------
-
     def _encode(self, x: np.ndarray):
         """Pooled feature cubes (batch, n, alpha, pooled) for windows (batch, n, l)."""
         h = x[:, :, None, :]
@@ -398,64 +441,21 @@ class CRNN(ParamModel):
             if act is not None:
                 g = g * (1.0 - act * act)
             g, conv_grads = self._convs[j].backward(conv_cache, g)
-            grads[f"conv{j}.w"] += conv_grads["w"]
-            grads[f"conv{j}.b"] += conv_grads["b"]
+            _collect(grads, f"conv{j}", conv_grads)
 
-    def _head(self, cube):
+    def _steps(self, cube):
         cfg = self.config
-        batch = cube.shape[0]
         if cfg.rnn_layout == "sequence":
             # step t sees every series' filters at pooled position t, series-major
-            xs = list(np.moveaxis(cube, -1, 0).reshape(cfg.pooled_length, batch, -1))
-        else:
-            xs = [cube.reshape(batch, cfg.feature_vector_length)]
-        _, h_final, cell_cache = self._cell.forward(xs)
-        z, readout_cache = self._readout.forward(h_final)
-        return z, (cell_cache, readout_cache)
+            return list(np.moveaxis(cube, -1, 0).reshape(cfg.pooled_length, len(cube), -1))
+        return [cube.reshape(len(cube), cfg.feature_vector_length)]
 
-    def _head_backward(self, cache, dz, grads):
+    def _steps_backward(self, gxs):
         cfg = self.config
-        cell_cache, readout_cache = cache
-        dh, readout_grads = self._readout.backward(readout_cache, dz)
-        for k, v in readout_grads.items():
-            grads[f"readout.{k}"] += v
-        gxs, _, cell_grads = self._cell.backward(cell_cache, dh)
-        for k, v in cell_grads.items():
-            grads[f"rnn.{k}"] += v
-        shape = (dz.shape[0], cfg.num_series, cfg.filters_per_layer, cfg.pooled_length)
+        shape = (len(gxs[0]), cfg.num_series, cfg.filters_per_layer, cfg.pooled_length)
         if cfg.rnn_layout == "sequence":
             return np.stack(gxs, axis=-1).reshape(shape)
         return gxs[0].reshape(shape)
-
-    def batch_forecast(self, x: np.ndarray) -> np.ndarray:
-        """Forecasts for a batch of windows; returns (batch, horizon)."""
-        self._check_batch(x)
-        cube, _ = self._encode(x)
-        z, _ = self._head(cube)
-        return z
-
-    def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
-        z = self.batch_forecast(x)
-        self._check_targets(y, x.shape[0])
-        j1 = float(np.mean((z - y) ** 2))
-        return self._finished_loss(LossBreakdown.of(j1))
-
-    def batch_backward(self, x: np.ndarray, y: np.ndarray, *,
-                       include_forecast: bool = True,
-                       include_reconstruction: bool = True):
-        """Loss and exact parameter gradients for a batch of windows."""
-        del include_reconstruction  # no decoder on this model
-        self._check_batch(x)
-        self._check_targets(y, x.shape[0])
-        cube, enc_caches = self._encode(x)
-        z, head_cache = self._head(cube)
-        loss = self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
-        grads = self.zero_grads()
-        if include_forecast:
-            dz = 2.0 * (z - y) / y.size
-            d_cube = self._head_backward(head_cache, dz, grads)
-            self._encode_backward(enc_caches, d_cube, grads)
-        return loss, grads
 
     def checkpoint_fields(self) -> "OrderedDict[str, str]":
         fields = OrderedDict(model=self.kind)
@@ -496,63 +496,11 @@ class AECRNN(CRNN):
     def _decode_backward(self, caches, d_recon, grads):
         deconv_caches, merge_cache = caches
         g, merge_grads = self._merge.backward(merge_cache, d_recon[:, :, None, :])
-        grads["merge.w"] += merge_grads["w"]
-        grads["merge.b"] += merge_grads["b"]
+        _collect(grads, "merge", merge_grads)
         for j in reversed(range(self.config.conv_pool_stages)):
             g, dec_grads = self._deconvs[j].backward(deconv_caches[j], g)
-            grads[f"deconv{j}.w"] += dec_grads["w"]
-            grads[f"deconv{j}.b"] += dec_grads["b"]
+            _collect(grads, f"deconv{j}", dec_grads)
         return g
-
-    def batch_reconstruct(self, x: np.ndarray) -> np.ndarray:
-        self._check_batch(x)
-        cube, _ = self._encode(x)
-        recon, _ = self._decode(cube)
-        return recon
-
-    def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
-        self._check_batch(x)
-        self._check_targets(y, x.shape[0])
-        cube, _ = self._encode(x)
-        z, _ = self._head(cube)
-        recon, _ = self._decode(cube)
-        j1 = float(np.mean((z - y) ** 2))
-        j2 = float(np.mean((recon - np.clip(x, 0.0, 1.0)) ** 2))
-        return self._finished_loss(LossBreakdown.of(j1, j2))
-
-    def batch_backward(self, x: np.ndarray, y: np.ndarray, *,
-                       include_forecast: bool = True,
-                       include_reconstruction: bool = True):
-        """Joint loss and gradients; the two include_* switches isolate one
-        objective term for diagnostics while the reported loss stays complete."""
-        self._check_batch(x)
-        self._check_targets(y, x.shape[0])
-        cube, enc_caches = self._encode(x)
-        z, head_cache = self._head(cube)
-        recon, dec_caches = self._decode(cube)
-        ref = np.clip(x, 0.0, 1.0)
-        j1 = float(np.mean((z - y) ** 2))
-        j2 = float(np.mean((recon - ref) ** 2))
-        loss = self._finished_loss(LossBreakdown.of(j1, j2))
-        grads = self.zero_grads()
-        d_cube = np.zeros_like(cube)
-        if include_forecast:
-            dz = 2.0 * (z - y) / y.size
-            d_cube += self._head_backward(head_cache, dz, grads)
-        if include_reconstruction:
-            d_recon = 2.0 * (recon - ref) / recon.size
-            d_cube += self._decode_backward(dec_caches, d_recon, grads)
-        if include_forecast or include_reconstruction:
-            self._encode_backward(enc_caches, d_cube, grads)
-        return loss, grads
-
-    def forward(self, window):
-        x = self._window_batch(window)
-        self._check_batch(x)
-        cube, _ = self._encode(x)
-        z, _ = self._head(cube)
-        recon, _ = self._decode(cube)
-        return Forecast(z[0]), Reconstruction(recon[0])
 
 
 class RecurrentBaseline(ParamModel):
@@ -598,35 +546,8 @@ class RecurrentBaseline(ParamModel):
         rows = x[:, :1, :] if self.features == "target" else x
         return [rows[:, :, t] for t in range(self.input_length)]
 
-    def batch_forecast(self, x: np.ndarray) -> np.ndarray:
-        self._check_batch(x)
-        _, h_final, _ = self._cell.forward(self._steps(x))
-        z, _ = self._readout.forward(h_final)
-        return z
-
-    def batch_loss(self, x, y):
-        z = self.batch_forecast(x)
-        self._check_targets(y, x.shape[0])
-        return self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
-
-    def batch_backward(self, x, y, *, include_forecast: bool = True,
-                       include_reconstruction: bool = True):
-        del include_reconstruction
-        self._check_batch(x)
-        self._check_targets(y, x.shape[0])
-        _, h_final, cell_cache = self._cell.forward(self._steps(x))
-        z, readout_cache = self._readout.forward(h_final)
-        loss = self._finished_loss(LossBreakdown.of(float(np.mean((z - y) ** 2))))
-        grads = self.zero_grads()
-        if include_forecast:
-            dz = 2.0 * (z - y) / y.size
-            dh, readout_grads = self._readout.backward(readout_cache, dz)
-            for k, v in readout_grads.items():
-                grads[f"readout.{k}"] += v
-            _, _, cell_grads = self._cell.backward(cell_cache, dh)
-            for k, v in cell_grads.items():
-                grads[f"rnn.{k}"] += v
-        return loss, grads
+    def _steps_backward(self, gxs) -> None:
+        return None  # the steps are the raw window, which nothing learns from
 
     def checkpoint_fields(self) -> "OrderedDict[str, str]":
         return OrderedDict(

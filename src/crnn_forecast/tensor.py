@@ -69,25 +69,9 @@ class Tensor:
         return self._a.shape
 
     @property
-    def rank(self) -> int:
-        return self._a.ndim
-
-    @property
-    def size(self) -> int:
-        return self._a.size
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the elements (read-only)."""
-        return self._a.reshape(-1)
-
-    @property
     def array(self) -> np.ndarray:
         """The underlying read-only ndarray."""
         return self._a
-
-    def tolist(self):
-        return self._a.tolist()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self._a!r})"

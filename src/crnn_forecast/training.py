@@ -9,7 +9,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import WindowSample, stack_samples
-from .models import LossBreakdown
 from .tensor import NumericError
 
 __all__ = [

@@ -88,7 +88,7 @@ class TestRecurrentBaseline:
                           batch_size=8, seed=0)
         model, _ = self.fitted("rnn", samples, cfg, rnn_hidden=4,
                                features="target", seed=0)
-        pred = model.forward(samples[0].input)
+        pred, _ = model.forward(samples[0].input)
         assert np.max(np.abs(pred.values - 0.6)) < 0.01
 
     def test_deterministic_training(self):
@@ -109,8 +109,8 @@ class TestRecurrentBaseline:
     def test_forecast_plug_compatibility(self):
         model = RecurrentBaseline("lstm", 2, 8, 3, hidden=4, seed=1)
         window = Tensor(np.random.default_rng(0).uniform(0, 1, (2, 8)))
-        forecast = model.forward(window)
-        assert forecast.horizon == 3
+        forecast, recon = model.forward(window)
+        assert forecast.horizon == 3 and recon is None
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = RecurrentBaseline("lstm", 2, 8, 3, hidden=4, features="target",

@@ -6,7 +6,7 @@ import pytest
 from crnn_forecast import cli
 from crnn_forecast.cli import main
 from crnn_forecast.data import CorrelatedSet, Normalizer, ingest_csv, write_csv
-from crnn_forecast.models import load_checkpoint, model_from_checkpoint
+from crnn_forecast.models import MODELS, load_checkpoint, model_from_checkpoint
 from crnn_forecast.tensor import Tensor
 
 
@@ -195,7 +195,7 @@ class TestForecast:
         norm = Normalizer.from_tensors(extras)
         cset = ingest_csv(dataset)
         window = norm.transform(cset.slice_time(10, 18)).values_matrix()
-        expected = norm.inverse_target(model.forward(Tensor(window)).values)
+        expected = norm.inverse_target(model.forward(Tensor(window))[0].values)
         got = [float(line.split("\t")[1]) for line in lines[1:]]
         assert got == expected.tolist()
 
@@ -384,14 +384,9 @@ class TestGridsearch:
 
 
 class TestGradcheckCommand:
-    def test_small_reference_config_passes(self, tmp_path, capsys):
-        code = main(["gradcheck", "--model", "crnn", "--small",
-                     "--out", str(tmp_path / "gc")])
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_aecrnn_passes_too(self, tmp_path, capsys):
-        code = main(["gradcheck", "--model", "aecrnn", "--small",
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_small_reference_config_passes(self, tmp_path, capsys, kind):
+        code = main(["gradcheck", "--model", kind, "--small",
                      "--out", str(tmp_path / "gc")])
         assert code == 0
         assert "PASS" in capsys.readouterr().out

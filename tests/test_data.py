@@ -150,7 +150,7 @@ class TestNormalizer:
         train, _ = split(make_set(length=100))
         norm = Normalizer.fit(train)
         values = train.series[0].values
-        again = norm.inverse_target(norm.transform_target(values))
+        again = norm.inverse_target(norm.transform(train).series[0].values)
         assert np.max(np.abs(again - values)) < 1e-12
 
     def test_training_values_land_in_unit_interval(self):
@@ -169,8 +169,8 @@ class TestNormalizer:
     def test_constant_series_stays_invertible(self):
         cset = CorrelatedSet((TimeSeries("c", np.full(50, 7.0)),))
         norm = Normalizer.fit(cset)
-        v = norm.transform_target(np.array([7.0, 8.0]))
-        assert np.allclose(norm.inverse_target(v), [7.0, 8.0])
+        v = norm.transform(CorrelatedSet((TimeSeries("c", np.array([7.0, 8.0])),)))
+        assert np.allclose(norm.inverse_target(v.target.values), [7.0, 8.0])
 
     def test_statistics_come_from_train_only(self):
         values = np.concatenate([np.linspace(0, 1, 84), np.full(16, 100.0)])
@@ -232,6 +232,16 @@ class TestCsv:
         path.write_text("a,b\n1,2\n3,oops\n")
         with pytest.raises(DataError, match="row 3"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("text,line", [("a,b\n\n\n1,2\n3,x\n", 5),
+                                           ('a,b\n"1\n",2\n3,x\n', 4)])
+    def test_bad_row_is_named_by_the_file_line_it_starts_on(self, tmp_path, text, line):
+        # blank lines and a quoted line break each take a file line
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"{path}: row {line} column 1 is not numeric: 'x'"
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -310,13 +320,20 @@ def _parses(text: str) -> bool:
 
 
 def _first_row_error(path, rows: list[list[str]]) -> str | None:
-    """The DataError message a cell-by-cell reading of a header plus ``rows``
-    gives (rows counted after dropping blank ones), or None if all are valid."""
-    data = [r for r in rows if any(cell.strip() for cell in r)]
+    """The DataError message a cell-by-cell reading of ``rows``, written to
+    path after a header, gives, or None if all are valid. A row is named by
+    the file line it starts on, as csv.reader counts the lines it reads."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines = []
+        for _ in range(1 + len(rows)):
+            lines.append(reader.line_num + 1)
+            next(reader)
+    data = [(line, r) for line, r in zip(lines[1:], rows) if any(cell.strip() for cell in r)]
     if not data:
         return f"{path}: file holds no data rows"
-    width = len(data[0])
-    for line, row in enumerate(data, 2):
+    width = len(data[0][1])
+    for line, row in data:
         if len(row) != width:
             return f"{path}: row {line} has {len(row)} cells, expected {width}"
         for idx, cell in enumerate(row):
@@ -338,7 +355,8 @@ NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
 ODD_CELLS = [" 1.5 ", "\t2\n", "nan", "-inf", "1_0", "", "  ", "0x10", "1e", "1e5",
              "\u0661\u0662", "1__0", "+.5", "1e400", "-0"]
 ROW_CELLS = st.one_of(FINITE.map(repr), FINITE.map(repr),
-                      st.sampled_from(["", " ", "x", "1e", "0x10", "1__0", " 7 "]))
+                      st.sampled_from(["", " ", "x", "1e", "0x10", "1__0", " 7 ",
+                                       "1\n", "\r\n2", "x\ny", "\n"]))
 _TMP_PATH_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
@@ -377,6 +395,7 @@ class TestCsvProperties:
     @given(rows=st.lists(st.lists(ROW_CELLS, min_size=1, max_size=4), min_size=1, max_size=6))
     @example(rows=[["1", "2"], ["3"], ["x", "4"]])
     @example(rows=[["1", "2"], [" ", ""], ["5", " "]])
+    @example(rows=[[], [], ["1", "2"], ["3", "x"]])  # blank lines: the error cites line 5
     def test_malformed_rows_raise_the_first_bad_rows_error(self, tmp_path, rows):
         path = tmp_path / "d.csv"
         _write_rows(path, [["h0", "h1", "h2", "h3"], *rows])

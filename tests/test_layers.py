@@ -121,7 +121,8 @@ class TestMaxPool1D:
         pool = MaxPool1D()
         y, cache = pool.forward(np.array([[7.0, 7.0, 0.0, 0.0]]))
         assert y.tolist() == [[7.0, 0.0]]
-        assert pool.argmax_indices(cache).tolist() == [[0, 2]]
+        # the gradient flows back to the left position of each tied window
+        assert pool.backward(cache, np.array([[1.0, 2.0]])).tolist() == [[1.0, 0.0, 2.0, 0.0]]
 
     def test_constant_series(self):
         y, _ = MaxPool1D().forward(np.full((1, 8), 3.5))

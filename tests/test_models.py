@@ -9,11 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
 from crnn_forecast.data import DataError
-from crnn_forecast.models import (AECRNN, CRNN, ConfigError, Forecast,
-                                  MODELS, LossBreakdown, ModelConfig, Reconstruction,
-                                  forecast_loss, joint_loss,
-                                  load_checkpoint, model_from_checkpoint,
-                                  save_checkpoint)
+from crnn_forecast.models import (AECRNN, CRNN, ConfigError, MODELS, LossBreakdown,
+                                  ModelConfig, joint_loss, load_checkpoint,
+                                  model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor
 
 FIXTURES = Path(__file__).with_name("data")
@@ -61,34 +59,49 @@ class TestModelConfig:
 
 class TestLossFunctions:
     def test_perfect_forecast(self):
-        assert forecast_loss(Forecast([1.0, 2.0]), [1.0, 2.0]).j == 0.0
+        assert joint_loss(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))[0].j == 0.0
 
     def test_worked_example(self):
-        lb = forecast_loss(Forecast([1.0, 2.0]), [1.0, 4.0])
+        lb, dz, d_recon = joint_loss(np.array([[1.0, 2.0]]), np.array([[1.0, 4.0]]))
         assert lb.j1 == 2.0 and lb.j2 == 0.0 and lb.j == 2.0
+        assert dz.tolist() == [[0.0, -2.0]] and d_recon is None
 
     def test_quadratic_scaling(self):
-        base = forecast_loss(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-        scaled = forecast_loss(np.array([3.0, 6.0]), np.array([0.0, 0.0]))
+        base, _, _ = joint_loss(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]))
+        scaled, _, _ = joint_loss(np.array([[3.0, 6.0]]), np.array([[0.0, 0.0]]))
         assert scaled.j1 == 9.0 * base.j1
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            forecast_loss(Forecast([1.0]), [1.0, 2.0])
+            joint_loss(np.array([[1.0]]), np.array([[1.0, 2.0]]))
+        with pytest.raises(ShapeError):
+            joint_loss(np.array([[1.0]]), np.array([[1.0]]), np.ones((1, 2, 2)),
+                       np.ones((1, 2, 3)))
 
     def test_joint_loss_perfect(self):
-        window = Tensor(np.full((2, 2), 0.5))
-        lb = joint_loss(Forecast([1.0]), Reconstruction(np.full((2, 2), 0.5)),
-                        window, [1.0])
+        window = np.full((1, 2, 2), 0.5)
+        lb, _, _ = joint_loss(np.array([[1.0]]), np.array([[1.0]]), window.copy(), window)
         assert lb.j == 0.0
 
     def test_joint_loss_worked_example(self):
         # |X|=2, l=2, every reconstruction off by 1.0, perfect forecast:
         # j2 = 4 unit squared errors / (2*2) = 1.0
-        window = np.zeros((2, 2))
-        recon = np.ones((2, 2))
-        lb = joint_loss(np.array([3.0]), recon, window, np.array([3.0]))
+        window = np.zeros((1, 2, 2))
+        recon = np.ones((1, 2, 2))
+        lb, _, d_recon = joint_loss(np.array([[3.0]]), np.array([[3.0]]), recon, window)
         assert lb.j1 == 0.0 and lb.j2 == 1.0 and lb.j == 1.0
+        assert np.array_equal(d_recon, np.full((1, 2, 2), 0.5))
+
+    def test_reconstruction_reference_is_clamped(self):
+        # windows outside [0, 1] are compared with their clamp; forecasts never are
+        window = np.array([[[-2.0, 3.0]]])
+        recon = np.array([[[0.0, 1.0]]])
+        lb, _, _ = joint_loss(np.array([[5.0]]), np.array([[5.0]]), recon, window)
+        assert lb.j2 == 0.0
+
+    def test_non_finite_objective_is_numeric_error(self):
+        with pytest.raises(NumericError, match="diverged"):
+            joint_loss(np.array([[np.inf]]), np.array([[0.0]]))
 
     def test_breakdown_identity_enforced(self):
         with pytest.raises(ValueError):
@@ -108,8 +121,8 @@ class TestCRNNForward:
                           filters_per_layer=3, rnn_layout="single-step")
         model = CRNN(cfg)
         window, _ = random_case(cfg, 0)
-        forecast = model.forward(Tensor(window))
-        assert forecast.horizon == 2
+        forecast, recon = model.forward(Tensor(window))
+        assert forecast.horizon == 2 and recon is None
         assert cfg.feature_vector_length == 36
 
     def test_zero_network_outputs_readout_bias(self):
@@ -120,12 +133,12 @@ class TestCRNNForward:
         model.params["readout.b"][...] = bias
         for seed in range(3):
             window, _ = random_case(cfg, seed)
-            assert np.array_equal(model.forward(Tensor(window)).values, bias)
+            assert np.array_equal(model.forward(Tensor(window))[0].values, bias)
 
     def test_forward_is_deterministic_bitwise(self):
         cfg = small_config(seed=11)
         window, _ = random_case(cfg, 5)
-        runs = [CRNN(cfg).forward(Tensor(window)).values for _ in range(2)]
+        runs = [CRNN(cfg).forward(Tensor(window))[0].values for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
     def test_same_seed_same_parameters(self):
@@ -149,20 +162,20 @@ class TestCRNNForward:
         cfg = small_config(cell_kind="lstm")
         window, target = random_case(cfg, 1)
         model = CRNN(cfg)
-        assert model.loss(Tensor(window), target).j1 >= 0.0
+        assert model.batch_loss(window[None], target[None]).j1 >= 0.0
 
     def test_tanh_activation_variant(self):
         cfg = small_config(conv_activation="tanh")
         window, target = random_case(cfg, 2)
         model = CRNN(cfg)
-        assert np.isfinite(model.forward(Tensor(window)).values).all()
+        assert np.isfinite(model.forward(Tensor(window))[0].values).all()
 
     def test_multi_stage_shapes(self):
         cfg = ModelConfig(num_series=2, input_length=16, horizon=3,
                           conv_pool_stages=2, filters_per_layer=2)
         model = CRNN(cfg)
         window, _ = random_case(cfg, 3)
-        assert model.forward(Tensor(window)).horizon == 3
+        assert model.forward(Tensor(window))[0].horizon == 3
 
 
 class TestAECRNNForward:
@@ -203,17 +216,21 @@ class TestAECRNNForward:
         model = AECRNN(cfg)
         for seed in range(20):
             window, target = random_case(cfg, seed)
-            lb = model.loss(Tensor(window), target)
+            lb = model.batch_loss(window[None], target[None])
             assert lb.j == lb.j1 + lb.j2
             assert lb.j1 >= 0.0 and lb.j2 >= 0.0
 
 
 class TestModelGradients:
-    @pytest.mark.parametrize("kind", ["crnn", "aecrnn"])
+    # every model kind, plus the rnn baseline fed only the target series
+    @pytest.mark.parametrize("kind", [*MODELS, "rnn-target"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradients_match_finite_differences(self, kind, seed):
         cfg = small_config(seed=seed)
-        model = MODELS[kind](cfg.to_fields())
+        fields = cfg.to_fields()
+        if kind == "rnn-target":
+            kind, fields["features"] = "rnn", "target"
+        model = MODELS[kind](fields)
         window, target = random_case(cfg, seed + 100)
         x, y = window[None], target[None]
         _, grads = model.batch_backward(x, y)
@@ -275,22 +292,9 @@ class TestModelGradients:
         target = np.array([0.3, -0.2])
         model.params["readout.b"][...] = target
         window, _ = random_case(cfg, 9)
-        lb, grads = model.backward(Tensor(window), target)
+        lb, grads = model.batch_backward(window[None], target[None])
         assert lb.j == 0.0
         assert not grads["readout.b"].any()
-
-    def test_encoder_gradient_sums_both_paths(self):
-        cfg = small_config(seed=8)
-        model = AECRNN(cfg)
-        window, target = random_case(cfg, 88)
-        x, y = window[None], target[None]
-        _, full = model.batch_backward(x, y)
-        _, only_forecast = model.batch_backward(x, y, include_reconstruction=False)
-        _, only_recon = model.batch_backward(x, y, include_forecast=False)
-        for name in model.params:
-            assert np.allclose(full[name],
-                               only_forecast[name] + only_recon[name],
-                               rtol=0, atol=1e-15)
 
     def test_batch_gradient_is_mean_of_per_sample(self):
         cfg = small_config(seed=10)
@@ -348,20 +352,25 @@ class TestGroupedParameters:
 
 
 class TestMultiTaskReduction:
-    def test_decoder_off_matches_crnn_exactly(self):
-        cfg = small_config(seed=21)
+    @pytest.mark.parametrize("seed", [8, 21])
+    def test_aecrnn_is_crnn_plus_the_reconstruction_gradient(self, seed):
+        # AECRNN = CRNN + decoder, trained on j = j1 + j2: its forecast path is
+        # CRNN's bit for bit, and its encoder also receives the gradient of j2
+        cfg = small_config(seed=seed)
         crnn = CRNN(cfg)
         aecrnn = AECRNN(cfg)  # same seed -> identical shared parameters
-        window, target = random_case(cfg, 210)
+        window, target = random_case(cfg, 210 + seed)
         x, y = window[None], target[None]
-        _, g_crnn = crnn.batch_backward(x, y)
-        _, g_aecrnn = aecrnn.batch_backward(x, y, include_reconstruction=False)
+        l_crnn, g_crnn = crnn.batch_backward(x, y)
+        l_aecrnn, g_aecrnn = aecrnn.batch_backward(x, y)
+        assert l_aecrnn.j1 == l_crnn.j1 and l_crnn.j2 == 0.0 < l_aecrnn.j2
+        assert sorted(g_aecrnn) == sorted(aecrnn.params)
         for name in crnn.params:
-            assert np.max(np.abs(g_crnn[name] - g_aecrnn[name])) < 1e-12, name
-        # decoder parameters receive exactly zero gradient in that mode
-        for name in aecrnn.params:
-            if name not in crnn.params:
-                assert not g_aecrnn[name].any()
+            if not name.startswith("conv"):
+                assert g_aecrnn[name].tobytes() == g_crnn[name].tobytes(), name
+                continue
+            fd_j2 = numeric_grad(lambda: aecrnn.batch_loss(x, y).j2, aecrnn.params[name])
+            assert rel_error(g_aecrnn[name] - g_crnn[name], fd_j2) < 1e-6, name
 
 
 class TestCheckpoint:
@@ -384,11 +393,11 @@ class TestCheckpoint:
         cfg = small_config(seed=14)
         model = CRNN(cfg)
         window, target = random_case(cfg, 140)
-        before = model.loss(Tensor(window), target).j
+        before = model.batch_loss(window[None], target[None]).j
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, model)
         rebuilt, _ = model_from_checkpoint(*load_checkpoint(path))
-        after = rebuilt.loss(Tensor(window), target).j
+        after = rebuilt.batch_loss(window[None], target[None]).j
         assert before == after
 
     def test_awkward_floats_survive(self, tmp_path):

@@ -10,8 +10,7 @@ class TestTensor:
     def test_shape_and_flat_data(self):
         t = Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], shape=(2, 3))
         assert t.shape == (2, 3)
-        assert t.rank == 2
-        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert t.array.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     def test_rank_limits(self):
         Tensor([1.0])
@@ -36,11 +35,6 @@ class TestTensor:
         t = Tensor([1.0, 2.0])
         with pytest.raises(ValueError):
             t.array[0] = 5.0
-
-    def test_data_length_matches_extents(self):
-        t = Tensor(np.arange(24.0), shape=(2, 3, 4))
-        assert t.size == 24
-        assert t.data.size == 2 * 3 * 4
 
     def test_bad_reshape(self):
         with pytest.raises(ShapeError):
