@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticConfig,
-                   WindowSample, generate_synthetic, ingest_csv, prepare, write_csv)
+                   WindowSample, generate_synthetic, ingest_csv, prepare, read_input,
+                   write_csv)
 from .evaluation import (METHODS, ExperimentSpec, MetricReport, robustness_experiment,
                          run_experiment)
 from .models import (GRID_FILTER_SIZES, GRID_FILTERS, GRID_HIDDEN, GRID_STAGES, MODELS,
@@ -99,18 +100,14 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict[str, st
         action.required = False  # satisfied from the config file
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 # run placement and parser internals stay out of the frozen configuration
 _NON_CONFIG_KEYS = {"command", "config", "func", "out"}
 
 
 def write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                   inputs: dict[str, Path], outputs: dict[str, Path]) -> Path:
+                   inputs: dict[str, bytes], outputs: dict[str, Path]) -> Path:
+    """Write manifest.txt: the resolved flags, the sha256 of each input's
+    bytes as the command parsed them, and the names of the outputs."""
     lines = [f"run.command={command}", f"run.version={__version__}"]
     for key in sorted(name for name in vars(args) if name not in _NON_CONFIG_KEYS):
         value = getattr(args, key)
@@ -120,8 +117,8 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         if isinstance(value, bool):
             value = int(value)
         lines.append(f"{flag}={value}")
-    for name, path in sorted(inputs.items()):
-        lines.append(f"run.digest.{name}={_sha256(path)}")
+    for name, raw in sorted(inputs.items()):
+        lines.append(f"run.digest.{name}={hashlib.sha256(raw).hexdigest()}")
     for name, path in sorted(outputs.items()):
         lines.append(f"run.output.{name}={path.name}")
     manifest = out_dir / "manifest.txt"
@@ -148,8 +145,9 @@ def _parse_columns(text: str | None) -> list[str]:
     return [c.strip() for c in text.split(",") if c.strip()]
 
 
-def _load_dataset(args) -> CorrelatedSet:
-    """Ingest the CSV named by --data, honoring --columns/--target/--timestamp."""
+def _load_dataset(args, inputs: dict[str, bytes]) -> CorrelatedSet:
+    """Ingest the CSV named by --data, honoring --columns/--target/--timestamp.
+    The file is read once; its bytes go to ``inputs["data"]`` for the manifest."""
     columns = _parse_columns(getattr(args, "columns", None))
     target = getattr(args, "target", None)
     layout = CsvLayout(columns=columns, timestamp=getattr(args, "timestamp", None))
@@ -157,7 +155,8 @@ def _load_dataset(args) -> CorrelatedSet:
         if target in columns:
             columns.remove(target)
         columns.insert(0, target)
-    cset = ingest_csv(args.data, layout)
+    inputs["data"] = read_input(args.data)
+    cset = ingest_csv(args.data, layout, inputs["data"])
     if not columns and target is not None:
         cset = _reorder_target(cset, target)
     return cset
@@ -270,7 +269,8 @@ def _add_csv_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 def cmd_train(args) -> int:
     out = _out_dir(args, "train")
-    cset = _load_dataset(args)
+    inputs: dict[str, bytes] = {}
+    cset = _load_dataset(args, inputs)
     prepared = _prepare(args, cset)
     model = MODELS[args.model](_model_fields(args, cset.num_series))
     _, report = train(model, prepared.train, _train_config(args), val_samples=prepared.val)
@@ -278,7 +278,7 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, model, extra_tensors=prepared.norm.tensors())
     report_path = out / "train_report.tsv"
     report_path.write_text(report.to_table(), encoding="ascii")
-    write_manifest(out, "train", args, {"data": Path(args.data)},
+    write_manifest(out, "train", args, inputs,
                    {"checkpoint": ckpt_path, "train_report": report_path})
     print(report.summary())
     print(f"checkpoint: {ckpt_path}")
@@ -287,10 +287,11 @@ def cmd_train(args) -> int:
 
 def cmd_forecast(args) -> int:
     out = _out_dir(args, "forecast")
-    fields, tensors = load_checkpoint(args.checkpoint)
+    inputs = {"checkpoint": read_input(args.checkpoint)}
+    fields, tensors = load_checkpoint(args.checkpoint, inputs["checkpoint"])
     model, extras = model_from_checkpoint(fields, tensors)
     norm = Normalizer.from_tensors(extras)
-    cset = _load_dataset(args)
+    cset = _load_dataset(args, inputs)
     if cset.num_series != model.num_series:
         raise DataError(
             f"checkpoint expects {model.num_series} series, data has {cset.num_series}")
@@ -305,9 +306,7 @@ def cmd_forecast(args) -> int:
     pred_path = out / "predictions.tsv"
     lines = ["step\tvalue"] + ["%d\t%.17g" % (i + 1, v) for i, v in enumerate(values)]
     pred_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    write_manifest(out, "forecast", args,
-                   {"checkpoint": Path(args.checkpoint), "data": Path(args.data)},
-                   {"predictions": pred_path})
+    write_manifest(out, "forecast", args, inputs, {"predictions": pred_path})
     print(f"wrote {pred_path} ({values.size} steps)")
     return EXIT_OK
 
@@ -322,12 +321,12 @@ def _experiment_spec(args, method: str, num_series: int, **extra) -> ExperimentS
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args, "evaluate")
-    source = ({"dataset": _load_dataset(args)} if args.data
+    inputs: dict[str, bytes] = {}
+    source = ({"dataset": _load_dataset(args, inputs)} if args.data
               else {"data": _synthetic_from_args(args)})
     spec = _experiment_spec(args, args.method, args.x, eval_stride=args.eval_stride,
                             ewma_smoothing=args.ewma_smoothing, **source)
     report = run_experiment(spec, out_dir=out)
-    inputs = {"data": Path(args.data)} if args.data else {}
     write_manifest(out, "evaluate", args, inputs, {"report": out / "report.tsv"})
     print(MetricReport.TABLE_HEADER)
     print(report.table_row())
@@ -336,8 +335,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_robustness(args) -> int:
     out = _out_dir(args, "robustness")
+    inputs: dict[str, bytes] = {}
     if args.data:
-        cset = _load_dataset(args)
+        cset = _load_dataset(args, inputs)
         if cset.num_series < 2:
             raise DataError("robustness needs a target and a correlated series")
     else:
@@ -347,7 +347,6 @@ def cmd_robustness(args) -> int:
     report = robustness_experiment(cset.series[0], cset.series[1], template)
     table_path = out / "robustness.tsv"
     table_path.write_text(report.table(), encoding="ascii")
-    inputs = {"data": Path(args.data)} if args.data else {}
     write_manifest(out, "robustness", args, inputs, {"robustness": table_path})
     print(report.table(), end="")
     return EXIT_OK
@@ -398,7 +397,8 @@ def _grid_cell_worker(payload):
 
 def cmd_gridsearch(args) -> int:
     out = _out_dir(args, "gridsearch")
-    cset = _load_dataset(args)
+    inputs: dict[str, bytes] = {}
+    cset = _load_dataset(args, inputs)
     cells = _grid_cells(args)
     payloads = [(cell, args, cset) for cell in cells]
     if args.jobs > 1:
@@ -429,7 +429,7 @@ def cmd_gridsearch(args) -> int:
         ckpt_path = out / "best_checkpoint.txt"
         save_checkpoint(ckpt_path, model, extra_tensors=norm.tensors())
         outputs["best_checkpoint"] = ckpt_path
-    write_manifest(out, "gridsearch", args, {"data": Path(args.data)}, outputs)
+    write_manifest(out, "gridsearch", args, inputs, outputs)
     failed = sum(1 for r in results if r[1] is None)
     print(f"grid: {len(cells)} cells, {failed} failed; report: {report_path}")
     return EXIT_OK

@@ -9,6 +9,7 @@ then cut sliding windows and carve the last of them off for validation.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import re
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ __all__ = [
     "make_uncorrelated",
     "pearson",
     "prepare",
+    "read_input",
     "segment",
     "split",
     "stack_samples",
@@ -343,18 +345,33 @@ def _raise_row_error(path, data_rows: list[list[str]], lines: list[int], width: 
                     f"{path}: row {line} has a non-numeric timestamp") from None
 
 
-def ingest_csv(path, layout: CsvLayout | None = None) -> CorrelatedSet:
-    """Read an aligned series set from a delimited text file.
+def read_input(path) -> bytes:
+    """The bytes of the input file at ``path``. A command reads each input
+    once and hands the bytes to the parser and to the manifest digest, so a
+    pipe such as ``<(cat data.csv)`` is parsed and hashed alike."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def ingest_csv(path, layout: CsvLayout | None = None,
+               raw: bytes | None = None) -> CorrelatedSet:
+    """Read an aligned series set from a delimited UTF-8 text file, or from
+    ``raw``, its bytes already read from ``path``.
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
     ragged row, or non-uniform timestamp column aborts ingestion; a bad row
     is named by the file line it starts on.
     """
     layout = layout or CsvLayout()
+    raw = read_input(path) if raw is None else raw
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            records = list(csv.reader(fh, delimiter=layout.delimiter))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        # decoded in chunks, with line breaks left to csv.reader, as open() does
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+        records = list(csv.reader(text, delimiter=layout.delimiter))
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in records if "".join(r).strip()]  # drop rows of blank cells
     if not rows:

@@ -26,10 +26,17 @@ supply only their parts: the encoder (CRNN, AECRNN; the identity for the
 baselines), how the code becomes the cell's steps, and the decoder (AECRNN).
 All gradients are hand-derived and checked against finite differences in the
 test suite.
+
+A checkpoint (``save_checkpoint``, ``load_checkpoint``) is ASCII text at
+format 3: a ``format=3 key=value ...`` header line of the model's fields, then
+one ``name shape hex`` line per tensor, whose single ``hex`` token holds the
+tensor's little-endian float64 bytes. Formats 1 and 2, which wrote the values
+as decimal tokens, still load.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
@@ -37,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, read_input
 from .layers import ChannelMerge, Conv1D, Deconv1D, Dense, LSTMCell, MaxPool1D, RNNCell
 from .tensor import NumericError, ShapeError, Tensor
 
@@ -575,15 +582,23 @@ MODELS = {
 
 # -- checkpoint container -----------------------------------------------------
 
-_FLOAT_FMT = "%.17g"
-CHECKPOINT_FORMAT = "2"
-# Format 1 stored each series' conv/deconv/merge parameters under its own
-# name, series{s}.<name>; model_from_checkpoint stacks them on load.
-_READABLE_FORMATS = ("1", CHECKPOINT_FORMAT)
+CHECKPOINT_FORMAT = "3"
+# Formats 1 and 2 wrote each tensor's values as %.17g decimal tokens. Format 1
+# also stored each series' conv/deconv/merge parameters under its own name,
+# series{s}.<name>; model_from_checkpoint stacks them on load.
+_DECIMAL_FORMATS = ("1", "2")
+_READABLE_FORMATS = (*_DECIMAL_FORMATS, CHECKPOINT_FORMAT)
 
 
 def save_checkpoint(path, model, extra_tensors: Mapping[str, np.ndarray] | None = None) -> None:
-    """Write a flat text checkpoint that round-trips float64 bit-exactly."""
+    """Write a checkpoint that round-trips float64 bit-exactly.
+
+    The file is ASCII: a header line ``format=3 key=value ...`` holding the
+    model's fields, then one line ``name shape hex`` per parameter and extra
+    tensor. ``shape`` is the dimensions joined by ``x``; ``hex`` is one token,
+    the tensor's little-endian float64 bytes in C order, 16 hex digits per
+    value.
+    """
     tensors: "OrderedDict[str, np.ndarray]" = OrderedDict(model.params)
     for name, arr in (extra_tensors or {}).items():
         tensors[name] = np.asarray(arr, dtype=np.float64)
@@ -592,8 +607,7 @@ def save_checkpoint(path, model, extra_tensors: Mapping[str, np.ndarray] | None 
     lines.append(f"format={CHECKPOINT_FORMAT} {header}")
     for name, arr in tensors.items():
         shape = "x".join(str(d) for d in arr.shape)
-        values = " ".join(_FLOAT_FMT % v for v in arr.reshape(-1))
-        lines.append(f"{name} {shape} {values}")
+        lines.append(f"{name} {shape} {np.ascontiguousarray(arr, '<f8').tobytes().hex()}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -606,34 +620,57 @@ def _checkpoint_format(fields: Mapping[str, str]) -> str:
     return fmt
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (header fields, name -> ndarray).
+def _nonblank_lines(text: str) -> list[str]:
+    """The non-blank lines of ``text`` as a text-mode read splits them: \\n,
+    \\r\\n and \\r each end a line. str.find reaches each line end at memchr
+    speed, where str.split would test every character of the long hex lines."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines, start = [], 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end]
+        if line.strip():
+            lines.append(line)
+        start = end + 1
+    return lines
 
-    Raises DataError naming the tensor when a line is malformed, a name
-    repeats, or the number of values does not match the recorded shape
-    (as in a truncated file).
+
+def load_checkpoint(path, raw: bytes | None = None):
+    """Read a checkpoint, from ``path`` or from ``raw``, its bytes already
+    read from ``path``; returns (header fields, name -> ndarray).
+
+    A format-3 payload must be exactly 16 hex digits per value; those of
+    formats 1 and 2 are decimal tokens. Raises DataError naming the tensor
+    when a line is malformed, a name repeats, or the number of values does
+    not match the recorded shape (as in a truncated file).
     """
+    raw = read_input(path) if raw is None else raw
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
         raise DataError(f"checkpoint {path} is not ASCII text: {exc}") from None
+    lines = _nonblank_lines(text)
     if not lines:
         raise DataError(f"checkpoint {path} is empty")
     fields: "OrderedDict[str, str]" = OrderedDict()
     for token in lines[0].split():
         key, _, value = token.partition("=")
         fields[key] = value
-    _checkpoint_format(fields)
+    decimal = _checkpoint_format(fields) in _DECIMAL_FORMATS
     tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for line in lines[1:]:
         name, _, rest = line.partition(" ")
         if name in tensors:
             raise DataError(f"checkpoint {path}: tensor {name!r} appears twice")
-        shape_txt, _, values_txt = rest.partition(" ")
+        shape_txt, _, payload = rest.partition(" ")
         try:
             shape = tuple(int(d) for d in shape_txt.split("x"))
-            arr = np.array(values_txt.split(), dtype=np.float64)
+            # unlike bytes.fromhex, unhexlify refuses whitespace between digit
+            # pairs; astype copies into a writable array in native byte order
+            arr = (np.array(payload.split(), dtype=np.float64) if decimal else
+                   np.frombuffer(binascii.unhexlify(payload), "<f8").astype(np.float64))
         except ValueError as exc:
             raise DataError(f"checkpoint {path}: tensor {name!r} is malformed: {exc}") from None
         if min(shape) < 0 or arr.size != math.prod(shape):

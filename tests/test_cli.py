@@ -1,6 +1,10 @@
 import argparse
+import hashlib
+import os
+import threading
+import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from crnn_forecast import cli
@@ -17,6 +21,9 @@ def dataset(tmp_path):
     code = main(["generate", "--len", "300", "--seed", "3", "--out", str(out)])
     assert code == 0
     return out / "data.csv"
+
+
+FORMAT2_TRAINED = Path(__file__).with_name("data") / "checkpoint_format2_aecrnn_trained.txt"
 
 
 def train_args(data, out, model="crnn", epochs="3"):
@@ -259,6 +266,66 @@ class TestForecast:
                      "--data", str(dataset), "--offset", "9999",
                      "--out", str(tmp_path / "f")])
         assert code == 2
+
+
+    def test_format_2_checkpoint_forecasts(self, dataset, tmp_path):
+        out = tmp_path / "f"
+        assert main(["forecast", "--checkpoint", str(FORMAT2_TRAINED), "--data", str(dataset),
+                     "--out", str(out)]) == 0
+        assert len((out / "predictions.tsv").read_text().splitlines()) == 1 + 2
+
+
+def _manifest(out: Path) -> dict[str, str]:
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split("=", 1) for line in lines)
+
+
+def _feed(fifo: Path, payload: bytes, stop: threading.Event) -> None:
+    """Write payload to the first reader of fifo, then give every later reader
+    an empty pipe, as a shell's <(cat file) does, until stop is set."""
+    with open(fifo, "wb") as fh:
+        fh.write(payload)
+    while not stop.is_set():
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader waits
+            time.sleep(0.001)
+
+
+class TestPipedInputs:
+    """A command parses and hashes the bytes of one read of each input."""
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "crnn", "--l", "8", "--p", "2", "--epochs", "1"],
+        ["forecast"],
+        ["evaluate", "--method", "yesterday", "--l", "8", "--p", "2"],
+        ["robustness", "--l", "8", "--p", "2", "--epochs", "1"],
+        ["gridsearch", "--l", "8", "--p", "2", "--epochs", "1", "--grid", "GRID"],
+    ], ids=lambda argv: argv[0])
+    def test_digest_is_of_the_bytes_read_from_a_pipe(self, dataset, tmp_path, command):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2\nfilter-size=3\nhidden=3\n")
+        payloads = {"data": dataset.read_bytes()}
+        if command[0] == "forecast":
+            assert main(train_args(dataset, tmp_path / "t", epochs="1")) == 0
+            payloads["checkpoint"] = (tmp_path / "t" / "checkpoint.txt").read_bytes()
+        argv = [str(grid) if token == "GRID" else token for token in command]
+        stop, feeders = threading.Event(), []
+        for name, payload in payloads.items():
+            fifo = tmp_path / f"{name}.fifo"
+            os.mkfifo(fifo)
+            argv += [f"--{name}", str(fifo)]
+            feeders.append(threading.Thread(target=_feed, args=(fifo, payload, stop),
+                                            daemon=True))
+        for feeder in feeders:
+            feeder.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        finally:
+            stop.set()
+        manifest = _manifest(tmp_path / "out")
+        for name, payload in payloads.items():
+            assert manifest[f"run.digest.{name}"] == hashlib.sha256(payload).hexdigest()
 
 
 class TestEvaluate:

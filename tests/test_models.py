@@ -1,5 +1,7 @@
 import math
+import shutil
 import string
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +10,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
-from crnn_forecast.data import DataError
+from crnn_forecast.data import DataError, Normalizer
 from crnn_forecast.models import (AECRNN, CRNN, ConfigError, MODELS, LossBreakdown,
                                   ModelConfig, joint_loss, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor
 
 FIXTURES = Path(__file__).with_name("data")
+FORMAT2_TRAINED = FIXTURES / "checkpoint_format2_aecrnn_trained.txt"
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
              filters_per_layer=2, filter_size=3, rnn_hidden=3)
 
@@ -414,10 +417,15 @@ class TestCheckpoint:
         model = CRNN(cfg)
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, model)
-        header = path.read_text().splitlines()[0]
+        header, *lines = path.read_text().splitlines()
         assert "model=crnn" in header
         assert "conv_activation=tanh" in header
-        assert "format=2" in header
+        assert header.startswith("format=3 ")
+        assert [line.split(" ")[0] for line in lines] == list(model.params)
+        for line, arr in zip(lines, model.params.values()):
+            name, shape, payload = line.split(" ")
+            assert shape == "x".join(map(str, arr.shape)), name
+            assert payload == arr.astype("<f8").tobytes().hex(), name
 
     def test_missing_parameters_rejected(self, tmp_path):
         cfg = small_config(seed=17)
@@ -429,7 +437,7 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="missing parameters"):
             model_from_checkpoint(fields, tensors)
 
-    @pytest.mark.parametrize("fmt", ["0", "3", ""])
+    @pytest.mark.parametrize("fmt", ["0", "4", ""])
     def test_unknown_format_rejected_by_name(self, tmp_path, fmt):
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, CRNN(small_config()))
@@ -437,7 +445,7 @@ class TestCheckpoint:
         fields["format"] = fmt
         with pytest.raises(ConfigError, match=f"format '{fmt}'"):
             model_from_checkpoint(fields, tensors)
-        text = path.read_text().replace("format=2", f"format={fmt}", 1)
+        text = path.read_text().replace("format=3", f"format={fmt}", 1)
         path.write_text(text)
         with pytest.raises(ConfigError, match=f"format '{fmt}'"):
             load_checkpoint(path)
@@ -476,6 +484,58 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="rnn.b"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda h: h[:-1], id="odd length"),
+        pytest.param(lambda h: h[:5] + "g" + h[6:], id="non-hex digit"),
+        pytest.param(lambda h: h[:16] + "  " + h[18:], id="embedded space"),
+        pytest.param(lambda h: h[:16] + " " + h[17:], id="space for a digit"),
+        pytest.param(lambda h: h[:16] + " " + h[16:], id="inserted space"),
+        pytest.param(lambda h: h + "0" * 16, id="wrong byte count"),
+        pytest.param(lambda h: h + " " + h[:16], id="extra token"),
+    ])
+    def test_malformed_hex_payload_names_the_tensor(self, tmp_path, mutate):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("rnn.b "))
+        name, shape, payload = lines[i].split(" ")
+        assert len(payload) == 16 * 3
+        lines[i] = f"{name} {shape} {mutate(payload)}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="tensor 'rnn.b'"):
+            load_checkpoint(path)
+
+    def test_shape_that_disagrees_with_the_payload_names_the_tensor(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()))
+        text = path.read_text()
+        assert "\nrnn.b 3 " in text
+        path.write_text(text.replace("\nrnn.b 3 ", "\nrnn.b 4 "))
+        with pytest.raises(DataError, match="tensor 'rnn.b' has 3 values, its shape 4 needs 4"):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_are_writable_native_float64(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, AECRNN(small_config()), extra_tensors={"norm.min": [1.0, 2.0]})
+        _, tensors = load_checkpoint(path)
+        for name, arr in tensors.items():
+            assert arr.dtype == np.float64 and arr.dtype.isnative, name
+            assert arr.flags.writeable and arr.flags.c_contiguous, name
+
+    def test_given_bytes_are_parsed_without_reading_the_path(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config(seed=3)))
+        raw = path.read_bytes()
+        fields, tensors = load_checkpoint(tmp_path / "absent.txt", raw)
+        expected_fields, expected = load_checkpoint(path)
+        assert fields == expected_fields
+        assert {k: v.tobytes() for k, v in tensors.items()} == {
+            k: v.tobytes() for k, v in expected.items()}
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_checkpoint(tmp_path / "absent.txt")
+
     def test_non_ascii_file_is_data_error(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, CRNN(small_config()))
@@ -485,7 +545,8 @@ class TestCheckpoint:
 
 
 def _reference_load(path):
-    """load_checkpoint as a per-value float() loop: the parse it must match."""
+    """load_checkpoint of a decimal (format 1 or 2) file as a per-value
+    float() loop: the parse it must match."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     tensors = {}
@@ -506,11 +567,44 @@ def _reference_load(path):
     return tensors
 
 
+def _reference_hex_load(path):
+    """load_checkpoint of a format-3 file, decoded tensor by tensor and value
+    by value through int(..., 16) and struct. Returns (tensors, None), or
+    (None, name) for the first tensor that load_checkpoint must refuse."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    tensors = {}
+    for line in lines[1:]:
+        name, _, rest = line.partition(" ")
+        if name in tensors:
+            return None, name
+        shape_txt, _, payload = rest.partition(" ")
+        try:
+            shape = tuple(int(d) for d in shape_txt.split("x"))
+        except ValueError:
+            return None, name
+        groups = [payload[i:i + 16] for i in range(0, len(payload), 16)]
+        if (min(shape) < 0 or len(groups) != math.prod(shape)
+                or any(len(g) != 16 or not set(g) <= set(string.hexdigits) for g in groups)):
+            return None, name
+        values = [struct.unpack("<d", bytes(int(g[k:k + 2], 16) for k in range(0, 16, 2)))[0]
+                  for g in groups]
+        tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
+    return tensors, None
+
+
 # ASCII without line breaks, which would split a line in two
 LINE_TEXT = st.text(alphabet=string.printable.replace("\n", "").replace("\r", ""),
                     max_size=8)
+# one character of a mutated format-3 line: hex digits, whitespace, near misses
+HEX_LINE_CHAR = st.sampled_from(string.hexdigits + " \t\x0b\x0cgGxX+-_.,")
 _TMP_PATH_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
                         deadline=None)
+
+
+# -0.0, the smallest and largest subnormals, the smallest normal, +-max, +-inf
+AWKWARD_FLOATS = (-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf)
 
 
 class TestCheckpointProperties:
@@ -518,7 +612,7 @@ class TestCheckpointProperties:
     @given(kind=st.sampled_from(tuple(MODELS)), data=st.data())
     def test_save_load_rebuild_is_bit_exact_for_every_kind(self, tmp_path, kind, data):
         model = MODELS[kind](dict(SMALL))
-        values = st.floats(allow_nan=False)
+        values = st.floats(allow_nan=False) | st.sampled_from(AWKWARD_FLOATS)
         for arr in model.params.values():
             arr[...] = data.draw(arrays(np.float64, arr.shape, elements=values))
         extra = {"norm.min": data.draw(arrays(np.float64, 2, elements=values)),
@@ -534,11 +628,25 @@ class TestCheckpointProperties:
         assert {k: v.tobytes() for k, v in extras.items()} == {
             k: v.tobytes() for k, v in extra.items()}
 
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_awkward_floats_round_trip_bit_exact_for_every_kind(self, tmp_path, kind):
+        model = MODELS[kind](dict(SMALL))
+        for k, arr in enumerate(model.params.values()):
+            arr[...] = np.resize(np.roll(AWKWARD_FLOATS, k), arr.shape)
+        extra = {"norm.min": np.array(AWKWARD_FLOATS)}
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, model, extra_tensors=extra)
+        rebuilt, extras = model_from_checkpoint(*load_checkpoint(path))
+        for name, arr in model.params.items():
+            assert rebuilt.params[name].tobytes() == arr.tobytes(), name
+        assert extras["norm.min"].tobytes() == extra["norm.min"].tobytes()
+
     @_TMP_PATH_OK
     @given(data=st.data())
     def test_malformed_lines_raise_todays_data_errors(self, tmp_path, data):
+        """Decimal lines, those of formats 1 and 2, keep today's parse."""
         path = tmp_path / "ckpt.txt"
-        save_checkpoint(path, CRNN(small_config()))
+        shutil.copyfile(FORMAT2_TRAINED, path)
         lines = path.read_text().splitlines()
         i = data.draw(st.integers(1, len(lines) - 1))
         tokens = lines[i].split(" ")
@@ -568,6 +676,89 @@ class TestCheckpointProperties:
                 k: v.tobytes() for k, v in expected.items()}
             assert {k: v.shape for k, v in tensors.items()} == {
                 k: v.shape for k, v in expected.items()}
+
+    def test_per_tensor_reader_accepts_an_intact_file(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, AECRNN(small_config()), extra_tensors={"norm.min": [0.5, -2.0]})
+        expected, bad = _reference_hex_load(path)
+        assert bad is None
+        _, tensors = load_checkpoint(path)
+        assert {k: v.tobytes() for k, v in tensors.items()} == {
+            k: v.tobytes() for k, v in expected.items()}
+
+    @_TMP_PATH_OK
+    @given(data=st.data())
+    def test_malformed_hex_lines_match_a_per_tensor_reader(self, tmp_path, data):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, CRNN(small_config()), extra_tensors={"norm.min": [0.5, -2.0]})
+        lines = path.read_text().splitlines()
+        i = data.draw(st.integers(1, len(lines) - 1))
+        line = lines[i]
+        mutation = data.draw(st.sampled_from(
+            ["replace", "drop", "repeat", "cut", "char", "insert", "delete"]))
+        if mutation in ("replace", "drop", "repeat", "cut"):
+            tokens = line.split(" ")
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            if mutation == "replace":
+                tokens[j] = data.draw(LINE_TEXT)
+            elif mutation == "drop":
+                del tokens[j]
+            elif mutation == "repeat":
+                tokens.insert(j, tokens[j])
+            else:
+                del tokens[j + 1:]
+            line = " ".join(tokens)
+        else:
+            k = data.draw(st.integers(0, len(line) - 1))
+            if mutation == "delete":
+                line = line[:k] + line[k + 1:]
+            else:
+                char = data.draw(HEX_LINE_CHAR)
+                line = line[:k] + char + line[k + (mutation == "char"):]
+        lines[i] = line
+        if data.draw(st.booleans()):
+            lines.insert(data.draw(st.integers(1, len(lines))), lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        expected, bad = _reference_hex_load(path)
+        if bad is not None:
+            with pytest.raises(DataError) as info:
+                load_checkpoint(path)
+            assert f"tensor {bad!r}" in str(info.value)
+        else:
+            _, tensors = load_checkpoint(path)
+            assert {k: v.tobytes() for k, v in tensors.items()} == {
+                k: v.tobytes() for k, v in expected.items()}
+            assert {k: v.shape for k, v in tensors.items()} == {
+                k: v.shape for k, v in expected.items()}
+
+
+class TestFormat2Checkpoints:
+    """A trained aecrnn (lstm cell, tanh) with norm.* and check.* extras,
+    written by save_checkpoint at checkpoint format 2, which stored grouped
+    parameters as %.17g decimal tokens."""
+
+    def test_trained_model_reproduces_its_recorded_forecast(self):
+        fields, tensors = load_checkpoint(FORMAT2_TRAINED)
+        assert fields["format"] == "2"
+        model, extras = model_from_checkpoint(fields, tensors)
+        assert sorted(extras) == ["check.forecast", "check.reconstruction", "check.window",
+                                  "norm.max", "norm.min"]
+        assert Normalizer.from_tensors(extras).mins.shape == (model.num_series,)
+        forecast, recon = model.forward(extras["check.window"])
+        assert rel_error(forecast.values, extras["check.forecast"]) < 1e-12
+        assert rel_error(recon.values, extras["check.reconstruction"]) < 1e-12
+
+    def test_resaved_as_format_3_is_bit_identical(self, tmp_path):
+        fields, tensors = load_checkpoint(FORMAT2_TRAINED)
+        model, extras = model_from_checkpoint(fields, tensors)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, model, extra_tensors=extras)
+        new_fields, new_tensors = load_checkpoint(path)
+        assert new_fields == {**fields, "format": "3"}
+        assert list(new_tensors) == list(tensors)
+        for name, arr in tensors.items():
+            assert new_tensors[name].shape == arr.shape, name
+            assert new_tensors[name].tobytes() == arr.tobytes(), name
 
 
 class TestFormat1Checkpoints:
@@ -600,13 +791,13 @@ class TestFormat1Checkpoints:
                                   tensors[f"series{s}.deconv0.b"])
             assert model.params["merge.b"][s] == tensors[f"series{s}.merge.b"][0]
 
-    def test_resaved_as_format_2_round_trips(self, tmp_path):
+    def test_resaved_as_format_3_round_trips(self, tmp_path):
         model, _ = model_from_checkpoint(
             *load_checkpoint(FIXTURES / "checkpoint_format1_aecrnn_trained.txt"))
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, model)
         fields, tensors = load_checkpoint(path)
-        assert fields["format"] == "2"
+        assert fields["format"] == "3"
         assert not any(name.startswith("series") for name in tensors)
         rebuilt, _ = model_from_checkpoint(fields, tensors)
         for k, v in model.params.items():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from crnn_forecast.data import (CorrelatedSet, SyntheticConfig, TimeSeries,
-                                WindowSample, generate_synthetic, segment,
+from crnn_forecast.data import (SyntheticConfig, WindowSample, generate_synthetic, segment,
                                 train_val_split)
 from crnn_forecast.layers import Dense
 from crnn_forecast.models import (AECRNN, CRNN, ModelConfig, ParamModel, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import Tensor
-from crnn_forecast.training import (Adam, GradcheckReport, Sgd, TrainConfig,
-                                    gradcheck, mean_j1, train)
+from crnn_forecast.training import Adam, Sgd, TrainConfig, gradcheck, mean_j1, train
 
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
              filters_per_layer=2, filter_size=3, rnn_hidden=4)
