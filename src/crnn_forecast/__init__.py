@@ -26,6 +26,7 @@ from .data import (  # noqa: F401
     SyntheticConfig,
     TimeSeries,
     WindowSample,
+    Windows,
     generate_synthetic,
     ingest_csv,
     make_uncorrelated,

@@ -4,6 +4,12 @@
 use: split the raw series set chronologically, fit min-max normalization on
 the training segment only, normalize both segments with those statistics,
 then cut sliding windows and carve the last of them off for validation.
+
+Windows are cut as :class:`Windows`: read-only array views of the normalized
+matrix, with inputs X of shape (N, num_series, input_length), targets Y of
+shape (N, horizon) and the offset of each window, in time order. No window is
+copied until ``stack_samples`` gathers a set into contiguous batches.
+Values are checked once, when a :class:`TimeSeries` is built.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ import csv
 import io
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor
 
@@ -28,6 +35,7 @@ __all__ = [
     "SyntheticConfig",
     "TimeSeries",
     "WindowSample",
+    "Windows",
     "generate_synthetic",
     "ingest_csv",
     "make_uncorrelated",
@@ -50,7 +58,9 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A uniformly sampled measurement sequence."""
+    """A uniformly sampled measurement sequence. It keeps a private read-only
+    copy of the values it is given, so the caller's array stays writable and
+    no later write to it reaches the series."""
 
     id: str
     values: np.ndarray
@@ -58,7 +68,7 @@ class TimeSeries:
     interval: float = 1.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise DataError(f"series {self.id!r} must be a non-empty vector")
         if not np.isfinite(v).all():
@@ -144,6 +154,29 @@ class WindowSample:
         object.__setattr__(self, "target", t)
 
 
+@dataclass(frozen=True, eq=False)
+class Windows(Sequence):
+    """Supervised windows of one series set, in time order, as arrays.
+
+    ``x`` (N, num_series, input_length) and ``y`` (N, horizon) are read-only
+    views; ``offsets`` (N,) holds the start index of each window. Item ``i``
+    is built on demand as a :class:`WindowSample`, and a slice is again a
+    ``Windows``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Windows(self.x[i], self.y[i], self.offsets[i])
+        return WindowSample(int(self.offsets[i]), Tensor(self.x[i]), self.y[i])
+
+
 class Normalizer:
     """Per-series min-max scaling fitted on the training segment only.
 
@@ -194,10 +227,13 @@ def split(cset: CorrelatedSet, train_frac: float = 0.84) -> tuple[CorrelatedSet,
 
 
 def segment(cset: CorrelatedSet, input_length: int, horizon: int,
-            stride: int = 1) -> list[WindowSample]:
+            stride: int = 1) -> Windows:
     """Cut sliding supervised windows: inputs of l values, targets of the next p.
 
-    Returns an empty list (with a warning) when the segment is shorter than
+    Window ``i`` starts at ``offsets[i] = i * stride``; its input is
+    ``m[:, o:o+l]`` and its target ``m[0, o+l:o+l+p]`` of the values matrix
+    ``m``. Both are read-only views of one copy of ``m``, cut without a loop.
+    Returns no windows (with a warning) when the segment is shorter than
     input_length + horizon.
     """
     if input_length < 1 or horizon < 1 or stride < 1:
@@ -206,32 +242,43 @@ def segment(cset: CorrelatedSet, input_length: int, horizon: int,
     if cset.length < total:
         log.warning("segment of length %d is shorter than l + p = %d; no windows",
                     cset.length, total)
-        return []
+        x = np.empty((0, cset.num_series, input_length))
+        y = np.empty((0, horizon))
+        x.setflags(write=False)
+        y.setflags(write=False)
+        return Windows(x, y, np.arange(0))
     matrix = cset.values_matrix()
-    samples = []
-    for a in range(0, cset.length - total + 1, stride):
-        block = matrix[:, a:a + input_length]
-        target = matrix[0, a + input_length:a + total]
-        samples.append(WindowSample(a, Tensor(block), target))
-    return samples
+    count = cset.length - total + 1  # windows at stride 1
+    x = sliding_window_view(matrix, input_length, axis=1)[:, :count:stride]
+    y = sliding_window_view(matrix[0], horizon)[input_length:input_length + count:stride]
+    return Windows(x.transpose(1, 0, 2), y, np.arange(0, count, stride))
 
 
 def train_val_split(samples: Sequence[WindowSample],
-                    val_fraction: float = 0.15) -> tuple[list[WindowSample], list[WindowSample]]:
-    """Chronological carve-out: the last fraction of windows becomes validation."""
+                    val_fraction: float = 0.15) -> tuple[Sequence[WindowSample],
+                                                         Sequence[WindowSample]]:
+    """Chronological carve-out: the last fraction of windows becomes validation.
+
+    ``samples`` must be in time order, as ``segment`` returns them; the split
+    is two slices of it, so ``Windows`` split into ``Windows``.
+    """
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
-    ordered = sorted(samples, key=lambda s: s.offset)
-    n_val = int(len(ordered) * val_fraction)
-    if n_val == 0:
-        return list(ordered), []
-    return ordered[:-n_val], ordered[-n_val:]
+    cut = len(samples) - int(len(samples) * val_fraction)
+    return samples[:cut], samples[cut:]
 
 
 def stack_samples(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into dense batches (X: (N, n, l), Y: (N, p))."""
+    """Stack windows into dense batches (X: (N, n, l), Y: (N, p)).
+
+    ``Windows`` are gathered in one copy each of X and Y, C-contiguous and
+    writable; batches cut from strided views would be slower to compute on.
+    A list of ``WindowSample`` is stacked sample by sample.
+    """
     if not samples:
         raise ValueError("cannot stack an empty sample list")
+    if isinstance(samples, Windows):
+        return np.array(samples.x, order="C"), np.array(samples.y, order="C")
     x = np.stack([s.input.array for s in samples])
     y = np.stack([s.target for s in samples])
     return x, y
@@ -242,9 +289,9 @@ class Prepared:
     """Windows of one series set, normalized with its training statistics."""
 
     norm: Normalizer
-    train: list[WindowSample]
-    val: list[WindowSample]
-    test: list[WindowSample]
+    train: Windows
+    val: Windows
+    test: Windows
 
 
 def prepare(cset: CorrelatedSet, input_length: int, horizon: int, *,
@@ -265,7 +312,7 @@ def prepare(cset: CorrelatedSet, input_length: int, horizon: int, *,
             f"training segment of length {train_set.length} is too short for "
             f"l+p = {input_length + horizon}")
     tr, val = train_val_split(windows, val_fraction)
-    test = []
+    test = windows[:0]
     if test_stride is not None:
         test = segment(norm.transform(test_set), input_length, horizon, stride=test_stride)
         if not test:

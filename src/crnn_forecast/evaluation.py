@@ -237,9 +237,9 @@ def _evaluate_on_set(cset: CorrelatedSet, spec: ExperimentSpec,
     preds = prepared.norm.inverse_target(forecaster(x_test))
     truths = prepared.norm.inverse_target(y_test)
     results = []
-    for i, w in enumerate(prepared.test):
+    for i, offset in enumerate(prepared.test.offsets.tolist()):
         m_value, m_skipped = mape_detailed(preds[i], truths[i])
-        results.append(WindowResult(seed=seed, offset=w.offset,
+        results.append(WindowResult(seed=seed, offset=offset,
                                     rmse=rmse(preds[i], truths[i]),
                                     mape=m_value, mape_skipped=m_skipped,
                                     predicted=preds[i], truth=truths[i]))

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crnn_forecast.data import (CorrelatedSet, CsvLayout, DataError, Normalizer,
-                                SyntheticConfig, TimeSeries, generate_synthetic,
+                                SyntheticConfig, TimeSeries, Windows, generate_synthetic,
                                 ingest_csv, make_uncorrelated, pearson, segment,
                                 split, stack_samples, train_val_split, write_csv)
 
@@ -31,6 +31,14 @@ class TestTimeSeries:
     def test_rejects_bad_interval(self):
         with pytest.raises(DataError):
             TimeSeries("x", [1.0], interval=0.0)
+
+    def test_keeps_a_private_copy_of_the_callers_array(self):
+        a = np.arange(5.0)
+        series = TimeSeries("a", a)
+        assert a.flags.writeable
+        a[2] = 99.0
+        assert series.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert not series.values.flags.writeable
 
 
 class TestCorrelatedSet:
@@ -97,7 +105,7 @@ class TestSegment:
         cset = make_set(length=4)
         with caplog.at_level(logging.WARNING):
             samples = segment(cset, input_length=3, horizon=2)
-        assert samples == []
+        assert len(samples) == 0
         assert any("shorter" in r.message for r in caplog.records)
 
     def test_inputs_pair_with_following_targets(self):
@@ -130,6 +138,47 @@ class TestSegment:
         assert len(samples) == expected
 
 
+def sorted_split(samples, val_fraction):
+    """train_val_split as it was before windows came in time order: sort by
+    offset, then carve off the last fraction."""
+    ordered = sorted(samples, key=lambda s: s.offset)
+    n_val = int(len(ordered) * val_fraction)
+    if n_val == 0:
+        return list(ordered), []
+    return ordered[:-n_val], ordered[-n_val:]
+
+
+class TestSegmentProperties:
+    @given(st.integers(1, 4), st.integers(1, 60), st.integers(1, 8), st.integers(1, 5),
+           st.integers(1, 7), st.floats(0.0, 0.95))
+    @settings(max_examples=80, deadline=None)
+    def test_windows_are_read_only_views_of_the_matrix(self, n, length, l, p, stride,
+                                                       val_fraction):
+        cset = make_set(n, length, seed=length)
+        m = cset.values_matrix()
+        windows = segment(cset, l, p, stride)
+        assert windows.offsets.tolist() == list(range(0, length - l - p + 1, stride))
+        assert windows.x.shape == (len(windows), n, l)
+        assert windows.y.shape == (len(windows), p)
+        assert not windows.x.flags.writeable and not windows.y.flags.writeable
+        for i, o in enumerate(windows.offsets.tolist()):
+            assert np.array_equal(windows.x[i], m[:, o:o + l])
+            assert np.array_equal(windows.y[i], m[0, o + l:o + l + p])
+            sample = windows[i]
+            assert sample.offset == o
+            assert np.array_equal(sample.input.array, windows.x[i])
+            assert np.array_equal(sample.target, windows.y[i])
+
+        tr, val = train_val_split(windows, val_fraction)
+        assert isinstance(tr, Windows) and isinstance(val, Windows)
+        ref_tr, ref_val = sorted_split(list(windows)[::-1], val_fraction)
+        for got, ref in ((tr, ref_tr), (val, ref_val)):
+            assert got.offsets.tolist() == [s.offset for s in ref]
+            for g, r in zip(got, ref):
+                assert np.array_equal(g.input.array, r.input.array)
+                assert np.array_equal(g.target, r.target)
+
+
 class TestTrainValSplit:
     def test_chronological_carveout(self):
         cset = make_set(length=30)
@@ -142,7 +191,7 @@ class TestTrainValSplit:
         cset = make_set(length=6)
         samples = segment(cset, 4, 2)
         tr, val = train_val_split(samples, 0.15)
-        assert len(tr) == 1 and val == []
+        assert len(tr) == 1 and len(val) == 0
 
 
 class TestNormalizer:
@@ -490,3 +539,17 @@ class TestStack:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stack_samples([])
+        with pytest.raises(ValueError):
+            stack_samples(segment(make_set(length=4), 4, 2))
+
+    @pytest.mark.parametrize("n, length, l, p, stride", [
+        (2, 20, 4, 2, 1), (3, 41, 5, 3, 4), (1, 7, 5, 2, 1), (2, 6, 4, 2, 1)])
+    def test_windows_stack_into_contiguous_copies(self, n, length, l, p, stride):
+        windows = segment(make_set(n, length), l, p, stride)
+        x, y = stack_samples(windows)
+        listed_x, listed_y = stack_samples(list(windows))
+        for got, listed, view in ((x, listed_x, windows.x), (y, listed_y, windows.y)):
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert not np.shares_memory(got, view)
+            assert got.dtype == np.float64
+            assert got.tobytes() == listed.tobytes()

@@ -130,6 +130,20 @@ class TestTrain:
         y = np.stack([s.target for s in val])
         assert np.isfinite(model.batch_loss(x, y).j)
 
+    def test_windows_and_sample_lists_train_alike(self):
+        tr, val = train_val_split(toy_samples(seed=9))
+        runs = []
+        for train_set, val_set in ((tr, val), (list(tr), list(val))):
+            model = AECRNN(ModelConfig(**SMALL, seed=9))
+            params, report = train(model, train_set, TrainConfig(max_epochs=3, seed=9),
+                                   val_samples=val_set)
+            runs.append((params, report.to_table()))
+        (params, table), (listed_params, listed_table) = runs
+        assert table == listed_table
+        assert params.keys() == listed_params.keys()
+        for k in params:
+            assert params[k].tobytes() == listed_params[k].tobytes()
+
     def test_empty_samples_rejected(self):
         model = CRNN(ModelConfig(**SMALL))
         with pytest.raises(ValueError):
