@@ -34,12 +34,10 @@ from .data import (  # noqa: F401
     segment,
     split,
 )
-from .baselines import ewma_forecast, yesterday_forecast  # noqa: F401
 from .training import TrainConfig, TrainReport, gradcheck, train  # noqa: F401
 from .evaluation import (  # noqa: F401
     ExperimentSpec,
     MetricReport,
-    mape,
     rmse,
     robustness_experiment,
     run_experiment,

@@ -1,22 +1,18 @@
 """Naive reference forecasters: last-value propagation and exponential
 smoothing of the target row.
 
-The batched forms map windows (batch, num_series, input_length) to forecasts
-(batch, horizon) and are what the evaluation harness runs; the per-window
-forms wrap them. The recurrent baselines are ``models.RecurrentBaseline``.
+Both map a window batch (batch, num_series, input_length) to forecasts
+(batch, horizon); the evaluation harness runs them as the ``yesterday`` and
+``ewma`` methods. The recurrent baselines are ``models.RecurrentBaseline``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models import Forecast, _as_window_array
-
 __all__ = [
     "ewma_batch",
-    "ewma_forecast",
     "yesterday_batch",
-    "yesterday_forecast",
 ]
 
 
@@ -44,13 +40,3 @@ def ewma_batch(x: np.ndarray, smoothing: float, horizon: int) -> np.ndarray:
     for t in range(1, x.shape[2]):
         level = smoothing * x[:, 0, t] + (1.0 - smoothing) * level
     return np.repeat(level[:, None], horizon, axis=1)
-
-
-def yesterday_forecast(window, horizon: int) -> Forecast:
-    """``yesterday_batch`` for a single (num_series, input_length) window."""
-    return Forecast(yesterday_batch(_as_window_array(window)[None], horizon)[0])
-
-
-def ewma_forecast(window, smoothing: float, horizon: int) -> Forecast:
-    """``ewma_batch`` for a single (num_series, input_length) window."""
-    return Forecast(ewma_batch(_as_window_array(window)[None], smoothing, horizon)[0])

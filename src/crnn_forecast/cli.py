@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticConfig,
-                   WindowSample, generate_synthetic, ingest_csv, prepare, read_input,
-                   write_csv)
+                   generate_synthetic, ingest_csv, prepare, read_input, write_csv)
 from .evaluation import (METHODS, ExperimentSpec, MetricReport, robustness_experiment,
                          run_experiment)
 from .models import (GRID_FILTER_SIZES, GRID_FILTERS, GRID_HIDDEN, GRID_STAGES, MODELS,
@@ -359,6 +358,9 @@ def _parse_grid_file(path: str) -> dict[str, tuple[int, ...]]:
     unknown = set(values) - {"stages", "filters", "filter-size", "hidden"}
     if unknown:
         raise UsageError(f"grid file sets unknown axes: {sorted(unknown)}")
+    empty = sorted(key for key, axis in values.items() if not axis)
+    if empty:
+        raise UsageError(f"grid file gives no value for axes: {empty}")
     return values
 
 
@@ -396,10 +398,12 @@ def _grid_cell_worker(payload):
 
 
 def cmd_gridsearch(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    cells = _grid_cells(args)
     out = _out_dir(args, "gridsearch")
     inputs: dict[str, bytes] = {}
     cset = _load_dataset(args, inputs)
-    cells = _grid_cells(args)
     payloads = [(cell, args, cset) for cell in cells]
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
@@ -435,15 +439,26 @@ def cmd_gridsearch(args) -> int:
     return EXIT_OK
 
 
+# The geometry of gradcheck --small. Unset, these flags read None, so that
+# one given beside --small is refused; without --small they default to these
+# values, but hidden to 4 as in every command.
+_SMALL_GRADCHECK = dict(x=2, l=8, p=2, stages=1, filters=2, filter_size=3, hidden=3)
+
+
 def cmd_gradcheck(args) -> int:
-    if args.small:
-        args.x, args.l, args.p = 2, 8, 2
-        args.stages, args.filters, args.filter_size, args.hidden = 1, 2, 3, 3
+    given = [key for key in _SMALL_GRADCHECK if getattr(args, key) is not None]
+    if args.small and given:
+        raise UsageError(f"--{given[0].replace('_', '-')} cannot be given with --small, "
+                         f"which sets it")
+    defaults = _SMALL_GRADCHECK if args.small else {**_SMALL_GRADCHECK, "hidden": 4}
+    for key, value in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
     model = MODELS[args.model](_model_fields(args, args.x))
     rng = np.random.default_rng(args.seed)
-    sample = WindowSample(0, Tensor(rng.uniform(0.0, 1.0, (args.x, args.l))),
-                          rng.uniform(0.0, 1.0, args.p))
-    report = gradcheck(model, sample, tolerance=args.tolerance)
+    x = rng.uniform(0.0, 1.0, (1, args.x, args.l))
+    y = rng.uniform(0.0, 1.0, (1, args.p))
+    report = gradcheck(model, x, y, tolerance=args.tolerance)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
@@ -527,12 +542,13 @@ def _gridsearch_flags(p: argparse.ArgumentParser) -> None:
 def _gradcheck_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=tuple(MODELS), default="crnn")
     p.add_argument("--small", action="store_true",
-                   help="use the small reference configuration")
-    p.add_argument("--x", type=int, default=2)
-    p.add_argument("--l", type=int, default=8)
-    p.add_argument("--p", type=int, default=2)
+                   help="check the small reference model; refuses the flags it sets")
+    p.add_argument("--x", type=int)
+    p.add_argument("--l", type=int)
+    p.add_argument("--p", type=int)
     p.add_argument("--tolerance", type=float, default=1e-5)
     _add_model_flags(p)
+    p.set_defaults(**dict.fromkeys(_SMALL_GRADCHECK))
 
 
 # Command name -> (help, adder of the flags beyond the common ones, handler),

@@ -254,34 +254,26 @@ def segment(cset: CorrelatedSet, input_length: int, horizon: int,
     return Windows(x.transpose(1, 0, 2), y, np.arange(0, count, stride))
 
 
-def train_val_split(samples: Sequence[WindowSample],
-                    val_fraction: float = 0.15) -> tuple[Sequence[WindowSample],
-                                                         Sequence[WindowSample]]:
+def train_val_split(windows: Windows,
+                    val_fraction: float = 0.15) -> tuple[Windows, Windows]:
     """Chronological carve-out: the last fraction of windows becomes validation.
 
-    ``samples`` must be in time order, as ``segment`` returns them; the split
-    is two slices of it, so ``Windows`` split into ``Windows``.
+    ``windows`` are in time order, as ``segment`` cuts them; the split is two
+    slices of them.
     """
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
-    cut = len(samples) - int(len(samples) * val_fraction)
-    return samples[:cut], samples[cut:]
+    cut = len(windows) - int(len(windows) * val_fraction)
+    return windows[:cut], windows[cut:]
 
 
-def stack_samples(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into dense batches (X: (N, n, l), Y: (N, p)).
-
-    ``Windows`` are gathered in one copy each of X and Y, C-contiguous and
-    writable; batches cut from strided views would be slower to compute on.
-    A list of ``WindowSample`` is stacked sample by sample.
-    """
-    if not samples:
-        raise ValueError("cannot stack an empty sample list")
-    if isinstance(samples, Windows):
-        return np.array(samples.x, order="C"), np.array(samples.y, order="C")
-    x = np.stack([s.input.array for s in samples])
-    y = np.stack([s.target for s in samples])
-    return x, y
+def stack_samples(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+    """Gather windows into dense batches X (N, n, l) and Y (N, p): one copy
+    each, C-contiguous and writable; batches cut from strided views would be
+    slower to compute on."""
+    if not windows:
+        raise ValueError("cannot stack an empty window set")
+    return np.array(windows.x, order="C"), np.array(windows.y, order="C")
 
 
 @dataclass(frozen=True)
@@ -329,7 +321,6 @@ class CsvLayout:
 
     columns: Sequence[str | int] = field(default_factory=list)
     timestamp: str | int | None = None
-    delimiter: str = ","
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -405,7 +396,7 @@ def read_input(path) -> bytes:
 
 def ingest_csv(path, layout: CsvLayout | None = None,
                raw: bytes | None = None) -> CorrelatedSet:
-    """Read an aligned series set from a delimited UTF-8 text file, or from
+    """Read an aligned series set from a comma-separated UTF-8 file, or from
     ``raw``, its bytes already read from ``path``.
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
@@ -417,7 +408,7 @@ def ingest_csv(path, layout: CsvLayout | None = None,
     try:
         # decoded in chunks, with line breaks left to csv.reader, as open() does
         text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-        records = list(csv.reader(text, delimiter=layout.delimiter))
+        records = list(csv.reader(text))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in records if "".join(r).strip()]  # drop rows of blank cells

@@ -32,7 +32,6 @@ __all__ = [
     "MetricReport",
     "RobustnessReport",
     "WindowResult",
-    "mape",
     "mape_detailed",
     "rmse",
     "robustness_experiment",
@@ -68,11 +67,6 @@ def mape_detailed(pred, truth, epsilon: float = MAPE_EPSILON) -> tuple[float, in
         raise ValueError("mape: every true value is below the epsilon guard")
     value = float(100.0 * np.mean(np.abs(p[keep] - t[keep]) / np.abs(t[keep])))
     return value, skipped
-
-
-def mape(pred, truth, epsilon: float = MAPE_EPSILON) -> float:
-    """Mean absolute percentage error as a percentage."""
-    return mape_detailed(pred, truth, epsilon)[0]
 
 
 @dataclass(frozen=True)
@@ -118,19 +112,14 @@ class ExperimentSpec:
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
-
-    @property
-    def repetitions(self) -> int:
-        return len(self.seeds)
+        if self.eval_stride is not None and self.eval_stride < 1:
+            raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
 
 
 @dataclass
 class MetricReport:
-    """Aggregated metrics for an experiment cell.
-
-    The pooled mean/std run over every (seed, window) pair; the *_seed_std
-    values measure spread across per-seed means instead.
-    """
+    """Aggregated metrics for an experiment cell: mean and std over every
+    (seed, window) pair."""
 
     method: str
     num_series: int
@@ -142,11 +131,6 @@ class MetricReport:
     rmse_std: float
     mape_mean: float
     mape_std: float
-    seed_rmse: dict[int, float]
-    seed_mape: dict[int, float]
-    rmse_seed_std: float
-    mape_seed_std: float
-    degenerate_std: bool
     notes: str
 
     TABLE_HEADER = ("method\tnum_series\tl\tp\trmse_mean\trmse_std\t"
@@ -158,16 +142,9 @@ class MetricReport:
             raise DataError("experiment produced no evaluation windows")
         rmses = np.array([w.rmse for w in windows])
         mapes = np.array([w.mape for w in windows])
-        seed_rmse = {}
-        seed_mape = {}
-        for s in spec.seeds:
-            rows = [w for w in windows if w.seed == s]
-            seed_rmse[s] = float(np.mean([w.rmse for w in rows]))
-            seed_mape[s] = float(np.mean([w.mape for w in rows]))
-        degenerate = len(windows) == 1
         skips = sum(w.mape_skipped for w in windows)
         notes = []
-        if degenerate:
+        if len(windows) == 1:
             notes.append("single-window:std=0")
         if skips:
             notes.append(f"mape_skipped={skips}")
@@ -182,11 +159,6 @@ class MetricReport:
             rmse_std=float(rmses.std()),
             mape_mean=float(mapes.mean()),
             mape_std=float(mapes.std()),
-            seed_rmse=seed_rmse,
-            seed_mape=seed_mape,
-            rmse_seed_std=float(np.std(list(seed_rmse.values()))),
-            mape_seed_std=float(np.std(list(seed_mape.values()))),
-            degenerate_std=degenerate,
             notes=";".join(notes) or "-",
         )
 
@@ -229,9 +201,10 @@ def _fit_forecaster(spec: ExperimentSpec, prepared: Prepared,
 def _evaluate_on_set(cset: CorrelatedSet, spec: ExperimentSpec,
                      seed: int) -> list[WindowResult]:
     """Run the full protocol on one prepared series set for one seed."""
+    stride = spec.input_length + spec.horizon if spec.eval_stride is None else spec.eval_stride
     prepared = prepare(cset, spec.input_length, spec.horizon,
                        train_frac=spec.train_frac, val_fraction=spec.val_fraction,
-                       test_stride=spec.eval_stride or (spec.input_length + spec.horizon))
+                       test_stride=stride)
     forecaster = _fit_forecaster(spec, prepared, seed)
     x_test, y_test = stack_samples(prepared.test)
     preds = prepared.norm.inverse_target(forecaster(x_test))
@@ -287,17 +260,10 @@ ROBUSTNESS_MODELS = ("crnn", "aecrnn")
 
 @dataclass
 class RobustnessReport:
-    """MAPE of both models when the companion series is absent, informative,
-    or deliberately uncorrelated noise."""
+    """Seed-mean MAPE of both models, keyed by (row, model), when the companion
+    series is absent, informative, or deliberately uncorrelated noise."""
 
     mape: dict[tuple[str, str], float]
-    per_seed: dict[tuple[str, str], dict[int, float]]
-    seeds: tuple[int, ...]
-
-    def degradation(self, model: str, seed: int) -> float:
-        """MAPE increase caused by swapping in the uncorrelated series."""
-        return (self.per_seed[("uncorrelated", model)][seed]
-                - self.per_seed[("single", model)][seed])
 
     def table(self) -> str:
         lines = ["input\tcrnn_mape\taecrnn_mape"]
@@ -337,4 +303,4 @@ def robustness_experiment(target: TimeSeries, correlated: TimeSeries,
                     np.mean([w.mape for w in windows]))
     pooled = {key: float(np.mean(list(vals.values())))
               for key, vals in per_seed.items()}
-    return RobustnessReport(mape=pooled, per_seed=per_seed, seeds=template.seeds)
+    return RobustnessReport(mape=pooled)

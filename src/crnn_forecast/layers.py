@@ -263,8 +263,8 @@ class RNNCell:
     def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         return np.tanh(x @ self.w_xh.T + h @ self.w_hh.T + self.b)
 
-    def forward(self, xs: list[np.ndarray], h0: np.ndarray | None = None):
-        """Run the recurrence left to right; h0 defaults to zeros.
+    def forward(self, xs: list[np.ndarray]):
+        """Run the recurrence left to right from a zero state.
 
         Returns (all hidden states, final state, cache).
         """
@@ -274,35 +274,34 @@ class RNNCell:
             if x.shape[-1] != self.input_size:
                 raise ShapeError(
                     f"RNN step {t}: expected {self.input_size} features, got {x.shape}")
-        h = np.zeros(xs[0].shape[:-1] + (self.hidden_size,)) if h0 is None else h0
-        first = h
+        h = np.zeros(xs[0].shape[:-1] + (self.hidden_size,))
         hs = []
         for x in xs:
             h = self.step(x, h)
             hs.append(h)
-        return hs, h, (xs, hs, first)
+        return hs, h, (xs, hs)
 
     def backward(self, cache, grad_final: np.ndarray):
         """Backpropagation through time for a loss on the final hidden state.
 
-        Returns (per-step input gradients, grad wrt h0, parameter gradients).
+        Returns (per-step input gradients, parameter gradients).
         """
-        xs, hs, h0 = cache
+        xs, hs = cache
         gw_xh = np.zeros_like(self.w_xh)
         gw_hh = np.zeros_like(self.w_hh)
         gb = np.zeros_like(self.b)
         dh = grad_final
         gxs: list[np.ndarray] = [np.empty(0)] * len(xs)
         for t in reversed(range(len(xs))):
-            h_prev = hs[t - 1] if t > 0 else h0
             dz = dh * (1.0 - hs[t] * hs[t])
             dz2 = dz.reshape(-1, self.hidden_size)
             gw_xh += dz2.T @ xs[t].reshape(-1, self.input_size)
-            gw_hh += dz2.T @ h_prev.reshape(-1, self.hidden_size)
+            if t > 0:  # the zero start state adds nothing to gw_hh
+                gw_hh += dz2.T @ hs[t - 1].reshape(-1, self.hidden_size)
             gb += dz2.sum(axis=0)
             gxs[t] = dz @ self.w_xh
             dh = dz @ self.w_hh
-        return gxs, dh, {"w_xh": gw_xh, "w_hh": gw_hh, "b": gb}
+        return gxs, {"w_xh": gw_xh, "w_hh": gw_hh, "b": gb}
 
 
 class LSTMCell:
@@ -333,17 +332,15 @@ class LSTMCell:
         h_new = go * np.tanh(c_new)
         return h_new, c_new, (gi, gf, gc, go)
 
-    def forward(self, xs: list[np.ndarray], h0: np.ndarray | None = None,
-                c0: np.ndarray | None = None):
+    def forward(self, xs: list[np.ndarray]):
+        """Run the cell from zero states; returns (hidden states, final state, cache)."""
         if not xs:
             raise ShapeError("LSTM sequence must be non-empty")
         for t, x in enumerate(xs):
             if x.shape[-1] != self.input_size:
                 raise ShapeError(
                     f"LSTM step {t}: expected {self.input_size} features, got {x.shape}")
-        lead = xs[0].shape[:-1] + (self.hidden_size,)
-        h = np.zeros(lead) if h0 is None else h0
-        c = np.zeros(lead) if c0 is None else c0
+        h = c = np.zeros(xs[0].shape[:-1] + (self.hidden_size,))
         hs = []
         steps = []
         for x in xs:
@@ -354,6 +351,8 @@ class LSTMCell:
         return hs, h, steps
 
     def backward(self, cache, grad_final: np.ndarray):
+        """Backpropagation through time; returns (per-step input gradients,
+        parameter gradients)."""
         steps = cache
         gw_x = np.zeros_like(self.w_x)
         gw_h = np.zeros_like(self.w_h)
@@ -382,4 +381,4 @@ class LSTMCell:
             gb += dz2.sum(axis=0)
             gxs[t] = dz @ self.w_x
             dh = dz @ self.w_h
-        return gxs, dh, {"w_x": gw_x, "w_h": gw_h, "b": gb}
+        return gxs, {"w_x": gw_x, "w_h": gw_h, "b": gb}

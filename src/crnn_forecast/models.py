@@ -200,13 +200,6 @@ class Forecast:
         v.setflags(write=False)
         self.values = v
 
-    @property
-    def horizon(self) -> int:
-        return self.values.size
-
-    def __repr__(self) -> str:
-        return f"Forecast({self.values.tolist()})"
-
 
 class Reconstruction:
     """Per-series reconstructed input windows, one row per series."""
@@ -353,7 +346,7 @@ class ParamModel:
         cell_cache, readout_cache = cache
         dh, readout_grads = self._readout.backward(readout_cache, dz)
         _collect(grads, "readout", readout_grads)
-        gxs, _, cell_grads = self._cell.backward(cell_cache, dh)
+        gxs, cell_grads = self._cell.backward(cell_cache, dh)
         _collect(grads, "rnn", cell_grads)
         return self._steps_backward(gxs)
 

@@ -1,14 +1,12 @@
-"""Dense array substrate: immutable 64-bit tensors of rank 1-3, row-major.
+"""Shared numeric pieces: the error types, the stable logistic function, and
+an immutable per-window array.
 
-Everything the layer stack computes on is carried by :class:`Tensor` at
-module boundaries. Construction validates shape and finiteness, so a NaN or
-Inf produced anywhere surfaces as a :class:`NumericError` instead of
-propagating silently into metrics.
+The layer stack computes on raw float64 ndarrays (see ``layers``).
+:class:`Tensor` wraps one read-only window of rank 1-3, checked for
+finiteness when it is built; ``data.WindowSample`` carries one as its input.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -46,15 +44,8 @@ class Tensor:
 
     __slots__ = ("_a",)
 
-    def __init__(self, values, shape: Sequence[int] | None = None):
+    def __init__(self, values):
         a = np.array(values, dtype=np.float64)
-        if shape is not None:
-            try:
-                a = a.reshape(tuple(int(d) for d in shape))
-            except ValueError as exc:
-                raise ShapeError(
-                    f"cannot shape {a.size} values into {tuple(shape)}"
-                ) from exc
         if a.ndim < 1 or a.ndim > 3:
             raise ShapeError(f"tensor rank must be 1..3, got rank {a.ndim}")
         if a.size == 0:
@@ -65,13 +56,6 @@ class Tensor:
         self._a = a
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self._a.shape
-
-    @property
     def array(self) -> np.ndarray:
         """The underlying read-only ndarray."""
         return self._a
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, data={self._a!r})"

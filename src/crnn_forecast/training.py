@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .data import WindowSample, stack_samples
+from .data import Windows, stack_samples
 from .tensor import NumericError
 
 __all__ = [
@@ -32,14 +32,10 @@ class TrainConfig:
 
     optimizer: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 10
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
@@ -89,7 +85,7 @@ class Adam:
 def _make_optimizer(config: TrainConfig):
     if config.optimizer == "sgd":
         return Sgd(config.learning_rate)
-    return Adam(config.learning_rate, config.beta1, config.beta2, config.adam_epsilon)
+    return Adam(config.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -134,17 +130,16 @@ def mean_j1(model, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
     return total
 
 
-def train(model, samples: Sequence[WindowSample], config: TrainConfig,
-          val_samples: Sequence[WindowSample] | None = None):
+def train(model, samples: Windows, config: TrainConfig,
+          val_samples: Windows | None = None):
     """Fit a model by mini-batch gradient descent.
 
     Early stopping monitors validation forecast loss (j1). When no validation
     windows are supplied, the training j1 of each epoch is monitored instead
     (useful for deliberate overfitting). The model is left holding the
-    parameters of the best epoch; they are also returned.
+    parameters of the best epoch; they are also returned. ValueError when
+    there is no training window.
     """
-    if not samples:
-        raise ValueError("train() needs at least one training sample")
     x_train, y_train = stack_samples(samples)
     x_mon, y_mon = stack_samples(val_samples) if val_samples else (x_train, y_train)
 
@@ -156,7 +151,7 @@ def train(model, samples: Sequence[WindowSample], config: TrainConfig,
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         sum_j1 = 0.0
         sum_j2 = 0.0
         try:
@@ -215,16 +210,15 @@ class GradcheckReport:
         return line
 
 
-def gradcheck(model, sample: WindowSample, tolerance: float = 1e-5,
+def gradcheck(model, x: np.ndarray, y: np.ndarray, tolerance: float = 1e-5,
               step: float = 1e-6) -> GradcheckReport:
-    """Verify every parameter's analytic gradient with central differences.
+    """Verify every parameter's analytic gradient with central differences,
+    on the loss of windows x (batch, n, l) against targets y (batch, p).
 
     Relative error uses |a - n| / max(|a| + |n|, 1e-6); the floor keeps
     near-zero gradients from amplifying finite-difference noise. Intended for
     small models (a few thousand parameters at most).
     """
-    x = sample.input.array[None]
-    y = np.asarray(sample.target, dtype=np.float64)[None]
     _, analytic = model.batch_backward(x, y)
 
     def loss_value() -> float:

@@ -1,61 +1,60 @@
 import numpy as np
 import pytest
 
-from crnn_forecast.baselines import ewma_forecast, yesterday_forecast
+from crnn_forecast.baselines import ewma_batch, yesterday_batch
 from crnn_forecast.data import CorrelatedSet, TimeSeries, segment
 from crnn_forecast.models import (MODELS, RecurrentBaseline, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
-from crnn_forecast.tensor import Tensor
 from crnn_forecast.training import TrainConfig, train
 
 
 def window_of(target_row, extra_rows=0):
+    """A batch of one window whose first row is target_row."""
     rows = [target_row] + [[0.0] * len(target_row)] * extra_rows
-    return Tensor(np.array(rows, dtype=np.float64))
+    return np.array([rows], dtype=np.float64)
 
 
 class TestYesterday:
     def test_repeats_last_value(self):
-        f = yesterday_forecast(window_of([1.0, 2.0, 3.2]), 4)
-        assert f.values.tolist() == [3.2, 3.2, 3.2, 3.2]
+        f = yesterday_batch(window_of([1.0, 2.0, 3.2]), 4)
+        assert f.tolist() == [[3.2, 3.2, 3.2, 3.2]]
 
     def test_constant_series_zero_error(self):
-        f = yesterday_forecast(window_of([5.0] * 6), 3)
-        assert np.array_equal(f.values, np.full(3, 5.0))
+        f = yesterday_batch(window_of([5.0] * 6), 3)
+        assert np.array_equal(f, np.full((1, 3), 5.0))
 
     def test_single_step_horizon(self):
-        f = yesterday_forecast(window_of([1.0, 7.0]), 1)
-        assert f.values.tolist() == [7.0]
+        f = yesterday_batch(window_of([1.0, 7.0]), 1)
+        assert f.tolist() == [[7.0]]
 
     def test_ignores_other_series(self):
-        a = yesterday_forecast(window_of([1.0, 2.0]), 2)
-        b = yesterday_forecast(window_of([1.0, 2.0], extra_rows=2), 2)
-        assert np.array_equal(a.values, b.values)
+        a = yesterday_batch(window_of([1.0, 2.0]), 2)
+        b = yesterday_batch(window_of([1.0, 2.0], extra_rows=2), 2)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            yesterday_forecast(window_of([1.0]), 0)
+            yesterday_batch(window_of([1.0]), 0)
 
 
 class TestEwma:
     def test_full_smoothing_equals_yesterday(self):
         w = window_of([3.0, 1.0, 4.0, 1.5])
-        assert np.array_equal(ewma_forecast(w, 1.0, 5).values,
-                              yesterday_forecast(w, 5).values)
+        assert np.array_equal(ewma_batch(w, 1.0, 5), yesterday_batch(w, 5))
 
     def test_half_smoothing_worked_example(self):
-        f = ewma_forecast(window_of([0.0, 1.0]), 0.5, 3)
-        assert f.values.tolist() == [0.5, 0.5, 0.5]
+        f = ewma_batch(window_of([0.0, 1.0]), 0.5, 3)
+        assert f.tolist() == [[0.5, 0.5, 0.5]]
 
     def test_constant_series(self):
-        f = ewma_forecast(window_of([2.5] * 8), 0.3, 2)
-        assert np.allclose(f.values, 2.5)
+        f = ewma_batch(window_of([2.5] * 8), 0.3, 2)
+        assert f.shape == (1, 2) and np.allclose(f, 2.5)
 
     def test_invalid_smoothing_rejected(self):
         w = window_of([1.0, 2.0])
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                ewma_forecast(w, bad, 2)
+                ewma_batch(w, bad, 2)
 
     @pytest.mark.parametrize("case", range(20))
     def test_matches_hand_recurrence(self, case):
@@ -68,8 +67,8 @@ class TestEwma:
         level = float(values[0])
         for x in values[1:]:
             level = smoothing * float(x) + (1.0 - smoothing) * level
-        got = ewma_forecast(window_of(list(values)), smoothing, horizon)
-        assert got.values.tolist() == [level] * horizon
+        got = ewma_batch(window_of(list(values)), smoothing, horizon)
+        assert got.tolist() == [[level] * horizon]
 
 
 class TestRecurrentBaseline:
@@ -108,9 +107,9 @@ class TestRecurrentBaseline:
 
     def test_forecast_plug_compatibility(self):
         model = RecurrentBaseline("lstm", 2, 8, 3, hidden=4, seed=1)
-        window = Tensor(np.random.default_rng(0).uniform(0, 1, (2, 8)))
+        window = np.random.default_rng(0).uniform(0, 1, (2, 8))
         forecast, recon = model.forward(window)
-        assert forecast.horizon == 3 and recon is None
+        assert forecast.values.shape == (3,) and recon is None
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = RecurrentBaseline("lstm", 2, 8, 3, hidden=4, features="target",

@@ -370,6 +370,16 @@ class TestEvaluate:
         assert main(args) == 1
         assert main(args + ["--allow-off-grid"]) == 0
 
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_eval_stride_below_one_is_usage_error(self, dataset, tmp_path, capsys,
+                                                  stride):
+        out = tmp_path / "e"
+        code = main(["evaluate", "--method", "yesterday", "--data", str(dataset),
+                     "--l", "8", "--p", "2", "--eval-stride", stride, "--out", str(out)])
+        assert code == 1
+        assert "eval_stride" in capsys.readouterr().err
+        assert not (out / "report.tsv").exists()
+
 
 class TestGridsearch:
     def test_single_cell_grid_equals_plain_training(self, dataset, tmp_path):
@@ -449,6 +459,23 @@ class TestGridsearch:
         fields, _ = load_checkpoint(out / "best_checkpoint.txt")
         assert fields["num_series"] == "2"
 
+    def test_empty_grid_axis_is_usage_error(self, dataset, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=\nfilters=2\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", "--out", str(out)]) == 1
+        assert "stages" in capsys.readouterr().err
+        assert not (out / "grid_report.tsv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, dataset, tmp_path, capsys, jobs):
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--jobs", jobs, "--epochs", "1", "--out", str(out)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out / "grid_report.tsv").exists()
+
 
 class TestGradcheckCommand:
     @pytest.mark.parametrize("kind", MODELS)
@@ -457,6 +484,28 @@ class TestGradcheckCommand:
                      "--out", str(tmp_path / "gc")])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [("--x", "3"), ("--l", "16"), ("--p", "2"),
+                                      ("--stages", "2"), ("--filters", "3"),
+                                      ("--filter-size", "3"), ("--hidden", "5")],
+                             ids=lambda flag: flag[0])
+    def test_small_refuses_a_flag_it_sets(self, tmp_path, capsys, flag):
+        assert main(["gradcheck", "--small", *flag]) == 1
+        assert flag[0] in capsys.readouterr().err
+        config = tmp_path / "gc.cfg"
+        config.write_text(f"{flag[0][2:]}={flag[1]}\n")
+        assert main(["gradcheck", "--small", "--config", str(config)]) == 1
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, hidden", [([], 4), (["--small"], 3),
+                                              (["--hidden", "5"], 5)])
+    def test_checks_the_model_its_flags_describe(self, capsys, argv, hidden):
+        model = MODELS["crnn"](dict(num_series=2, input_length=8, horizon=2,
+                                    conv_pool_stages=1, filters_per_layer=2,
+                                    filter_size=3, rnn_hidden=hidden))
+        assert main(["gradcheck", *argv]) == 0
+        count = sum(p.size for p in model.params.values())
+        assert f"checked={count}" in capsys.readouterr().out
 
 
 class TestRobustnessCommand:

@@ -5,11 +5,15 @@ import pytest
 
 from crnn_forecast.data import SyntheticConfig, generate_synthetic, ingest_csv, write_csv
 from crnn_forecast.evaluation import (ExperimentSpec, MetricReport, WindowResult,
-                                      mape, mape_detailed, rmse,
-                                      robustness_experiment, run_experiment)
+                                      mape_detailed, rmse, robustness_experiment,
+                                      run_experiment)
 from crnn_forecast.training import TrainConfig
 
 FAST_TRAIN = TrainConfig(max_epochs=3, batch_size=16, patience=3)
+
+
+def mape(pred, truth) -> float:
+    return mape_detailed(pred, truth)[0]
 
 
 def tiny_spec(method="yesterday", **overrides):
@@ -104,15 +108,14 @@ class TestRunExperiment:
         write_csv(generate_synthetic(SyntheticConfig(length=260, seed=1)), csv)
         spec = tiny_spec(data=None, dataset=ingest_csv(csv), seeds=(0, 1, 2))
         report = run_experiment(spec)
-        values = list(report.seed_rmse.values())
-        assert values[0] == values[1] == values[2]
-        assert report.rmse_seed_std == 0.0
+        by_seed = {s: [(w.offset, w.rmse, w.mape) for w in report.windows if w.seed == s]
+                   for s in spec.seeds}
+        assert by_seed[0] and by_seed[0] == by_seed[1] == by_seed[2]
 
     def test_single_window_flagged_degenerate(self):
         spec = tiny_spec(data=SyntheticConfig(length=80, seed=2))
         report = run_experiment(spec)
         if len(report.windows) == 1:
-            assert report.degenerate_std
             assert report.rmse_std == 0.0
             assert "std=0" in report.notes
 
@@ -170,12 +173,14 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert report.num_series == 1
 
-    def test_repetitions_property(self):
-        assert tiny_spec(seeds=(0, 1, 2)).repetitions == 3
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             tiny_spec(method="arima")
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_eval_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="eval_stride"):
+            tiny_spec(eval_stride=stride)
 
 
 class TestRobustness:
@@ -191,11 +196,3 @@ class TestRobustness:
         assert len(table.splitlines()) == 4  # header + 3 rows
         for value in report.mape.values():
             assert np.isfinite(value)
-
-    def test_degradation_helper(self):
-        cset = generate_synthetic(SyntheticConfig(length=260, seed=6))
-        report = robustness_experiment(cset.series[0], cset.series[1], tiny_spec())
-        for model in ("crnn", "aecrnn"):
-            expected = (report.per_seed[("uncorrelated", model)][0]
-                        - report.per_seed[("single", model)][0])
-            assert report.degradation(model, 0) == expected

@@ -348,7 +348,7 @@ class TestRNNCell:
             return float(np.sum(final * coeffs))
 
         _, _, cache = cell.forward(xs)
-        gxs, _, grads = cell.backward(cache, coeffs)
+        gxs, grads = cell.backward(cache, coeffs)
         assert rel_error(grads["w_xh"], numeric_grad(loss, cell.w_xh)) < FD_TOL
         assert rel_error(grads["w_hh"], numeric_grad(loss, cell.w_hh)) < FD_TOL
         assert rel_error(grads["b"], numeric_grad(loss, cell.b)) < FD_TOL
@@ -398,7 +398,7 @@ class TestLSTMCell:
             return float(np.sum(final * coeffs))
 
         _, _, cache = cell.forward(xs)
-        gxs, _, grads = cell.backward(cache, coeffs)
+        gxs, grads = cell.backward(cache, coeffs)
         assert rel_error(grads["w_x"], numeric_grad(loss, cell.w_x)) < FD_TOL
         assert rel_error(grads["w_h"], numeric_grad(loss, cell.w_h)) < FD_TOL
         assert rel_error(grads["b"], numeric_grad(loss, cell.b)) < FD_TOL

@@ -125,7 +125,7 @@ class TestCRNNForward:
         model = CRNN(cfg)
         window, _ = random_case(cfg, 0)
         forecast, recon = model.forward(Tensor(window))
-        assert forecast.horizon == 2 and recon is None
+        assert forecast.values.shape == (2,) and recon is None
         assert cfg.feature_vector_length == 36
 
     def test_zero_network_outputs_readout_bias(self):
@@ -178,7 +178,7 @@ class TestCRNNForward:
                           conv_pool_stages=2, filters_per_layer=2)
         model = CRNN(cfg)
         window, _ = random_case(cfg, 3)
-        assert model.forward(Tensor(window))[0].horizon == 3
+        assert model.forward(Tensor(window))[0].values.shape == (3,)
 
 
 class TestAECRNNForward:
@@ -189,7 +189,7 @@ class TestAECRNNForward:
         window, _ = random_case(cfg, 0)
         forecast, recon = model.forward(Tensor(window))
         assert recon.values.shape == (2, 50)
-        assert forecast.horizon == 25
+        assert forecast.values.shape == (25,)
 
     def test_reconstruction_bounded(self):
         cfg = small_config()

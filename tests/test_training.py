@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from crnn_forecast.data import (SyntheticConfig, WindowSample, generate_synthetic, segment,
-                                train_val_split)
+from crnn_forecast.data import (SyntheticConfig, Windows, generate_synthetic, segment,
+                                stack_samples, train_val_split)
 from crnn_forecast.layers import Dense
 from crnn_forecast.models import (AECRNN, CRNN, ModelConfig, ParamModel, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
-from crnn_forecast.tensor import Tensor
 from crnn_forecast.training import Adam, Sgd, TrainConfig, gradcheck, mean_j1, train
 
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
@@ -14,8 +13,9 @@ SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
 
 
 def one_window(seed=0):
+    """A batch of one (2, 8) window and its 2 targets."""
     rng = np.random.default_rng(seed)
-    return WindowSample(0, Tensor(rng.uniform(0, 1, (2, 8))), rng.uniform(0, 1, 2))
+    return rng.uniform(0, 1, (1, 2, 8)), rng.uniform(0, 1, (1, 2))
 
 
 def toy_samples(length=120, l=8, p=2, seed=0):
@@ -59,7 +59,7 @@ class TestTrain:
         model = CRNN(ModelConfig(**SMALL, seed=0))
         cfg = TrainConfig(learning_rate=1e-2, max_epochs=2000, patience=2000,
                           batch_size=1, seed=0)
-        _, report = train(model, [one_window()], cfg)
+        _, report = train(model, Windows(*one_window(), np.arange(1)), cfg)
         assert report.best_val_j1 < 1e-4
 
     def test_deterministic_reports(self):
@@ -112,8 +112,7 @@ class TestTrain:
         model = CRNN(ModelConfig(**SMALL, seed=5))
         _, report = train(model, tr, TrainConfig(max_epochs=10, seed=5),
                           val_samples=val)
-        x = np.stack([s.input.array for s in val])
-        y = np.stack([s.target for s in val])
+        x, y = stack_samples(val)
         assert model.batch_loss(x, y).j1 == report.best_val_j1
 
     def test_divergence_aborts_with_last_finite_checkpoint(self):
@@ -126,35 +125,19 @@ class TestTrain:
             _, report = train(model, tr, cfg, val_samples=val)
         assert report.stopping_reason == "diverged"
         # restored parameters must still evaluate to something finite
-        x = np.stack([s.input.array for s in val])
-        y = np.stack([s.target for s in val])
+        x, y = stack_samples(val)
         assert np.isfinite(model.batch_loss(x, y).j)
-
-    def test_windows_and_sample_lists_train_alike(self):
-        tr, val = train_val_split(toy_samples(seed=9))
-        runs = []
-        for train_set, val_set in ((tr, val), (list(tr), list(val))):
-            model = AECRNN(ModelConfig(**SMALL, seed=9))
-            params, report = train(model, train_set, TrainConfig(max_epochs=3, seed=9),
-                                   val_samples=val_set)
-            runs.append((params, report.to_table()))
-        (params, table), (listed_params, listed_table) = runs
-        assert table == listed_table
-        assert params.keys() == listed_params.keys()
-        for k in params:
-            assert params[k].tobytes() == listed_params[k].tobytes()
 
     def test_empty_samples_rejected(self):
         model = CRNN(ModelConfig(**SMALL))
         with pytest.raises(ValueError):
-            train(model, [], TrainConfig())
+            train(model, toy_samples()[:0], TrainConfig())
 
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 1000])
     def test_batched_monitored_loss_equals_full_set_loss(self, batch_size):
         samples = toy_samples(seed=8)
         model = AECRNN(ModelConfig(**SMALL, seed=8))
-        x = np.stack([s.input.array for s in samples])
-        y = np.stack([s.target for s in samples])
+        x, y = stack_samples(samples)
         full = model.batch_loss(x, y).j1
         assert abs(mean_j1(model, x, y, batch_size) - full) <= 1e-12 * full
 
@@ -167,8 +150,7 @@ class TestTrain:
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, model)
         rebuilt, _ = model_from_checkpoint(*load_checkpoint(path))
-        x = np.stack([s.input.array for s in val])
-        y = np.stack([s.target for s in val])
+        x, y = stack_samples(val)
         assert rebuilt.batch_loss(x, y).j1 == report.best_val_j1
 
 
@@ -202,9 +184,8 @@ class TestGradcheck:
         # error left is finite-difference rounding noise
         rng = np.random.default_rng(0)
         model = _LinearToy()
-        sample = WindowSample(0, Tensor(rng.uniform(0.5, 1.5, (2, 4))),
-                              rng.uniform(4.0, 6.0, 2))
-        report = gradcheck(model, sample)
+        x, y = rng.uniform(0.5, 1.5, (1, 2, 4)), rng.uniform(4.0, 6.0, (1, 2))
+        report = gradcheck(model, x, y)
         assert report.passed
         assert report.max_rel_error < 1e-9
 
@@ -212,7 +193,7 @@ class TestGradcheck:
         model = AECRNN(ModelConfig(
             num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
             filters_per_layer=2, filter_size=3, rnn_hidden=3, seed=0))
-        report = gradcheck(model, one_window(1))
+        report = gradcheck(model, *one_window(1))
         assert report.passed, report.summary()
         assert report.max_rel_error < 1e-5
 
@@ -226,7 +207,7 @@ class TestGradcheck:
             return loss, grads
 
         model.batch_backward = corrupted
-        report = gradcheck(model, one_window(2))
+        report = gradcheck(model, *one_window(2))
         assert not report.passed
         assert any(name == "readout.w" for name, *_ in report.failures)
         assert "readout.w" in report.summary()
@@ -234,7 +215,6 @@ class TestGradcheck:
     def test_report_counts_every_parameter(self):
         rng = np.random.default_rng(3)
         model = _LinearToy()
-        sample = WindowSample(0, Tensor(rng.uniform(0, 1, (2, 4))),
-                              rng.uniform(0, 1, 2))
-        report = gradcheck(model, sample)
+        x, y = rng.uniform(0, 1, (1, 2, 4)), rng.uniform(0, 1, (1, 2))
+        report = gradcheck(model, x, y)
         assert report.num_checked == sum(p.size for p in model.params.values())
