@@ -125,12 +125,16 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     return manifest
 
 
-def _out_dir(args, command: str) -> Path:
+def _out_path(args, command: str) -> Path:
     if args.out:
-        path = Path(args.out)
-    else:
-        root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
-        path = Path(root) / command
+        return Path(args.out)
+    return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs")) / command
+
+
+def _out_dir(args, command: str) -> Path:
+    """The output directory, made. A command makes it once its inputs have
+    been read and checked, so a usage or data error leaves none behind."""
+    path = _out_path(args, command)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -219,8 +223,8 @@ def _prepare(args, cset: CorrelatedSet):
 
 
 def cmd_generate(args) -> int:
-    out = _out_dir(args, "generate")
     cset = generate_synthetic(_synthetic_from_args(args))
+    out = _out_dir(args, "generate")
     data_path = out / "data.csv"
     write_csv(cset, data_path)
     write_manifest(out, "generate", args, {}, {"data": data_path})
@@ -267,12 +271,12 @@ def _add_csv_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args, "train")
     inputs: dict[str, bytes] = {}
     cset = _load_dataset(args, inputs)
     prepared = _prepare(args, cset)
     model = MODELS[args.model](_model_fields(args, cset.num_series))
     _, report = train(model, prepared.train, _train_config(args), val_samples=prepared.val)
+    out = _out_dir(args, "train")
     ckpt_path = out / "checkpoint.txt"
     save_checkpoint(ckpt_path, model, extra_tensors=prepared.norm.tensors())
     report_path = out / "train_report.tsv"
@@ -285,7 +289,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    out = _out_dir(args, "forecast")
     inputs = {"checkpoint": read_input(args.checkpoint)}
     fields, tensors = load_checkpoint(args.checkpoint, inputs["checkpoint"])
     model, extras = model_from_checkpoint(fields, tensors)
@@ -302,6 +305,7 @@ def cmd_forecast(args) -> int:
     window_set = norm.transform(cset.slice_time(offset, offset + length))
     forecast, _ = model.forward(Tensor(window_set.values_matrix()))
     values = norm.inverse_target(forecast.values)
+    out = _out_dir(args, "forecast")
     pred_path = out / "predictions.tsv"
     lines = ["step\tvalue"] + ["%d\t%.17g" % (i + 1, v) for i, v in enumerate(values)]
     pred_path.write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -319,13 +323,13 @@ def _experiment_spec(args, method: str, num_series: int, **extra) -> ExperimentS
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args, "evaluate")
     inputs: dict[str, bytes] = {}
     source = ({"dataset": _load_dataset(args, inputs)} if args.data
               else {"data": _synthetic_from_args(args)})
     spec = _experiment_spec(args, args.method, args.x, eval_stride=args.eval_stride,
                             ewma_smoothing=args.ewma_smoothing, **source)
-    report = run_experiment(spec, out_dir=out)
+    out = _out_path(args, "evaluate")
+    report = run_experiment(spec, out_dir=out)  # makes out once every seed has run
     write_manifest(out, "evaluate", args, inputs, {"report": out / "report.tsv"})
     print(MetricReport.TABLE_HEADER)
     print(report.table_row())
@@ -333,7 +337,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    out = _out_dir(args, "robustness")
     inputs: dict[str, bytes] = {}
     if args.data:
         cset = _load_dataset(args, inputs)
@@ -344,6 +347,7 @@ def cmd_robustness(args) -> int:
     # the template's method and series count are set per table cell
     template = _experiment_spec(args, "crnn", 2)
     report = robustness_experiment(cset.series[0], cset.series[1], template)
+    out = _out_dir(args, "robustness")
     table_path = out / "robustness.tsv"
     table_path.write_text(report.table(), encoding="ascii")
     write_manifest(out, "robustness", args, inputs, {"robustness": table_path})
@@ -401,7 +405,6 @@ def cmd_gridsearch(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cells = _grid_cells(args)
-    out = _out_dir(args, "gridsearch")
     inputs: dict[str, bytes] = {}
     cset = _load_dataset(args, inputs)
     payloads = [(cell, args, cset) for cell in cells]
@@ -411,6 +414,7 @@ def cmd_gridsearch(args) -> int:
     else:
         results = [_grid_cell_worker(p) for p in payloads]
 
+    out = _out_dir(args, "gridsearch")
     ranked = sorted((r for r in results if r[1] is not None), key=lambda r: r[1])
     lines = ["rank\tstages\tfilters\tfilter_size\thidden\tval_j1\tstatus"]
     for rank, (cell, val_j1, note, _, _) in enumerate(ranked, 1):
@@ -466,9 +470,10 @@ def cmd_gradcheck(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output directory (default: $%s/<command>)"
-                                 % OUTPUT_ROOT_ENV)
+def _add_common_flags(p: argparse.ArgumentParser, writes_files: bool) -> None:
+    if writes_files:
+        p.add_argument("--out", help="output directory (default: $%s/<command>)"
+                                     % OUTPUT_ROOT_ENV)
     p.add_argument("--config", help="key=value file; CLI flags take precedence")
     p.add_argument("--seed", type=int, default=0)
 
@@ -578,20 +583,21 @@ def _named_command(argv: list[str]) -> str | None:
 
 
 def build_parser(argv: list[str] | None = None) -> _Parser:
-    """The command-line parser. Every command is registered with its name and
-    help; flags are added for the command that ``argv`` names only, or for
-    every command when ``argv`` is None or names none (``-h``, ``--version``,
-    an unknown command). A process parses one command line, so the other
-    commands' flags would be built for nothing."""
+    """The command-line parser. It registers the command that ``argv`` names
+    only, or every command when ``argv`` is None or names none (``-h``,
+    ``--version``, an unknown command), so that help and the error for an
+    unknown command list them all. A process parses one command line, so the
+    other commands' parsers would be built for nothing."""
     parser = _Parser(prog="crnn-forecast",
                      description="Correlated time series forecasting toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     named = _named_command(argv or [])
     for name, (help_text, add_flags, handler) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if named in (None, name):
-            _add_common_flags(p)
+            p = sub.add_parser(name, help=help_text)
+            # gradcheck writes no file, so it takes no --out
+            _add_common_flags(p, writes_files=name != "gradcheck")
             add_flags(p)
             p.set_defaults(func=handler)
     return parser

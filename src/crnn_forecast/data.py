@@ -394,10 +394,38 @@ def read_input(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _split_records(raw: bytes) -> list[list[str]] | None:
+    """The records csv.reader would cut from ``raw``, cut by plain splitting,
+    or None when splitting might not agree with csv.reader: the bytes are not
+    UTF-8, or hold a quote, a NUL or a line longer than the field size limit.
+    Without quotes, a record is one line and its cells are the line split at
+    commas; a line ends at \\r\\n, \\r or \\n, and a blank line is an empty
+    record."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":  # the text ends with a line break, or is empty
+        lines.pop()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return [line.split(",") if line else [] for line in lines]
+
+
 def ingest_csv(path, layout: CsvLayout | None = None,
                raw: bytes | None = None) -> CorrelatedSet:
     """Read an aligned series set from a comma-separated UTF-8 file, or from
     ``raw``, its bytes already read from ``path``.
+
+    Records are cut on one of two paths that give the same records. Quote-free
+    UTF-8 text with no NUL and no overlong line is split at line breaks and
+    commas (``_split_records``); any other input goes through csv.reader, so
+    quoted cells are read and every malformed input gets csv's error.
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
     ragged row, or non-uniform timestamp column aborts ingestion; a bad row
@@ -405,12 +433,14 @@ def ingest_csv(path, layout: CsvLayout | None = None,
     """
     layout = layout or CsvLayout()
     raw = read_input(path) if raw is None else raw
-    try:
-        # decoded in chunks, with line breaks left to csv.reader, as open() does
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-        records = list(csv.reader(text))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    records = _split_records(raw)
+    if records is None:
+        try:
+            # decoded in chunks, with line breaks left to csv.reader, as open() does
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+            records = list(csv.reader(text))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in records if "".join(r).strip()]  # drop rows of blank cells
     if not rows:
         raise DataError(f"{path}: file holds no data rows")

@@ -91,8 +91,10 @@ class Conv1D(_FilterGroup):
     def forward(self, x: np.ndarray):
         _check_group("Conv1D", x, self.num_series, self.in_channels)
         pad_l, pad_r = self._padding()
-        xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad_l, pad_r)])
         length = x.shape[-1]
+        # one zeroed buffer and a slice write; np.pad costs ~10x more per call
+        xp = np.zeros(x.shape[:-1] + (pad_l + length + pad_r,), dtype=x.dtype)
+        xp[..., pad_l:pad_l + length] = x
         y = self.w[..., 0] @ xp[..., :length]
         for k in range(1, self.filter_size):
             y += self.w[..., k] @ xp[..., k:k + length]

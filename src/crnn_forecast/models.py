@@ -15,8 +15,9 @@ Every series has its own filters, but they are stored grouped: one array per
 stage with a leading series axis (``conv{j}``, ``deconv{j}``, ``merge``), so
 each encoder and decoder stage is a single layer call over all series.
 
-``MODELS`` maps each model kind (crnn, aecrnn, rnn, lstm) to its builder; it
-is the one way a kind becomes a model, for training and for checkpoints.
+``MODELS`` maps each model kind (crnn, aecrnn, rnn, lstm) to its builder. It
+and ``model_from_checkpoint``, which builds without drawing initial values it
+would overwrite, read the one table of kinds, ``_KINDS``.
 
 ``ParamModel`` holds the one forecast, loss and gradient path. A window
 batch is encoded, fed step by step to a recurrent cell whose final state a
@@ -270,6 +271,15 @@ def joint_loss(z: np.ndarray, y: np.ndarray, recon: np.ndarray | None = None,
     return loss, 2.0 * ez / ez.size, d_recon
 
 
+class _NoDraws:
+    """Stands in for the generator of a model whose every parameter the
+    caller sets: it draws nothing and gives zeros of the asked size."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 def _collect(grads: dict, prefix: str, layer_grads: Mapping[str, np.ndarray]) -> None:
     """Store one layer's parameter gradients under the model's names for them."""
     for name, g in layer_grads.items():
@@ -287,6 +297,10 @@ class ParamModel:
     the forecasts; ``_decode`` reconstructs the windows from the code (no
     decoder here, so j2 = 0). Each part's ``*_backward`` twin stores its
     layers' gradients with ``_collect`` and returns the gradient of its input.
+
+    A model's constructor hands its arguments to ``_build(rng, *args)`` with
+    a generator seeded from them, which draws the initial values in a fixed
+    order; ``_undrawn`` builds the same model with no draw.
     """
 
     kind = ""
@@ -298,6 +312,14 @@ class ParamModel:
 
     def __init__(self):
         self.params: "OrderedDict[str, np.ndarray]" = OrderedDict()
+
+    @classmethod
+    def _undrawn(cls, *args):
+        """The model ``cls(*args)`` builds, with every parameter zero and no
+        random value drawn: for a caller that then sets every parameter."""
+        model = cls.__new__(cls)
+        model._build(_NoDraws(), *args)
+        return model
 
     def _register(self, prefix: str, layer) -> None:
         for name, arr in layer.params().items():
@@ -395,12 +417,14 @@ class CRNN(ParamModel):
     kind = "crnn"
 
     def __init__(self, config: ModelConfig):
+        self._build(np.random.default_rng(config.seed), config)
+
+    def _build(self, rng, config: ModelConfig) -> None:
         super().__init__()
         self.config = config
         self.num_series = config.num_series
         self.input_length = config.input_length
         self.horizon = config.horizon
-        self._rng = np.random.default_rng(config.seed)
         self._pool = MaxPool1D()
         n, alpha = config.num_series, config.filters_per_layer
         self._convs = [Conv1D(n, 1 if j == 0 else alpha, alpha, config.filter_size)
@@ -411,11 +435,11 @@ class CRNN(ParamModel):
         # per-series layers of format 1, so every seed keeps its initial values.
         for s in range(n):
             for conv in self._convs:
-                conv.init_series(s, self._rng)
+                conv.init_series(s, rng)
         cell_cls = RNNCell if config.cell_kind == "rnn" else LSTMCell
-        self._cell = cell_cls(config.rnn_input_size, config.rnn_hidden, self._rng)
+        self._cell = cell_cls(config.rnn_input_size, config.rnn_hidden, rng)
         self._register("rnn", self._cell)
-        self._readout = Dense(config.rnn_hidden, config.horizon, self._rng)
+        self._readout = Dense(config.rnn_hidden, config.horizon, rng)
         self._register("readout", self._readout)
 
     def _encode(self, x: np.ndarray):
@@ -468,10 +492,10 @@ class AECRNN(CRNN):
 
     kind = "aecrnn"
 
-    def __init__(self, config: ModelConfig):
+    def _build(self, rng, config: ModelConfig) -> None:
         # Shared encoder/recurrent/readout parameters draw first, in the same
         # order as CRNN, so equal seeds give equal shared initial values.
-        super().__init__(config)
+        super()._build(rng, config)
         n, alpha = config.num_series, config.filters_per_layer
         self._deconvs = [Deconv1D(n, alpha, alpha, config.filter_size)
                          for _ in range(config.conv_pool_stages)]
@@ -481,8 +505,8 @@ class AECRNN(CRNN):
         self._register("merge", self._merge)
         for s in range(n):
             for deconv in self._deconvs:
-                deconv.init_series(s, self._rng)
-            self._merge.init_series(s, self._rng)
+                deconv.init_series(s, rng)
+            self._merge.init_series(s, rng)
 
     def _decode(self, cube):
         d = cube
@@ -512,6 +536,11 @@ class RecurrentBaseline(ParamModel):
 
     def __init__(self, cell_kind: str, num_series: int, input_length: int,
                  horizon: int, hidden: int, features: str = "all", seed: int = 0):
+        self._build(np.random.default_rng(seed), cell_kind, num_series, input_length,
+                    horizon, hidden, features, seed)
+
+    def _build(self, rng, cell_kind: str, num_series: int, input_length: int,
+               horizon: int, hidden: int, features: str, seed: int) -> None:
         super().__init__()
         if cell_kind not in ("rnn", "lstm"):
             raise ValueError(f"unknown cell kind {cell_kind!r}")
@@ -525,22 +554,12 @@ class RecurrentBaseline(ParamModel):
         self.hidden = hidden
         self.features = features
         self.seed = seed
-        rng = np.random.default_rng(seed)
         input_size = 1 if features == "target" else num_series
         cell_cls = RNNCell if cell_kind == "rnn" else LSTMCell
         self._cell = cell_cls(input_size, hidden, rng)
         self._register("rnn", self._cell)
         self._readout = Dense(hidden, horizon, rng)
         self._register("readout", self._readout)
-
-    @classmethod
-    def from_fields(cls, cell_kind: str, fields: Mapping[str, str]) -> "RecurrentBaseline":
-        """Build from named hyper-parameters; the conv-model names are ignored."""
-        return cls(cell_kind, _int_field(fields, "num_series"),
-                   _int_field(fields, "input_length"), _int_field(fields, "horizon"),
-                   hidden=_int_field(fields, "rnn_hidden", ModelConfig.rnn_hidden),
-                   features=fields.get("features", "all"),
-                   seed=_int_field(fields, "seed", 0))
 
     def _steps(self, x: np.ndarray) -> list[np.ndarray]:
         rows = x[:, :1, :] if self.features == "target" else x
@@ -561,16 +580,33 @@ class RecurrentBaseline(ParamModel):
         )
 
 
-# Model kind -> builder. Every builder reads the same named hyper-parameters,
-# the checkpoint header fields, given as strings (from a file) or as values.
-# The conv models validate them through ModelConfig; the baselines read only
-# their geometry, rnn_hidden, features and seed, so no conv-grid check applies.
-MODELS = {
-    "crnn": lambda fields: CRNN(ModelConfig.from_fields(fields)),
-    "aecrnn": lambda fields: AECRNN(ModelConfig.from_fields(fields)),
-    "rnn": lambda fields: RecurrentBaseline.from_fields("rnn", fields),
-    "lstm": lambda fields: RecurrentBaseline.from_fields("lstm", fields),
+def _baseline_args(cell_kind: str, fields: Mapping[str, object]) -> tuple:
+    """The baseline's arguments; the conv-model names are ignored."""
+    return (cell_kind, _int_field(fields, "num_series"), _int_field(fields, "input_length"),
+            _int_field(fields, "horizon"),
+            _int_field(fields, "rnn_hidden", ModelConfig.rnn_hidden),
+            fields.get("features", "all"), _int_field(fields, "seed", 0))
+
+
+# Model kind -> (class, its constructor arguments from the named
+# hyper-parameters). Every kind reads the same names, the checkpoint header
+# fields, given as strings (from a file) or as values. The conv models
+# validate them through ModelConfig; the baselines read only their geometry,
+# rnn_hidden, features and seed, so no conv-grid check applies.
+_KINDS = {
+    "crnn": (CRNN, lambda fields: (ModelConfig.from_fields(fields),)),
+    "aecrnn": (AECRNN, lambda fields: (ModelConfig.from_fields(fields),)),
+    "rnn": (RecurrentBaseline, lambda fields: _baseline_args("rnn", fields)),
+    "lstm": (RecurrentBaseline, lambda fields: _baseline_args("lstm", fields)),
 }
+
+
+def _builder(cls, args):
+    return lambda fields: cls(*args(fields))
+
+
+# Model kind -> builder of a model from the named hyper-parameters.
+MODELS = {kind: _builder(cls, args) for kind, (cls, args) in _KINDS.items()}
 
 
 # -- checkpoint container -----------------------------------------------------
@@ -700,8 +736,9 @@ def model_from_checkpoint(fields: Mapping[str, str], tensors: Mapping[str, np.nd
     fmt = _checkpoint_format(fields)
     kind = fields.get("model", "")
     # the baselines' header kinds are rnn-baseline and lstm-baseline
-    builder = MODELS.get(kind.removesuffix("-baseline"))
-    model = builder(fields) if builder else None
+    cls, args = _KINDS.get(kind.removesuffix("-baseline"), (None, None))
+    # set_params overwrites every parameter, so none is drawn
+    model = cls._undrawn(*args(fields)) if cls else None
     if model is None or model.kind != kind:
         raise ConfigError(f"checkpoint names unknown model kind {kind!r}")
     if fmt == "1":

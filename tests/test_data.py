@@ -1,12 +1,15 @@
 import csv
+import io
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from crnn_forecast import data as data_module
 from crnn_forecast.data import (CorrelatedSet, CsvLayout, DataError, Normalizer,
                                 SyntheticConfig, TimeSeries, Windows, generate_synthetic,
                                 ingest_csv, make_uncorrelated, pearson, segment,
@@ -473,6 +476,57 @@ class TestCsvProperties:
             with pytest.raises(DataError) as info:
                 ingest_csv(path, CsvLayout(timestamp="t"))
             assert str(info.value) == f"{path}: row {bad} has a non-numeric timestamp"
+
+
+def _reader_records(raw: bytes) -> list[list[str]]:
+    """The records csv.reader cuts from raw, decoded as ingest_csv's csv path does."""
+    return list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")))
+
+
+# Quote-free text: digits, commas, every line break csv.reader splits at, and
+# characters str.splitlines would split at but csv.reader keeps in a cell.
+SPLIT_CHARS = "09.-ex ,\t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff"
+
+
+class TestSplitRecords:
+    @given(text=st.text(alphabet=SPLIT_CHARS, max_size=60), bom=st.booleans())
+    @example(text="a,b\r\n1,2\r\n", bom=False)
+    @example(text="a,b\r1,2\r\r3,4", bom=False)
+    @example(text="a,b\n\n\n1,2\n", bom=True)
+    @example(text="a,b\n1\x0b,2\u2028\n3\x0c,4", bom=False)
+    @example(text="", bom=False)
+    @example(text="\r\n", bom=False)
+    def test_quote_free_text_splits_as_csv_reader_reads_it(self, text, bom):
+        raw = (("\ufeff" if bom else "") + text).encode("utf-8")
+        assert data_module._split_records(raw) == _reader_records(raw)
+
+    # csv.reader accepts a NUL from Python 3.11 on
+    NUL_ERROR = ("{path}: row 2 column 1 is not numeric: '2\\x00'" if sys.version_info >= (3, 11)
+                 else "cannot read {path}: line contains NUL")
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"a,b\n1,2\x00\n3,4\n", NUL_ERROR),
+        (b"a,b\n1,\xff\n", "cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+                            "position 6: invalid start byte"),
+        (b"a,b\n1," + b"9" * (csv.field_size_limit() + 1) + b"\n",
+         "cannot read {path}: field larger than field limit (%d)" % csv.field_size_limit()),
+    ], ids=["nul", "not-utf8", "field-over-csv-limit"])
+    def test_other_input_gets_csv_readers_error(self, tmp_path, raw, message):
+        assert data_module._split_records(raw) is None
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as info:
+            ingest_csv(path)
+        assert str(info.value) == message.format(path=path)
+
+    def test_quoted_cells_take_the_csv_reader_path(self, tmp_path):
+        raw = b'a,"b"\r\n"1","2"\r\n3,"4\n"\r\n'
+        assert data_module._split_records(raw) is None
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        cset = ingest_csv(path)
+        assert [s.id for s in cset.series] == ["a", "b"]
+        assert cset.values_matrix().tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
 
 class TestMakeUncorrelated:

@@ -392,6 +392,24 @@ class TestCheckpoint:
         assert np.array_equal(extras["norm.min"], extra["norm.min"])
         assert np.array_equal(extras["norm.max"], extra["norm.max"])
 
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_rebuild_draws_no_random_value(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, MODELS[kind]({**SMALL, "seed": 5}))
+        fields, tensors = load_checkpoint(path)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        # Generator methods cannot be patched; without a generator nothing is drawn
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        rebuilt, _ = model_from_checkpoint(fields, tensors)
+        assert list(rebuilt.params) == list(tensors)
+        for name, arr in tensors.items():
+            assert rebuilt.params[name].tobytes() == arr.tobytes(), name
+        with pytest.raises(AssertionError, match="generator"):
+            MODELS[kind](dict(SMALL))
+
     def test_round_trip_reproduces_loss_bitwise(self, tmp_path):
         cfg = small_config(seed=14)
         model = CRNN(cfg)
