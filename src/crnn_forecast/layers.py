@@ -8,6 +8,18 @@ call covers every series; each filter tap is one broadcast matmul over the
 series axis and any leading batch axes. Recurrent and dense pieces act on a
 trailing (features,) axis. Every forward accepts optional leading batch axes.
 
+The recurrent cells (RNNCell, LSTMCell) take their steps as one time-major
+array (T, ..., features). Their Python loop over time holds only what
+depends on the previous step. The input projection of every step is one
+batched matmul before the loop; the forward cache keeps every step's
+hidden state (and, for the LSTM, cell state, tanh of it and gate
+activations). The backward loop carries only the state gradients and
+writes each step's pre-activation gradient into one buffer, from which the
+weight gradients and the input gradients are taken after the loop. Each
+product and each sum keeps the operands and order of a per-step loop, so
+the results are that loop's bits (tests/test_layers.py holds that loop as
+the reference).
+
 Each backward pass is the exact adjoint of its forward map and is checked
 against central finite differences in the test suite.
 """
@@ -249,8 +261,53 @@ class Dense:
         return gx, {"w": gw, "b": gb}
 
 
+def _time_major(cell: str, xs, input_size: int) -> tuple[np.ndarray, tuple]:
+    """The steps as one array (T, batch..., input_size) with at least one
+    batch axis, and the shape of the steps as given.
+
+    xs is such an array, used as it is, strides included, so each step's
+    matmul is the one numpy forms for that step alone; or a sequence of
+    per-step arrays, stacked into a new contiguous array. An unbatched
+    (T, input_size) sequence gains a batch axis of one, on which numpy takes
+    the same vector path as on a single (input_size,) step.
+    """
+    if len(xs) == 0:
+        raise ShapeError(f"{cell} sequence must be non-empty")
+    if isinstance(xs, np.ndarray):
+        x = xs
+    else:
+        try:
+            x = np.stack(xs)
+        except ValueError as exc:
+            raise ShapeError(f"{cell} steps differ in shape: {exc}") from exc
+    if x.ndim < 2 or x.shape[-1] != input_size:
+        raise ShapeError(f"{cell}: expected steps of {input_size} features, got {x.shape}")
+    return (x[:, None, :] if x.ndim == 2 else x), x.shape
+
+
+def _weight_grad(dz_rev: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """sum over t of dz_t^T @ inputs_t, for dz_rev (T, ..., out) holding the
+    steps last first and inputs (T, ..., in) first first.
+
+    Each step's product is the matmul a per-step loop forms, and the sum runs
+    from the last step to the first, as a loop running backward in time adds.
+    """
+    return np.matmul(_batch_rows(dz_rev).swapaxes(1, 2), _batch_rows(inputs)[::-1]).sum(axis=0)
+
+
+def _batch_rows(a: np.ndarray) -> np.ndarray:
+    """(T, batch..., k) as (T, rows, k)."""
+    return a.reshape(a.shape[0], math.prod(a.shape[1:-1]), a.shape[-1])
+
+
 class RNNCell:
-    """Vanilla recurrent cell: h_t = tanh(W_xh x_t + W_hh h_{t-1} + b)."""
+    """Vanilla recurrent cell: h_t = tanh(W_xh x_t + W_hh h_{t-1} + b).
+
+    ``forward`` projects every step's input in one batched matmul before the
+    time loop, which then adds only the recurrent term. Its cache is (the
+    steps, every hidden state). ``backward`` carries only dh through the
+    loop; the weight gradients and the input gradients are taken after it.
+    """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.input_size = input_size
@@ -262,48 +319,45 @@ class RNNCell:
     def params(self) -> dict[str, np.ndarray]:
         return {"w_xh": self.w_xh, "w_hh": self.w_hh, "b": self.b}
 
-    def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return np.tanh(x @ self.w_xh.T + h @ self.w_hh.T + self.b)
+    def forward(self, xs):
+        """Run the recurrence left to right from a zero state over steps xs,
+        an array (T, ..., input_size) or a sequence of T per-step arrays.
 
-    def forward(self, xs: list[np.ndarray]):
-        """Run the recurrence left to right from a zero state.
-
-        Returns (all hidden states, final state, cache).
+        Returns (hidden states (T, ..., hidden), final state, cache).
         """
-        if not xs:
-            raise ShapeError("RNN sequence must be non-empty")
-        for t, x in enumerate(xs):
-            if x.shape[-1] != self.input_size:
-                raise ShapeError(
-                    f"RNN step {t}: expected {self.input_size} features, got {x.shape}")
-        h = np.zeros(xs[0].shape[:-1] + (self.hidden_size,))
-        hs = []
-        for x in xs:
-            h = self.step(x, h)
-            hs.append(h)
-        return hs, h, (xs, hs)
+        x, in_shape = _time_major("RNN", xs, self.input_size)
+        xw = x @ self.w_xh.T
+        hs = np.empty(xw.shape)
+        h = np.zeros(hs.shape[1:])
+        w_hh_t = self.w_hh.T
+        for t in range(len(x)):
+            z = xw[t] + h @ w_hh_t
+            z += self.b
+            h = np.tanh(z, out=hs[t])
+        out = hs.reshape(in_shape[:-1] + (self.hidden_size,))
+        return out, out[-1], (x, hs, in_shape)
 
     def backward(self, cache, grad_final: np.ndarray):
         """Backpropagation through time for a loss on the final hidden state.
 
-        Returns (per-step input gradients, parameter gradients).
+        Returns (input gradients shaped like the steps, parameter gradients).
         """
-        xs, hs = cache
-        gw_xh = np.zeros_like(self.w_xh)
-        gw_hh = np.zeros_like(self.w_hh)
-        gb = np.zeros_like(self.b)
-        dh = grad_final
-        gxs: list[np.ndarray] = [np.empty(0)] * len(xs)
-        for t in reversed(range(len(xs))):
-            dz = dh * (1.0 - hs[t] * hs[t])
-            dz2 = dz.reshape(-1, self.hidden_size)
-            gw_xh += dz2.T @ xs[t].reshape(-1, self.input_size)
-            if t > 0:  # the zero start state adds nothing to gw_hh
-                gw_hh += dz2.T @ hs[t - 1].reshape(-1, self.hidden_size)
-            gb += dz2.sum(axis=0)
-            gxs[t] = dz @ self.w_xh
-            dh = dz @ self.w_hh
-        return gxs, {"w_xh": gw_xh, "w_hh": gw_hh, "b": gb}
+        x, hs, in_shape = cache
+        steps = len(x)
+        dtanh = 1.0 - hs * hs
+        dz_rev = np.empty(hs.shape)  # row k holds step steps-1-k
+        dh = grad_final.reshape(hs.shape[1:])
+        for k in range(steps):
+            dz = np.multiply(dh, dtanh[steps - 1 - k], out=dz_rev[k])
+            if k + 1 < steps:
+                dh = dz @ self.w_hh
+        grads = {
+            "w_xh": _weight_grad(dz_rev, x),
+            # the zero start state adds nothing to gw_hh
+            "w_hh": _weight_grad(dz_rev[:-1], hs[:-1]),
+            "b": _batch_rows(dz_rev).sum(axis=1).sum(axis=0),
+        }
+        return (dz_rev @ self.w_xh)[::-1].reshape(in_shape), grads
 
 
 class LSTMCell:
@@ -311,6 +365,13 @@ class LSTMCell:
 
     Gate weights are stacked row-wise in the order (input, forget,
     candidate, output); biases start at zero.
+
+    ``forward`` projects every step's input in one batched matmul before the
+    time loop. Its cache is (the steps, hidden states, cell states, tanh of
+    the cell states, gate activations (T, ..., 4H)); the candidate block of
+    the gates holds tanh, the other three the sigmoid. ``backward`` forms
+    every step's local gate derivatives before the loop, carries only dh and
+    dc through it, and takes the weight and input gradients after it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -323,64 +384,67 @@ class LSTMCell:
     def params(self) -> dict[str, np.ndarray]:
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
 
-    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        n = self.hidden_size
-        z = x @ self.w_x.T + h @ self.w_h.T + self.b
-        # one sigmoid over all four gate blocks; the candidate block takes tanh
-        s = sigmoid_values(z)
-        gi, gf, go = s[..., 0:n], s[..., n:2 * n], s[..., 3 * n:4 * n]
-        gc = np.tanh(z[..., 2 * n:3 * n])
-        c_new = gf * c + gi * gc
-        h_new = go * np.tanh(c_new)
-        return h_new, c_new, (gi, gf, gc, go)
+    def forward(self, xs):
+        """Run the cell from zero states over steps xs, an array
+        (T, ..., input_size) or a sequence of T per-step arrays.
 
-    def forward(self, xs: list[np.ndarray]):
-        """Run the cell from zero states; returns (hidden states, final state, cache)."""
-        if not xs:
-            raise ShapeError("LSTM sequence must be non-empty")
-        for t, x in enumerate(xs):
-            if x.shape[-1] != self.input_size:
-                raise ShapeError(
-                    f"LSTM step {t}: expected {self.input_size} features, got {x.shape}")
-        h = c = np.zeros(xs[0].shape[:-1] + (self.hidden_size,))
-        hs = []
-        steps = []
-        for x in xs:
-            h_new, c_new, gates = self.step(x, h, c)
-            steps.append((x, h, c, gates, c_new))
-            h, c = h_new, c_new
-            hs.append(h)
-        return hs, h, steps
+        Returns (hidden states (T, ..., hidden), final state, cache).
+        """
+        x, in_shape = _time_major("LSTM", xs, self.input_size)
+        n = self.hidden_size
+        xw = x @ self.w_x.T
+        hs = np.empty(xw.shape[:-1] + (n,))
+        cs = np.empty(hs.shape)
+        tcs = np.empty(hs.shape)
+        gates = []
+        h = c = np.zeros(hs.shape[1:])
+        w_h_t = self.w_h.T
+        for t in range(len(x)):
+            z = xw[t] + h @ w_h_t
+            z += self.b
+            # one sigmoid over all four gate blocks; the candidate block takes tanh
+            g = sigmoid_values(z)
+            g[..., 2 * n:3 * n] = np.tanh(z[..., 2 * n:3 * n])
+            c = np.add(g[..., n:2 * n] * c, g[..., 0:n] * g[..., 2 * n:3 * n], out=cs[t])
+            h = np.multiply(g[..., 3 * n:4 * n], np.tanh(c, out=tcs[t]), out=hs[t])
+            gates.append(g)
+        out = hs.reshape(in_shape[:-1] + (n,))
+        return out, out[-1], (x, hs, cs, tcs, np.stack(gates), in_shape)
 
     def backward(self, cache, grad_final: np.ndarray):
-        """Backpropagation through time; returns (per-step input gradients,
-        parameter gradients)."""
-        steps = cache
-        gw_x = np.zeros_like(self.w_x)
-        gw_h = np.zeros_like(self.w_h)
-        gb = np.zeros_like(self.b)
-        dh = grad_final
-        dc = np.zeros_like(grad_final)
-        gxs: list[np.ndarray] = [np.empty(0)] * len(steps)
-        for t in reversed(range(len(steps))):
-            x, h_prev, c_prev, (gi, gf, gc, go), c_new = steps[t]
-            tc = np.tanh(c_new)
-            do = dh * tc
-            dc = dc + dh * go * (1.0 - tc * tc)
-            di = dc * gc
-            df = dc * c_prev
-            dg = dc * gi
-            dc = dc * gf
-            dz = np.concatenate([
-                di * gi * (1.0 - gi),
-                df * gf * (1.0 - gf),
-                dg * (1.0 - gc * gc),
-                do * go * (1.0 - go),
-            ], axis=-1)
-            dz2 = dz.reshape(-1, 4 * self.hidden_size)
-            gw_x += dz2.T @ x.reshape(-1, self.input_size)
-            gw_h += dz2.T @ h_prev.reshape(-1, self.hidden_size)
-            gb += dz2.sum(axis=0)
-            gxs[t] = dz @ self.w_x
-            dh = dz @ self.w_h
-        return gxs, {"w_x": gw_x, "w_h": gw_h, "b": gb}
+        """Backpropagation through time; returns (input gradients shaped like
+        the steps, parameter gradients)."""
+        x, hs, cs, tcs, gates, in_shape = cache
+        n = self.hidden_size
+        steps = len(x)
+        gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
+        # Step t's gate gradient is dz = ((d * s) * q) blockwise, with
+        # d = (dc*gc, dc*c_prev, dc*gi, dh*tanh(c)) and q = 1 - s, except that
+        # the candidate block has s = 1.0 and q = 1 - gc^2: the roundings of
+        # di*gi*(1-gi), df*gf*(1-gf), dg*(1-gc^2) and do*go*(1-go).
+        s = gates.copy()
+        s[..., 2 * n:3 * n] = 1.0
+        q = 1.0 - gates
+        q[..., 2 * n:3 * n] = 1.0 - gc * gc
+        c_prev = np.concatenate((np.zeros((1,) + cs.shape[1:]), cs[:-1]))
+        r = np.concatenate((gc, c_prev, gi, tcs), axis=-1)
+        dtanh_c = 1.0 - tcs * tcs
+        dz_rev = np.empty(gates.shape)  # row k holds step steps-1-k
+        dh = grad_final.reshape(hs.shape[1:])
+        dc = np.zeros(dh.shape)
+        for k in range(steps):
+            t = steps - 1 - k
+            dc = dc + dh * go[t] * dtanh_c[t]
+            dz = np.multiply(np.concatenate((dc, dc, dc, dh), axis=-1), r[t], out=dz_rev[k])
+            dz *= s[t]
+            dz *= q[t]
+            if t:
+                dc = dc * gf[t]
+                dh = dz @ self.w_h
+        grads = {
+            "w_x": _weight_grad(dz_rev, x),
+            # the zero start state adds nothing to gw_h
+            "w_h": _weight_grad(dz_rev[:-1], hs[:-1]),
+            "b": _batch_rows(dz_rev).sum(axis=1).sum(axis=0),
+        }
+        return (dz_rev @ self.w_x)[::-1].reshape(in_shape), grads

@@ -280,6 +280,17 @@ class _NoDraws:
         return np.zeros(size)
 
 
+def _init_series(rng, num_series: int, layers) -> None:
+    """Draw every series' initial filters, series by series and each
+    series' layers in turn. The filter groups start at zero, so a build
+    with ``_NoDraws`` leaves them as they are and runs no loop."""
+    if isinstance(rng, _NoDraws):
+        return
+    for s in range(num_series):
+        for layer in layers:
+            layer.init_series(s, rng)
+
+
 def _collect(grads: dict, prefix: str, layer_grads: Mapping[str, np.ndarray]) -> None:
     """Store one layer's parameter gradients under the model's names for them."""
     for name, g in layer_grads.items():
@@ -292,11 +303,12 @@ class ParamModel:
     baselines).
 
     The path for a window batch x (batch, n, l): ``_encode`` turns x into a
-    code (the identity here); ``_steps`` cuts the code into the steps of the
-    recurrent cell ``_cell``, whose final state the dense ``_readout`` maps to
-    the forecasts; ``_decode`` reconstructs the windows from the code (no
-    decoder here, so j2 = 0). Each part's ``*_backward`` twin stores its
-    layers' gradients with ``_collect`` and returns the gradient of its input.
+    code (the identity here); ``_steps`` lays the code out as the time-major
+    steps (T, batch, features) of the recurrent cell ``_cell``, whose final
+    state the dense ``_readout`` maps to the forecasts; ``_decode``
+    reconstructs the windows from the code (no decoder here, so j2 = 0).
+    Each part's ``*_backward`` twin stores its layers' gradients with
+    ``_collect`` and returns the gradient of its input.
 
     A model's constructor hands its arguments to ``_build(rng, *args)`` with
     a generator seeded from them, which draws the initial values in a fixed
@@ -368,9 +380,9 @@ class ParamModel:
         cell_cache, readout_cache = cache
         dh, readout_grads = self._readout.backward(readout_cache, dz)
         _collect(grads, "readout", readout_grads)
-        gxs, cell_grads = self._cell.backward(cell_cache, dh)
+        gx, cell_grads = self._cell.backward(cell_cache, dh)
         _collect(grads, "rnn", cell_grads)
-        return self._steps_backward(gxs)
+        return self._steps_backward(gx)
 
     # -- the one path -----------------------------------------------------------
 
@@ -433,9 +445,7 @@ class CRNN(ParamModel):
             self._register(f"conv{j}", conv)
         # Draw series by series, each series' stages in turn: the order of the
         # per-series layers of format 1, so every seed keeps its initial values.
-        for s in range(n):
-            for conv in self._convs:
-                conv.init_series(s, rng)
+        _init_series(rng, n, self._convs)
         cell_cls = RNNCell if config.cell_kind == "rnn" else LSTMCell
         self._cell = cell_cls(config.rnn_input_size, config.rnn_hidden, rng)
         self._register("rnn", self._cell)
@@ -471,15 +481,15 @@ class CRNN(ParamModel):
         cfg = self.config
         if cfg.rnn_layout == "sequence":
             # step t sees every series' filters at pooled position t, series-major
-            return list(np.moveaxis(cube, -1, 0).reshape(cfg.pooled_length, len(cube), -1))
-        return [cube.reshape(len(cube), cfg.feature_vector_length)]
+            return np.moveaxis(cube, -1, 0).reshape(cfg.pooled_length, len(cube), -1)
+        return cube.reshape(1, len(cube), cfg.feature_vector_length)
 
-    def _steps_backward(self, gxs):
+    def _steps_backward(self, gx):
         cfg = self.config
-        shape = (len(gxs[0]), cfg.num_series, cfg.filters_per_layer, cfg.pooled_length)
+        shape = (gx.shape[1], cfg.num_series, cfg.filters_per_layer, cfg.pooled_length)
         if cfg.rnn_layout == "sequence":
-            return np.stack(gxs, axis=-1).reshape(shape)
-        return gxs[0].reshape(shape)
+            return np.moveaxis(gx, 0, -1).reshape(shape)
+        return gx[0].reshape(shape)
 
     def checkpoint_fields(self) -> "OrderedDict[str, str]":
         fields = OrderedDict(model=self.kind)
@@ -503,10 +513,7 @@ class AECRNN(CRNN):
             self._register(f"deconv{j}", deconv)
         self._merge = ChannelMerge(n, alpha)
         self._register("merge", self._merge)
-        for s in range(n):
-            for deconv in self._deconvs:
-                deconv.init_series(s, rng)
-            self._merge.init_series(s, rng)
+        _init_series(rng, n, [*self._deconvs, self._merge])
 
     def _decode(self, cube):
         d = cube
@@ -561,11 +568,11 @@ class RecurrentBaseline(ParamModel):
         self._readout = Dense(hidden, horizon, rng)
         self._register("readout", self._readout)
 
-    def _steps(self, x: np.ndarray) -> list[np.ndarray]:
+    def _steps(self, x: np.ndarray) -> np.ndarray:
         rows = x[:, :1, :] if self.features == "target" else x
-        return [rows[:, :, t] for t in range(self.input_length)]
+        return np.moveaxis(rows, -1, 0)
 
-    def _steps_backward(self, gxs) -> None:
+    def _steps_backward(self, gx) -> None:
         return None  # the steps are the raw window, which nothing learns from
 
     def checkpoint_fields(self) -> "OrderedDict[str, str]":

@@ -30,10 +30,13 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function on a raw ndarray.
 
     Both branches use e = exp(-|x|), which never overflows: 1 / (1 + e) for
-    x >= 0 and e / (1 + e) below zero.
+    x >= 0 and e / (1 + e) below zero. The branch picks the numerator of one
+    shared division, which rounds as each branch's own division would.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return np.where(x >= 0, 1.0, e) / (e + 1.0)
 
 
 class Tensor:

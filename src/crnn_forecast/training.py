@@ -56,6 +56,15 @@ class Sgd:
 
 
 class Adam:
+    """Adam over a fixed set of named parameters.
+
+    The moments of every parameter live in one flat vector each, laid out
+    in the order of the first ``step``'s params. A step concatenates the
+    gradients once, forms the update on the flat vector with the same
+    elementwise arithmetic as a per-array loop, and subtracts each
+    parameter's slice from it in place.
+    """
+
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                  epsilon: float = 1e-8):
         self.lr = learning_rate
@@ -63,23 +72,41 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._names: tuple[str, ...] = ()
+        self._m = self._v = self._update = np.empty(0)
+        self._slices: list[np.ndarray] = []
+
+    def _lay_out(self, params: Mapping[str, np.ndarray]) -> None:
+        self._names = tuple(params)
+        size = sum(p.size for p in params.values())
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._update = np.empty(size)
+        self._slices = []
+        start = 0
+        for p in params.values():
+            self._slices.append(self._update[start:start + p.size].reshape(p.shape))
+            start += p.size
 
     def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+        if self.t == 0:
+            self._lay_out(params)
+        elif tuple(params) != self._names:
+            raise ValueError(f"Adam was laid out for parameters {self._names}, "
+                             f"got {tuple(params)}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.epsilon)
+        g = np.concatenate([grads[name] for name in self._names], axis=None)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        np.divide(self.lr * (m / bias1), np.sqrt(v / bias2) + self.epsilon, out=self._update)
+        for p, update in zip(params.values(), self._slices):
+            p -= update
 
 
 def _make_optimizer(config: TrainConfig):

@@ -4,7 +4,7 @@ import pytest
 from conftest import numeric_grad, rel_error
 from crnn_forecast.layers import (ChannelMerge, Conv1D, Deconv1D, Dense,
                                   LSTMCell, MaxPool1D, RNNCell)
-from crnn_forecast.tensor import ShapeError
+from crnn_forecast.tensor import ShapeError, sigmoid_values
 
 FD_TOL = 1e-5
 
@@ -321,7 +321,8 @@ class TestRNNCell:
         cell = RNNCell(3, 4, rng)
         x = rng.uniform(-1, 1, 3)
         _, final, _ = cell.forward([x])
-        assert np.array_equal(final, cell.step(x, np.zeros(4)))
+        assert np.array_equal(final, np.tanh(x @ cell.w_xh.T + np.zeros(4) @ cell.w_hh.T
+                                             + cell.b))
 
     def test_hidden_values_bounded(self):
         rng = np.random.default_rng(2)
@@ -361,29 +362,36 @@ class TestLSTMCell:
         cell = LSTMCell(2, 3, np.random.default_rng(0))
         cell.w_x[...] = 0.0
         cell.w_h[...] = 0.0
-        h, c, (gi, gf, gc, go) = cell.step(np.zeros(2), np.zeros(3), np.zeros(3))
+        hs, final, cache = cell.forward([np.zeros(2)])
+        _, _, cs, _, gates, _ = cache
+        gi, gf, gc, go = np.split(gates[0], 4, axis=-1)
         # all gates sigmoid(0) = 0.5, candidate tanh(0) = 0:
         # c' = 0.5*0 + 0.5*0 = 0, h' = 0.5*tanh(0) = 0
         assert np.allclose(gi, 0.5) and np.allclose(gf, 0.5) and np.allclose(go, 0.5)
-        assert not gc.any() and not c.any() and not h.any()
+        assert not gc.any() and not cs.any() and not hs.any() and not final.any()
 
     def test_single_step_equals_cell_application(self):
         rng = np.random.default_rng(3)
         cell = LSTMCell(2, 3, rng)
         x = rng.uniform(-1, 1, 2)
         _, final, _ = cell.forward([x])
-        h, _, _ = cell.step(x, np.zeros(3), np.zeros(3))
-        assert np.array_equal(final, h)
+        z = x @ cell.w_x.T + np.zeros(3) @ cell.w_h.T + cell.b
+        gi, gf, gc, go = np.split(z, 4)
+        c = sigmoid_values(gf) * np.zeros(3) + sigmoid_values(gi) * np.tanh(gc)
+        assert np.array_equal(final, sigmoid_values(go) * np.tanh(c))
 
     def test_gate_ranges_and_finite_cell_state(self):
         rng = np.random.default_rng(4)
         cell = LSTMCell(2, 3, rng)
         xs = [rng.uniform(-3, 3, 2) for _ in range(20)]
-        _, final, steps = cell.forward(xs)
-        for _, _, _, (gi, gf, gc, go), c_new in steps:
-            for g in (gi, gf, go):
-                assert np.all(g > 0.0) and np.all(g < 1.0)
-            assert np.isfinite(c_new).all()
+        _, final, cache = cell.forward(xs)
+        _, _, cs, tcs, gates, _ = cache
+        assert gates.shape == (20, 1, 12) and cs.shape == tcs.shape == (20, 1, 3)
+        gi, gf, gc, go = np.split(gates, 4, axis=-1)
+        for g in (gi, gf, go):
+            assert np.all(g > 0.0) and np.all(g < 1.0)
+        assert np.all(np.abs(gc) <= 1.0)
+        assert np.isfinite(cs).all() and np.array_equal(tcs, np.tanh(cs))
         assert np.isfinite(final).all()
 
     @pytest.mark.parametrize("seed", range(10))
@@ -404,3 +412,133 @@ class TestLSTMCell:
         assert rel_error(grads["b"], numeric_grad(loss, cell.b)) < FD_TOL
         for t in range(3):
             assert rel_error(gxs[t], numeric_grad(loss, xs[t])) < FD_TOL
+
+
+# -- reference recurrences: the per-step loops the cells replaced --------------
+
+
+def reference_rnn(cell, xs, grad_final):
+    """(hidden states, input gradients, parameter gradients) of an RNNCell,
+    one step at a time."""
+    h = np.zeros(xs[0].shape[:-1] + (cell.hidden_size,))
+    hs = []
+    for x in xs:
+        h = np.tanh(x @ cell.w_xh.T + h @ cell.w_hh.T + cell.b)
+        hs.append(h)
+    gw_xh = np.zeros_like(cell.w_xh)
+    gw_hh = np.zeros_like(cell.w_hh)
+    gb = np.zeros_like(cell.b)
+    dh = grad_final
+    gxs = [None] * len(xs)
+    for t in reversed(range(len(xs))):
+        dz = dh * (1.0 - hs[t] * hs[t])
+        dz2 = dz.reshape(-1, cell.hidden_size)
+        gw_xh += dz2.T @ xs[t].reshape(-1, cell.input_size)
+        if t > 0:
+            gw_hh += dz2.T @ hs[t - 1].reshape(-1, cell.hidden_size)
+        gb += dz2.sum(axis=0)
+        gxs[t] = dz @ cell.w_xh
+        dh = dz @ cell.w_hh
+    return hs, gxs, {"w_xh": gw_xh, "w_hh": gw_hh, "b": gb}
+
+
+def reference_lstm(cell, xs, grad_final):
+    """(hidden states, input gradients, parameter gradients) of an LSTMCell,
+    one step at a time."""
+    n = cell.hidden_size
+    h = c = np.zeros(xs[0].shape[:-1] + (n,))
+    hs, steps = [], []
+    for x in xs:
+        z = x @ cell.w_x.T + h @ cell.w_h.T + cell.b
+        s = sigmoid_values(z)
+        gi, gf, go = s[..., 0:n], s[..., n:2 * n], s[..., 3 * n:4 * n]
+        gc = np.tanh(z[..., 2 * n:3 * n])
+        c_new = gf * c + gi * gc
+        h_new = go * np.tanh(c_new)
+        steps.append((x, h, c, (gi, gf, gc, go), c_new))
+        h, c = h_new, c_new
+        hs.append(h)
+    gw_x = np.zeros_like(cell.w_x)
+    gw_h = np.zeros_like(cell.w_h)
+    gb = np.zeros_like(cell.b)
+    dh = grad_final
+    dc = np.zeros_like(grad_final)
+    gxs = [None] * len(steps)
+    for t in reversed(range(len(steps))):
+        x, h_prev, c_prev, (gi, gf, gc, go), c_new = steps[t]
+        tc = np.tanh(c_new)
+        do = dh * tc
+        dc = dc + dh * go * (1.0 - tc * tc)
+        di = dc * gc
+        df = dc * c_prev
+        dg = dc * gi
+        dc = dc * gf
+        dz = np.concatenate([di * gi * (1.0 - gi), df * gf * (1.0 - gf),
+                             dg * (1.0 - gc * gc), do * go * (1.0 - go)], axis=-1)
+        dz2 = dz.reshape(-1, 4 * n)
+        gw_x += dz2.T @ x.reshape(-1, cell.input_size)
+        gw_h += dz2.T @ h_prev.reshape(-1, n)
+        gb += dz2.sum(axis=0)
+        gxs[t] = dz @ cell.w_x
+        dh = dz @ cell.w_h
+    return hs, gxs, {"w_x": gw_x, "w_h": gw_h, "b": gb}
+
+
+class TestCellsMatchPerStepLoops:
+    """The cells give the bits of the per-step reference loops: every hidden
+    state, the final state, every input gradient and every weight gradient."""
+
+    # (steps, batch shape, input size, hidden size)
+    SHAPES = {
+        "batched": (6, (5,), 3, 4),
+        "unbatched": (6, (), 3, 4),
+        "one-window": (6, (1,), 3, 4),
+        "single-step": (1, (7,), 12, 4),
+        "two-batch-axes": (4, (2, 3), 3, 2),
+        "one-feature": (5, (4,), 1, 3),
+        "pair": (16, (32,), 8, 4),
+        "pair-last-batch": (16, (7,), 8, 4),
+        "wide": (8, (32,), 128, 6),
+    }
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=list(SHAPES))
+    @pytest.mark.parametrize("cell_cls, reference", [(RNNCell, reference_rnn),
+                                                     (LSTMCell, reference_lstm)],
+                             ids=["rnn", "lstm"])
+    def test_same_bits_as_reference(self, cell_cls, reference, shape, strided):
+        steps, batch, in_size, hidden = shape
+        rng = np.random.default_rng([steps, in_size, hidden, strided])
+        cell = cell_cls(in_size, hidden, rng)
+        cell.b[...] = rng.uniform(-1, 1, cell.b.shape)
+        if strided:
+            # time on the last axis, as the baselines read a window
+            x = np.moveaxis(rng.uniform(-3, 3, batch + (in_size, steps)), -1, 0)
+        else:
+            x = rng.uniform(-3, 3, (steps,) + batch + (in_size,))
+        grad_final = rng.uniform(-1, 1, batch + (hidden,))
+        ref_hs, ref_gxs, ref_grads = reference(cell, list(x), grad_final)
+        # a list is stacked into a contiguous array, on which numpy may take
+        # another BLAS path than on the strided steps themselves
+        for xs in (x,) if strided else (x, list(x)):
+            hs, final, cache = cell.forward(xs)
+            gx, grads = cell.backward(cache, grad_final)
+            assert hs.shape == (steps,) + batch + (hidden,)
+            assert gx.shape == x.shape
+            for t in range(steps):
+                assert np.array_equal(hs[t], ref_hs[t]), t
+                assert np.array_equal(gx[t], ref_gxs[t]), t
+            assert np.array_equal(final, ref_hs[-1])
+            assert list(grads) == list(ref_grads)
+            for name, g in grads.items():
+                assert np.array_equal(g, ref_grads[name]), name
+
+    @pytest.mark.parametrize("cell_cls", [RNNCell, LSTMCell])
+    def test_empty_sequence_rejected(self, cell_cls):
+        cell = cell_cls(2, 3, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            cell.forward([])
+        with pytest.raises(ShapeError):
+            cell.forward(np.zeros((0, 4, 2)))
+        with pytest.raises(ShapeError):
+            cell.forward(np.zeros((3, 4, 5)))

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
+from crnn_forecast import layers, models
 from crnn_forecast.data import DataError, Normalizer
 from crnn_forecast.models import (AECRNN, CRNN, ConfigError, MODELS, LossBreakdown,
                                   ModelConfig, joint_loss, load_checkpoint,
@@ -409,6 +410,31 @@ class TestCheckpoint:
             assert rebuilt.params[name].tobytes() == arr.tobytes(), name
         with pytest.raises(AssertionError, match="generator"):
             MODELS[kind](dict(SMALL))
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_undrawn_build_runs_no_series_draw(self, tmp_path, monkeypatch, kind):
+        fields = {**SMALL, "num_series": 4, "input_length": 16, "conv_pool_stages": 2,
+                  "seed": 6}
+        model = MODELS[kind](fields)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, model)
+        header, tensors = load_checkpoint(path)
+
+        def no_series_draw(*args):
+            raise AssertionError("a series' initial values were drawn")
+
+        monkeypatch.setattr(layers._FilterGroup, "init_series", no_series_draw)
+        monkeypatch.setattr(layers.ChannelMerge, "init_series", no_series_draw)
+        cls, args = models._KINDS[kind]
+        undrawn = cls._undrawn(*args(header))
+        assert list(undrawn.params) == list(tensors)
+        for name, arr in undrawn.params.items():
+            assert not arr.any(), name
+        rebuilt, _ = model_from_checkpoint(header, tensors)
+        for name, arr in tensors.items():
+            assert rebuilt.params[name].tobytes() == arr.tobytes(), name
+        x = np.random.default_rng(7).uniform(0.0, 1.0, (3, 4, 16))
+        assert rebuilt.batch_forecast(x).tobytes() == model.batch_forecast(x).tobytes()
 
     def test_round_trip_reproduces_loss_bitwise(self, tmp_path):
         cfg = small_config(seed=14)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor, sigmoid_values
 
@@ -59,3 +59,16 @@ class TestSigmoidValues:
         ex = np.exp(x[~pos])
         reference[~pos] = ex / (1.0 + ex)
         assert sigmoid_values(x).tobytes() == reference.tobytes()
+
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=8),
+                  elements=st.one_of(st.floats(-40.0, 40.0),
+                                     st.floats(allow_nan=True, allow_subnormal=True))))
+    @example(np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                       -2.2250738585072009e-308, 745.2, -745.2, 746.0, -746.0,
+                       1e300, -1e300, np.inf, -np.inf, np.nan]))
+    def test_same_bits_as_the_two_branch_formula(self, x):
+        e = np.exp(-np.abs(x))
+        reference = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out = sigmoid_values(x)
+        assert out.shape == x.shape
+        assert out.tobytes() == reference.tobytes()

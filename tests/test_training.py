@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from crnn_forecast.data import (SyntheticConfig, Windows, generate_synthetic, segment,
                                 stack_samples, train_val_split)
@@ -10,6 +12,24 @@ from crnn_forecast.training import Adam, Sgd, TrainConfig, gradcheck, mean_j1, t
 
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
              filters_per_layer=2, filter_size=3, rnn_hidden=4)
+
+
+def reference_adam(lr, params, steps, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam one array at a time: the parameters after each step's gradients."""
+    params = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    for t, grads in enumerate(steps, start=1):
+        bias1 = 1.0 - b1 ** t
+        bias2 = 1.0 - b2 ** t
+        for name, p in params.items():
+            g = grads[name]
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * g * g
+            p -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+    return params
 
 
 def one_window(seed=0):
@@ -52,6 +72,34 @@ class TestOptimizers:
         params = {"w": arr}
         Adam(0.1).step(params, {"w": np.ones(2)})
         assert params["w"] is arr
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_the_per_array_loop(self, data):
+        shapes = data.draw(st.lists(array_shapes(min_dims=0, max_dims=3, max_side=5),
+                                    min_size=1, max_size=5), label="shapes")
+        values = st.floats(-1e3, 1e3, allow_subnormal=True)
+        lr = data.draw(st.sampled_from([1e-3, 0.1, 0.7]), label="lr")
+        start = [data.draw(arrays(np.float64, shape, elements=values)) for shape in shapes]
+        steps = [[data.draw(arrays(np.float64, shape, elements=values)) for shape in shapes]
+                 for _ in range(data.draw(st.integers(1, 4), label="steps"))]
+        names = [f"p{i}" for i in range(len(shapes))]
+        params = {name: arr.copy() for name, arr in zip(names, start)}
+        held = dict(params)
+        adam = Adam(lr)
+        expected = reference_adam(lr, dict(zip(names, start)),
+                                  [dict(zip(names, g)) for g in steps])
+        for grads in steps:
+            adam.step(params, dict(zip(names, grads)))
+        for name in names:
+            assert params[name] is held[name]
+            assert params[name].tobytes() == expected[name].tobytes(), name
+
+    def test_refuses_another_parameter_set(self):
+        adam = Adam(0.1)
+        adam.step({"w": np.zeros(2)}, {"w": np.ones(2)})
+        with pytest.raises(ValueError, match="laid out"):
+            adam.step({"v": np.zeros(2)}, {"v": np.ones(2)})
 
 
 class TestTrain:
