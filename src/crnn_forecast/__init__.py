@@ -38,6 +38,7 @@ from .training import TrainConfig, TrainReport, gradcheck, train  # noqa: F401
 from .evaluation import (  # noqa: F401
     ExperimentSpec,
     MetricReport,
+    fit,
     rmse,
     robustness_experiment,
     run_experiment,

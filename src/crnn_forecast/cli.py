@@ -22,12 +22,12 @@ import numpy as np
 from . import __version__
 from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticConfig,
                    generate_synthetic, ingest_csv, prepare, read_input, write_csv)
-from .evaluation import (METHODS, ExperimentSpec, MetricReport, robustness_experiment,
+from .evaluation import (METHODS, ExperimentSpec, MetricReport, fit, robustness_experiment,
                          run_experiment)
 from .models import (GRID_FILTER_SIZES, GRID_FILTERS, GRID_HIDDEN, GRID_STAGES, MODELS,
                      load_checkpoint, model_from_checkpoint, save_checkpoint)
 from .tensor import NumericError, ShapeError, Tensor
-from .training import TrainConfig, gradcheck, train
+from .training import TrainConfig, gradcheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,33 +151,10 @@ def _parse_columns(text: str | None) -> list[str]:
 def _load_dataset(args, inputs: dict[str, bytes]) -> CorrelatedSet:
     """Ingest the CSV named by --data, honoring --columns/--target/--timestamp.
     The file is read once; its bytes go to ``inputs["data"]`` for the manifest."""
-    columns = _parse_columns(getattr(args, "columns", None))
-    target = getattr(args, "target", None)
-    layout = CsvLayout(columns=columns, timestamp=getattr(args, "timestamp", None))
-    if columns and target is not None and columns[0] != target:
-        if target in columns:
-            columns.remove(target)
-        columns.insert(0, target)
+    layout = CsvLayout(columns=_parse_columns(args.columns), timestamp=args.timestamp,
+                       target=args.target)
     inputs["data"] = read_input(args.data)
-    cset = ingest_csv(args.data, layout, inputs["data"])
-    if not columns and target is not None:
-        cset = _reorder_target(cset, target)
-    return cset
-
-
-def _reorder_target(cset: CorrelatedSet, target: str) -> CorrelatedSet:
-    names = [s.id for s in cset.series]
-    if target in names:
-        idx = names.index(target)
-    else:
-        try:
-            idx = int(target)
-        except ValueError:
-            raise DataError(f"no series named {target!r} in {names}") from None
-        if not 0 <= idx < len(names):
-            raise DataError(f"target index {idx} outside the {len(names)} series")
-    order = [idx] + [i for i in range(len(names)) if i != idx]
-    return CorrelatedSet(tuple(cset.series[i] for i in order))
+    return ingest_csv(args.data, layout, inputs["data"])
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
@@ -202,16 +179,17 @@ def _train_config(args) -> TrainConfig:
         patience=args.patience, seed=args.seed)
 
 
-def _model_fields(args, num_series: int) -> dict[str, object]:
-    """The model flags under the names every builder in ``models.MODELS``
-    reads (those of the checkpoint header)."""
+def _model_fields(args) -> dict[str, object]:
+    """The hyper-parameter flags under the names every builder in
+    ``models.MODELS`` reads (those of the checkpoint header). The geometry
+    and the seed are not among them: ``fit`` takes them from the windows and
+    the training config."""
     return dict(
-        num_series=num_series, input_length=args.l, horizon=args.p,
         conv_pool_stages=args.stages, filters_per_layer=args.filters,
         filter_size=args.filter_size, rnn_hidden=args.hidden,
         cell_kind=args.cell, rnn_layout=args.layout,
         conv_activation=args.conv_activation, features=args.features,
-        seed=args.seed, allow_off_grid=args.allow_off_grid)
+        allow_off_grid=args.allow_off_grid)
 
 
 def _prepare(args, cset: CorrelatedSet):
@@ -266,16 +244,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _add_csv_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--data", required=required, help="input CSV file")
     p.add_argument("--columns", help="comma-separated column names or indices; first is the target")
-    p.add_argument("--target", help="column (name or index) to forecast; moved to front")
+    p.add_argument("--target", help="column name or file column index; moved to front")
     p.add_argument("--timestamp", help="timestamp column (checked for uniform spacing)")
 
 
 def cmd_train(args) -> int:
     inputs: dict[str, bytes] = {}
-    cset = _load_dataset(args, inputs)
-    prepared = _prepare(args, cset)
-    model = MODELS[args.model](_model_fields(args, cset.num_series))
-    _, report = train(model, prepared.train, _train_config(args), val_samples=prepared.val)
+    prepared = _prepare(args, _load_dataset(args, inputs))
+    model, report = fit(args.model, _model_fields(args), prepared, _train_config(args))
     out = _out_dir(args, "train")
     ckpt_path = out / "checkpoint.txt"
     save_checkpoint(ckpt_path, model, extra_tensors=prepared.norm.tensors())
@@ -319,7 +295,7 @@ def _experiment_spec(args, method: str, num_series: int, **extra) -> ExperimentS
         method=method, num_series=num_series, input_length=args.l, horizon=args.p,
         seeds=_seed_list(args.seeds), train_frac=args.train_frac,
         val_fraction=args.val_frac, train=_train_config(args),
-        hparams=_model_fields(args, num_series), **extra)
+        hparams=_model_fields(args), **extra)
 
 
 def cmd_evaluate(args) -> int:
@@ -344,7 +320,6 @@ def cmd_robustness(args) -> int:
             raise DataError("robustness needs a target and a correlated series")
     else:
         cset = generate_synthetic(_synthetic_from_args(args))
-    # the template's method and series count are set per table cell
     template = _experiment_spec(args, "crnn", 2)
     report = robustness_experiment(cset.series[0], cset.series[1], template)
     out = _out_dir(args, "robustness")
@@ -369,6 +344,7 @@ def _parse_grid_file(path: str) -> dict[str, tuple[int, ...]]:
 
 
 def _grid_cells(args) -> list[dict[str, int]]:
+    """The model hyper-parameters of each grid cell, axes in report order."""
     axes = {
         "stages": GRID_STAGES,
         "filters": GRID_FILTERS,
@@ -378,27 +354,31 @@ def _grid_cells(args) -> list[dict[str, int]]:
     if args.grid:
         axes.update(_parse_grid_file(args.grid))
     return [
-        {"stages": s, "filters": f, "filter_size": k, "hidden": h}
+        dict(conv_pool_stages=s, filters_per_layer=f, filter_size=k, rnn_hidden=h)
         for s, f, k, h in itertools.product(
             axes["stages"], axes["filters"], axes["filter-size"], axes["hidden"])
     ]
 
 
-def _grid_cell_worker(payload):
-    """Train one grid cell; returns (cell, best validation j1 or None, note,
-    trained parameters, normalizer), the last two None for a failed cell."""
-    cell, args, cset = payload
-    args = argparse.Namespace(**{**vars(args), **cell})
+# What every cell of a gridsearch run shares: (model kind, hyper-parameter
+# flags, prepared windows, training config). A worker process receives it
+# once, from the pool's initializer, and not with each cell.
+_grid_run = None
+
+
+def _share_grid_run(run) -> None:
+    global _grid_run
+    _grid_run = run
+
+
+def _grid_cell_worker(cell, run=None):
+    """Train one grid cell on the windows of ``run``, by default the shared
+    one; returns (cell, model, TrainReport), or (cell, None, failure note)."""
+    kind, hparams, prepared, config = run or _grid_run
     try:
-        prepared = _prepare(args, cset)
-        if not prepared.val:
-            raise DataError("not enough windows for a train/validation split")
-        model = MODELS[args.model](_model_fields(args, cset.num_series))
-        params, report = train(model, prepared.train, _train_config(args),
-                               val_samples=prepared.val)
-        return cell, report.best_val_j1, report.stopping_reason, params, prepared.norm
+        return (cell, *fit(kind, {**hparams, **cell}, prepared, config))
     except (ValueError, ArithmeticError) as exc:
-        return cell, None, f"{type(exc).__name__}: {exc}", None, None
+        return cell, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_gridsearch(args) -> int:
@@ -406,40 +386,39 @@ def cmd_gridsearch(args) -> int:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cells = _grid_cells(args)
     inputs: dict[str, bytes] = {}
-    cset = _load_dataset(args, inputs)
-    payloads = [(cell, args, cset) for cell in cells]
+    prepared = _prepare(args, _load_dataset(args, inputs))
+    if not prepared.val:
+        raise DataError("not enough windows for a train/validation split")
+    run = (args.model, _model_fields(args), prepared, _train_config(args))
     if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_grid_cell_worker, payloads)
+        with multiprocessing.Pool(args.jobs, _share_grid_run, (run,)) as pool:
+            results = pool.map(_grid_cell_worker, cells)
     else:
-        results = [_grid_cell_worker(p) for p in payloads]
+        results = [_grid_cell_worker(cell, run) for cell in cells]
 
     out = _out_dir(args, "gridsearch")
-    ranked = sorted((r for r in results if r[1] is not None), key=lambda r: r[1])
+    ranked = sorted((r for r in results if r[1] is not None),
+                    key=lambda r: r[2].best_val_j1)
     lines = ["rank\tstages\tfilters\tfilter_size\thidden\tval_j1\tstatus"]
-    for rank, (cell, val_j1, note, _, _) in enumerate(ranked, 1):
+    for rank, (cell, _, report) in enumerate(ranked, 1):
         lines.append("%d\t%d\t%d\t%d\t%d\t%.17g\t%s"
-                     % (rank, cell["stages"], cell["filters"], cell["filter_size"],
-                        cell["hidden"], val_j1, note))
-    for cell, _, note, _, _ in (r for r in results if r[1] is None):
-        lines.append("-\t%d\t%d\t%d\t%d\t-\tFAILED: %s"
-                     % (cell["stages"], cell["filters"], cell["filter_size"],
-                        cell["hidden"], note))
+                     % (rank, *cell.values(), report.best_val_j1, report.stopping_reason))
+    failed = [(cell, note) for cell, model, note in results if model is None]
+    for cell, note in failed:
+        lines.append("-\t%d\t%d\t%d\t%d\t-\tFAILED: %s" % (*cell.values(), note))
     report_path = out / "grid_report.tsv"
     report_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     outputs = {"grid_report": report_path}
     if ranked:
-        best_cell, _, _, params, norm = ranked[0]
-        vars(args).update(best_cell)
-        model = MODELS[args.model](_model_fields(args, cset.num_series))
-        model.set_params(params)
+        best_cell, model, _ = ranked[0]
+        # the manifest records the best cell's values
+        args.stages, args.filters, args.filter_size, args.hidden = best_cell.values()
         ckpt_path = out / "best_checkpoint.txt"
-        save_checkpoint(ckpt_path, model, extra_tensors=norm.tensors())
+        save_checkpoint(ckpt_path, model, extra_tensors=prepared.norm.tensors())
         outputs["best_checkpoint"] = ckpt_path
     write_manifest(out, "gridsearch", args, inputs, outputs)
-    failed = sum(1 for r in results if r[1] is None)
-    print(f"grid: {len(cells)} cells, {failed} failed; report: {report_path}")
+    print(f"grid: {len(cells)} cells, {len(failed)} failed; report: {report_path}")
     return EXIT_OK
 
 
@@ -458,7 +437,9 @@ def cmd_gradcheck(args) -> int:
     for key, value in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
-    model = MODELS[args.model](_model_fields(args, args.x))
+    model = MODELS[args.model]({**_model_fields(args), "num_series": args.x,
+                                "input_length": args.l, "horizon": args.p,
+                                "seed": args.seed})
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(0.0, 1.0, (1, args.x, args.l))
     y = rng.uniform(0.0, 1.0, (1, args.p))

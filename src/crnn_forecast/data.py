@@ -317,10 +317,14 @@ def prepare(cset: CorrelatedSet, input_length: int, horizon: int, *,
 
 @dataclass
 class CsvLayout:
-    """Which columns to read; the first listed column is the forecast target."""
+    """Which columns to read, each by name or file column index: ``columns``
+    (default: every column but the timestamp), of which the first is the
+    forecast target. A ``target`` is moved to the front of them, or put
+    there when it is not among them."""
 
     columns: Sequence[str | int] = field(default_factory=list)
     timestamp: str | int | None = None
+    target: str | int | None = None
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -457,6 +461,11 @@ def ingest_csv(path, layout: CsvLayout | None = None,
         if not layout.columns:
             specs = [i for i in range(width) if i != ts_index]
     indices = [_resolve_column(s, header, str(path)) for s in specs]
+    if layout.target is not None:
+        target = _resolve_column(layout.target, header, str(path))
+        if target == ts_index:
+            raise DataError(f"{path}: the target column {target} is the timestamp column")
+        indices = [target] + [i for i in indices if i != target]
     for idx in indices + ([ts_index] if ts_index is not None else []):
         if not 0 <= idx < width:
             raise DataError(f"{path}: column index {idx} outside row width {width}")
@@ -482,19 +491,12 @@ def ingest_csv(path, layout: CsvLayout | None = None,
             raise DataError(f"{path}: timestamp column is not uniformly spaced")
         start = float(timestamps[0])
 
-    names = []
-    for c, spec in enumerate(specs):
-        if header is not None and isinstance(spec, str) and not spec.lstrip("-").isdigit():
-            names.append(spec)
-        elif header is not None:
-            if indices[c] >= len(header):
-                raise DataError(f"{path}: the header has no name for column {indices[c]}")
-            names.append(header[indices[c]])
-        else:
-            names.append(f"col{indices[c]}")
-    series = tuple(TimeSeries(names[c], columns[c], start, interval)
-                   for c in range(len(indices)))
-    return CorrelatedSet(series)
+    unnamed = [i for i in indices if header is not None and i >= len(header)]
+    if unnamed:
+        raise DataError(f"{path}: the header has no name for column {unnamed[0]}")
+    names = [header[i] if header is not None else f"col{i}" for i in indices]
+    return CorrelatedSet(tuple(TimeSeries(name, values, start, interval)
+                               for name, values in zip(names, columns)))
 
 
 def write_csv(cset: CorrelatedSet, path) -> None:

@@ -1,14 +1,19 @@
 """Metrics and the experiment harness.
 
-``run_experiment`` reproduces the evaluation protocol end to end for one
-method: chronological split, train-only normalization, sliding-window
-training cases, held-out test windows, and RMSE/MAPE in original units.
-``robustness_experiment`` compares the two network models when the second
-input series is helpful, absent, or pure noise.
+The protocol has three steps. ``data.prepare`` cuts the windows of a series
+set, ``fit`` builds a model for them and trains it with early stopping on the
+validation windows, and the held-out test windows are scored as RMSE/MAPE in
+original units. The train and gridsearch commands, ``run_experiment`` and
+``robustness_experiment`` all train through ``fit``, and each prepares a set
+once: gridsearch shares it among its cells, and robustness scores both
+models on each (seed, row) set.
 
-For synthetic sources each seed regenerates the dataset (seed k uses data
-seed base+k), so seeds act as independent trials; a given dataset is fixed
-and seeds vary only the model initialization and batch order.
+``run_experiment`` runs the protocol for one method across seeds.
+``robustness_experiment`` compares the two network models when the second
+input series is helpful, absent, or pure noise. For synthetic sources each
+seed regenerates the dataset (seed k uses data seed base+k), so seeds act as
+independent trials; a given dataset is fixed and seeds vary only the model
+initialization and batch order.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +37,7 @@ __all__ = [
     "MetricReport",
     "RobustnessReport",
     "WindowResult",
+    "fit",
     "mape_detailed",
     "rmse",
     "robustness_experiment",
@@ -87,9 +93,11 @@ class WindowResult:
 class ExperimentSpec:
     """One experiment cell: a method, a problem setting, and a data source.
 
-    The source is ``dataset`` when it is given, else ``data``. ``hparams``
-    holds the model hyper-parameters under the names every builder in
-    ``models.MODELS`` reads; the geometry and the seed come from the spec.
+    The source is ``dataset`` when it is given, else ``data``; its first
+    ``num_series`` series are used. ``hparams`` holds the model
+    hyper-parameters only, under the names every builder in ``models.MODELS``
+    reads: ``fit`` takes the geometry from the prepared windows and the seed
+    of each run from ``seeds``.
     """
 
     method: str
@@ -109,6 +117,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
+        if self.num_series < 1:
+            raise ValueError(f"num_series must be >= 1, got {self.num_series}")
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
@@ -177,37 +187,43 @@ def _load_data(spec: ExperimentSpec, seed: int) -> CorrelatedSet:
         cset = generate_synthetic(cfg)
     else:
         raise ValueError("experiment needs a synthetic config or a dataset")
-    if cset.num_series < spec.num_series:
-        raise DataError(
-            f"data offers {cset.num_series} series but the spec needs {spec.num_series}")
     return cset.take(spec.num_series)
 
 
-def _fit_forecaster(spec: ExperimentSpec, prepared: Prepared,
-                    seed: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a batched window -> forecast function for the chosen method."""
-    if spec.method == "yesterday":
-        return lambda x: yesterday_batch(x, spec.horizon)
-    if spec.method == "ewma":
-        return lambda x: ewma_batch(x, spec.ewma_smoothing, spec.horizon)
-    model = MODELS[spec.method]({**spec.hparams, "num_series": spec.num_series,
-                                 "input_length": spec.input_length,
-                                 "horizon": spec.horizon, "seed": seed})
-    train(model, prepared.train, dataclasses.replace(spec.train, seed=seed),
-          val_samples=prepared.val)
-    return model.batch_forecast
+def fit(kind: str, hparams: Mapping[str, object], prepared: Prepared,
+        config: TrainConfig):
+    """Build a ``kind`` model for ``prepared``'s windows and train it, with
+    early stopping on the validation windows. The series count, input length
+    and horizon come from the training windows' shape, and the initial
+    weights from ``config.seed``; ``hparams`` holds the other model fields.
+    Returns the model, left at its best epoch, and its TrainReport."""
+    _, num_series, input_length = prepared.train.x.shape
+    model = MODELS[kind]({**hparams, "num_series": num_series, "input_length": input_length,
+                          "horizon": prepared.train.y.shape[1], "seed": config.seed})
+    _, report = train(model, prepared.train, config, val_samples=prepared.val)
+    return model, report
 
 
-def _evaluate_on_set(cset: CorrelatedSet, spec: ExperimentSpec,
-                     seed: int) -> list[WindowResult]:
-    """Run the full protocol on one prepared series set for one seed."""
+def _prepare_set(spec: ExperimentSpec, cset: CorrelatedSet) -> Prepared:
+    """The spec's windows of one series set, test windows at its stride."""
     stride = spec.input_length + spec.horizon if spec.eval_stride is None else spec.eval_stride
-    prepared = prepare(cset, spec.input_length, spec.horizon,
-                       train_frac=spec.train_frac, val_fraction=spec.val_fraction,
-                       test_stride=stride)
-    forecaster = _fit_forecaster(spec, prepared, seed)
+    return prepare(cset, spec.input_length, spec.horizon, train_frac=spec.train_frac,
+                   val_fraction=spec.val_fraction, test_stride=stride)
+
+
+def _score(spec: ExperimentSpec, prepared: Prepared, seed: int) -> list[WindowResult]:
+    """Fit the spec's method on one prepared set for one seed, and score each
+    test window in original units."""
     x_test, y_test = stack_samples(prepared.test)
-    preds = prepared.norm.inverse_target(forecaster(x_test))
+    if spec.method == "yesterday":
+        forecasts = yesterday_batch(x_test, spec.horizon)
+    elif spec.method == "ewma":
+        forecasts = ewma_batch(x_test, spec.ewma_smoothing, spec.horizon)
+    else:
+        model, _ = fit(spec.method, spec.hparams, prepared,
+                       dataclasses.replace(spec.train, seed=seed))
+        forecasts = model.batch_forecast(x_test)
+    preds = prepared.norm.inverse_target(forecasts)
     truths = prepared.norm.inverse_target(y_test)
     results = []
     for i, offset in enumerate(prepared.test.offsets.tolist()):
@@ -242,8 +258,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> M
     """
     windows: list[WindowResult] = []
     for seed in spec.seeds:
-        cset = _load_data(spec, seed)
-        windows.extend(_evaluate_on_set(cset, spec, seed))
+        windows.extend(_score(spec, _prepare_set(spec, _load_data(spec, seed)), seed))
     report = MetricReport.from_windows(spec, windows)
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -280,12 +295,14 @@ def robustness_experiment(target: TimeSeries, correlated: TimeSeries,
 
     Rows: the target alone, the target with the genuinely correlated series,
     and the target with a phase-randomized surrogate that matches the
-    target's moments but carries no information about it. Each cell runs
-    ``template`` for one of its seeds, with the method and series count
-    replaced; its data source is not used.
+    target's moments but carries no information about it. Each (seed, row)
+    set is prepared once, as ``template`` sets out, and both models are
+    trained and scored on it with that seed; the template's method, series
+    count and data source are not used.
     """
     per_seed: dict[tuple[str, str], dict[int, float]] = {
         (row, model): {} for row in ROBUSTNESS_ROWS for model in ROBUSTNESS_MODELS}
+    specs = [dataclasses.replace(template, method=model) for model in ROBUSTNESS_MODELS]
     for seed in template.seeds:
         companions = {
             "single": None,
@@ -294,12 +311,10 @@ def robustness_experiment(target: TimeSeries, correlated: TimeSeries,
         }
         for row, companion in companions.items():
             series = (target,) if companion is None else (target, companion)
-            cset = CorrelatedSet(series)
-            for model in ROBUSTNESS_MODELS:
-                spec = dataclasses.replace(template, method=model,
-                                           num_series=cset.num_series, seeds=(seed,))
-                windows = _evaluate_on_set(cset, spec, seed)
-                per_seed[(row, model)][seed] = float(
+            prepared = _prepare_set(template, CorrelatedSet(series))
+            for spec in specs:
+                windows = _score(spec, prepared, seed)
+                per_seed[(row, spec.method)][seed] = float(
                     np.mean([w.mape for w in windows]))
     pooled = {key: float(np.mean(list(vals.values())))
               for key, vals in per_seed.items()}

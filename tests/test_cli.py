@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from crnn_forecast import cli
+from crnn_forecast import cli, evaluation
 from crnn_forecast.cli import main
-from crnn_forecast.data import CorrelatedSet, Normalizer, ingest_csv, write_csv
-from crnn_forecast.models import MODELS, load_checkpoint, model_from_checkpoint
+from crnn_forecast.data import CorrelatedSet, Normalizer, ingest_csv, prepare, write_csv
+from crnn_forecast.models import MODELS, load_checkpoint, model_from_checkpoint, save_checkpoint
 from crnn_forecast.tensor import Tensor
+from crnn_forecast.training import TrainConfig, train
 
 
 @pytest.fixture()
@@ -179,6 +180,55 @@ class TestTrain:
         assert code == 0
         assert ((out1 / "checkpoint.txt").read_bytes()
                 == (out2 / "checkpoint.txt").read_bytes())
+
+
+class TestFit:
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_trains_the_model_built_from_the_windows_and_seed(self, dataset, tmp_path, kind):
+        # fit reads n, l and p from the windows and the seed from the config;
+        # the train command writes the checkpoint of the same model
+        prepared = prepare(ingest_csv(dataset), 8, 2, train_frac=0.84, val_fraction=0.15)
+        hparams = dict(filters_per_layer=2, filter_size=3, rnn_hidden=4)
+        config = TrainConfig(max_epochs=3, seed=1)
+        model, report = evaluation.fit(kind, hparams, prepared, config)
+        by_hand = MODELS[kind]({**hparams, "num_series": 2, "input_length": 8,
+                                "horizon": 2, "seed": 1})
+        _, expected = train(by_hand, prepared.train, config, val_samples=prepared.val)
+        assert report == expected
+        for name, trained in (("fit", model), ("by_hand", by_hand)):
+            save_checkpoint(tmp_path / name, trained, extra_tensors=prepared.norm.tensors())
+        assert main(train_args(dataset, tmp_path / "cli", model=kind)) == 0
+        written = (tmp_path / "fit").read_bytes()
+        assert written == (tmp_path / "by_hand").read_bytes()
+        assert written == (tmp_path / "cli" / "checkpoint.txt").read_bytes()
+
+
+class TestTargetFlag:
+    @pytest.fixture()
+    def four_columns(self, tmp_path):
+        """t, then a, b and c, whose values lie in [100, 101), [200, 201)
+        and [300, 301)."""
+        path = tmp_path / "tabc.csv"
+        rows = [f"{i},{100 + i % 7 / 7},{200 + i % 5 / 5},{300 + i % 3 / 3}"
+                for i in range(60)]
+        path.write_text("t,a,b,c\n" + "\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("flags, hundreds", [
+        (["--columns", "a,b", "--target", "1"], [1, 2]),
+        (["--columns", "1,2", "--target", "a"], [1, 2]),
+        (["--timestamp", "t", "--target", "1"], [1, 2, 3]),
+        (["--columns", "a,b", "--timestamp", "t", "--target", "1"], [1, 2]),
+        (["--columns", "a,b", "--target", "c"], [3, 1, 2]),
+    ])
+    def test_integer_target_is_a_file_column_read_once(self, four_columns, tmp_path,
+                                                       flags, hundreds):
+        out = tmp_path / "t"
+        assert main(["train", "--model", "rnn", "--data", str(four_columns), "--l", "8",
+                     "--p", "2", "--epochs", "1", *flags, "--out", str(out)]) == 0
+        fields, tensors = load_checkpoint(out / "checkpoint.txt")
+        assert fields["num_series"] == str(len(hundreds))
+        assert [int(v // 100) for v in tensors["norm.min"]] == hundreds
 
 
 class TestForecast:
@@ -368,6 +418,14 @@ class TestEvaluate:
         assert main(args) == 1
         assert main(args + ["--allow-off-grid"]) == 0
 
+    @pytest.mark.parametrize("x", ["0", "-1"])
+    def test_series_count_below_one_is_usage_error(self, dataset, tmp_path, capsys, x):
+        out = tmp_path / "e"
+        assert main(["evaluate", "--method", "yesterday", "--data", str(dataset),
+                     "--l", "8", "--p", "2", "--x", x, "--out", str(out)]) == 1
+        assert "num_series" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stride", ["0", "-1"])
     def test_eval_stride_below_one_is_usage_error(self, dataset, tmp_path, capsys,
                                                   stride):
@@ -422,19 +480,62 @@ class TestGridsearch:
 
     def test_trains_each_cell_once(self, dataset, tmp_path, monkeypatch):
         calls = []
-        real_train = cli.train
+        real_train = evaluation.train  # the train that evaluation.fit calls
 
         def counting_train(*args, **kwargs):
             calls.append(1)
             return real_train(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "train", counting_train)
+        monkeypatch.setattr(evaluation, "train", counting_train)
         grid = tmp_path / "grid.cfg"
         grid.write_text("stages=1\nfilters=2,3\nfilter-size=3\nhidden=3,4\n")
         assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
                      "--grid", str(grid), "--epochs", "1", "--out", str(tmp_path)]) == 0
         assert len(calls) == 4
         assert (tmp_path / "best_checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_prepares_the_data_once(self, dataset, tmp_path, monkeypatch, jobs):
+        # each call, in this process or in a forked worker, adds a line
+        calls = tmp_path / "prepare_calls.txt"
+        real_prepare = cli.prepare
+
+        def logging_prepare(*args, **kwargs):
+            with open(calls, "a", encoding="ascii") as fh:
+                fh.write("prepare\n")
+            return real_prepare(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "prepare", logging_prepare)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2,3\nfilter-size=3\nhidden=3\n")
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", "--jobs", jobs,
+                     "--out", str(tmp_path / "gs")]) == 0
+        assert calls.read_text() == "prepare\n"
+
+    def test_too_short_data_is_data_error(self, tmp_path, capsys):
+        # 30 values leave 6 training windows at l+p = 20, and none for validation
+        data = tmp_path / "short.csv"
+        data.write_text("a,b\n" + "".join(f"{v},{v % 7}\n" for v in range(30)))
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2,3\nfilter-size=3\nhidden=4\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(data), "--l", "16", "--p", "4",
+                     "--grid", str(grid), "--epochs", "1", "--out", str(out)]) == 2
+        assert "validation" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--train-frac", "--val-frac"])
+    def test_fraction_outside_its_range_is_usage_error(self, dataset, tmp_path, capsys,
+                                                      flag):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2,3\nfilter-size=3\nhidden=4\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", flag, "1.5",
+                     "--out", str(out)]) == 1
+        assert "1.5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_allow_off_grid_cell_ranks(self, dataset, tmp_path):
         grid = tmp_path / "grid.cfg"

@@ -328,6 +328,38 @@ class TestCsv:
         with pytest.raises(DataError, match="nope"):
             ingest_csv(path, CsvLayout(columns=["nope"]))
 
+    @pytest.mark.parametrize("layout, names", [
+        (dict(columns=["a", "b"], target="1"), ["a", "b"]),
+        (dict(columns=["1", "2"], target="a"), ["a", "b"]),
+        (dict(columns=[1, 2], target=2), ["b", "a"]),
+        (dict(timestamp="t", target="1"), ["a", "b", "c"]),
+        (dict(timestamp="t", target="c"), ["c", "a", "b"]),
+        (dict(columns=["a", "b"], timestamp="t", target="1"), ["a", "b"]),
+        (dict(columns=["a", "b"], target="3"), ["c", "a", "b"]),
+        (dict(target="b"), ["b", "t", "a", "c"]),
+    ])
+    def test_target_is_a_file_column_moved_to_the_front(self, tmp_path, layout, names):
+        # an integer target counts file columns, as --columns does, and a
+        # target already listed is moved, not read twice
+        path = tmp_path / "d.csv"
+        path.write_text("t,a,b,c\n0,10,20,30\n1,11,21,31\n")
+        cset = ingest_csv(path, CsvLayout(**layout))
+        assert [s.id for s in cset.series] == names
+        header = ["t", "a", "b", "c"]
+        for s in cset.series:
+            assert s.values.tolist() == [header.index(s.id) * 10.0 + k for k in (0, 1)]
+
+    @pytest.mark.parametrize("layout, message", [
+        (dict(target="nope"), "no column named 'nope'"),
+        (dict(target="4"), "column index 4 outside row width 4"),
+        (dict(timestamp="t", target="0"), "target column 0 is the timestamp column"),
+    ])
+    def test_bad_target_is_data_error(self, tmp_path, layout, message):
+        path = tmp_path / "d.csv"
+        path.write_text("t,a,b,c\n0,10,20,30\n1,11,21,31\n")
+        with pytest.raises(DataError, match=message):
+            ingest_csv(path, CsvLayout(**layout))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             ingest_csv(tmp_path / "absent.csv")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crnn_forecast import evaluation
 from crnn_forecast.data import SyntheticConfig, generate_synthetic, ingest_csv, write_csv
 from crnn_forecast.evaluation import (ExperimentSpec, MetricReport, WindowResult,
                                       mape_detailed, rmse, robustness_experiment,
@@ -182,6 +183,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="eval_stride"):
             tiny_spec(eval_stride=stride)
 
+    @pytest.mark.parametrize("num_series", [0, -1])
+    def test_num_series_below_one_rejected(self, num_series):
+        with pytest.raises(ValueError, match="num_series"):
+            tiny_spec(num_series=num_series)
+
 
 class TestRobustness:
     def test_table_shape_and_cells(self):
@@ -196,3 +202,18 @@ class TestRobustness:
         assert len(table.splitlines()) == 4  # header + 3 rows
         for value in report.mape.values():
             assert np.isfinite(value)
+
+    def test_prepares_each_set_once(self, monkeypatch):
+        # one prepare per (seed, row) set, shared by both models
+        calls = []
+        real_prepare = evaluation.prepare
+
+        def counting_prepare(*args, **kwargs):
+            calls.append(1)
+            return real_prepare(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "prepare", counting_prepare)
+        cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
+        robustness_experiment(cset.series[0], cset.series[1],
+                              tiny_spec(seeds=(0, 1), train=TrainConfig(max_epochs=1)))
+        assert len(calls) == 3 * 2
