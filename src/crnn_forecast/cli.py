@@ -10,6 +10,7 @@ as keys), input digests, and output paths; feeding it back through
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import multiprocessing
@@ -158,10 +159,16 @@ def _load_dataset(args, inputs: dict[str, bytes]) -> CorrelatedSet:
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
+    """The distinct seeds of --seeds, in the order given."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        seeds = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"--seeds expects comma-separated integers, got {text!r}") from None
+    if not seeds:
+        raise UsageError("--seeds needs at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds repeats a seed: {text!r}")
+    return seeds
 
 
 def _synthetic_from_args(args) -> SyntheticConfig:
@@ -290,22 +297,31 @@ def cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _experiment_spec(args, method: str, num_series: int, **extra) -> ExperimentSpec:
+def _experiment_spec(args, **extra) -> ExperimentSpec:
     return ExperimentSpec(
-        method=method, num_series=num_series, input_length=args.l, horizon=args.p,
-        seeds=_seed_list(args.seeds), train_frac=args.train_frac,
+        input_length=args.l, horizon=args.p, train_frac=args.train_frac,
         val_fraction=args.val_frac, train=_train_config(args),
         hparams=_model_fields(args), **extra)
 
 
 def cmd_evaluate(args) -> int:
     inputs: dict[str, bytes] = {}
-    source = ({"dataset": _load_dataset(args, inputs)} if args.data
-              else {"data": _synthetic_from_args(args)})
-    spec = _experiment_spec(args, args.method, args.x, eval_stride=args.eval_stride,
-                            ewma_smoothing=args.ewma_smoothing, **source)
+    cset = _load_dataset(args, inputs) if args.data else None
+    synthetic = None if args.data else _synthetic_from_args(args)
+    seeds = _seed_list(args.seeds)
+    if args.x < 1:
+        raise UsageError(f"num_series must be >= 1, got {args.x}")
+    spec = _experiment_spec(args, eval_stride=args.eval_stride,
+                            ewma_smoothing=args.ewma_smoothing)
+    if cset is not None:
+        prepared = spec.prepare(cset.take(args.x))
+        runs = [(seed, prepared) for seed in seeds]
+    else:  # seed k draws its own set with data seed --seed + k, prepared in its turn
+        runs = ((seed, spec.prepare(generate_synthetic(
+            dataclasses.replace(synthetic, seed=args.seed + seed)).take(args.x)))
+            for seed in seeds)
     out = _out_path(args, "evaluate")
-    report = run_experiment(spec, out_dir=out)  # makes out once every seed has run
+    report = run_experiment(args.method, spec, runs, out_dir=out)  # makes out at the end
     write_manifest(out, "evaluate", args, inputs, {"report": out / "report.tsv"})
     print(MetricReport.TABLE_HEADER)
     print(report.table_row())
@@ -320,8 +336,9 @@ def cmd_robustness(args) -> int:
             raise DataError("robustness needs a target and a correlated series")
     else:
         cset = generate_synthetic(_synthetic_from_args(args))
-    template = _experiment_spec(args, "crnn", 2)
-    report = robustness_experiment(cset.series[0], cset.series[1], template)
+    seeds = _seed_list(args.seeds)
+    report = robustness_experiment(cset.series[0], cset.series[1], _experiment_spec(args),
+                                   seeds)
     out = _out_dir(args, "robustness")
     table_path = out / "robustness.tsv"
     table_path.write_text(report.table(), encoding="ascii")

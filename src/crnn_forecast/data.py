@@ -573,6 +573,8 @@ class SyntheticConfig:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         if self.length < 2 or self.lag < 0:
             raise ValueError("length must be >= 2 and lag >= 0")
+        if not self.season_period > 0:
+            raise ValueError(f"season_period must be positive, got {self.season_period}")
 
 
 def _latent_signal(cfg: SyntheticConfig, rng: np.random.Generator, n: int,

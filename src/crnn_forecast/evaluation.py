@@ -1,19 +1,19 @@
 """Metrics and the experiment harness.
 
-The protocol has three steps. ``data.prepare`` cuts the windows of a series
-set, ``fit`` builds a model for them and trains it with early stopping on the
-validation windows, and the held-out test windows are scored as RMSE/MAPE in
-original units. The train and gridsearch commands, ``run_experiment`` and
-``robustness_experiment`` all train through ``fit``, and each prepares a set
-once: gridsearch shares it among its cells, and robustness scores both
-models on each (seed, row) set.
+The protocol has three steps. ``ExperimentSpec.prepare`` cuts the windows of
+a series set, ``fit`` builds a model for them and trains it with early
+stopping on the validation windows, and the held-out test windows are scored
+as RMSE/MAPE in original units. The train and gridsearch commands,
+``run_experiment`` and ``robustness_experiment`` all train through ``fit``.
 
-``run_experiment`` runs the protocol for one method across seeds.
-``robustness_experiment`` compares the two network models when the second
-input series is helpful, absent, or pure noise. For synthetic sources each
-seed regenerates the dataset (seed k uses data seed base+k), so seeds act as
-independent trials; a given dataset is fixed and seeds vary only the model
-initialization and batch order.
+The harness scores prepared sets; the caller picks the data. The evaluate
+command prepares a fixed dataset once and scores every seed on it, so seeds
+vary only the model initialization and batch order; for synthetic data it
+draws a new set for each seed (seed k uses data seed base+k), so seeds act
+as independent trials. ``run_experiment`` scores one method on a sequence of
+(seed, prepared set) runs. ``robustness_experiment`` compares the two
+network models when the second input series is helpful, absent, or pure
+noise, and prepares each (seed, row) set once for both.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .baselines import ewma_batch, yesterday_batch
-from .data import (CorrelatedSet, DataError, Prepared, SyntheticConfig, TimeSeries,
-                   generate_synthetic, make_uncorrelated, prepare, stack_samples)
+from .data import (CorrelatedSet, DataError, Prepared, TimeSeries, make_uncorrelated, prepare,
+                   stack_samples)
 from .models import MODELS
 from .training import TrainConfig, train
 
@@ -91,22 +91,17 @@ class WindowResult:
 
 @dataclass
 class ExperimentSpec:
-    """One experiment cell: a method, a problem setting, and a data source.
+    """The scoring protocol: how a series set is cut into windows, and how a
+    method is trained and scored on them. The data are not part of it; the
+    caller prepares each set it scores with ``prepare``.
 
-    The source is ``dataset`` when it is given, else ``data``; its first
-    ``num_series`` series are used. ``hparams`` holds the model
-    hyper-parameters only, under the names every builder in ``models.MODELS``
-    reads: ``fit`` takes the geometry from the prepared windows and the seed
-    of each run from ``seeds``.
+    ``hparams`` holds the model hyper-parameters only, under the names every
+    builder in ``models.MODELS`` reads: ``fit`` takes the geometry from the
+    prepared windows and the seed from each run.
     """
 
-    method: str
-    num_series: int
     input_length: int
     horizon: int
-    data: SyntheticConfig | None = None
-    dataset: CorrelatedSet | None = None
-    seeds: tuple[int, ...] = (0,)
     train_frac: float = 0.84
     val_fraction: float = 0.15
     eval_stride: int | None = None      # default: non-overlapping (l + p)
@@ -115,15 +110,14 @@ class ExperimentSpec:
     hparams: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
-        if self.num_series < 1:
-            raise ValueError(f"num_series must be >= 1, got {self.num_series}")
-        self.seeds = tuple(self.seeds)
-        if not self.seeds:
-            raise ValueError("experiment needs at least one seed")
         if self.eval_stride is not None and self.eval_stride < 1:
             raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
+
+    def prepare(self, cset: CorrelatedSet) -> Prepared:
+        """The windows of one series set, test windows at the spec's stride."""
+        stride = self.input_length + self.horizon if self.eval_stride is None else self.eval_stride
+        return prepare(cset, self.input_length, self.horizon, train_frac=self.train_frac,
+                       val_fraction=self.val_fraction, test_stride=stride)
 
 
 @dataclass
@@ -147,7 +141,8 @@ class MetricReport:
                     "mape_mean\tmape_std\tseeds\tnotes")
 
     @classmethod
-    def from_windows(cls, spec: ExperimentSpec, windows: list[WindowResult]) -> "MetricReport":
+    def from_windows(cls, spec: ExperimentSpec, method: str, num_series: int,
+                     seeds: tuple[int, ...], windows: list[WindowResult]) -> "MetricReport":
         if not windows:
             raise DataError("experiment produced no evaluation windows")
         rmses = np.array([w.rmse for w in windows])
@@ -159,11 +154,11 @@ class MetricReport:
         if skips:
             notes.append(f"mape_skipped={skips}")
         return cls(
-            method=spec.method,
-            num_series=spec.num_series,
+            method=method,
+            num_series=num_series,
             input_length=spec.input_length,
             horizon=spec.horizon,
-            seeds=spec.seeds,
+            seeds=seeds,
             windows=windows,
             rmse_mean=float(rmses.mean()),
             rmse_std=float(rmses.std()),
@@ -177,17 +172,6 @@ class MetricReport:
                 % (self.method, self.num_series, self.input_length, self.horizon,
                    self.rmse_mean, self.rmse_std, self.mape_mean, self.mape_std,
                    ",".join(str(s) for s in self.seeds), self.notes))
-
-
-def _load_data(spec: ExperimentSpec, seed: int) -> CorrelatedSet:
-    if spec.dataset is not None:
-        cset = spec.dataset
-    elif spec.data is not None:
-        cfg = dataclasses.replace(spec.data, seed=spec.data.seed + seed)
-        cset = generate_synthetic(cfg)
-    else:
-        raise ValueError("experiment needs a synthetic config or a dataset")
-    return cset.take(spec.num_series)
 
 
 def fit(kind: str, hparams: Mapping[str, object], prepared: Prepared,
@@ -204,23 +188,17 @@ def fit(kind: str, hparams: Mapping[str, object], prepared: Prepared,
     return model, report
 
 
-def _prepare_set(spec: ExperimentSpec, cset: CorrelatedSet) -> Prepared:
-    """The spec's windows of one series set, test windows at its stride."""
-    stride = spec.input_length + spec.horizon if spec.eval_stride is None else spec.eval_stride
-    return prepare(cset, spec.input_length, spec.horizon, train_frac=spec.train_frac,
-                   val_fraction=spec.val_fraction, test_stride=stride)
-
-
-def _score(spec: ExperimentSpec, prepared: Prepared, seed: int) -> list[WindowResult]:
-    """Fit the spec's method on one prepared set for one seed, and score each
-    test window in original units."""
+def _score(method: str, spec: ExperimentSpec, prepared: Prepared,
+           seed: int) -> list[WindowResult]:
+    """Fit ``method`` on one prepared set for one seed, and score each test
+    window in original units."""
     x_test, y_test = stack_samples(prepared.test)
-    if spec.method == "yesterday":
+    if method == "yesterday":
         forecasts = yesterday_batch(x_test, spec.horizon)
-    elif spec.method == "ewma":
+    elif method == "ewma":
         forecasts = ewma_batch(x_test, spec.ewma_smoothing, spec.horizon)
     else:
-        model, _ = fit(spec.method, spec.hparams, prepared,
+        model, _ = fit(method, spec.hparams, prepared,
                        dataclasses.replace(spec.train, seed=seed))
         forecasts = model.batch_forecast(x_test)
     preds = prepared.norm.inverse_target(forecasts)
@@ -250,16 +228,28 @@ def _write_dumps(out_dir: Path, windows: Sequence[WindowResult]) -> None:
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> MetricReport:
-    """Train and evaluate one experiment cell across its seeds.
+def run_experiment(method: str, spec: ExperimentSpec, runs: Iterable[tuple[int, Prepared]],
+                   out_dir: str | Path | None = None) -> MetricReport:
+    """Score ``method`` on each run, a (seed, prepared set) pair, under
+    ``spec``'s protocol.
 
-    When ``out_dir`` is given, per-window prediction dumps and the report row
-    are persisted there.
+    The runs are taken one at a time, so a generator can prepare each set
+    when its turn comes; a fixed dataset is prepared once and its windows
+    shared by every seed. When ``out_dir`` is given, per-window prediction
+    dumps and the report row are persisted there once every run has been
+    scored.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     windows: list[WindowResult] = []
-    for seed in spec.seeds:
-        windows.extend(_score(spec, _prepare_set(spec, _load_data(spec, seed)), seed))
-    report = MetricReport.from_windows(spec, windows)
+    seeds: list[int] = []
+    for seed, prepared in runs:
+        windows.extend(_score(method, spec, prepared, seed))
+        seeds.append(seed)
+    if not seeds:
+        raise ValueError("experiment needs at least one run")
+    report = MetricReport.from_windows(spec, method, prepared.test.x.shape[1], tuple(seeds),
+                                       windows)
     if out_dir is not None:
         out_path = Path(out_dir)
         _write_dumps(out_path, windows)
@@ -288,22 +278,23 @@ class RobustnessReport:
         return "\n".join(lines) + "\n"
 
 
-def robustness_experiment(target: TimeSeries, correlated: TimeSeries,
-                          template: ExperimentSpec, *,
+def robustness_experiment(target: TimeSeries, correlated: TimeSeries, spec: ExperimentSpec,
+                          seeds: Sequence[int], *,
                           uncorrelated_seed_base: int = 7000) -> RobustnessReport:
     """Evaluate CRNN and AECRNN under three companion-series regimes.
 
     Rows: the target alone, the target with the genuinely correlated series,
     and the target with a phase-randomized surrogate that matches the
-    target's moments but carries no information about it. Each (seed, row)
-    set is prepared once, as ``template`` sets out, and both models are
-    trained and scored on it with that seed; the template's method, series
-    count and data source are not used.
+    target's moments but carries no information about it. For each seed,
+    each row's set is prepared once under ``spec`` and both models are
+    trained and scored on it with that seed. Each cell of the report is the
+    mean over the seeds of the per-seed MAPE.
     """
-    per_seed: dict[tuple[str, str], dict[int, float]] = {
-        (row, model): {} for row in ROBUSTNESS_ROWS for model in ROBUSTNESS_MODELS}
-    specs = [dataclasses.replace(template, method=model) for model in ROBUSTNESS_MODELS]
-    for seed in template.seeds:
+    if not seeds:
+        raise ValueError("experiment needs at least one seed")
+    per_seed: dict[tuple[str, str], list[float]] = {
+        (row, model): [] for row in ROBUSTNESS_ROWS for model in ROBUSTNESS_MODELS}
+    for seed in seeds:
         companions = {
             "single": None,
             "correlated": correlated,
@@ -311,11 +302,8 @@ def robustness_experiment(target: TimeSeries, correlated: TimeSeries,
         }
         for row, companion in companions.items():
             series = (target,) if companion is None else (target, companion)
-            prepared = _prepare_set(template, CorrelatedSet(series))
-            for spec in specs:
-                windows = _score(spec, prepared, seed)
-                per_seed[(row, spec.method)][seed] = float(
-                    np.mean([w.mape for w in windows]))
-    pooled = {key: float(np.mean(list(vals.values())))
-              for key, vals in per_seed.items()}
-    return RobustnessReport(mape=pooled)
+            prepared = spec.prepare(CorrelatedSet(series))
+            for model in ROBUSTNESS_MODELS:
+                windows = _score(model, spec, prepared, seed)
+                per_seed[(row, model)].append(float(np.mean([w.mape for w in windows])))
+    return RobustnessReport(mape={key: float(np.mean(vals)) for key, vals in per_seed.items()})

@@ -5,20 +5,20 @@ Deconv1D, ChannelMerge) act on a group of n series at once: their inputs
 have trailing axes (n, channels, length), and their weights carry a leading
 series axis, so series s is transformed by its own filters ``w[s]``. One
 call covers every series; each filter tap is one broadcast matmul over the
-series axis and any leading batch axes. Recurrent and dense pieces act on a
-trailing (features,) axis. Every forward accepts optional leading batch axes.
+series axis and any leading batch axes. Dense acts on a trailing
+(features,) axis with optional leading batch axes.
 
-The recurrent cells (RNNCell, LSTMCell) take their steps as one time-major
-array (T, ..., features). Their Python loop over time holds only what
-depends on the previous step. The input projection of every step is one
-batched matmul before the loop; the forward cache keeps every step's
-hidden state (and, for the LSTM, cell state, tanh of it and gate
-activations). The backward loop carries only the state gradients and
-writes each step's pre-activation gradient into one buffer, from which the
-weight gradients and the input gradients are taken after the loop. Each
-product and each sum keeps the operands and order of a per-step loop, so
-the results are that loop's bits (tests/test_layers.py holds that loop as
-the reference).
+The recurrent cells (RNNCell, LSTMCell) take their steps in the one form
+the models send: a time-major array (T, batch, features). Their Python loop
+over time holds only what depends on the previous step. The input
+projection of every step is one batched matmul before the loop; the
+forward cache keeps every step's hidden state (and, for the LSTM, cell
+state, tanh of it and gate activations). The backward loop carries only
+the state gradients and writes each step's pre-activation gradient into one
+buffer, from which the weight gradients and the input gradients are taken
+after the loop. Each product and each sum keeps the operands and order of a
+per-step loop, so the results are that loop's bits (tests/test_layers.py
+holds that loop as the reference).
 
 Each backward pass is the exact adjoint of its forward map and is checked
 against central finite differences in the test suite.
@@ -261,52 +261,30 @@ class Dense:
         return gx, {"w": gw, "b": gb}
 
 
-def _time_major(cell: str, xs, input_size: int) -> tuple[np.ndarray, tuple]:
-    """The steps as one array (T, batch..., input_size) with at least one
-    batch axis, and the shape of the steps as given.
-
-    xs is such an array, used as it is, strides included, so each step's
-    matmul is the one numpy forms for that step alone; or a sequence of
-    per-step arrays, stacked into a new contiguous array. An unbatched
-    (T, input_size) sequence gains a batch axis of one, on which numpy takes
-    the same vector path as on a single (input_size,) step.
-    """
-    if len(xs) == 0:
-        raise ShapeError(f"{cell} sequence must be non-empty")
-    if isinstance(xs, np.ndarray):
-        x = xs
-    else:
-        try:
-            x = np.stack(xs)
-        except ValueError as exc:
-            raise ShapeError(f"{cell} steps differ in shape: {exc}") from exc
-    if x.ndim < 2 or x.shape[-1] != input_size:
-        raise ShapeError(f"{cell}: expected steps of {input_size} features, got {x.shape}")
-    return (x[:, None, :] if x.ndim == 2 else x), x.shape
+def _check_steps(cell: str, x: np.ndarray, input_size: int) -> None:
+    if x.ndim != 3 or len(x) == 0 or x.shape[-1] != input_size:
+        raise ShapeError(f"{cell} expects steps (T >= 1, batch, {input_size}), "
+                         f"got shape {x.shape}")
 
 
 def _weight_grad(dz_rev: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """sum over t of dz_t^T @ inputs_t, for dz_rev (T, ..., out) holding the
-    steps last first and inputs (T, ..., in) first first.
+    """sum over t of dz_t^T @ inputs_t, for dz_rev (T, batch, out) holding
+    the steps last first and inputs (T, batch, in) first first.
 
     Each step's product is the matmul a per-step loop forms, and the sum runs
     from the last step to the first, as a loop running backward in time adds.
     """
-    return np.matmul(_batch_rows(dz_rev).swapaxes(1, 2), _batch_rows(inputs)[::-1]).sum(axis=0)
-
-
-def _batch_rows(a: np.ndarray) -> np.ndarray:
-    """(T, batch..., k) as (T, rows, k)."""
-    return a.reshape(a.shape[0], math.prod(a.shape[1:-1]), a.shape[-1])
+    return np.matmul(dz_rev.swapaxes(1, 2), inputs[::-1]).sum(axis=0)
 
 
 class RNNCell:
     """Vanilla recurrent cell: h_t = tanh(W_xh x_t + W_hh h_{t-1} + b).
 
-    ``forward`` projects every step's input in one batched matmul before the
-    time loop, which then adds only the recurrent term. Its cache is (the
-    steps, every hidden state). ``backward`` carries only dh through the
-    loop; the weight gradients and the input gradients are taken after it.
+    ``forward`` takes the steps as one array (T, batch, input_size) and
+    projects every step's input in one batched matmul before the time loop,
+    which then adds only the recurrent term. Its cache is (the steps, every
+    hidden state). ``backward`` carries only dh through the loop; the weight
+    gradients and the input gradients are taken after it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -319,13 +297,13 @@ class RNNCell:
     def params(self) -> dict[str, np.ndarray]:
         return {"w_xh": self.w_xh, "w_hh": self.w_hh, "b": self.b}
 
-    def forward(self, xs):
-        """Run the recurrence left to right from a zero state over steps xs,
-        an array (T, ..., input_size) or a sequence of T per-step arrays.
+    def forward(self, x: np.ndarray):
+        """Run the recurrence left to right from a zero state over steps x,
+        an array (T, batch, input_size), used as it is, strides included.
 
-        Returns (hidden states (T, ..., hidden), final state, cache).
+        Returns (hidden states (T, batch, hidden), final state, cache).
         """
-        x, in_shape = _time_major("RNN", xs, self.input_size)
+        _check_steps("RNN", x, self.input_size)
         xw = x @ self.w_xh.T
         hs = np.empty(xw.shape)
         h = np.zeros(hs.shape[1:])
@@ -334,15 +312,14 @@ class RNNCell:
             z = xw[t] + h @ w_hh_t
             z += self.b
             h = np.tanh(z, out=hs[t])
-        out = hs.reshape(in_shape[:-1] + (self.hidden_size,))
-        return out, out[-1], (x, hs, in_shape)
+        return hs, hs[-1], (x, hs)
 
     def backward(self, cache, grad_final: np.ndarray):
         """Backpropagation through time for a loss on the final hidden state.
 
-        Returns (input gradients shaped like the steps, parameter gradients).
+        Returns (input gradients (T, batch, input_size), parameter gradients).
         """
-        x, hs, in_shape = cache
+        x, hs = cache
         steps = len(x)
         dtanh = 1.0 - hs * hs
         dz_rev = np.empty(hs.shape)  # row k holds step steps-1-k
@@ -355,9 +332,9 @@ class RNNCell:
             "w_xh": _weight_grad(dz_rev, x),
             # the zero start state adds nothing to gw_hh
             "w_hh": _weight_grad(dz_rev[:-1], hs[:-1]),
-            "b": _batch_rows(dz_rev).sum(axis=1).sum(axis=0),
+            "b": dz_rev.sum(axis=1).sum(axis=0),
         }
-        return (dz_rev @ self.w_xh)[::-1].reshape(in_shape), grads
+        return (dz_rev @ self.w_xh)[::-1], grads
 
 
 class LSTMCell:
@@ -366,9 +343,10 @@ class LSTMCell:
     Gate weights are stacked row-wise in the order (input, forget,
     candidate, output); biases start at zero.
 
-    ``forward`` projects every step's input in one batched matmul before the
-    time loop. Its cache is (the steps, hidden states, cell states, tanh of
-    the cell states, gate activations (T, ..., 4H)); the candidate block of
+    ``forward`` takes the steps as one array (T, batch, input_size) and
+    projects every step's input in one batched matmul before the time loop.
+    Its cache is (the steps, hidden states, cell states, tanh of the cell
+    states, gate activations (T, batch, 4H)); the candidate block of
     the gates holds tanh, the other three the sigmoid. ``backward`` forms
     every step's local gate derivatives before the loop, carries only dh and
     dc through it, and takes the weight and input gradients after it.
@@ -384,13 +362,13 @@ class LSTMCell:
     def params(self) -> dict[str, np.ndarray]:
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
 
-    def forward(self, xs):
-        """Run the cell from zero states over steps xs, an array
-        (T, ..., input_size) or a sequence of T per-step arrays.
+    def forward(self, x: np.ndarray):
+        """Run the cell from zero states over steps x, an array
+        (T, batch, input_size), used as it is, strides included.
 
-        Returns (hidden states (T, ..., hidden), final state, cache).
+        Returns (hidden states (T, batch, hidden), final state, cache).
         """
-        x, in_shape = _time_major("LSTM", xs, self.input_size)
+        _check_steps("LSTM", x, self.input_size)
         n = self.hidden_size
         xw = x @ self.w_x.T
         hs = np.empty(xw.shape[:-1] + (n,))
@@ -408,13 +386,12 @@ class LSTMCell:
             c = np.add(g[..., n:2 * n] * c, g[..., 0:n] * g[..., 2 * n:3 * n], out=cs[t])
             h = np.multiply(g[..., 3 * n:4 * n], np.tanh(c, out=tcs[t]), out=hs[t])
             gates.append(g)
-        out = hs.reshape(in_shape[:-1] + (n,))
-        return out, out[-1], (x, hs, cs, tcs, np.stack(gates), in_shape)
+        return hs, hs[-1], (x, hs, cs, tcs, np.stack(gates))
 
     def backward(self, cache, grad_final: np.ndarray):
-        """Backpropagation through time; returns (input gradients shaped like
-        the steps, parameter gradients)."""
-        x, hs, cs, tcs, gates, in_shape = cache
+        """Backpropagation through time; returns (input gradients
+        (T, batch, input_size), parameter gradients)."""
+        x, hs, cs, tcs, gates = cache
         n = self.hidden_size
         steps = len(x)
         gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
@@ -445,6 +422,6 @@ class LSTMCell:
             "w_x": _weight_grad(dz_rev, x),
             # the zero start state adds nothing to gw_h
             "w_h": _weight_grad(dz_rev[:-1], hs[:-1]),
-            "b": _batch_rows(dz_rev).sum(axis=1).sum(axis=0),
+            "b": dz_rev.sum(axis=1).sum(axis=0),
         }
-        return (dz_rev @ self.w_x)[::-1].reshape(in_shape), grads
+        return (dz_rev @ self.w_x)[::-1], grads

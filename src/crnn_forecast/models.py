@@ -265,10 +265,11 @@ def joint_loss(z: np.ndarray, y: np.ndarray, recon: np.ndarray | None = None,
         er = recon - np.clip(x, 0.0, 1.0)
         j2 = float(np.mean(er ** 2))
         d_recon = 2.0 * er / er.size
-    loss = LossBreakdown.of(float(np.mean(ez ** 2)), j2)
-    if not np.isfinite(loss.j):
-        raise NumericError(f"objective diverged: j1={loss.j1}, j2={loss.j2}")
-    return loss, 2.0 * ez / ez.size, d_recon
+    j1 = float(np.mean(ez ** 2))
+    # checked before LossBreakdown, whose j == j1 + j2 check a NaN fails
+    if not np.isfinite(j1 + j2):
+        raise NumericError(f"objective diverged: j1={j1}, j2={j2}")
+    return LossBreakdown.of(j1, j2), 2.0 * ez / ez.size, d_recon
 
 
 class _NoDraws:

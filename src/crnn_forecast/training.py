@@ -40,8 +40,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got "
+                             f"{self.learning_rate}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
 
@@ -246,6 +247,8 @@ def gradcheck(model, x: np.ndarray, y: np.ndarray, tolerance: float = 1e-5,
     near-zero gradients from amplifying finite-difference noise. Intended for
     small models (a few thousand parameters at most).
     """
+    if not tolerance >= 0:  # a NaN tolerance would pass every comparison
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     _, analytic = model.batch_backward(x, y)
 
     def loss_value() -> float:

@@ -426,6 +426,31 @@ class TestEvaluate:
         assert "num_series" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["0,0", "1,0,1", ","])
+    def test_repeated_or_no_seed_is_usage_error(self, dataset, tmp_path, capsys, seeds):
+        out = tmp_path / "e"
+        assert main(["evaluate", "--method", "yesterday", "--data", str(dataset),
+                     "--l", "8", "--p", "2", "--seeds", seeds, "--out", str(out)]) == 1
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prepares_a_fixed_dataset_once_and_each_drawn_set_once(self, dataset, tmp_path,
+                                                                   monkeypatch):
+        calls = []
+        real_prepare = evaluation.prepare
+
+        def counting_prepare(*args, **kwargs):
+            calls.append(1)
+            return real_prepare(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "prepare", counting_prepare)
+        common = ["evaluate", "--method", "yesterday", "--l", "8", "--p", "2",
+                  "--seeds", "0,1,2"]
+        assert main(common + ["--data", str(dataset), "--out", str(tmp_path / "a")]) == 0
+        assert len(calls) == 1
+        assert main(common + ["--len", "260", "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 1 + 3
+
     @pytest.mark.parametrize("stride", ["0", "-1"])
     def test_eval_stride_below_one_is_usage_error(self, dataset, tmp_path, capsys,
                                                   stride):
@@ -636,6 +661,39 @@ class TestRobustnessCommand:
         assert main(base + [*flag, "--out", str(tmp_path / "flag")]) == 0
         assert ((tmp_path / "default" / "robustness.tsv").read_text()
                 != (tmp_path / "flag" / "robustness.tsv").read_text())
+
+
+    @pytest.mark.parametrize("seeds", ["0,0", "1,0,1", ","])
+    def test_repeated_or_no_seed_is_usage_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "r"
+        assert main(["robustness", "--len", "260", "--l", "8", "--p", "2", "--epochs", "1",
+                     "--seeds", seeds, "--out", str(out)]) == 1
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnusableNumericFlags:
+    """A numeric flag no run can use is a usage error that names its field,
+    raised before any work."""
+
+    @pytest.mark.parametrize("argv, field", [
+        pytest.param(["train", "--lr", "nan"], "learning_rate", id="lr-nan"),
+        pytest.param(["train", "--lr", "inf"], "learning_rate", id="lr-inf"),
+        pytest.param(["gradcheck", "--tolerance", "nan"], "tolerance", id="tolerance-nan"),
+        # argparse takes "-1e-5" for an option unless it is joined to the flag
+        pytest.param(["gradcheck", "--tolerance=-1e-5"], "tolerance", id="tolerance-negative"),
+        pytest.param(["generate", "--period", "0"], "season_period", id="period-0"),
+        pytest.param(["generate", "--period", "-3"], "season_period", id="period-negative"),
+    ])
+    def test_is_usage_error_naming_the_field(self, dataset, tmp_path, capsys, argv, field):
+        command, *flags = argv
+        extra = {"train": train_args(dataset, tmp_path / "out")[1:],
+                 "gradcheck": ["--small"],
+                 "generate": ["--out", str(tmp_path / "out")]}[command]
+        assert main([command, *extra, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and field in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFailedRunLeavesNoDirectory:

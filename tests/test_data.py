@@ -614,6 +614,11 @@ class TestSyntheticGenerator:
         cset = generate_synthetic(SyntheticConfig(length=3000, seed=8))
         assert cset.values_matrix().min() > 0.5
 
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_period_not_positive_rejected(self, period):
+        with pytest.raises(ValueError, match="season_period"):
+            SyntheticConfig(season_period=period)
+
 
 class TestStack:
     def test_shapes(self):

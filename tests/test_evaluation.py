@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from crnn_forecast import evaluation
-from crnn_forecast.data import SyntheticConfig, generate_synthetic, ingest_csv, write_csv
+from crnn_forecast.data import (DataError, SyntheticConfig, generate_synthetic, ingest_csv,
+                                write_csv)
 from crnn_forecast.evaluation import (ExperimentSpec, MetricReport, WindowResult,
                                       mape_detailed, rmse, robustness_experiment,
                                       run_experiment)
@@ -17,14 +18,16 @@ def mape(pred, truth) -> float:
     return mape_detailed(pred, truth)[0]
 
 
-def tiny_spec(method="yesterday", **overrides):
-    kwargs = dict(
-        method=method, num_series=2, input_length=8, horizon=2,
-        data=SyntheticConfig(length=260, seed=0), seeds=(0,),
-        train=FAST_TRAIN,
-    )
-    kwargs.update(overrides)
-    return ExperimentSpec(**kwargs)
+def tiny_spec(**overrides):
+    return ExperimentSpec(**{"input_length": 8, "horizon": 2, "train": FAST_TRAIN,
+                             **overrides})
+
+
+def synthetic_runs(spec, seeds=(0,), length=260, num_series=2):
+    """(seed, prepared set) runs as the evaluate command makes them from
+    synthetic data: seed k scores the set drawn with data seed k."""
+    return [(seed, spec.prepare(generate_synthetic(
+        SyntheticConfig(length=length, seed=seed)).take(num_series))) for seed in seeds]
 
 
 class TestRmse:
@@ -97,8 +100,8 @@ class TestMetricOracles:
             for i in range(8)
         ]
         spec = tiny_spec()
-        fwd = MetricReport.from_windows(spec, windows)
-        rev = MetricReport.from_windows(spec, windows[::-1])
+        fwd = MetricReport.from_windows(spec, "yesterday", 2, (0,), windows)
+        rev = MetricReport.from_windows(spec, "yesterday", 2, (0,), windows[::-1])
         assert fwd.rmse_mean == rev.rmse_mean
         assert fwd.mape_std == rev.mape_std
 
@@ -107,22 +110,24 @@ class TestRunExperiment:
     def test_yesterday_deterministic_across_seeds_on_fixed_data(self, tmp_path):
         csv = tmp_path / "fixed.csv"
         write_csv(generate_synthetic(SyntheticConfig(length=260, seed=1)), csv)
-        spec = tiny_spec(data=None, dataset=ingest_csv(csv), seeds=(0, 1, 2))
-        report = run_experiment(spec)
+        spec = tiny_spec()
+        prepared = spec.prepare(ingest_csv(csv))
+        report = run_experiment("yesterday", spec, [(s, prepared) for s in (0, 1, 2)])
+        assert report.seeds == (0, 1, 2)
         by_seed = {s: [(w.offset, w.rmse, w.mape) for w in report.windows if w.seed == s]
-                   for s in spec.seeds}
+                   for s in report.seeds}
         assert by_seed[0] and by_seed[0] == by_seed[1] == by_seed[2]
 
     def test_single_window_flagged_degenerate(self):
-        spec = tiny_spec(data=SyntheticConfig(length=80, seed=2))
-        report = run_experiment(spec)
+        spec = tiny_spec()
+        report = run_experiment("yesterday", spec, synthetic_runs(spec, (2,), length=80))
         if len(report.windows) == 1:
             assert report.rmse_std == 0.0
             assert "std=0" in report.notes
 
     def test_metrics_recomputable_from_stored_predictions(self):
-        spec = tiny_spec(method="ewma", seeds=(0, 1))
-        report = run_experiment(spec)
+        spec = tiny_spec()
+        report = run_experiment("ewma", spec, synthetic_runs(spec, (0, 1)))
         for w in report.windows:
             assert abs(rmse(w.predicted, w.truth) - w.rmse) < 1e-9
             assert abs(mape(w.predicted, w.truth) - w.mape) < 1e-9
@@ -130,8 +135,8 @@ class TestRunExperiment:
         assert abs(pooled - report.rmse_mean) < 1e-9
 
     def test_prediction_dumps_support_independent_recomputation(self, tmp_path):
-        spec = tiny_spec(seeds=(0,))
-        report = run_experiment(spec, out_dir=tmp_path)
+        spec = tiny_spec()
+        report = run_experiment("yesterday", spec, synthetic_runs(spec), out_dir=tmp_path)
         dump = tmp_path / "predictions_seed0.tsv"
         assert dump.exists()
         rows = [line.split("\t") for line in dump.read_text().splitlines()[1:]]
@@ -146,53 +151,62 @@ class TestRunExperiment:
         assert (tmp_path / "report.tsv").exists()
 
     def test_trained_method_runs_end_to_end(self):
-        spec = tiny_spec(method="crnn")
-        report = run_experiment(spec)
+        spec = tiny_spec()
+        report = run_experiment("crnn", spec, synthetic_runs(spec))
         assert report.rmse_mean > 0.0
         assert report.windows
 
     def test_recurrent_baseline_runs_end_to_end(self):
-        spec = tiny_spec(method="lstm")
-        report = run_experiment(spec)
+        spec = tiny_spec()
+        report = run_experiment("lstm", spec, synthetic_runs(spec))
         assert np.isfinite(report.mape_mean)
 
     def test_eval_windows_do_not_overlap_by_default(self):
-        spec = tiny_spec(data=SyntheticConfig(length=400, seed=3))
-        report = run_experiment(spec)
+        spec = tiny_spec()
+        report = run_experiment("yesterday", spec, synthetic_runs(spec, (3,), length=400))
         offsets = sorted(w.offset for w in report.windows)
         for a, b in zip(offsets, offsets[1:]):
             assert b - a >= spec.input_length + spec.horizon
 
     def test_overlapping_stride_available(self):
-        dense = run_experiment(tiny_spec(eval_stride=1,
-                                         data=SyntheticConfig(length=300, seed=4)))
-        sparse = run_experiment(tiny_spec(data=SyntheticConfig(length=300, seed=4)))
+        dense_spec, sparse_spec = tiny_spec(eval_stride=1), tiny_spec()
+        dense = run_experiment("yesterday", dense_spec,
+                               synthetic_runs(dense_spec, (4,), length=300))
+        sparse = run_experiment("yesterday", sparse_spec,
+                                synthetic_runs(sparse_spec, (4,), length=300))
         assert len(dense.windows) > len(sparse.windows)
 
     def test_num_series_slices_the_set(self):
-        spec = tiny_spec(method="yesterday", num_series=1)
-        report = run_experiment(spec)
+        spec = tiny_spec()
+        report = run_experiment("yesterday", spec, synthetic_runs(spec, num_series=1))
         assert report.num_series == 1
 
+    @pytest.mark.parametrize("num_series", [0, -1])
+    def test_num_series_below_one_rejected(self, num_series):
+        # the series count is applied when a run's set is cut, before any scoring
+        spec = tiny_spec()
+        with pytest.raises(DataError, match=f"cannot take {num_series} of 2 series"):
+            run_experiment("yesterday", spec, synthetic_runs(spec, num_series=num_series))
+
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_spec(method="arima")
+        spec = tiny_spec()
+        with pytest.raises(ValueError, match="arima"):
+            run_experiment("arima", spec, synthetic_runs(spec))
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            run_experiment("yesterday", tiny_spec(), iter(()))
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_eval_stride_below_one_rejected(self, stride):
         with pytest.raises(ValueError, match="eval_stride"):
             tiny_spec(eval_stride=stride)
 
-    @pytest.mark.parametrize("num_series", [0, -1])
-    def test_num_series_below_one_rejected(self, num_series):
-        with pytest.raises(ValueError, match="num_series"):
-            tiny_spec(num_series=num_series)
-
 
 class TestRobustness:
     def test_table_shape_and_cells(self):
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
-        report = robustness_experiment(cset.series[0], cset.series[1], tiny_spec())
+        report = robustness_experiment(cset.series[0], cset.series[1], tiny_spec(), (0,))
         assert set(report.mape) == {
             (row, model)
             for row in ("single", "correlated", "uncorrelated")
@@ -215,5 +229,10 @@ class TestRobustness:
         monkeypatch.setattr(evaluation, "prepare", counting_prepare)
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
         robustness_experiment(cset.series[0], cset.series[1],
-                              tiny_spec(seeds=(0, 1), train=TrainConfig(max_epochs=1)))
+                              tiny_spec(train=TrainConfig(max_epochs=1)), (0, 1))
         assert len(calls) == 3 * 2
+
+    def test_no_seeds_rejected(self):
+        cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
+        with pytest.raises(ValueError, match="seed"):
+            robustness_experiment(cset.series[0], cset.series[1], tiny_spec(), ())

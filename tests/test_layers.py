@@ -311,37 +311,34 @@ class TestRNNCell:
         cell = RNNCell(2, 3, np.random.default_rng(0))
         cell.w_xh[...] = 0.0
         cell.w_hh[...] = 0.0
-        xs = [np.zeros(2) for _ in range(4)]
-        hs, final, _ = cell.forward(xs)
+        hs, final, _ = cell.forward(np.zeros((4, 1, 2)))
         assert not final.any()
-        assert all(not h.any() for h in hs)
+        assert not hs.any()
 
     def test_single_step_equals_cell_application(self):
         rng = np.random.default_rng(1)
         cell = RNNCell(3, 4, rng)
         x = rng.uniform(-1, 1, 3)
-        _, final, _ = cell.forward([x])
-        assert np.array_equal(final, np.tanh(x @ cell.w_xh.T + np.zeros(4) @ cell.w_hh.T
-                                             + cell.b))
+        _, final, _ = cell.forward(x[None, None])
+        assert np.array_equal(final[0], np.tanh(x @ cell.w_xh.T + np.zeros(4) @ cell.w_hh.T
+                                                + cell.b))
 
     def test_hidden_values_bounded(self):
         rng = np.random.default_rng(2)
         cell = RNNCell(2, 3, rng)
-        xs = [rng.uniform(-5, 5, 2) for _ in range(10)]
-        hs, _, _ = cell.forward(xs)
-        for h in hs:
-            assert np.all(np.abs(h) < 1.0)
+        hs, _, _ = cell.forward(rng.uniform(-5, 5, (10, 1, 2)))
+        assert np.all(np.abs(hs) < 1.0)
 
     def test_step_length_mismatch(self):
         cell = RNNCell(2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            cell.forward([np.zeros(2), np.zeros(3)])
+            cell.forward(np.zeros((2, 1, 3)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bptt_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         cell = RNNCell(2, 3, rng)
-        xs = [rng.uniform(-1, 1, 2) for _ in range(3)]
+        xs = rng.uniform(-1, 1, (3, 1, 2))
         coeffs = rng.uniform(-1, 1, 3)
 
         def loss():
@@ -353,8 +350,7 @@ class TestRNNCell:
         assert rel_error(grads["w_xh"], numeric_grad(loss, cell.w_xh)) < FD_TOL
         assert rel_error(grads["w_hh"], numeric_grad(loss, cell.w_hh)) < FD_TOL
         assert rel_error(grads["b"], numeric_grad(loss, cell.b)) < FD_TOL
-        for t in range(3):
-            assert rel_error(gxs[t], numeric_grad(loss, xs[t])) < FD_TOL
+        assert rel_error(gxs, numeric_grad(loss, xs)) < FD_TOL
 
 
 class TestLSTMCell:
@@ -362,8 +358,8 @@ class TestLSTMCell:
         cell = LSTMCell(2, 3, np.random.default_rng(0))
         cell.w_x[...] = 0.0
         cell.w_h[...] = 0.0
-        hs, final, cache = cell.forward([np.zeros(2)])
-        _, _, cs, _, gates, _ = cache
+        hs, final, cache = cell.forward(np.zeros((1, 1, 2)))
+        _, _, cs, _, gates = cache
         gi, gf, gc, go = np.split(gates[0], 4, axis=-1)
         # all gates sigmoid(0) = 0.5, candidate tanh(0) = 0:
         # c' = 0.5*0 + 0.5*0 = 0, h' = 0.5*tanh(0) = 0
@@ -374,18 +370,17 @@ class TestLSTMCell:
         rng = np.random.default_rng(3)
         cell = LSTMCell(2, 3, rng)
         x = rng.uniform(-1, 1, 2)
-        _, final, _ = cell.forward([x])
+        _, final, _ = cell.forward(x[None, None])
         z = x @ cell.w_x.T + np.zeros(3) @ cell.w_h.T + cell.b
         gi, gf, gc, go = np.split(z, 4)
         c = sigmoid_values(gf) * np.zeros(3) + sigmoid_values(gi) * np.tanh(gc)
-        assert np.array_equal(final, sigmoid_values(go) * np.tanh(c))
+        assert np.array_equal(final[0], sigmoid_values(go) * np.tanh(c))
 
     def test_gate_ranges_and_finite_cell_state(self):
         rng = np.random.default_rng(4)
         cell = LSTMCell(2, 3, rng)
-        xs = [rng.uniform(-3, 3, 2) for _ in range(20)]
-        _, final, cache = cell.forward(xs)
-        _, _, cs, tcs, gates, _ = cache
+        _, final, cache = cell.forward(rng.uniform(-3, 3, (20, 1, 2)))
+        _, _, cs, tcs, gates = cache
         assert gates.shape == (20, 1, 12) and cs.shape == tcs.shape == (20, 1, 3)
         gi, gf, gc, go = np.split(gates, 4, axis=-1)
         for g in (gi, gf, go):
@@ -398,7 +393,7 @@ class TestLSTMCell:
     def test_bptt_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         cell = LSTMCell(2, 3, rng)
-        xs = [rng.uniform(-1, 1, 2) for _ in range(3)]
+        xs = rng.uniform(-1, 1, (3, 1, 2))
         coeffs = rng.uniform(-1, 1, 3)
 
         def loss():
@@ -410,8 +405,7 @@ class TestLSTMCell:
         assert rel_error(grads["w_x"], numeric_grad(loss, cell.w_x)) < FD_TOL
         assert rel_error(grads["w_h"], numeric_grad(loss, cell.w_h)) < FD_TOL
         assert rel_error(grads["b"], numeric_grad(loss, cell.b)) < FD_TOL
-        for t in range(3):
-            assert rel_error(gxs[t], numeric_grad(loss, xs[t])) < FD_TOL
+        assert rel_error(gxs, numeric_grad(loss, xs)) < FD_TOL
 
 
 # -- reference recurrences: the per-step loops the cells replaced --------------
@@ -488,17 +482,15 @@ class TestCellsMatchPerStepLoops:
     """The cells give the bits of the per-step reference loops: every hidden
     state, the final state, every input gradient and every weight gradient."""
 
-    # (steps, batch shape, input size, hidden size)
+    # (steps, batch, input size, hidden size)
     SHAPES = {
-        "batched": (6, (5,), 3, 4),
-        "unbatched": (6, (), 3, 4),
-        "one-window": (6, (1,), 3, 4),
-        "single-step": (1, (7,), 12, 4),
-        "two-batch-axes": (4, (2, 3), 3, 2),
-        "one-feature": (5, (4,), 1, 3),
-        "pair": (16, (32,), 8, 4),
-        "pair-last-batch": (16, (7,), 8, 4),
-        "wide": (8, (32,), 128, 6),
+        "batched": (6, 5, 3, 4),
+        "one-window": (6, 1, 3, 4),
+        "single-step": (1, 7, 12, 4),
+        "one-feature": (5, 4, 1, 3),
+        "pair": (16, 32, 8, 4),
+        "pair-last-batch": (16, 7, 8, 4),
+        "wide": (8, 32, 128, 6),
     }
 
     @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
@@ -513,32 +505,32 @@ class TestCellsMatchPerStepLoops:
         cell.b[...] = rng.uniform(-1, 1, cell.b.shape)
         if strided:
             # time on the last axis, as the baselines read a window
-            x = np.moveaxis(rng.uniform(-3, 3, batch + (in_size, steps)), -1, 0)
+            x = np.moveaxis(rng.uniform(-3, 3, (batch, in_size, steps)), -1, 0)
         else:
-            x = rng.uniform(-3, 3, (steps,) + batch + (in_size,))
-        grad_final = rng.uniform(-1, 1, batch + (hidden,))
+            x = rng.uniform(-3, 3, (steps, batch, in_size))
+        grad_final = rng.uniform(-1, 1, (batch, hidden))
         ref_hs, ref_gxs, ref_grads = reference(cell, list(x), grad_final)
-        # a list is stacked into a contiguous array, on which numpy may take
-        # another BLAS path than on the strided steps themselves
-        for xs in (x,) if strided else (x, list(x)):
-            hs, final, cache = cell.forward(xs)
-            gx, grads = cell.backward(cache, grad_final)
-            assert hs.shape == (steps,) + batch + (hidden,)
-            assert gx.shape == x.shape
-            for t in range(steps):
-                assert np.array_equal(hs[t], ref_hs[t]), t
-                assert np.array_equal(gx[t], ref_gxs[t]), t
-            assert np.array_equal(final, ref_hs[-1])
-            assert list(grads) == list(ref_grads)
-            for name, g in grads.items():
-                assert np.array_equal(g, ref_grads[name]), name
+        hs, final, cache = cell.forward(x)
+        gx, grads = cell.backward(cache, grad_final)
+        assert hs.shape == (steps, batch, hidden)
+        assert gx.shape == x.shape
+        for t in range(steps):
+            assert np.array_equal(hs[t], ref_hs[t]), t
+            assert np.array_equal(gx[t], ref_gxs[t]), t
+        assert np.array_equal(final, ref_hs[-1])
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
 
     @pytest.mark.parametrize("cell_cls", [RNNCell, LSTMCell])
     def test_empty_sequence_rejected(self, cell_cls):
         cell = cell_cls(2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            cell.forward([])
-        with pytest.raises(ShapeError):
             cell.forward(np.zeros((0, 4, 2)))
+        # the models send (T, batch, in) only: no unbatched or multi-batch-axis steps
+        with pytest.raises(ShapeError):
+            cell.forward(np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            cell.forward(np.zeros((3, 2, 4, 2)))
         with pytest.raises(ShapeError):
             cell.forward(np.zeros((3, 4, 5)))

@@ -107,6 +107,11 @@ class TestLossFunctions:
         with pytest.raises(NumericError, match="diverged"):
             joint_loss(np.array([[np.inf]]), np.array([[0.0]]))
 
+    def test_nan_objective_is_numeric_error(self):
+        # not the breakdown's j == j1 + j2 check, which nan != nan fails
+        with pytest.raises(NumericError, match="diverged"):
+            joint_loss(np.array([[np.nan, 1.0]]), np.zeros((1, 2)))
+
     def test_breakdown_identity_enforced(self):
         with pytest.raises(ValueError):
             LossBreakdown(1.0, 1.0, 3.0)

@@ -53,6 +53,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="momentum")
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=lr)
 
 
 class TestOptimizers:
@@ -259,6 +262,13 @@ class TestGradcheck:
         assert not report.passed
         assert any(name == "readout.w" for name, *_ in report.failures)
         assert "readout.w" in report.summary()
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1e-5])
+    def test_unusable_tolerance_rejected(self, tolerance):
+        # rel > nan is always false, so a NaN tolerance would pass any gradient
+        x, y = np.ones((1, 2, 4)), np.ones((1, 2))
+        with pytest.raises(ValueError, match="tolerance"):
+            gradcheck(_LinearToy(), x, y, tolerance=tolerance)
 
     def test_report_counts_every_parameter(self):
         rng = np.random.default_rng(3)
