@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -N and -N.N as negative-number values; take the
+        # exponent forms too (-1e-2, -1.5E+3, -.5e1), so that they reach the
+        # option's own check. Subparsers are built with this class.
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); route to our codes
         raise UsageError(message)
 

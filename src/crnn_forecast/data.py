@@ -51,6 +51,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# time steps per block in write_csv and _latent_signal, which go through a
+# long series block by block so as not to hold one Python float per value
+_BLOCK = 4096
+
 
 class DataError(ValueError):
     """Raised when input data violates the ingestion contract."""
@@ -500,13 +504,21 @@ def ingest_csv(path, layout: CsvLayout | None = None,
 
 
 def write_csv(cset: CorrelatedSet, path) -> None:
-    """Write a series set with a header row; values round-trip bit-exactly."""
+    """Write a series set with a header row; values round-trip bit-exactly.
+
+    ``csv.writer`` writes the header, whose names may need quoting. The values
+    go ``_BLOCK`` time steps at a time: one ``%`` formats a block from Python
+    floats (``tolist``), a ``%.17g`` field per value, commas between and
+    ``\\r\\n`` after each row. The excel dialect never quotes a ``%.17g``
+    field, so the bytes are those ``csv.writer`` writes row by row.
+    """
+    matrix = cset.values_matrix()
+    row = ",".join(["%.17g"] * cset.num_series) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([s.id for s in cset.series])
-        matrix = cset.values_matrix()
-        for t in range(cset.length):
-            writer.writerow(["%.17g" % v for v in matrix[:, t]])
+        csv.writer(fh).writerow([s.id for s in cset.series])
+        for start in range(0, cset.length, _BLOCK):
+            block = matrix[:, start:start + _BLOCK].T
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # -- synthetic sources -----------------------------------------------------------
@@ -575,10 +587,23 @@ class SyntheticConfig:
             raise ValueError("length must be >= 2 and lag >= 0")
         if not self.season_period > 0:
             raise ValueError(f"season_period must be positive, got {self.season_period}")
+        for name in ("noise", "base", "season_amplitude", "stoch_amplitude", "ar_coeff"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.noise < 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
 
 
 def _latent_signal(cfg: SyntheticConfig, rng: np.random.Generator, n: int,
                    period_scale: float = 1.0) -> np.ndarray:
+    """Seasonal plus AR(1) signal of ``n`` values around ``cfg.base``.
+
+    The recurrence ``ar[i] = ar_coeff * ar[i-1] + scale * innovation[i]`` runs
+    over Python floats, ``_BLOCK`` steps at a time. Each step is the binary64
+    multiply, multiply and add of a numpy-scalar loop, each rounded once, and
+    the vectorised ``scale * innovations`` rounds as the scalar product does,
+    so the values are bit-identical to that loop's.
+    """
     t = np.arange(n, dtype=np.float64)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     period = cfg.season_period * period_scale
@@ -587,8 +612,10 @@ def _latent_signal(cfg: SyntheticConfig, rng: np.random.Generator, n: int,
     ar = np.empty(n)
     scale = cfg.stoch_amplitude * np.sqrt(max(1.0 - cfg.ar_coeff ** 2, 1e-12))
     ar[0] = cfg.stoch_amplitude * innovations[0]
-    for i in range(1, n):
-        ar[i] = cfg.ar_coeff * ar[i - 1] + scale * innovations[i]
+    a, prev = float(cfg.ar_coeff), float(ar[0])
+    for start in range(1, n, _BLOCK):
+        steps = (scale * innovations[start:start + _BLOCK]).tolist()
+        ar[start:start + len(steps)] = [prev := a * prev + e for e in steps]
     return cfg.base + season + ar
 
 

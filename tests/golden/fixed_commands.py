@@ -1,15 +1,15 @@
 """Run the fixed command set and print one sha256 per output file.
 
-The set covers every command: generate; evaluate for all six methods on a
-generated CSV and on synthetic data, and with ``--eval-stride 3``; gridsearch
-with one and two workers, with an LSTM cell and with a failing cell; train
-plus forecast (last window and ``--offset 5``) for every model kind and
-variant; forecast from a format-2 checkpoint and from a quoted CSV;
-robustness on the CSV and on synthetic data; and ``gradcheck --small`` for
-every kind. Each command runs in its own process, in one work directory and
-with relative paths, so that two checkouts write the same bytes, manifests
-included. The stdout, stderr and exit code of each command are kept as files
-under ``logs/`` and hashed with the rest.
+The set covers every command: generate of both kinds and of a long series;
+evaluate for all six methods on a generated CSV and on synthetic data, and
+with ``--eval-stride 3``; gridsearch with one and two workers, with an LSTM
+cell and with a failing cell; train plus forecast (last window and
+``--offset 5``) for every model kind and variant; forecast from a format-2
+checkpoint and from a quoted CSV; robustness on the CSV and on synthetic
+data; and ``gradcheck --small`` for every kind. Each command runs in its own
+process, in one work directory and with relative paths, so that two checkouts
+write the same bytes, manifests included. The stdout, stderr and exit code of
+each command are kept as files under ``logs/`` and hashed with the rest.
 
 Usage::
 
@@ -64,7 +64,12 @@ GRIDS = {
 
 def commands() -> list[tuple[str, list[str]]]:
     """(name, argv) of each command, in the order they run."""
-    cmds = [("generate", ["generate", "--len", "300", "--seed", "3", "--out", "gen"])]
+    cmds = [("generate", ["generate", "--len", "300", "--seed", "3", "--out", "gen"]),
+            ("generate_independent", ["generate", "--kind", "independent", "--len", "300",
+                                      "--seed", "4", "--out", "gen_independent"]),
+            # 9000 rows cross two of write_csv's blocks
+            ("generate_long", ["generate", "--len", "9000", "--lag", "0", "--ar", "-0.95",
+                               "--seed", "5", "--out", "gen_long"])]
     for method in METHODS:
         cmds.append((f"eval_csv_{method}",
                      ["evaluate", "--method", method, "--data", DATA, *GEOMETRY,

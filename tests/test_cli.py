@@ -76,6 +76,22 @@ class TestParser:
         assert _flags_by_command(cli.build_parser(argv)) == _flags_by_command(
             cli.build_parser())
 
+    @pytest.mark.parametrize("command, flag", [("generate", "--noise"),
+                                               ("gradcheck", "--tolerance")])
+    @pytest.mark.parametrize("text, value", [
+        ("-1", -1.0), ("-0.5", -0.5), ("-1e-2", -0.01), ("-1.5E+3", -1500.0),
+        ("-.5e1", -5.0), ("-2.", -2.0)])
+    def test_negative_number_is_an_option_value(self, command, flag, text, value):
+        argv = [command, flag, text]
+        args = cli.build_parser(argv).parse_args(argv)
+        assert getattr(args, flag[2:]) == value
+
+    @pytest.mark.parametrize("text", ["-e5", "-1e", "-x"])
+    def test_dash_word_is_still_an_option(self, text):
+        argv = ["generate", "--noise", text]
+        with pytest.raises(cli.UsageError, match="expected one argument"):
+            cli.build_parser(argv).parse_args(argv)
+
 
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
@@ -680,16 +696,35 @@ class TestUnusableNumericFlags:
         pytest.param(["train", "--lr", "nan"], "learning_rate", id="lr-nan"),
         pytest.param(["train", "--lr", "inf"], "learning_rate", id="lr-inf"),
         pytest.param(["gradcheck", "--tolerance", "nan"], "tolerance", id="tolerance-nan"),
-        # argparse takes "-1e-5" for an option unless it is joined to the flag
         pytest.param(["gradcheck", "--tolerance=-1e-5"], "tolerance", id="tolerance-negative"),
+        # the exponent form reaches the check, not argparse's "expected one argument"
+        pytest.param(["gradcheck", "--tolerance", "-1e-5"], "tolerance must be >= 0",
+                     id="tolerance-negative-exponent"),
         pytest.param(["generate", "--period", "0"], "season_period", id="period-0"),
         pytest.param(["generate", "--period", "-3"], "season_period", id="period-negative"),
+        pytest.param(["generate", "--noise", "-1e-2"], "noise must be >= 0",
+                     id="noise-negative-exponent"),
+        pytest.param(["generate", "--noise", "-0.01"], "noise", id="noise-negative"),
+        pytest.param(["generate", "--noise", "nan"], "noise", id="noise-nan"),
+        pytest.param(["generate", "--noise", "inf"], "noise", id="noise-inf"),
+        pytest.param(["generate", "--base", "inf"], "base", id="base-inf"),
+        pytest.param(["generate", "--season-amp", "nan"], "season_amplitude",
+                     id="season-amp-nan"),
+        pytest.param(["generate", "--stoch-amp", "inf"], "stoch_amplitude",
+                     id="stoch-amp-inf"),
+        pytest.param(["generate", "--ar", "nan"], "ar_coeff", id="ar-nan"),
+        pytest.param(["evaluate", "--noise", "-1e-2"], "noise must be >= 0",
+                     id="evaluate-noise-negative"),
+        pytest.param(["robustness", "--ar", "inf"], "ar_coeff", id="robustness-ar-inf"),
     ])
     def test_is_usage_error_naming_the_field(self, dataset, tmp_path, capsys, argv, field):
         command, *flags = argv
+        out = ["--out", str(tmp_path / "out")]
         extra = {"train": train_args(dataset, tmp_path / "out")[1:],
                  "gradcheck": ["--small"],
-                 "generate": ["--out", str(tmp_path / "out")]}[command]
+                 "generate": out,
+                 "evaluate": ["--method", "yesterday", "--l", "8", "--p", "2", *out],
+                 "robustness": ["--l", "8", "--p", "2", *out]}[command]
         assert main([command, *extra, *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: usage: ") and field in err

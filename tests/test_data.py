@@ -3,6 +3,7 @@ import io
 import logging
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -442,6 +443,10 @@ ROW_CELLS = st.one_of(FINITE.map(repr), FINITE.map(repr),
                       st.sampled_from(["", " ", "x", "1e", "0x10", "1__0", " 7 ",
                                        "1\n", "\r\n2", "x\ny", "\n"]))
 _TMP_PATH_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+CSV_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             1e16, 1e-5, 0.1, 123456789012345680.0]
+# header names that csv.writer quotes
+ODD_NAMES = ["a,b", 'say "x"', '"', "x y", "line\nbreak"]
 
 
 class TestCsvProperties:
@@ -458,6 +463,29 @@ class TestCsvProperties:
         again = ingest_csv(path)
         assert [s.id for s in again.series] == names
         assert again.values_matrix().tobytes() == matrix.tobytes()
+
+    @settings(_TMP_PATH_OK, max_examples=50)
+    @given(n=st.integers(1, 4),
+           length=st.one_of(st.integers(1, 40), st.sampled_from([4095, 4096, 4097])),
+           seed=st.integers(0, 2 ** 32 - 1),
+           cells=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4096),
+                                    st.one_of(st.sampled_from(CSV_EDGES), FINITE)),
+                          max_size=12),
+           names=st.lists(st.one_of(NAMES, st.sampled_from(ODD_NAMES)),
+                          min_size=4, max_size=4))
+    @example(n=2, length=4097, seed=0, cells=[(i % 2, 4096 - i, v)
+                                              for i, v in enumerate(CSV_EDGES)],
+             names=["a,b", 'say "x"', "c", "d"])
+    def test_write_csv_writes_the_reference_writers_bytes(self, tmp_path, n, length, seed,
+                                                          cells, names):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(n, length)) * 10.0 ** rng.integers(-30, 30, (n, length))
+        for i, t, value in cells:
+            matrix[i % n, t % length] = value
+        cset = CorrelatedSet(tuple(TimeSeries(names[i], matrix[i]) for i in range(n)))
+        reference_write_csv(cset, tmp_path / "want.csv")
+        write_csv(cset, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @_TMP_PATH_OK
     @given(cell=st.one_of(st.text(max_size=12), st.sampled_from(ODD_CELLS)))
@@ -618,6 +646,95 @@ class TestSyntheticGenerator:
     def test_period_not_positive_rejected(self, period):
         with pytest.raises(ValueError, match="season_period"):
             SyntheticConfig(season_period=period)
+
+    @pytest.mark.parametrize("name", ["noise", "base", "season_amplitude",
+                                      "stoch_amplitude", "ar_coeff"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SyntheticConfig(**{name: value})
+
+    @pytest.mark.parametrize("noise", [-0.01, -1e-300, -5.0])
+    def test_negative_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise must be >= 0"):
+            SyntheticConfig(noise=noise)
+
+    def test_zero_noise_and_negative_stochastic_amplitude_accepted(self):
+        cset = generate_synthetic(SyntheticConfig(noise=0.0, stoch_amplitude=-0.5, length=50))
+        assert cset.length == 50
+
+
+def reference_latent_signal(cfg: SyntheticConfig, rng: np.random.Generator, n: int,
+                            period_scale: float = 1.0) -> np.ndarray:
+    """The AR(1) loop over numpy scalars that ``data._latent_signal`` must
+    equal bit for bit."""
+    t = np.arange(n, dtype=np.float64)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    period = cfg.season_period * period_scale
+    season = cfg.season_amplitude * np.sin(2.0 * np.pi * t / period + phase)
+    innovations = rng.normal(0.0, 1.0, size=n)
+    ar = np.empty(n)
+    scale = cfg.stoch_amplitude * np.sqrt(max(1.0 - cfg.ar_coeff ** 2, 1e-12))
+    ar[0] = cfg.stoch_amplitude * innovations[0]
+    for i in range(1, n):
+        ar[i] = cfg.ar_coeff * ar[i - 1] + scale * innovations[i]
+    return cfg.base + season + ar
+
+
+def reference_write_csv(cset: CorrelatedSet, path) -> None:
+    """The row-by-row, cell-by-cell CSV writer that ``write_csv`` must equal
+    byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([s.id for s in cset.series])
+        matrix = cset.values_matrix()
+        for t in range(cset.length):
+            writer.writerow(["%.17g" % v for v in matrix[:, t]])
+
+
+def _synthetic_outcome(cfg: SyntheticConfig) -> bytes | str:
+    try:
+        return generate_synthetic(cfg).values_matrix().tobytes()
+    except DataError as exc:  # a diverging AR(1) signal
+        return str(exc)
+
+
+def _latent_bits(latent, cfg: SyntheticConfig, n: int, period_scale: float) -> bytes:
+    return latent(cfg, np.random.default_rng(cfg.seed), n, period_scale).tobytes()
+
+
+AR_EDGES = [0.0, 1.0, -1.0, 0.9999, -0.9999]
+
+
+class TestSyntheticBits:
+    """``generate_synthetic`` gives the bits of the numpy-scalar AR(1) loop,
+    across the block size, for stable and diverging coefficients."""
+
+    @given(kind=st.sampled_from(["lagged", "independent"]), length=st.integers(2, 10000),
+           lag=st.integers(0, 10),
+           ar=st.one_of(st.sampled_from(AR_EDGES), st.floats(-1.2, 1.2)),
+           stoch=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="lagged", length=4096, lag=0, ar=0.0, stoch=0.7, seed=0)
+    @example(kind="lagged", length=4096, lag=1, ar=1.0, stoch=0.7, seed=1)
+    @example(kind="independent", length=4097, lag=0, ar=-1.0, stoch=-0.7, seed=2)
+    @example(kind="lagged", length=8190, lag=3, ar=0.9999, stoch=0.0, seed=3)
+    @example(kind="independent", length=10000, lag=0, ar=-0.9999, stoch=1.5, seed=4)
+    @example(kind="lagged", length=9000, lag=10, ar=1.2, stoch=0.7, seed=5)
+    @settings(max_examples=60, deadline=None)
+    def test_generate_synthetic_gives_the_reference_loops_bits(self, kind, length, lag, ar,
+                                                               stoch, seed):
+        cfg = SyntheticConfig(kind=kind, length=length, lag=lag, ar_coeff=ar,
+                              stoch_amplitude=stoch, seed=seed)
+        with mock.patch.object(data_module, "_latent_signal", reference_latent_signal), \
+                np.errstate(over="ignore"):
+            want = _synthetic_outcome(cfg)
+            want_latent = [_latent_bits(reference_latent_signal, cfg, length + lag, scale)
+                           for scale in (1.0, 1.618)]
+        assert _synthetic_outcome(cfg) == want
+        # the latent signal itself, diverging values included
+        assert [_latent_bits(data_module._latent_signal, cfg, length + lag, scale)
+                for scale in (1.0, 1.618)] == want_latent
 
 
 class TestStack:
