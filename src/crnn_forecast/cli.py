@@ -47,9 +47,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes only -N and -N.N as negative-number values; take the
-        # exponent forms too (-1e-2, -1.5E+3, -.5e1), so that they reach the
-        # option's own check. Subparsers are built with this class.
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        # exponent forms (-1e-2, -1.5E+3, -.5e1) and -inf, -infinity and -nan
+        # in any case, as float() reads them, so that they reach the option's
+        # own check. Subparsers are built with this class.
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
     def error(self, message):  # argparse would exit(2); route to our codes
         raise UsageError(message)

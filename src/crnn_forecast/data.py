@@ -603,6 +603,10 @@ def _latent_signal(cfg: SyntheticConfig, rng: np.random.Generator, n: int,
     multiply, multiply and add of a numpy-scalar loop, each rounded once, and
     the vectorised ``scale * innovations`` rounds as the scalar product does,
     so the values are bit-identical to that loop's.
+
+    Raises ValueError naming ``ar_coeff`` when the recurrence overflows, as
+    it does for ``|ar_coeff| > 1`` over enough steps. Only the last value is
+    checked: an infinite value times a non-zero coefficient stays infinite.
     """
     t = np.arange(n, dtype=np.float64)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -616,6 +620,9 @@ def _latent_signal(cfg: SyntheticConfig, rng: np.random.Generator, n: int,
     for start in range(1, n, _BLOCK):
         steps = (scale * innovations[start:start + _BLOCK]).tolist()
         ar[start:start + len(steps)] = [prev := a * prev + e for e in steps]
+    if not np.isfinite(prev):
+        raise ValueError(f"ar_coeff={cfg.ar_coeff} with stoch_amplitude={cfg.stoch_amplitude} "
+                         f"makes the AR(1) signal overflow within {n} steps")
     return cfg.base + season + ar
 
 

@@ -4,9 +4,11 @@ Layers operate on raw float64 ndarrays. The convolutional pieces (Conv1D,
 Deconv1D, ChannelMerge) act on a group of n series at once: their inputs
 have trailing axes (n, channels, length), and their weights carry a leading
 series axis, so series s is transformed by its own filters ``w[s]``. One
-call covers every series; each filter tap is one broadcast matmul over the
-series axis and any leading batch axes. Dense acts on a trailing
-(features,) axis with optional leading batch axes.
+call covers every series; with more than one input channel, each filter tap
+is one broadcast matmul over the series axis and any leading batch axes.
+Conv1D with one input channel forms each tap as a broadcast product instead
+(see Conv1D). Dense acts on a trailing (features,) axis with optional
+leading batch axes.
 
 The recurrent cells (RNNCell, LSTMCell) take their steps in the one form
 the models send: a time-major array (T, batch, features). Their Python loop
@@ -93,6 +95,15 @@ class Conv1D(_FilterGroup):
 
     Zero padding keeps the time length unchanged: symmetric for odd filter
     sizes, all on the right for even ones.
+
+    With C_in > 1 each tap k adds the matmul ``w[..., k] @ window_k``. With
+    C_in = 1, as in a model's first stage, that matmul has an inner size of 1
+    and costs one BLAS call per window, series and tap, so the tap is the
+    broadcast product ``w[..., k] * window_k`` instead. Both round each
+    product once and add the taps, then the bias, in the same order, so the
+    values agree. A matmul's sum starts from +0 and never ends at -0; adding
+    the bias as ``b + 0.0`` (a -0 bias read as +0) makes the product form
+    match that too, bit for bit.
     """
 
     def _padding(self) -> tuple[int, int]:
@@ -107,25 +118,40 @@ class Conv1D(_FilterGroup):
         # one zeroed buffer and a slice write; np.pad costs ~10x more per call
         xp = np.zeros(x.shape[:-1] + (pad_l + length + pad_r,), dtype=x.dtype)
         xp[..., pad_l:pad_l + length] = x
-        y = self.w[..., 0] @ xp[..., :length]
-        for k in range(1, self.filter_size):
-            y += self.w[..., k] @ xp[..., k:k + length]
-        y += self.b[..., None]
+        if self.in_channels == 1:
+            y = np.multiply(self.w[..., 0], xp[..., :length])
+            tap = np.empty_like(y)
+            for k in range(1, self.filter_size):
+                y += np.multiply(self.w[..., k], xp[..., k:k + length], out=tap)
+        else:
+            y = self.w[..., 0] @ xp[..., :length]
+            for k in range(1, self.filter_size):
+                y += self.w[..., k] @ xp[..., k:k + length]
+        y += (self.b + 0.0)[..., None]
         return y, xp
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
+        """(input gradient, {"w", "b"} gradients) for the output gradient.
+
+        ``input_grad=False`` skips the input gradient, returned as None, for
+        a caller that has no use for it (a model's first stage reads the
+        data); the weight and bias gradients are the same bits either way.
+        """
         xp = cache
         _check_group("Conv1D backward", grad_out, self.num_series, self.num_filters)
         length = grad_out.shape[-1]
         gw = np.empty_like(self.w)
-        gxp = np.zeros(xp.shape)
+        gxp = np.zeros(xp.shape) if input_grad else None
         for k in range(self.filter_size):
             win = xp[..., k:k + length]
             gw[..., k] = _sum_to_group(grad_out @ win.swapaxes(-1, -2))
-            gxp[..., k:k + length] += self.w[..., k].swapaxes(-1, -2) @ grad_out
+            if input_grad:
+                gxp[..., k:k + length] += self.w[..., k].swapaxes(-1, -2) @ grad_out
+        grads = {"w": gw, "b": _sum_to_group(grad_out).sum(axis=-1)}
+        if gxp is None:
+            return None, grads
         pad_l, _ = self._padding()
-        gb = _sum_to_group(grad_out).sum(axis=-1)
-        return gxp[..., pad_l:pad_l + length], {"w": gw, "b": gb}
+        return gxp[..., pad_l:pad_l + length], grads
 
 
 class MaxPool1D:
@@ -133,6 +159,14 @@ class MaxPool1D:
 
     Ties route to the left position, which keeps the backward pass
     deterministic. The forward cache records the winning positions.
+
+    The output is ``np.maximum(right, left)``. On a tie, ±0 included, numpy
+    returns the second operand, the left value, so the output has the bits
+    of ``np.where(right > left, right, left)`` for every input without NaN.
+    With a NaN in the right half the output is NaN where ``np.where`` gave
+    the left value. Model inputs are checked finite, so only non-finite
+    weights reach that case, and a forecast's finiteness check then raises
+    NumericError.
     """
 
     def forward(self, x: np.ndarray):
@@ -141,9 +175,7 @@ class MaxPool1D:
             raise ShapeError(f"max-pool needs an even time length, got {length}")
         left = x[..., 0::2]
         right = x[..., 1::2]
-        take_right = right > left
-        y = np.where(take_right, right, left)
-        return y, (take_right, x.shape)
+        return np.maximum(right, left), (right > left, x.shape)
 
     def backward(self, cache, grad_out: np.ndarray):
         take_right, in_shape = cache

@@ -475,7 +475,8 @@ class CRNN(ParamModel):
             g = self._pool.backward(pool_cache, g)
             if act is not None:
                 g = g * (1.0 - act * act)
-            g, conv_grads = self._convs[j].backward(conv_cache, g)
+            # stage 0 reads the data, whose gradient nothing uses
+            g, conv_grads = self._convs[j].backward(conv_cache, g, input_grad=j > 0)
             _collect(grads, f"conv{j}", conv_grads)
 
     def _steps(self, cube):

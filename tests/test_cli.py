@@ -86,7 +86,14 @@ class TestParser:
         args = cli.build_parser(argv).parse_args(argv)
         assert getattr(args, flag[2:]) == value
 
-    @pytest.mark.parametrize("text", ["-e5", "-1e", "-x"])
+    @pytest.mark.parametrize("text", ["-inf", "-INF", "-Infinity", "-infinity", "-nan",
+                                      "-NaN", "-NAN"])
+    def test_negative_non_finite_word_is_an_option_value(self, text):
+        argv = ["generate", "--stoch-amp", text]
+        value = cli.build_parser(argv).parse_args(argv).stoch_amp
+        assert repr(value) == repr(float(text))
+
+    @pytest.mark.parametrize("text", ["-e5", "-1e", "-x", "-in", "-infinit", "-nana", "-inf5"])
     def test_dash_word_is_still_an_option(self, text):
         argv = ["generate", "--noise", text]
         with pytest.raises(cli.UsageError, match="expected one argument"):
@@ -713,6 +720,14 @@ class TestUnusableNumericFlags:
         pytest.param(["generate", "--stoch-amp", "inf"], "stoch_amplitude",
                      id="stoch-amp-inf"),
         pytest.param(["generate", "--ar", "nan"], "ar_coeff", id="ar-nan"),
+        # -inf and -nan reach the check, not argparse's "expected one argument"
+        pytest.param(["generate", "--len", "50", "--stoch-amp", "-inf"],
+                     "stoch_amplitude must be finite", id="stoch-amp-negative-inf"),
+        pytest.param(["generate", "--len", "50", "--base", "-nan"], "base must be finite",
+                     id="base-negative-nan"),
+        pytest.param(["generate", "--ar", "5"], "ar_coeff", id="ar-diverges"),
+        pytest.param(["evaluate", "--ar", "5"], "ar_coeff", id="evaluate-ar-diverges"),
+        pytest.param(["robustness", "--ar", "-5"], "ar_coeff", id="robustness-ar-diverges"),
         pytest.param(["evaluate", "--noise", "-1e-2"], "noise must be >= 0",
                      id="evaluate-noise-negative"),
         pytest.param(["robustness", "--ar", "inf"], "ar_coeff", id="robustness-ar-inf"),

@@ -659,6 +659,17 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="noise must be >= 0"):
             SyntheticConfig(noise=noise)
 
+    @pytest.mark.parametrize("kind", ["lagged", "independent"])
+    @pytest.mark.parametrize("ar", [5.0, -5.0, 1.2])
+    def test_diverging_ar_coeff_rejected(self, kind, ar):
+        with pytest.raises(ValueError, match="ar_coeff"):
+            generate_synthetic(SyntheticConfig(kind=kind, ar_coeff=ar, length=5000))
+
+    @pytest.mark.parametrize("ar, length", [(1.0, 2000), (-1.0, 2000), (5.0, 300)])
+    def test_large_ar_coeff_with_finite_values_accepted(self, ar, length):
+        cset = generate_synthetic(SyntheticConfig(ar_coeff=ar, length=length))
+        assert np.isfinite(cset.values_matrix()).all()
+
     def test_zero_noise_and_negative_stochastic_amplitude_accepted(self):
         cset = generate_synthetic(SyntheticConfig(noise=0.0, stoch_amplitude=-0.5, length=50))
         assert cset.length == 50
@@ -692,15 +703,29 @@ def reference_write_csv(cset: CorrelatedSet, path) -> None:
             writer.writerow(["%.17g" % v for v in matrix[:, t]])
 
 
+DIVERGES = "diverges"
+
+
 def _synthetic_outcome(cfg: SyntheticConfig) -> bytes | str:
+    """The set's bits, or DIVERGES where the AR(1) signal overflows: the
+    reference loop's values then fail the set's finiteness check, and
+    ``_latent_signal`` raises a ValueError naming ``ar_coeff``."""
     try:
         return generate_synthetic(cfg).values_matrix().tobytes()
-    except DataError as exc:  # a diverging AR(1) signal
-        return str(exc)
+    except DataError:
+        return DIVERGES
+    except ValueError as exc:
+        assert "ar_coeff" in str(exc)
+        return DIVERGES
 
 
-def _latent_bits(latent, cfg: SyntheticConfig, n: int, period_scale: float) -> bytes:
-    return latent(cfg, np.random.default_rng(cfg.seed), n, period_scale).tobytes()
+def _latent_bits(latent, cfg: SyntheticConfig, n: int, period_scale: float) -> bytes | str:
+    try:
+        values = latent(cfg, np.random.default_rng(cfg.seed), n, period_scale)
+    except ValueError as exc:
+        assert "ar_coeff" in str(exc)
+        return DIVERGES
+    return values.tobytes() if np.isfinite(values).all() else DIVERGES
 
 
 AR_EDGES = [0.0, 1.0, -1.0, 0.9999, -0.9999]
@@ -708,7 +733,8 @@ AR_EDGES = [0.0, 1.0, -1.0, 0.9999, -0.9999]
 
 class TestSyntheticBits:
     """``generate_synthetic`` gives the bits of the numpy-scalar AR(1) loop,
-    across the block size, for stable and diverging coefficients."""
+    across the block size, for stable coefficients, and fails where that
+    loop's values overflow."""
 
     @given(kind=st.sampled_from(["lagged", "independent"]), length=st.integers(2, 10000),
            lag=st.integers(0, 10),
@@ -732,7 +758,7 @@ class TestSyntheticBits:
             want_latent = [_latent_bits(reference_latent_signal, cfg, length + lag, scale)
                            for scale in (1.0, 1.618)]
         assert _synthetic_outcome(cfg) == want
-        # the latent signal itself, diverging values included
+        # the latent signal itself
         assert [_latent_bits(data_module._latent_signal, cfg, length + lag, scale)
                 for scale in (1.0, 1.618)] == want_latent
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
 from crnn_forecast.layers import (ChannelMerge, Conv1D, Deconv1D, Dense,
@@ -111,6 +113,18 @@ class TestConv1D:
             yi, _ = conv.forward(xb[i])
             assert np.array_equal(yb[i], yi)
 
+    def test_batched_matches_per_sample_at_one_input_channel(self):
+        rng = np.random.default_rng(8)
+        conv = drawn(Conv1D(3, 1, 4, 5), rng)
+        conv.b[...] = rng.uniform(-1, 1, conv.b.shape)
+        xb = rng.uniform(-1, 1, (4, 3, 1, 10))
+        xb[1, :, :, 2:5] = 0.0
+        xb[2, 0] = -0.0
+        yb, _ = conv.forward(xb)
+        for i in range(4):
+            yi, _ = conv.forward(xb[i])
+            assert yb[i].tobytes() == yi.tobytes()
+
 
 class TestMaxPool1D:
     def test_window_maxima(self):
@@ -171,6 +185,100 @@ class TestMaxPool1D:
         _, cache = pool.forward(x)
         gx = pool.backward(cache, coeffs)
         assert rel_error(gx, numeric_grad(loss, x)) < FD_TOL
+
+
+# -- reference forms: the matmul-per-tap conv and the np.where pooling ----------
+
+
+def reference_conv_forward(conv, x):
+    """(output, padded input) of a Conv1D with one matmul per filter tap."""
+    pad_l, pad_r = conv._padding()
+    length = x.shape[-1]
+    xp = np.zeros(x.shape[:-1] + (pad_l + length + pad_r,))
+    xp[..., pad_l:pad_l + length] = x
+    y = conv.w[..., 0] @ xp[..., :length]
+    for k in range(1, conv.filter_size):
+        y += conv.w[..., k] @ xp[..., k:k + length]
+    y += conv.b[..., None]
+    return y, xp
+
+
+def reference_pool_forward(x):
+    """(output, take-right mask) of MaxPool1D by ``np.where``."""
+    left = x[..., 0::2]
+    right = x[..., 1::2]
+    take_right = right > left
+    return np.where(take_right, right, left), take_right
+
+
+# Signed zeros, values that underflow to a signed zero when multiplied, and a
+# few repeated values, so that zero products and pooling ties are common.
+SPECIAL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, -1e-200,
+                                  5e-324, -5e-324])
+VALUES = st.one_of(SPECIAL_VALUES, st.floats(-1e6, 1e6))
+BATCH_SHAPES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+class TestFirstStageMatchesReferenceForms:
+    """The one-input-channel conv, the pooling and the conv backward without
+    an input gradient give the bits of the forms they replaced, signed
+    zeros included."""
+
+    @given(data=st.data(), k=st.sampled_from([1, 2, 3, 5, 10]), batch=BATCH_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_one_channel_conv_gives_the_matmul_forms_bits(self, data, k, batch):
+        n, f, length = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+                        data.draw(st.integers(1, 12)))
+        conv = Conv1D(n, 1, f, k)
+        conv.w[...] = data.draw(arrays(np.float64, conv.w.shape, elements=VALUES))
+        conv.b[...] = data.draw(arrays(np.float64, conv.b.shape, elements=VALUES))
+        x = data.draw(arrays(np.float64, batch + (n, 1, length), elements=VALUES))
+        y, xp = conv.forward(x)
+        want, want_xp = reference_conv_forward(conv, x)
+        assert y.shape == want.shape
+        assert y.tobytes() == want.tobytes()
+        assert xp.tobytes() == want_xp.tobytes()
+
+    @given(data=st.data(), order=st.sampled_from("CF"))
+    @settings(max_examples=150, deadline=None)
+    def test_pool_gives_the_where_forms_bits(self, data, order):
+        lead = data.draw(st.lists(st.integers(1, 4), max_size=2).map(tuple))
+        half = data.draw(st.integers(1, 80))
+        x = data.draw(arrays(np.float64, lead + (2 * half,), elements=VALUES))
+        x = np.asarray(x, order=order)
+        y, (take_right, shape) = MaxPool1D().forward(x)
+        want, want_mask = reference_pool_forward(x)
+        assert y.shape == want.shape and shape == x.shape
+        assert y.tobytes() == want.tobytes()
+        assert np.array_equal(take_right, want_mask)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("half", [1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 2048])
+    def test_long_rows_pool_to_the_where_forms_bits(self, half, order):
+        rng = np.random.default_rng(half)
+        x = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.0]), size=(3, 2 * half))
+        x = np.asarray(x, order=order)
+        y, _ = MaxPool1D().forward(x)
+        assert y.tobytes() == reference_pool_forward(x)[0].tobytes()
+
+    @given(data=st.data(), c_in=st.integers(1, 3), k=st.sampled_from([1, 2, 3, 5, 10]),
+           batch=BATCH_SHAPES)
+    @settings(max_examples=80, deadline=None)
+    def test_conv_backward_without_input_gradient_keeps_the_weight_bits(self, data, c_in,
+                                                                        k, batch):
+        n, f, length = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+                        data.draw(st.integers(1, 12)))
+        conv = Conv1D(n, c_in, f, k)
+        conv.w[...] = data.draw(arrays(np.float64, conv.w.shape, elements=VALUES))
+        x = data.draw(arrays(np.float64, batch + (n, c_in, length), elements=VALUES))
+        g = data.draw(arrays(np.float64, batch + (n, f, length), elements=VALUES))
+        _, cache = conv.forward(x)
+        gx, want = conv.backward(cache, g)
+        none, grads = conv.backward(cache, g, input_grad=False)
+        assert none is None and gx.shape == x.shape
+        assert list(grads) == list(want)
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 class TestDeconv1D:
