@@ -169,13 +169,15 @@ def _load_dataset(args, inputs: dict[str, bytes]) -> CorrelatedSet:
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    """The distinct seeds of --seeds, in the order given."""
+    """The distinct non-negative seeds of --seeds, in the order given."""
     try:
         seeds = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"--seeds expects comma-separated integers, got {text!r}") from None
     if not seeds:
         raise UsageError("--seeds needs at least one seed")
+    if min(seeds) < 0:
+        raise UsageError(f"--seeds takes seeds >= 0, got {min(seeds)}")
     if len(set(seeds)) < len(seeds):
         raise UsageError(f"--seeds repeats a seed: {text!r}")
     return seeds
@@ -340,15 +342,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_robustness(args) -> int:
     inputs: dict[str, bytes] = {}
-    if args.data:
-        cset = _load_dataset(args, inputs)
-        if cset.num_series < 2:
-            raise DataError("robustness needs a target and a correlated series")
-    else:
-        cset = generate_synthetic(_synthetic_from_args(args))
-    seeds = _seed_list(args.seeds)
-    report = robustness_experiment(cset.series[0], cset.series[1], _experiment_spec(args),
-                                   seeds)
+    cset = (_load_dataset(args, inputs) if args.data
+            else generate_synthetic(_synthetic_from_args(args)))
+    report = robustness_experiment(cset, _experiment_spec(args), _seed_list(args.seeds))
     out = _out_dir(args, "robustness")
     table_path = out / "robustness.tsv"
     table_path.write_text(report.table(), encoding="ascii")
@@ -360,7 +356,10 @@ def cmd_robustness(args) -> int:
 def _parse_grid_file(path: str) -> dict[str, tuple[int, ...]]:
     values = {}
     for key, raw in _read_config_file(path).items():
-        values[key] = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        try:
+            values[key] = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        except ValueError:
+            raise UsageError(f"grid file {path}: axis {key} takes integers, got {raw!r}") from None
     unknown = set(values) - {"stages", "filters", "filter-size", "hidden"}
     if unknown:
         raise UsageError(f"grid file sets unknown axes: {sorted(unknown)}")

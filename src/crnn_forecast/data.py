@@ -9,7 +9,9 @@ Windows are cut as :class:`Windows`: read-only array views of the normalized
 matrix, with inputs X of shape (N, num_series, input_length), targets Y of
 shape (N, horizon) and the offset of each window, in time order. No window is
 copied until ``stack_samples`` gathers a set into contiguous batches.
-Values are checked once, when a :class:`TimeSeries` is built.
+Values are checked once, when a :class:`TimeSeries` is built. A series is
+its name and its values, one per time step; no time base is kept, and a
+timestamp column (``--timestamp``) is only checked for uniform spacing.
 """
 
 from __future__ import annotations
@@ -62,14 +64,12 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A uniformly sampled measurement sequence. It keeps a private read-only
-    copy of the values it is given, so the caller's array stays writable and
-    no later write to it reaches the series."""
+    """A named measurement sequence, one value per time step. It keeps a
+    private read-only copy of the values it is given, so the caller's array
+    stays writable and no later write to it reaches the series."""
 
     id: str
     values: np.ndarray
-    start_time: float = 0.0
-    interval: float = 1.0
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
@@ -77,8 +77,6 @@ class TimeSeries:
             raise DataError(f"series {self.id!r} must be a non-empty vector")
         if not np.isfinite(v).all():
             raise DataError(f"series {self.id!r} has missing or non-finite values")
-        if self.interval <= 0:
-            raise DataError(f"series {self.id!r} needs a positive sampling interval")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -88,7 +86,8 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class CorrelatedSet:
-    """An ordered, aligned collection of series; the first one is the target."""
+    """An ordered collection of equally long series, step i of each taken at
+    the same time; the first one is the target."""
 
     series: tuple[TimeSeries, ...]
 
@@ -100,8 +99,6 @@ class CorrelatedSet:
             if len(s) != len(first):
                 raise DataError(
                     f"series {s.id!r} has length {len(s)}, expected {len(first)}")
-            if s.start_time != first.start_time or s.interval != first.interval:
-                raise DataError(f"series {s.id!r} is not aligned with the target")
         object.__setattr__(self, "series", tuple(self.series))
 
     @property
@@ -129,19 +126,15 @@ class CorrelatedSet:
     def slice_time(self, start: int, stop: int) -> "CorrelatedSet":
         if not 0 <= start < stop <= self.length:
             raise DataError(f"invalid time slice [{start}, {stop})")
-        out = []
-        for s in self.series:
-            out.append(TimeSeries(s.id, s.values[start:stop],
-                                  s.start_time + start * s.interval, s.interval))
-        return CorrelatedSet(tuple(out))
+        return CorrelatedSet(tuple(TimeSeries(s.id, s.values[start:stop])
+                                   for s in self.series))
 
     def with_values(self, matrix: np.ndarray) -> "CorrelatedSet":
-        """Same identities and time base, replaced values (e.g. normalized)."""
+        """Same identities, replaced values (e.g. normalized)."""
         if matrix.shape != (self.num_series, self.length):
             raise DataError(f"replacement matrix shape {matrix.shape} does not match")
-        out = [TimeSeries(s.id, matrix[i], s.start_time, s.interval)
-               for i, s in enumerate(self.series)]
-        return CorrelatedSet(tuple(out))
+        return CorrelatedSet(tuple(TimeSeries(s.id, matrix[i])
+                                   for i, s in enumerate(self.series)))
 
 
 @dataclass(frozen=True)
@@ -437,7 +430,8 @@ def ingest_csv(path, layout: CsvLayout | None = None,
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
     ragged row, or non-uniform timestamp column aborts ingestion; a bad row
-    is named by the file line it starts on.
+    is named by the file line it starts on. The timestamp column is only
+    checked; the series keep no time base.
     """
     layout = layout or CsvLayout()
     raw = read_input(path) if raw is None else raw
@@ -487,19 +481,17 @@ def ingest_csv(path, layout: CsvLayout | None = None,
         _raise_row_error(path, data_rows, lines, width, indices, ts_index)
         raise
 
-    start, interval = 0.0, 1.0
     if timestamps is not None and len(timestamps) > 1:
         deltas = np.diff(timestamps)
         interval = float(deltas[0])
         if interval <= 0 or not np.allclose(deltas, interval, rtol=1e-9, atol=0.0):
             raise DataError(f"{path}: timestamp column is not uniformly spaced")
-        start = float(timestamps[0])
 
     unnamed = [i for i in indices if header is not None and i >= len(header)]
     if unnamed:
         raise DataError(f"{path}: the header has no name for column {unnamed[0]}")
     names = [header[i] if header is not None else f"col{i}" for i in indices]
-    return CorrelatedSet(tuple(TimeSeries(name, values, start, interval)
+    return CorrelatedSet(tuple(TimeSeries(name, values)
                                for name, values in zip(names, columns)))
 
 
@@ -529,20 +521,23 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(np.asarray(a, float), np.asarray(b, float))[0, 1])
 
 
-def make_uncorrelated(reference: TimeSeries, seed: int,
-                      max_attempts: int = 100) -> TimeSeries:
+SURROGATE_ATTEMPTS = 100  # draws make_uncorrelated tries before it gives up
+
+
+def make_uncorrelated(reference: TimeSeries, seed: int) -> TimeSeries:
     """Build a surrogate with the reference's length, mean, and variance but
     randomized phase, so it carries no information about the reference.
 
     Regenerates with a fresh seed until |corr| with the reference drops
-    below 0.1 (almost always the first attempt).
+    below 0.1 (almost always the first attempt), at most SURROGATE_ATTEMPTS
+    times.
     """
     v = reference.values
     n = len(v)
     mean = float(v.mean())
     std = float(v.std())
     spectrum = np.abs(np.fft.rfft(v - mean))
-    for attempt in range(max_attempts):
+    for attempt in range(SURROGATE_ATTEMPTS):
         rng = np.random.default_rng((seed, attempt))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=spectrum.size)
         phases[0] = 0.0
@@ -555,8 +550,7 @@ def make_uncorrelated(reference: TimeSeries, seed: int,
         else:
             surrogate = rng.normal(mean, max(std, 1e-12), size=n)
         if abs(pearson(surrogate, v)) < 0.1:
-            return TimeSeries(f"{reference.id}-uncorrelated", surrogate,
-                              reference.start_time, reference.interval)
+            return TimeSeries(f"{reference.id}-uncorrelated", surrogate)
     raise DataError("could not generate an uncorrelated surrogate; series too short?")
 
 
@@ -592,6 +586,8 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _latent_signal(cfg: SyntheticConfig, rng: np.random.Generator, n: int,

@@ -11,9 +11,11 @@ command prepares a fixed dataset once and scores every seed on it, so seeds
 vary only the model initialization and batch order; for synthetic data it
 draws a new set for each seed (seed k uses data seed base+k), so seeds act
 as independent trials. ``run_experiment`` scores one method on a sequence of
-(seed, prepared set) runs. ``robustness_experiment`` compares the two
-network models when the second input series is helpful, absent, or pure
-noise, and prepares each (seed, row) set once for both.
+(seed, prepared set) runs. A run's test forecasts and truths are kept as
+(N, p) arrays in original units, and its per-window RMSE and MAPE as (N,)
+arrays. ``robustness_experiment`` takes a series set and compares the two
+network models when its second series is helpful, absent, or replaced by
+pure noise, and prepares each (seed, row) set once for both.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import ewma_batch, yesterday_batch
-from .data import (CorrelatedSet, DataError, Prepared, TimeSeries, make_uncorrelated, prepare,
-                   stack_samples)
+from .data import CorrelatedSet, DataError, Prepared, make_uncorrelated, prepare, stack_samples
 from .models import MODELS
 from .training import TrainConfig, train
 
@@ -36,7 +37,6 @@ __all__ = [
     "ExperimentSpec",
     "MetricReport",
     "RobustnessReport",
-    "WindowResult",
     "fit",
     "mape_detailed",
     "rmse",
@@ -57,36 +57,22 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def mape_detailed(pred, truth, epsilon: float = MAPE_EPSILON) -> tuple[float, int]:
+def mape_detailed(pred, truth) -> tuple[float, int]:
     """Mean absolute percentage error plus the count of skipped terms.
 
-    Terms whose true value is below ``epsilon`` in magnitude are skipped
+    Terms whose true value is below MAPE_EPSILON in magnitude are skipped
     instead of blowing up the average; the caller sees how many were dropped.
     """
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
     if p.shape != t.shape or p.size == 0:
         raise ValueError(f"mape needs equal non-empty sequences, got {p.shape} vs {t.shape}")
-    keep = np.abs(t) >= epsilon
+    keep = np.abs(t) >= MAPE_EPSILON
     skipped = int(p.size - keep.sum())
     if skipped == p.size:
         raise ValueError("mape: every true value is below the epsilon guard")
     value = float(100.0 * np.mean(np.abs(p[keep] - t[keep]) / np.abs(t[keep])))
     return value, skipped
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    """Metrics for one held-out window, with the raw predictions kept for
-    independent recomputation."""
-
-    seed: int
-    offset: int
-    rmse: float
-    mape: float
-    mape_skipped: int
-    predicted: np.ndarray
-    truth: np.ndarray
 
 
 @dataclass
@@ -130,7 +116,6 @@ class MetricReport:
     input_length: int
     horizon: int
     seeds: tuple[int, ...]
-    windows: list[WindowResult]
     rmse_mean: float
     rmse_std: float
     mape_mean: float
@@ -141,15 +126,13 @@ class MetricReport:
                     "mape_mean\tmape_std\tseeds\tnotes")
 
     @classmethod
-    def from_windows(cls, spec: ExperimentSpec, method: str, num_series: int,
-                     seeds: tuple[int, ...], windows: list[WindowResult]) -> "MetricReport":
-        if not windows:
-            raise DataError("experiment produced no evaluation windows")
-        rmses = np.array([w.rmse for w in windows])
-        mapes = np.array([w.mape for w in windows])
-        skips = sum(w.mape_skipped for w in windows)
+    def from_scores(cls, spec: ExperimentSpec, method: str, num_series: int,
+                    seeds: tuple[int, ...], rmses: np.ndarray, mapes: np.ndarray,
+                    skips: int) -> "MetricReport":
+        """The report of per-window RMSEs and MAPEs, pooled over every
+        (seed, window) pair, and of the count of skipped MAPE terms."""
         notes = []
-        if len(windows) == 1:
+        if rmses.size == 1:
             notes.append("single-window:std=0")
         if skips:
             notes.append(f"mape_skipped={skips}")
@@ -159,7 +142,6 @@ class MetricReport:
             input_length=spec.input_length,
             horizon=spec.horizon,
             seeds=seeds,
-            windows=windows,
             rmse_mean=float(rmses.mean()),
             rmse_std=float(rmses.std()),
             mape_mean=float(mapes.mean()),
@@ -189,9 +171,9 @@ def fit(kind: str, hparams: Mapping[str, object], prepared: Prepared,
 
 
 def _score(method: str, spec: ExperimentSpec, prepared: Prepared,
-           seed: int) -> list[WindowResult]:
-    """Fit ``method`` on one prepared set for one seed, and score each test
-    window in original units."""
+           seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fit ``method`` on one prepared set for one seed. Returns its test
+    forecasts and their truths, each (N, p) in original units."""
     x_test, y_test = stack_samples(prepared.test)
     if method == "yesterday":
         forecasts = yesterday_batch(x_test, spec.horizon)
@@ -201,30 +183,28 @@ def _score(method: str, spec: ExperimentSpec, prepared: Prepared,
         model, _ = fit(method, spec.hparams, prepared,
                        dataclasses.replace(spec.train, seed=seed))
         forecasts = model.batch_forecast(x_test)
-    preds = prepared.norm.inverse_target(forecasts)
-    truths = prepared.norm.inverse_target(y_test)
-    results = []
-    for i, offset in enumerate(prepared.test.offsets.tolist()):
-        m_value, m_skipped = mape_detailed(preds[i], truths[i])
-        results.append(WindowResult(seed=seed, offset=offset,
-                                    rmse=rmse(preds[i], truths[i]),
-                                    mape=m_value, mape_skipped=m_skipped,
-                                    predicted=preds[i], truth=truths[i]))
-    return results
+    return prepared.norm.inverse_target(forecasts), prepared.norm.inverse_target(y_test)
 
 
-def _write_dumps(out_dir: Path, windows: Sequence[WindowResult]) -> None:
+def _row_metrics(preds: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The RMSE and the MAPE of each row, and the count of skipped MAPE terms."""
+    rmses = np.array([rmse(p, t) for p, t in zip(preds, truths)])
+    mapes = [mape_detailed(p, t) for p, t in zip(preds, truths)]
+    return rmses, np.array([value for value, _ in mapes]), sum(skipped for _, skipped in mapes)
+
+
+def _write_dumps(out_dir: Path, scored: Sequence[tuple]) -> None:
+    """One predictions_seed{seed}.tsv per seed of the (seed, offsets, preds,
+    truths) runs: a row per forecast step."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_seed: dict[int, list[WindowResult]] = {}
-    for w in windows:
-        by_seed.setdefault(w.seed, []).append(w)
-    for seed, rows in sorted(by_seed.items()):
+    by_seed: dict[int, list[str]] = {}
+    for seed, offsets, preds, truths in scored:
+        lines = by_seed.setdefault(seed, ["window_offset\tstep\tpredicted\ttruth"])
+        for offset, pred, truth in zip(offsets.tolist(), preds.tolist(), truths.tolist()):
+            lines.extend("%d\t%d\t%.17g\t%.17g" % (offset, step, p, t)
+                         for step, (p, t) in enumerate(zip(pred, truth), 1))
+    for seed, lines in sorted(by_seed.items()):
         path = out_dir / f"predictions_seed{seed}.tsv"
-        lines = ["window_offset\tstep\tpredicted\ttruth"]
-        for w in rows:
-            for step in range(w.predicted.size):
-                lines.append("%d\t%d\t%.17g\t%.17g"
-                             % (w.offset, step + 1, w.predicted[step], w.truth[step]))
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -235,24 +215,25 @@ def run_experiment(method: str, spec: ExperimentSpec, runs: Iterable[tuple[int, 
 
     The runs are taken one at a time, so a generator can prepare each set
     when its turn comes; a fixed dataset is prepared once and its windows
-    shared by every seed. When ``out_dir`` is given, per-window prediction
-    dumps and the report row are persisted there once every run has been
-    scored.
+    shared by every seed. Each run's per-window RMSE and MAPE are pooled,
+    in run order, into the report's means and standard deviations. When
+    ``out_dir`` is given, the forecasts and truths of every test window and
+    the report row are persisted there once every run has been scored.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
-    windows: list[WindowResult] = []
-    seeds: list[int] = []
+    scored = []  # (seed, test offsets, forecasts, truths) of each run
     for seed, prepared in runs:
-        windows.extend(_score(method, spec, prepared, seed))
-        seeds.append(seed)
-    if not seeds:
+        scored.append((seed, prepared.test.offsets, *_score(method, spec, prepared, seed)))
+    if not scored:
         raise ValueError("experiment needs at least one run")
-    report = MetricReport.from_windows(spec, method, prepared.test.x.shape[1], tuple(seeds),
-                                       windows)
+    rmses, mapes, skips = _row_metrics(np.concatenate([run[2] for run in scored]),
+                                       np.concatenate([run[3] for run in scored]))
+    report = MetricReport.from_scores(spec, method, prepared.test.x.shape[1],
+                                      tuple(run[0] for run in scored), rmses, mapes, skips)
     if out_dir is not None:
         out_path = Path(out_dir)
-        _write_dumps(out_path, windows)
+        _write_dumps(out_path, scored)
         (out_path / "report.tsv").write_text(
             MetricReport.TABLE_HEADER + "\n" + report.table_row() + "\n",
             encoding="ascii")
@@ -261,6 +242,8 @@ def run_experiment(method: str, spec: ExperimentSpec, runs: Iterable[tuple[int, 
 
 ROBUSTNESS_ROWS = ("single", "correlated", "uncorrelated")
 ROBUSTNESS_MODELS = ("crnn", "aecrnn")
+# seed k's surrogate series is drawn with seed UNCORRELATED_SEED_BASE + k
+UNCORRELATED_SEED_BASE = 7000
 
 
 @dataclass
@@ -278,32 +261,36 @@ class RobustnessReport:
         return "\n".join(lines) + "\n"
 
 
-def robustness_experiment(target: TimeSeries, correlated: TimeSeries, spec: ExperimentSpec,
-                          seeds: Sequence[int], *,
-                          uncorrelated_seed_base: int = 7000) -> RobustnessReport:
-    """Evaluate CRNN and AECRNN under three companion-series regimes.
+def robustness_experiment(cset: CorrelatedSet, spec: ExperimentSpec,
+                          seeds: Sequence[int]) -> RobustnessReport:
+    """Evaluate CRNN and AECRNN on ``cset``'s target under three
+    companion-series regimes.
 
-    Rows: the target alone, the target with the genuinely correlated series,
-    and the target with a phase-randomized surrogate that matches the
-    target's moments but carries no information about it. For each seed,
-    each row's set is prepared once under ``spec`` and both models are
-    trained and scored on it with that seed. Each cell of the report is the
-    mean over the seeds of the per-seed MAPE.
+    Rows: the target alone (``cset.take(1)``), the target with the set's
+    second, genuinely correlated series (``cset.take(2)``), and the target
+    with a phase-randomized surrogate that matches the target's moments but
+    carries no information about it (seed UNCORRELATED_SEED_BASE + seed). For
+    each seed, each row's set is prepared once under ``spec`` and both models
+    are trained and scored on it with that seed. Each cell of the report is
+    the mean over the seeds of the per-seed MAPE. DataError when the set has
+    fewer than two series.
     """
+    if cset.num_series < 2:
+        raise DataError("robustness needs a target and a correlated series")
     if not seeds:
         raise ValueError("experiment needs at least one seed")
     per_seed: dict[tuple[str, str], list[float]] = {
         (row, model): [] for row in ROBUSTNESS_ROWS for model in ROBUSTNESS_MODELS}
     for seed in seeds:
-        companions = {
-            "single": None,
-            "correlated": correlated,
-            "uncorrelated": make_uncorrelated(target, uncorrelated_seed_base + seed),
+        surrogate = make_uncorrelated(cset.target, UNCORRELATED_SEED_BASE + seed)
+        rows = {
+            "single": cset.take(1),
+            "correlated": cset.take(2),
+            "uncorrelated": CorrelatedSet((cset.target, surrogate)),
         }
-        for row, companion in companions.items():
-            series = (target,) if companion is None else (target, companion)
-            prepared = spec.prepare(CorrelatedSet(series))
+        for row, row_set in rows.items():
+            prepared = spec.prepare(row_set)
             for model in ROBUSTNESS_MODELS:
-                windows = _score(model, spec, prepared, seed)
-                per_seed[(row, model)].append(float(np.mean([w.mape for w in windows])))
+                _, mapes, _ = _row_metrics(*_score(model, spec, prepared, seed))
+                per_seed[(row, model)].append(float(np.mean(mapes)))
     return RobustnessReport(mape={key: float(np.mean(vals)) for key, vals in per_seed.items()})

@@ -126,8 +126,12 @@ class ModelConfig:
             raise ConfigError(f"unknown rnn_layout {self.rnn_layout!r}")
         if self.conv_activation not in ("linear", "tanh"):
             raise ConfigError(f"unknown conv_activation {self.conv_activation!r}")
-        if self.conv_pool_stages < 1:
-            raise ConfigError("conv_pool_stages must be at least 1")
+        # checked before the grid, which allow_off_grid skips
+        for label in ("conv_pool_stages", "filters_per_layer", "filter_size", "rnn_hidden"):
+            if getattr(self, label) < 1:
+                raise ConfigError(f"{label} must be at least 1, got {getattr(self, label)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         divisor = 2 ** self.conv_pool_stages
         if self.input_length % divisor != 0:
             raise ConfigError(
@@ -545,6 +549,8 @@ class RecurrentBaseline(ParamModel):
 
     def __init__(self, cell_kind: str, num_series: int, input_length: int,
                  horizon: int, hidden: int, features: str = "all", seed: int = 0):
+        if seed < 0:  # before the generator, which would refuse it unnamed
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self._build(np.random.default_rng(seed), cell_kind, num_series, input_length,
                     horizon, hidden, features, seed)
 
@@ -555,6 +561,8 @@ class RecurrentBaseline(ParamModel):
             raise ValueError(f"unknown cell kind {cell_kind!r}")
         if features not in ("target", "all"):
             raise ValueError(f"unknown feature mode {features!r}")
+        if hidden < 1:
+            raise ConfigError(f"hidden must be at least 1, got {hidden}")
         self.kind = f"{cell_kind}-baseline"
         self.cell_kind = cell_kind
         self.num_series = num_series

@@ -25,6 +25,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+GRADCHECK_STEP = 1e-6  # gradcheck's central-difference step
+
 
 @dataclass
 class TrainConfig:
@@ -45,6 +51,8 @@ class TrainConfig:
                              f"{self.learning_rate}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class Sgd:
@@ -57,7 +65,8 @@ class Sgd:
 
 
 class Adam:
-    """Adam over a fixed set of named parameters.
+    """Adam over a fixed set of named parameters, with the decay rates
+    ADAM_BETA1 and ADAM_BETA2 and the denominator guard ADAM_EPSILON.
 
     The moments of every parameter live in one flat vector each, laid out
     in the order of the first ``step``'s params. A step concatenates the
@@ -66,12 +75,8 @@ class Adam:
     parameter's slice from it in place.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self._names: tuple[str, ...] = ()
         self._m = self._v = self._update = np.empty(0)
@@ -96,7 +101,7 @@ class Adam:
             raise ValueError(f"Adam was laid out for parameters {self._names}, "
                              f"got {tuple(params)}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         g = np.concatenate([grads[name] for name in self._names], axis=None)
@@ -105,7 +110,7 @@ class Adam:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        np.divide(self.lr * (m / bias1), np.sqrt(v / bias2) + self.epsilon, out=self._update)
+        np.divide(self.lr * (m / bias1), np.sqrt(v / bias2) + ADAM_EPSILON, out=self._update)
         for p, update in zip(params.values(), self._slices):
             p -= update
 
@@ -238,10 +243,10 @@ class GradcheckReport:
         return line
 
 
-def gradcheck(model, x: np.ndarray, y: np.ndarray, tolerance: float = 1e-5,
-              step: float = 1e-6) -> GradcheckReport:
-    """Verify every parameter's analytic gradient with central differences,
-    on the loss of windows x (batch, n, l) against targets y (batch, p).
+def gradcheck(model, x: np.ndarray, y: np.ndarray, tolerance: float = 1e-5) -> GradcheckReport:
+    """Verify every parameter's analytic gradient with central differences of
+    step GRADCHECK_STEP, on the loss of windows x (batch, n, l) against
+    targets y (batch, p).
 
     Relative error uses |a - n| / max(|a| + |n|, 1e-6); the floor keeps
     near-zero gradients from amplifying finite-difference noise. Intended for
@@ -260,12 +265,12 @@ def gradcheck(model, x: np.ndarray, y: np.ndarray, tolerance: float = 1e-5,
         grad_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + step
+            flat[i] = saved + GRADCHECK_STEP
             up = loss_value()
-            flat[i] = saved - step
+            flat[i] = saved - GRADCHECK_STEP
             down = loss_value()
             flat[i] = saved
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * GRADCHECK_STEP)
             a = grad_flat[i]
             rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
             report.num_checked += 1

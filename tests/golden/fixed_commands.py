@@ -14,23 +14,34 @@ each command are kept as files under ``logs/`` and hashed with the rest.
 Usage::
 
     python tests/golden/fixed_commands.py [--src SRC] [--keep DIR]
+    python tests/golden/fixed_commands.py --fingerprint
 
 ``--src`` names the package source to run (default: this checkout's
 ``src``); ``--keep`` writes into DIR, which must not exist, instead of a
 temporary directory. The exit status is 1 when a command did not exit 0.
+``--fingerprint`` runs nothing and prints the environment that the digests
+depend on, as ``key=value`` lines.
+
+The digests recorded in ``SHA256SUMS`` next to this file were written in the
+environment recorded in ``FINGERPRINT``; ``tests/test_golden.py`` compares
+them when the environment is the same.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[2]
 FORMAT2 = ROOT / "tests" / "data" / "checkpoint_format2_aecrnn_trained.txt"
@@ -150,12 +161,53 @@ def digests(work: Path) -> list[str]:
     return lines
 
 
+def _openblas_core() -> str:
+    """The kernel core the loaded OpenBLAS runs, or "unknown". A build for
+    several cores (DYNAMIC_ARCH) picks it for the CPU at load time, so it
+    can differ from the core that the build configuration names."""
+    libs = [*Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"),
+            *Path(np.__file__).parent.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(handle, symbol, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode("ascii", "replace")
+    return "unknown"
+
+
+def fingerprint() -> dict[str, str]:
+    """The environment that the output bytes depend on: the interpreter, the
+    numpy build and its BLAS, and the machine."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 prints its configuration only
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas.name": str(blas.get("name", "unknown")),
+        "blas.version": str(blas.get("version", "unknown")),
+        "blas.config": str(blas.get("openblas configuration", "unknown")),
+        "blas.core": _openblas_core(),
+        "machine": platform.machine(),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="package source directory to run")
     parser.add_argument("--keep", type=Path, help="work directory to create and keep")
+    parser.add_argument("--fingerprint", action="store_true",
+                        help="print the environment's fingerprint and run nothing")
     args = parser.parse_args(argv)
+    if args.fingerprint:
+        print("\n".join(f"{key}={value}" for key, value in fingerprint().items()))
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         work = args.keep if args.keep is not None else Path(tmp) / "work"
         failed = run(args.src.resolve(), work)

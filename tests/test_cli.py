@@ -615,6 +615,17 @@ class TestGridsearch:
         assert "stages" in capsys.readouterr().err
         assert not (out / "grid_report.tsv").exists()
 
+    def test_non_integer_grid_value_is_usage_error_naming_file_axis_and_value(
+            self, dataset, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2,x\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: usage: grid file {grid}: axis filters takes integers, got '2,x'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, dataset, tmp_path, capsys, jobs):
         out = tmp_path / "gs"
@@ -731,6 +742,37 @@ class TestUnusableNumericFlags:
         pytest.param(["evaluate", "--noise", "-1e-2"], "noise must be >= 0",
                      id="evaluate-noise-negative"),
         pytest.param(["robustness", "--ar", "inf"], "ar_coeff", id="robustness-ar-inf"),
+        # a size below one is refused by name, before the grid check that
+        # --allow-off-grid skips
+        pytest.param(["train", "--model", "rnn", "--hidden", "0"],
+                     "hidden must be at least 1, got 0", id="rnn-hidden-0"),
+        pytest.param(["train", "--model", "rnn", "--hidden", "-3"],
+                     "hidden must be at least 1, got -3", id="rnn-hidden-negative"),
+        pytest.param(["train", "--model", "lstm", "--hidden", "0"],
+                     "hidden must be at least 1, got 0", id="lstm-hidden-0"),
+        pytest.param(["train", "--hidden", "0", "--allow-off-grid"],
+                     "rnn_hidden must be at least 1, got 0", id="crnn-hidden-0-off-grid"),
+        pytest.param(["train", "--filters", "0", "--allow-off-grid"],
+                     "filters_per_layer must be at least 1, got 0", id="filters-0-off-grid"),
+        pytest.param(["train", "--filters", "0"],
+                     "filters_per_layer must be at least 1, got 0", id="filters-0"),
+        pytest.param(["train", "--filter-size", "0", "--allow-off-grid"],
+                     "filter_size must be at least 1, got 0", id="filter-size-0-off-grid"),
+        # a negative seed is refused by name, not by numpy's generator
+        pytest.param(["generate", "--seed", "-1"], "seed must be >= 0, got -1",
+                     id="generate-seed-negative"),
+        pytest.param(["train", "--seed", "-1"], "seed must be >= 0, got -1",
+                     id="train-seed-negative"),
+        pytest.param(["train", "--model", "rnn", "--seed", "-1"], "seed must be >= 0, got -1",
+                     id="train-rnn-seed-negative"),
+        pytest.param(["gradcheck", "--model", "lstm", "--seed", "-1"],
+                     "seed must be >= 0, got -1", id="gradcheck-seed-negative"),
+        pytest.param(["evaluate", "--seeds", "-1"], "--seeds takes seeds >= 0, got -1",
+                     id="evaluate-seeds-negative"),
+        pytest.param(["evaluate", "--method", "crnn", "--seeds", "-1"],
+                     "--seeds takes seeds >= 0, got -1", id="evaluate-crnn-seeds-negative"),
+        pytest.param(["robustness", "--seeds", "0,-2"], "--seeds takes seeds >= 0, got -2",
+                     id="robustness-seeds-negative"),
     ])
     def test_is_usage_error_naming_the_field(self, dataset, tmp_path, capsys, argv, field):
         command, *flags = argv
@@ -744,6 +786,14 @@ class TestUnusableNumericFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: usage: ") and field in err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_on_csv_data_is_usage_error(self, dataset, tmp_path, capsys):
+        # a fixed dataset needs no seeded generator, so only --seeds' own check refuses it
+        out = tmp_path / "out"
+        assert main(["evaluate", "--method", "yesterday", "--data", str(dataset), "--l", "8",
+                     "--p", "2", "--seeds", "-1", "--out", str(out)]) == 1
+        assert "--seeds takes seeds >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFailedRunLeavesNoDirectory:

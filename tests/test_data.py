@@ -32,10 +32,6 @@ class TestTimeSeries:
         with pytest.raises(DataError):
             TimeSeries("x", [])
 
-    def test_rejects_bad_interval(self):
-        with pytest.raises(DataError):
-            TimeSeries("x", [1.0], interval=0.0)
-
     def test_keeps_a_private_copy_of_the_callers_array(self):
         a = np.arange(5.0)
         series = TimeSeries("a", a)
@@ -86,11 +82,6 @@ class TestSplit:
         full = cset.series[0].values
         assert np.array_equal(train.series[0].values, full[:42])
         assert np.array_equal(test.series[0].values, full[42:])
-
-    def test_time_base_advances(self):
-        cset = make_set(length=50)
-        _, test = split(cset)
-        assert test.series[0].start_time == 42.0
 
 
 class TestSegment:
@@ -308,13 +299,12 @@ class TestCsv:
         with pytest.raises(DataError, match="uniform"):
             ingest_csv(path, CsvLayout(timestamp="t"))
 
-    def test_uniform_timestamps_set_time_base(self, tmp_path):
+    def test_uniform_timestamps_are_checked_and_not_read_as_a_series(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t,a,b\n10,1,2\n12,3,4\n14,5,6\n")
         cset = ingest_csv(path, CsvLayout(timestamp="t"))
-        assert cset.num_series == 2  # timestamp column excluded
-        assert cset.target.start_time == 10.0
-        assert cset.target.interval == 2.0
+        assert [s.id for s in cset.series] == ["a", "b"]  # timestamp column excluded
+        assert cset.target.values.tolist() == [1.0, 3.0, 5.0]
 
     def test_column_selection_by_name(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -603,6 +593,18 @@ class TestMakeUncorrelated:
             sur = make_uncorrelated(ref, seed=seed)
             assert abs(pearson(sur.values, ref.values)) < 0.1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # corrcoef of a constant
+    def test_gives_up_after_the_attempt_budget(self, monkeypatch):
+        # a constant reference has no defined correlation, so every draw fails
+        draws = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(data_module, "SURROGATE_ATTEMPTS", 3)
+        monkeypatch.setattr(data_module.np.random, "default_rng",
+                            lambda seed: draws.append(seed) or real_rng(seed))
+        with pytest.raises(DataError, match="uncorrelated surrogate"):
+            make_uncorrelated(TimeSeries("c", np.ones(40)), seed=2)
+        assert draws == [(2, 0), (2, 1), (2, 2)]
+
     def test_deterministic(self):
         ref = generate_synthetic(SyntheticConfig(length=300, seed=5)).target
         a = make_uncorrelated(ref, seed=9)
@@ -653,6 +655,11 @@ class TestSyntheticGenerator:
     def test_non_finite_float_field_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SyntheticConfig(**{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            SyntheticConfig(seed=seed)
 
     @pytest.mark.parametrize("noise", [-0.01, -1e-300, -5.0])
     def test_negative_noise_rejected(self, noise):

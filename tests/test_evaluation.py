@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from crnn_forecast import evaluation
-from crnn_forecast.data import (DataError, SyntheticConfig, generate_synthetic, ingest_csv,
-                                write_csv)
-from crnn_forecast.evaluation import (ExperimentSpec, MetricReport, WindowResult,
-                                      mape_detailed, rmse, robustness_experiment,
-                                      run_experiment)
+from crnn_forecast.data import (CorrelatedSet, DataError, SyntheticConfig, TimeSeries,
+                                generate_synthetic, ingest_csv, write_csv)
+from crnn_forecast.evaluation import (ExperimentSpec, MetricReport, mape_detailed, rmse,
+                                      robustness_experiment, run_experiment)
 from crnn_forecast.training import TrainConfig
 
 FAST_TRAIN = TrainConfig(max_epochs=3, batch_size=16, patience=3)
@@ -21,6 +20,18 @@ def mape(pred, truth) -> float:
 def tiny_spec(**overrides):
     return ExperimentSpec(**{"input_length": 8, "horizon": 2, "train": FAST_TRAIN,
                              **overrides})
+
+
+def read_dump(path) -> dict[int, tuple[list[float], list[float]]]:
+    """Window offset -> (forecasts, truths), from a predictions_seed*.tsv."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "window_offset\tstep\tpredicted\ttruth"
+    by_offset: dict[int, tuple[list[float], list[float]]] = {}
+    for offset, _, pred, truth in (line.split("\t") for line in lines[1:]):
+        preds, truths = by_offset.setdefault(int(offset), ([], []))
+        preds.append(float(pred))
+        truths.append(float(truth))
+    return by_offset
 
 
 def synthetic_runs(spec, seeds=(0,), length=260, num_series=2):
@@ -93,15 +104,10 @@ class TestMetricOracles:
 
     def test_invariant_under_window_ordering(self):
         rng = np.random.default_rng(6)
-        windows = [
-            WindowResult(seed=0, offset=i, rmse=float(rng.uniform(0, 2)),
-                         mape=float(rng.uniform(0, 50)), mape_skipped=0,
-                         predicted=np.zeros(2), truth=np.ones(2))
-            for i in range(8)
-        ]
+        rmses, mapes = rng.uniform(0, 2, 8), rng.uniform(0, 50, 8)
         spec = tiny_spec()
-        fwd = MetricReport.from_windows(spec, "yesterday", 2, (0,), windows)
-        rev = MetricReport.from_windows(spec, "yesterday", 2, (0,), windows[::-1])
+        fwd = MetricReport.from_scores(spec, "yesterday", 2, (0,), rmses, mapes, 0)
+        rev = MetricReport.from_scores(spec, "yesterday", 2, (0,), rmses[::-1], mapes[::-1], 0)
         assert fwd.rmse_mean == rev.rmse_mean
         assert fwd.mape_std == rev.mape_std
 
@@ -112,69 +118,72 @@ class TestRunExperiment:
         write_csv(generate_synthetic(SyntheticConfig(length=260, seed=1)), csv)
         spec = tiny_spec()
         prepared = spec.prepare(ingest_csv(csv))
-        report = run_experiment("yesterday", spec, [(s, prepared) for s in (0, 1, 2)])
+        report = run_experiment("yesterday", spec, [(s, prepared) for s in (0, 1, 2)],
+                                out_dir=tmp_path / "out")
         assert report.seeds == (0, 1, 2)
-        by_seed = {s: [(w.offset, w.rmse, w.mape) for w in report.windows if w.seed == s]
-                   for s in report.seeds}
-        assert by_seed[0] and by_seed[0] == by_seed[1] == by_seed[2]
+        dumps = [(tmp_path / "out" / f"predictions_seed{s}.tsv").read_bytes()
+                 for s in report.seeds]
+        assert len(dumps[0].splitlines()) > 1 and dumps[0] == dumps[1] == dumps[2]
 
-    def test_single_window_flagged_degenerate(self):
+    def test_single_window_flagged_degenerate(self, tmp_path):
+        # 80 values leave 13 test values: one window of l + p = 10 at stride 10
         spec = tiny_spec()
-        report = run_experiment("yesterday", spec, synthetic_runs(spec, (2,), length=80))
-        if len(report.windows) == 1:
-            assert report.rmse_std == 0.0
-            assert "std=0" in report.notes
+        report = run_experiment("yesterday", spec, synthetic_runs(spec, (2,), length=80),
+                                out_dir=tmp_path)
+        assert list(read_dump(tmp_path / "predictions_seed2.tsv")) == [0]
+        assert report.rmse_std == 0.0
+        assert "single-window:std=0" in report.notes
 
-    def test_metrics_recomputable_from_stored_predictions(self):
+    def test_metrics_recomputable_from_prediction_dumps(self, tmp_path):
+        # %.17g round-trips, so the dumps give back each window's metrics exactly
         spec = tiny_spec()
-        report = run_experiment("ewma", spec, synthetic_runs(spec, (0, 1)))
-        for w in report.windows:
-            assert abs(rmse(w.predicted, w.truth) - w.rmse) < 1e-9
-            assert abs(mape(w.predicted, w.truth) - w.mape) < 1e-9
-        pooled = float(np.mean([w.rmse for w in report.windows]))
-        assert abs(pooled - report.rmse_mean) < 1e-9
+        report = run_experiment("ewma", spec, synthetic_runs(spec, (0, 1)), out_dir=tmp_path)
+        windows = [pair for seed in (0, 1)
+                   for pair in read_dump(tmp_path / f"predictions_seed{seed}.tsv").values()]
+        rmses = np.array([rmse(pred, truth) for pred, truth in windows])
+        mapes = np.array([mape(pred, truth) for pred, truth in windows])
+        assert len(windows) > 1
+        assert (report.rmse_mean, report.rmse_std) == (rmses.mean(), rmses.std())
+        assert (report.mape_mean, report.mape_std) == (mapes.mean(), mapes.std())
 
-    def test_prediction_dumps_support_independent_recomputation(self, tmp_path):
+    def test_prediction_dumps_hold_every_test_window(self, tmp_path):
         spec = tiny_spec()
-        report = run_experiment("yesterday", spec, synthetic_runs(spec), out_dir=tmp_path)
-        dump = tmp_path / "predictions_seed0.tsv"
-        assert dump.exists()
-        rows = [line.split("\t") for line in dump.read_text().splitlines()[1:]]
-        by_offset: dict[int, list[tuple[float, float]]] = {}
-        for offset, _, pred, truth in rows:
-            by_offset.setdefault(int(offset), []).append((float(pred), float(truth)))
-        for w in report.windows:
-            pairs = by_offset[w.offset]
-            pred = [p for p, _ in pairs]
-            truth = [t for _, t in pairs]
-            assert abs(rmse(pred, truth) - w.rmse) < 1e-9
+        runs = synthetic_runs(spec)
+        run_experiment("yesterday", spec, runs, out_dir=tmp_path)
+        by_offset = read_dump(tmp_path / "predictions_seed0.tsv")
+        prepared = runs[0][1]
+        assert list(by_offset) == prepared.test.offsets.tolist()
+        truths = prepared.norm.inverse_target(prepared.test.y)
+        for truth, (_, dumped) in zip(truths, by_offset.values()):
+            assert dumped == truth.tolist()
         assert (tmp_path / "report.tsv").exists()
 
     def test_trained_method_runs_end_to_end(self):
         spec = tiny_spec()
         report = run_experiment("crnn", spec, synthetic_runs(spec))
         assert report.rmse_mean > 0.0
-        assert report.windows
 
     def test_recurrent_baseline_runs_end_to_end(self):
         spec = tiny_spec()
         report = run_experiment("lstm", spec, synthetic_runs(spec))
         assert np.isfinite(report.mape_mean)
 
-    def test_eval_windows_do_not_overlap_by_default(self):
+    def test_eval_windows_do_not_overlap_by_default(self, tmp_path):
         spec = tiny_spec()
-        report = run_experiment("yesterday", spec, synthetic_runs(spec, (3,), length=400))
-        offsets = sorted(w.offset for w in report.windows)
+        run_experiment("yesterday", spec, synthetic_runs(spec, (3,), length=400),
+                       out_dir=tmp_path)
+        offsets = sorted(read_dump(tmp_path / "predictions_seed3.tsv"))
+        assert len(offsets) > 1
         for a, b in zip(offsets, offsets[1:]):
             assert b - a >= spec.input_length + spec.horizon
 
-    def test_overlapping_stride_available(self):
-        dense_spec, sparse_spec = tiny_spec(eval_stride=1), tiny_spec()
-        dense = run_experiment("yesterday", dense_spec,
-                               synthetic_runs(dense_spec, (4,), length=300))
-        sparse = run_experiment("yesterday", sparse_spec,
-                                synthetic_runs(sparse_spec, (4,), length=300))
-        assert len(dense.windows) > len(sparse.windows)
+    def test_overlapping_stride_available(self, tmp_path):
+        counts = []
+        for name, spec in (("dense", tiny_spec(eval_stride=1)), ("sparse", tiny_spec())):
+            run_experiment("yesterday", spec, synthetic_runs(spec, (4,), length=300),
+                           out_dir=tmp_path / name)
+            counts.append(len(read_dump(tmp_path / name / "predictions_seed4.tsv")))
+        assert counts[0] > counts[1]
 
     def test_num_series_slices_the_set(self):
         spec = tiny_spec()
@@ -206,7 +215,7 @@ class TestRunExperiment:
 class TestRobustness:
     def test_table_shape_and_cells(self):
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
-        report = robustness_experiment(cset.series[0], cset.series[1], tiny_spec(), (0,))
+        report = robustness_experiment(cset, tiny_spec(), (0,))
         assert set(report.mape) == {
             (row, model)
             for row in ("single", "correlated", "uncorrelated")
@@ -217,22 +226,40 @@ class TestRobustness:
         for value in report.mape.values():
             assert np.isfinite(value)
 
-    def test_prepares_each_set_once(self, monkeypatch):
-        # one prepare per (seed, row) set, shared by both models
-        calls = []
+    @staticmethod
+    def record_prepared_sets(monkeypatch) -> list:
+        prepared_sets = []
         real_prepare = evaluation.prepare
 
-        def counting_prepare(*args, **kwargs):
-            calls.append(1)
-            return real_prepare(*args, **kwargs)
+        def recording_prepare(cset, *args, **kwargs):
+            prepared_sets.append(cset)
+            return real_prepare(cset, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "prepare", counting_prepare)
+        monkeypatch.setattr(evaluation, "prepare", recording_prepare)
+        return prepared_sets
+
+    def test_prepares_each_set_once(self, monkeypatch):
+        # one prepare per (seed, row) set, shared by both models
+        prepared_sets = self.record_prepared_sets(monkeypatch)
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
-        robustness_experiment(cset.series[0], cset.series[1],
-                              tiny_spec(train=TrainConfig(max_epochs=1)), (0, 1))
-        assert len(calls) == 3 * 2
+        robustness_experiment(cset, tiny_spec(train=TrainConfig(max_epochs=1)), (0, 1))
+        rows = [["target"], ["target", "driver"], ["target", "target-uncorrelated"]]
+        assert [[s.id for s in row.series] for row in prepared_sets] == rows * 2
+        assert all(a is b for a, b in zip(prepared_sets[1].series, cset.series))
+
+    def test_rows_use_the_first_two_series_of_a_wider_set(self, monkeypatch):
+        prepared_sets = self.record_prepared_sets(monkeypatch)
+        pair = generate_synthetic(SyntheticConfig(length=260, seed=5))
+        wide = CorrelatedSet((*pair.series, TimeSeries("extra", pair.target.values)))
+        robustness_experiment(wide, tiny_spec(train=TrainConfig(max_epochs=1)), (0,))
+        assert [s.id for s in prepared_sets[1].series] == ["target", "driver"]
+
+    def test_single_series_set_rejected(self):
+        cset = generate_synthetic(SyntheticConfig(length=260, seed=5)).take(1)
+        with pytest.raises(DataError, match="correlated series"):
+            robustness_experiment(cset, tiny_spec(), (0,))
 
     def test_no_seeds_rejected(self):
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
         with pytest.raises(ValueError, match="seed"):
-            robustness_experiment(cset.series[0], cset.series[1], tiny_spec(), ())
+            robustness_experiment(cset, tiny_spec(), ())

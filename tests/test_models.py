@@ -46,6 +46,17 @@ class TestModelConfig:
         cfg = small_config(filters_per_layer=7, allow_off_grid=True)
         assert cfg.filters_per_layer == 7
 
+    @pytest.mark.parametrize("field", ["filters_per_layer", "filter_size", "rnn_hidden"])
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("off_grid", [False, True])
+    def test_size_below_one_rejected_by_name_before_the_grid(self, field, value, off_grid):
+        with pytest.raises(ConfigError, match=f"^{field} must be at least 1, got {value}$"):
+            small_config(**{field: value}, allow_off_grid=off_grid)
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            small_config(seed=-1)
+
     def test_feature_vector_length_formula(self):
         cfg = ModelConfig(num_series=3, input_length=8, horizon=2,
                           filters_per_layer=3)
@@ -59,6 +70,19 @@ class TestModelConfig:
     def test_fields_round_trip(self):
         cfg = small_config(cell_kind="lstm", conv_activation="tanh", seed=9)
         assert ModelConfig.from_fields(cfg.to_fields()) == cfg
+
+
+class TestRecurrentBaselineConfig:
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_hidden_below_one_rejected_by_name(self, kind, hidden):
+        with pytest.raises(ConfigError, match=f"hidden must be at least 1, got {hidden}"):
+            MODELS[kind](dict(num_series=2, input_length=8, horizon=2, rnn_hidden=hidden))
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_negative_seed_rejected_by_name(self, kind):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            MODELS[kind](dict(num_series=2, input_length=8, horizon=2, rnn_hidden=3, seed=-1))
 
 
 class TestLossFunctions:

@@ -57,6 +57,10 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="learning_rate"):
                 TrainConfig(learning_rate=lr)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
 
 class TestOptimizers:
     def test_sgd_step(self):
