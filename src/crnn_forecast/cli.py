@@ -26,8 +26,8 @@ from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticCon
                    generate_synthetic, ingest_csv, prepare, read_input, write_csv)
 from .evaluation import (METHODS, ExperimentSpec, MetricReport, fit, robustness_experiment,
                          run_experiment)
-from .models import (GRID_FILTER_SIZES, GRID_FILTERS, GRID_HIDDEN, GRID_STAGES, MODELS,
-                     load_checkpoint, model_from_checkpoint, save_checkpoint)
+from .models import (GRID_AXES, MODELS, load_checkpoint, model_from_checkpoint,
+                     save_checkpoint)
 from .tensor import NumericError, ShapeError, Tensor
 from .training import TrainConfig, gradcheck
 
@@ -61,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    """The key=value lines of ``path``; a key given twice is a usage error."""
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -73,7 +74,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if key in values:
+            raise UsageError(f"{path}:{line_no}: {key} is set again, to {value!r}, "
+                             f"after {values[key]!r}")
+        values[key] = value
     return values
 
 
@@ -198,17 +203,19 @@ def _train_config(args) -> TrainConfig:
         patience=args.patience, seed=args.seed)
 
 
+# The hyper-parameters under the names every builder in ``models.MODELS``
+# reads (those of the checkpoint header) -> the flag that sets each, by its
+# attribute name. The geometry and the seed are not among them: ``fit`` takes
+# them from the windows and the training config.
+_MODEL_FLAGS = dict(
+    conv_pool_stages="stages", filters_per_layer="filters", filter_size="filter_size",
+    rnn_hidden="hidden", cell_kind="cell", rnn_layout="layout",
+    conv_activation="conv_activation", features="features", allow_off_grid="allow_off_grid")
+
+
 def _model_fields(args) -> dict[str, object]:
-    """The hyper-parameter flags under the names every builder in
-    ``models.MODELS`` reads (those of the checkpoint header). The geometry
-    and the seed are not among them: ``fit`` takes them from the windows and
-    the training config."""
-    return dict(
-        conv_pool_stages=args.stages, filters_per_layer=args.filters,
-        filter_size=args.filter_size, rnn_hidden=args.hidden,
-        cell_kind=args.cell, rnn_layout=args.layout,
-        conv_activation=args.conv_activation, features=args.features,
-        allow_off_grid=args.allow_off_grid)
+    """The hyper-parameter flags under the names of ``_MODEL_FLAGS``."""
+    return {name: getattr(args, dest) for name, dest in _MODEL_FLAGS.items()}
 
 
 def _prepare(args, cset: CorrelatedSet):
@@ -353,6 +360,12 @@ def cmd_robustness(args) -> int:
     return EXIT_OK
 
 
+# Grid-file axis, named as its flag -> the hyper-parameter it sets, for every
+# axis that some model kind is searched over; the report's columns, in order.
+_GRID_AXIS_FIELDS = {_MODEL_FLAGS[name].replace("_", "-"): name
+                     for axes in GRID_AXES.values() for name in axes}
+
+
 def _parse_grid_file(path: str) -> dict[str, tuple[int, ...]]:
     values = {}
     for key, raw in _read_config_file(path).items():
@@ -360,7 +373,10 @@ def _parse_grid_file(path: str) -> dict[str, tuple[int, ...]]:
             values[key] = tuple(int(tok) for tok in raw.split(",") if tok.strip())
         except ValueError:
             raise UsageError(f"grid file {path}: axis {key} takes integers, got {raw!r}") from None
-    unknown = set(values) - {"stages", "filters", "filter-size", "hidden"}
+        twice = [v for n, v in enumerate(values[key]) if v in values[key][:n]]
+        if twice:
+            raise UsageError(f"grid file {path}: axis {key} gives the value {twice[0]} twice")
+    unknown = set(values) - set(_GRID_AXIS_FIELDS)
     if unknown:
         raise UsageError(f"grid file sets unknown axes: {sorted(unknown)}")
     empty = sorted(key for key, axis in values.items() if not axis)
@@ -370,20 +386,20 @@ def _parse_grid_file(path: str) -> dict[str, tuple[int, ...]]:
 
 
 def _grid_cells(args) -> list[dict[str, int]]:
-    """The model hyper-parameters of each grid cell, axes in report order."""
-    axes = {
-        "stages": GRID_STAGES,
-        "filters": GRID_FILTERS,
-        "filter-size": GRID_FILTER_SIZES,
-        "hidden": GRID_HIDDEN,
-    }
+    """The hyper-parameters of each grid cell, by field name, in report order:
+    each axis that the model kind reads (``models.GRID_AXES``) at its
+    ``--grid`` or default values, and every other axis at its flag's value.
+    A grid file that sets an axis the kind does not read is a usage error."""
+    read = GRID_AXES[args.model]
+    axes = {name: read.get(name, (getattr(args, _MODEL_FLAGS[name]),))
+            for name in _GRID_AXIS_FIELDS.values()}
     if args.grid:
-        axes.update(_parse_grid_file(args.grid))
-    return [
-        dict(conv_pool_stages=s, filters_per_layer=f, filter_size=k, rnn_hidden=h)
-        for s, f, k, h in itertools.product(
-            axes["stages"], axes["filters"], axes["filter-size"], axes["hidden"])
-    ]
+        for axis, values in _parse_grid_file(args.grid).items():
+            if _GRID_AXIS_FIELDS[axis] not in read:
+                raise UsageError(f"grid file {args.grid}: model {args.model} does not read "
+                                 f"axis {axis}")
+            axes[_GRID_AXIS_FIELDS[axis]] = values
+    return [dict(zip(axes, cell)) for cell in itertools.product(*axes.values())]
 
 
 # What every cell of a gridsearch run shares: (model kind, hyper-parameter
@@ -438,8 +454,8 @@ def cmd_gridsearch(args) -> int:
     outputs = {"grid_report": report_path}
     if ranked:
         best_cell, model, _ = ranked[0]
-        # the manifest records the best cell's values
-        args.stages, args.filters, args.filter_size, args.hidden = best_cell.values()
+        for name, value in best_cell.items():  # the manifest records the best cell
+            setattr(args, _MODEL_FLAGS[name], value)
         ckpt_path = out / "best_checkpoint.txt"
         save_checkpoint(ckpt_path, model, extra_tensors=prepared.norm.tensors())
         outputs["best_checkpoint"] = ckpt_path
@@ -545,7 +561,8 @@ def _gridsearch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--grid", help="key=value file overriding the default axes "
-                                  "(stages, filters, filter-size, hidden)")
+                                  "(stages, filters, filter-size, hidden; "
+                                  "rnn and lstm read hidden only)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_model_flags(p)
     _add_train_flags(p)

@@ -429,9 +429,9 @@ def ingest_csv(path, layout: CsvLayout | None = None,
     quoted cells are read and every malformed input gets csv's error.
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
-    ragged row, or non-uniform timestamp column aborts ingestion; a bad row
-    is named by the file line it starts on. The timestamp column is only
-    checked; the series keep no time base.
+    ragged row, column selected twice, or non-uniform timestamp column aborts
+    ingestion; a bad row is named by the file line it starts on. The
+    timestamp column is only checked; the series keep no time base.
     """
     layout = layout or CsvLayout()
     raw = read_input(path) if raw is None else raw
@@ -459,6 +459,10 @@ def ingest_csv(path, layout: CsvLayout | None = None,
         if not layout.columns:
             specs = [i for i in range(width) if i != ts_index]
     indices = [_resolve_column(s, header, str(path)) for s in specs]
+    if len(set(indices)) < len(indices):
+        twice = next(idx for n, idx in enumerate(indices) if idx in indices[:n])
+        name = f" ({header[twice]})" if header is not None and 0 <= twice < len(header) else ""
+        raise DataError(f"{path}: column {twice}{name} is selected twice")
     if layout.target is not None:
         target = _resolve_column(layout.target, header, str(path))
         if target == ts_index:

@@ -54,6 +54,7 @@ __all__ = [
     "CRNN",
     "ConfigError",
     "Forecast",
+    "GRID_AXES",
     "GRID_FILTERS",
     "GRID_FILTER_SIZES",
     "GRID_HIDDEN",
@@ -75,6 +76,8 @@ GRID_STAGES = (1, 2, 3)
 GRID_FILTERS = (2, 3, 4, 5, 8, 10, 16)
 GRID_FILTER_SIZES = (1, 2, 3, 5, 10)
 GRID_HIDDEN = (3, 4, 5, 6)
+_CONV_GRID = {"conv_pool_stages": GRID_STAGES, "filters_per_layer": GRID_FILTERS,
+              "filter_size": GRID_FILTER_SIZES, "rnn_hidden": GRID_HIDDEN}
 
 
 class ConfigError(ValueError):
@@ -127,7 +130,7 @@ class ModelConfig:
         if self.conv_activation not in ("linear", "tanh"):
             raise ConfigError(f"unknown conv_activation {self.conv_activation!r}")
         # checked before the grid, which allow_off_grid skips
-        for label in ("conv_pool_stages", "filters_per_layer", "filter_size", "rnn_hidden"):
+        for label in _CONV_GRID:
             if getattr(self, label) < 1:
                 raise ConfigError(f"{label} must be at least 1, got {getattr(self, label)}")
         if self.seed < 0:
@@ -138,15 +141,10 @@ class ModelConfig:
                 f"input_length {self.input_length} is not divisible by "
                 f"2^{self.conv_pool_stages} = {divisor} (each pooling stage halves it)")
         if not self.allow_off_grid:
-            for value, grid, label in (
-                (self.conv_pool_stages, GRID_STAGES, "conv_pool_stages"),
-                (self.filters_per_layer, GRID_FILTERS, "filters_per_layer"),
-                (self.filter_size, GRID_FILTER_SIZES, "filter_size"),
-                (self.rnn_hidden, GRID_HIDDEN, "rnn_hidden"),
-            ):
-                if value not in grid:
+            for label, grid in _CONV_GRID.items():
+                if getattr(self, label) not in grid:
                     raise ConfigError(
-                        f"{label}={value} is outside the search grid {grid}; "
+                        f"{label}={getattr(self, label)} is outside the search grid {grid}; "
                         f"pass allow_off_grid=True to override")
         # The concatenated feature vector must be well formed by construction.
         if self.pooled_length < 1:
@@ -624,6 +622,11 @@ def _builder(cls, args):
 
 # Model kind -> builder of a model from the named hyper-parameters.
 MODELS = {kind: _builder(cls, args) for kind, (cls, args) in _KINDS.items()}
+
+# Model kind -> the searched hyper-parameters its builder reads, with the
+# values the grid runner tries by default.
+GRID_AXES = {"crnn": _CONV_GRID, "aecrnn": _CONV_GRID,
+             "rnn": {"rnn_hidden": GRID_HIDDEN}, "lstm": {"rnn_hidden": GRID_HIDDEN}}
 
 
 # -- checkpoint container -----------------------------------------------------

@@ -194,6 +194,16 @@ class TestTrain:
         assert code == 1
         assert f"config file sets {line}, not one of" in capsys.readouterr().err
 
+    def test_repeated_config_key_is_usage_error_naming_file_key_and_value(
+            self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr=0.1\nlr=0.5\n")
+        out = tmp_path / "t"
+        assert main(train_args(dataset, out) + ["--config", str(cfg)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: usage: {cfg}:2: lr is set again, to '0.5', after '0.1'\n")
+        assert not out.exists()
+
     def test_manifest_feeds_back_as_config(self, dataset, tmp_path):
         out1 = tmp_path / "t1"
         assert main(train_args(dataset, out1)) == 0
@@ -624,6 +634,57 @@ class TestGridsearch:
                      "--grid", str(grid), "--epochs", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: usage: grid file {grid}: axis filters takes integers, got '2,x'\n"
+        assert not out.exists()
+
+    def test_baseline_varies_only_the_hidden_axis(self, dataset, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("hidden=3,4\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--model", "rnn", "--data", str(dataset), "--l", "8",
+                     "--p", "2", "--filters", "3", "--grid", str(grid), "--epochs", "1",
+                     "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in
+                (out / "grid_report.tsv").read_text().splitlines()[1:]]
+        # one cell per hidden size; the axes a baseline does not read keep their flags' values
+        assert sorted(row[1:5] for row in rows) == [["1", "3", "3", "3"], ["1", "3", "3", "4"]]
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"hidden={rows[0][4]}" in manifest and "filters=3" in manifest
+
+    def test_best_cell_is_recorded_by_axis_name(self, dataset, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("hidden=3\nfilter-size=5\nfilters=2\nstages=1\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert {"hidden=3", "filter-size=5", "filters=2", "stages=1"} <= set(manifest)
+
+    @pytest.mark.parametrize("model", ["rnn", "lstm"])
+    def test_axis_the_baseline_does_not_read_is_usage_error(self, dataset, tmp_path, capsys,
+                                                             model):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nhidden=4\n")
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--model", model, "--data", str(dataset), "--l", "8",
+                     "--p", "2", "--grid", str(grid), "--epochs", "1", "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: usage: grid file {grid}: model {model} does not read axis stages\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("stages=1,1\nfilters=2\nfilter-size=3\nhidden=4\n",
+         "grid file {grid}: axis stages gives the value 1 twice"),
+        ("filters=2\nstages=1\nfilter-size=3\nhidden=4\nfilters=3\n",
+         "{grid}:5: filters is set again, to '3', after '2'"),
+    ])
+    def test_repeated_grid_entry_is_usage_error_naming_file_axis_and_value(
+            self, dataset, tmp_path, capsys, text, message):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(text)
+        out = tmp_path / "gs"
+        assert main(["gridsearch", "--data", str(dataset), "--l", "8", "--p", "2",
+                     "--grid", str(grid), "--epochs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: usage: {message.format(grid=grid)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

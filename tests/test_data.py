@@ -313,6 +313,16 @@ class TestCsv:
         assert cset.target.id == "c"
         assert cset.target.values.tolist() == [3.0, 6.0]
 
+    @pytest.mark.parametrize("columns", [["b", "b"], ["1", "b"], ["a", "b", "a"]])
+    def test_column_selected_twice_rejected(self, tmp_path, columns):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,6\n")
+        twice = columns[-1]
+        index = "abc".index(twice)
+        with pytest.raises(DataError) as info:
+            ingest_csv(path, CsvLayout(columns=columns))
+        assert str(info.value) == f"{path}: column {index} ({twice}) is selected twice"
+
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n")
