@@ -96,8 +96,13 @@ def _config_path(argv: list[str]) -> str | None:
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
     actions = {a.dest: a for a in parser._actions}
+    keys: dict[str, str] = {}  # option -> the key that set it
     for key, raw in values.items():
         dest = key.replace("-", "_")
+        if dest in keys:
+            raise UsageError(f"config file sets both {keys[dest]} and {key}, "
+                             f"which name one option")
+        keys[dest] = key
         action = actions.get(dest)
         if action is None:
             raise UsageError(f"config file sets unknown option {key!r}")

@@ -7,8 +7,14 @@ series axis, so series s is transformed by its own filters ``w[s]``. One
 call covers every series; with more than one input channel, each filter tap
 is one broadcast matmul over the series axis and any leading batch axes.
 Conv1D with one input channel forms each tap as a broadcast product instead
-(see Conv1D). Dense acts on a trailing (features,) axis with optional
-leading batch axes.
+(see Conv1D). ``series_range`` gives one of these layers for a contiguous
+range of its series, with views of its weights. The matmuls and ufuncs
+compute each series' matrices alone and the weight gradients are summed
+over the batch axes only, so each series' outputs and gradients are the
+bits of the whole group's call, as long as a weight gradient of the range
+holds more than one value per window (numpy sums a single value per window
+pairwise, and several row by row). Dense acts on a trailing (features,)
+axis with optional leading batch axes.
 
 The recurrent cells (RNNCell, LSTMCell) take their steps in the one form
 the models send: a time-major array (T, batch, features). Their Python loop
@@ -28,6 +34,7 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -62,7 +69,32 @@ def _sum_to_group(a: np.ndarray) -> np.ndarray:
     return a.reshape((-1,) + a.shape[-3:]).sum(axis=0)
 
 
-class _FilterGroup:
+class _PerSeries:
+    """Weights w and biases b whose leading axis is the series: series s is
+    transformed by w[s] and b[s] alone."""
+
+    num_series: int
+    w: np.ndarray
+    b: np.ndarray
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w": self.w, "b": self.b}
+
+    def series_range(self, lo: int, hi: int):
+        """This layer for series lo..hi-1 alone, on inputs (..., hi - lo, ...).
+
+        Its w and b are views of this layer's, so an in-place update of
+        either (an optimizer step, ``set_params``) reaches both. It computes
+        each of its series with the arithmetic of the whole group (see the
+        module docstring for the one exception).
+        """
+        view = copy.copy(self)
+        view.num_series = hi - lo
+        view.w, view.b = self.w[lo:hi], self.b[lo:hi]
+        return view
+
+
+class _FilterGroup(_PerSeries):
     """Per-series filter banks w (n, F, C_in, K) and biases b (n, F).
 
     Weights start at zero; ``init_series`` draws one series' filters, so a
@@ -85,9 +117,6 @@ class _FilterGroup:
         k = self.filter_size
         self.w[s] = glorot_uniform(rng, self.w.shape[1:], self.in_channels * k,
                                    self.num_filters * k)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
 
 
 class Conv1D(_FilterGroup):
@@ -230,7 +259,7 @@ class Deconv1D(_FilterGroup):
         return gx, {"w": gw, "b": gb}
 
 
-class ChannelMerge:
+class ChannelMerge(_PerSeries):
     """Learned 1x1 reduction of C channels to one per series, followed by a sigmoid.
 
     Collapses each series' feature rows (..., n, C, L) into a single bounded
@@ -247,9 +276,6 @@ class ChannelMerge:
     def init_series(self, s: int, rng: np.random.Generator) -> None:
         """Draw series s's Glorot-uniform weights from rng."""
         self.w[s] = glorot_uniform(rng, (self.channels,), self.channels, 1)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
 
     def forward(self, x: np.ndarray):
         _check_group("ChannelMerge", x, self.num_series, self.channels)

@@ -15,16 +15,27 @@ Every series has its own filters, but they are stored grouped: one array per
 stage with a leading series axis (``conv{j}``, ``deconv{j}``, ``merge``), so
 each encoder and decoder stage is a single layer call over all series.
 
+No series reads another's features before the recurrent cell, so a large
+batch (``SPLIT_MIN_VALUES``) is split across two threads: a worker thread,
+started on first use, runs the encoder and decoder of series 0..n//2-1,
+forward and backward, while the calling thread runs them for the rest;
+codes, reconstructions and gradients are joined along the series axis. The
+layers compute series s from its own weights alone, through numpy loops that
+release the GIL, so the two halves overlap and the results are the bits of
+one call over the group (``CRNN._splits`` names the one model shape where
+they would not be, which never splits). The cell, the readout, the loss and
+the optimizer stay on the calling thread.
+
 ``MODELS`` maps each model kind (crnn, aecrnn, rnn, lstm) to its builder. It
 and ``model_from_checkpoint``, which builds without drawing initial values it
 would overwrite, read the one table of kinds, ``_KINDS``.
 
 ``ParamModel`` holds the one forecast, loss and gradient path. A window
-batch is encoded, fed step by step to a recurrent cell whose final state a
-dense readout maps to the horizon, and, when the model has a decoder,
-reconstructed from its code; ``joint_loss`` scores both outputs. The models
-supply only their parts: the encoder (CRNN, AECRNN; the identity for the
-baselines), how the code becomes the cell's steps, and the decoder (AECRNN).
+batch is encoded and, when the model has a decoder, reconstructed from its
+code; the code is fed step by step to a recurrent cell whose final state a
+dense readout maps to the horizon; ``joint_loss`` scores both outputs. The
+models supply only their parts: the per-series layers (CRNN, AECRNN; the
+identity for the baselines) and how the code becomes the cell's steps.
 All gradients are hand-derived and checked against finite differences in the
 test suite.
 
@@ -38,8 +49,11 @@ as decimal tokens, still load.
 from __future__ import annotations
 
 import binascii
+import functools
 import math
+import os
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from typing import Mapping
 
@@ -300,18 +314,68 @@ def _collect(grads: dict, prefix: str, layer_grads: Mapping[str, np.ndarray]) ->
         grads[f"{prefix}.{name}"] = g
 
 
+# A conv-recurrent model splits a batch of windows (batch, n, l) across two
+# threads when the first stage's output for series 0..n//2-1, batch *
+# (n // 2) * filters * l values, reaches this many. Timed on a 2-vCPU Xeon VM
+# over five model shapes (1-2 stages, 2-8 filters, 2-16 series), a split's
+# hand-off cost about as much as the overlap saved near this size: from x0.91
+# to x1.46 in forecast and from x0.94 to x1.29 in backward; the benchmark's
+# wide model at 32 windows is the x1.46 and x1.29. At a quarter of it, the
+# split lost on every shape but in the wide model's backward pass, down to
+# x0.71.
+SPLIT_MIN_VALUES = 65536
+
+
+def _new_worker() -> ThreadPoolExecutor:
+    """An executor of one thread, which it starts on the first submit."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="crnn-series")
+
+
+_worker = _new_worker()
+
+
+def _replace_worker() -> None:
+    # A forked child has no copy of its parent's worker thread, so it would
+    # wait forever on the parent's executor; it starts a thread of its own.
+    global _worker
+    _worker = _new_worker()
+
+
+os.register_at_fork(after_in_child=_replace_worker)
+
+
+def _under_errstate(call, err: dict, fn, args):
+    with np.errstate(call=call, **err):
+        return fn(*args)
+
+
+def _on_both_cores(fn, lo_args: tuple, hi_args: tuple):
+    """(fn(*lo_args), fn(*hi_args)): the first on the worker thread, under
+    this thread's floating-point error handling, the second on this thread.
+    Returns once both are done. When either raises, the error is raised
+    after both are done, the first call's when both raise."""
+    lo = _worker.submit(_under_errstate, np.geterrcall(), np.geterr(), fn, lo_args)
+    try:
+        hi = fn(*hi_args)
+    except BaseException:
+        lo.result()
+        raise
+    return lo.result(), hi
+
+
 class ParamModel:
     """Parameter registry plus the one forecast, loss and gradient path of
     every trainable forecaster (the conv-recurrent models and the recurrent
     baselines).
 
-    The path for a window batch x (batch, n, l): ``_encode`` turns x into a
-    code (the identity here); ``_steps`` lays the code out as the time-major
+    The path for a window batch x (batch, n, l): ``_series_forward`` turns
+    x into a code and, with a decoder, reconstructions (here the identity
+    and none, so j2 = 0); ``_steps`` lays the code out as the time-major
     steps (T, batch, features) of the recurrent cell ``_cell``, whose final
-    state the dense ``_readout`` maps to the forecasts; ``_decode``
-    reconstructs the windows from the code (no decoder here, so j2 = 0).
-    Each part's ``*_backward`` twin stores its layers' gradients with
-    ``_collect`` and returns the gradient of its input.
+    state the dense ``_readout`` maps to the forecasts. ``_head_backward``
+    returns the gradient of the code and ``_series_backward`` takes it with
+    the reconstructions' gradient; both store their layers' gradients in
+    ``grads``.
 
     A model's constructor hands its arguments to ``_build(rng, *args)`` with
     a generator seeded from them, which draws the initial values in a fixed
@@ -365,14 +429,13 @@ class ParamModel:
 
     # -- the parts a model supplies -------------------------------------------
 
-    def _encode(self, x: np.ndarray):
-        return x, None
+    def _series_forward(self, x: np.ndarray, decode: bool):
+        """(code, reconstructions or None, cache) for windows x: the identity
+        here, with no decoder."""
+        return x, None, None
 
-    def _encode_backward(self, cache, d_code, grads) -> None:
+    def _series_backward(self, cache, d_code, d_recon, grads) -> None:
         """Nothing is learned before the cell, so nothing needs d_code."""
-
-    def _decode(self, code):
-        return None, None
 
     def _head(self, code):
         _, h_final, cell_cache = self._cell.forward(self._steps(code))
@@ -393,15 +456,14 @@ class ParamModel:
         """Forecasts, reconstructions (None without a decoder) and the caches
         of every part, for a window batch."""
         self._check_batch(x)
-        code, enc_cache = self._encode(x)
+        code, recon, series_cache = self._series_forward(x, decode=True)
         z, head_cache = self._head(code)
-        recon, dec_cache = self._decode(code)
-        return z, recon, (enc_cache, head_cache, dec_cache)
+        return z, recon, (series_cache, head_cache)
 
     def batch_forecast(self, x: np.ndarray) -> np.ndarray:
         """Forecasts (batch, horizon) for windows (batch, n, l); no decoder runs."""
         self._check_batch(x)
-        z, _ = self._head(self._encode(x)[0])
+        z, _ = self._head(self._series_forward(x, decode=False)[0])
         return z
 
     def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
@@ -410,13 +472,11 @@ class ParamModel:
 
     def batch_backward(self, x: np.ndarray, y: np.ndarray):
         """Loss and exact parameter gradients for a batch of windows."""
-        z, recon, (enc_cache, head_cache, dec_cache) = self._run(x)
+        z, recon, (series_cache, head_cache) = self._run(x)
         loss, dz, d_recon = joint_loss(z, y, recon, x)
         grads: dict[str, np.ndarray] = {}
         d_code = self._head_backward(head_cache, dz, grads)
-        if recon is not None:
-            d_code = d_code + self._decode_backward(dec_cache, d_recon, grads)
-        self._encode_backward(enc_cache, d_code, grads)
+        self._series_backward(series_cache, d_code, d_recon, grads)
         return loss, grads
 
     def forward(self, window) -> tuple[Forecast, Reconstruction | None]:
@@ -424,6 +484,74 @@ class ParamModel:
         (num_series, input_length) window."""
         z, recon, _ = self._run(_as_window_array(window)[None])
         return Forecast(z[0]), None if recon is None else Reconstruction(recon[0])
+
+
+class _SeriesLayers:
+    """The per-series layers of a conv-recurrent model over a group of
+    series: the encoder's conv stages (each followed by the optional tanh
+    and a max-pool) and, when the model has a decoder, its deconvolution
+    stages and channel merge. ``series_range`` gives the same layers for a
+    contiguous range of the series, holding views of the weights."""
+
+    def __init__(self, convs, tanh: bool, deconvs=(), merge: ChannelMerge | None = None):
+        self.convs = convs
+        self.tanh = tanh
+        self.deconvs = deconvs
+        self.merge = merge
+        self.pool = MaxPool1D()
+
+    def series_range(self, lo: int, hi: int) -> "_SeriesLayers":
+        return _SeriesLayers([c.series_range(lo, hi) for c in self.convs], self.tanh,
+                             [d.series_range(lo, hi) for d in self.deconvs],
+                             None if self.merge is None else self.merge.series_range(lo, hi))
+
+    def forward(self, x: np.ndarray, decode: bool):
+        """Pooled feature cubes (batch, n, alpha, pooled), reconstructions
+        (batch, n, l) or None, and the cache, for windows (batch, n, l). The
+        decoder runs when there is one and ``decode`` is set."""
+        h = x[:, :, None, :]
+        enc_caches = []
+        for conv in self.convs:
+            h, conv_cache = conv.forward(h)
+            act = None
+            if self.tanh:
+                h = act = np.tanh(h)
+            h, pool_cache = self.pool.forward(h)
+            enc_caches.append((conv_cache, act, pool_cache))
+        if not decode or self.merge is None:
+            return h, None, (enc_caches, None)
+        d = h
+        deconv_caches = []
+        for deconv in self.deconvs:
+            d, deconv_cache = deconv.forward(d)
+            deconv_caches.append(deconv_cache)
+        r, merge_cache = self.merge.forward(d)
+        return h, r[:, :, 0, :], (enc_caches, (deconv_caches, merge_cache))
+
+    def backward(self, cache, d_cube: np.ndarray, d_recon: np.ndarray | None):
+        """The gradients of every layer, by the model's names for them, for
+        the gradients of the cubes and of the reconstructions (None when the
+        decoder did not run)."""
+        enc_caches, dec_caches = cache
+        grads: dict[str, np.ndarray] = {}
+        g = d_cube
+        if d_recon is not None:
+            deconv_caches, merge_cache = dec_caches
+            gd, merge_grads = self.merge.backward(merge_cache, d_recon[:, :, None, :])
+            _collect(grads, "merge", merge_grads)
+            for j in reversed(range(len(self.deconvs))):
+                gd, deconv_grads = self.deconvs[j].backward(deconv_caches[j], gd)
+                _collect(grads, f"deconv{j}", deconv_grads)
+            g = g + gd
+        for j in reversed(range(len(self.convs))):
+            conv_cache, act, pool_cache = enc_caches[j]
+            g = self.pool.backward(pool_cache, g)
+            if act is not None:
+                g = g * (1.0 - act * act)
+            # stage 0 reads the data, whose gradient nothing uses
+            g, conv_grads = self.convs[j].backward(conv_cache, g, input_grad=j > 0)
+            _collect(grads, f"conv{j}", conv_grads)
+        return grads
 
 
 class CRNN(ParamModel):
@@ -440,46 +568,69 @@ class CRNN(ParamModel):
         self.num_series = config.num_series
         self.input_length = config.input_length
         self.horizon = config.horizon
-        self._pool = MaxPool1D()
         n, alpha = config.num_series, config.filters_per_layer
-        self._convs = [Conv1D(n, 1 if j == 0 else alpha, alpha, config.filter_size)
-                       for j in range(config.conv_pool_stages)]
-        for j, conv in enumerate(self._convs):
+        convs = [Conv1D(n, 1 if j == 0 else alpha, alpha, config.filter_size)
+                 for j in range(config.conv_pool_stages)]
+        for j, conv in enumerate(convs):
             self._register(f"conv{j}", conv)
         # Draw series by series, each series' stages in turn: the order of the
         # per-series layers of format 1, so every seed keeps its initial values.
-        _init_series(rng, n, self._convs)
+        _init_series(rng, n, convs)
         cell_cls = RNNCell if config.cell_kind == "rnn" else LSTMCell
         self._cell = cell_cls(config.rnn_input_size, config.rnn_hidden, rng)
         self._register("rnn", self._cell)
         self._readout = Dense(config.rnn_hidden, config.horizon, rng)
         self._register("readout", self._readout)
+        self._series = _SeriesLayers(convs, config.conv_activation == "tanh",
+                                     *self._decoder(rng, config))
 
-    def _encode(self, x: np.ndarray):
-        """Pooled feature cubes (batch, n, alpha, pooled) for windows (batch, n, l)."""
-        h = x[:, :, None, :]
-        caches = []
-        tanh_act = self.config.conv_activation == "tanh"
-        for conv in self._convs:
-            h, conv_cache = conv.forward(h)
-            act = None
-            if tanh_act:
-                h = np.tanh(h)
-                act = h
-            h, pool_cache = self._pool.forward(h)
-            caches.append((conv_cache, act, pool_cache))
-        return h, caches
+    def _decoder(self, rng, config: ModelConfig):
+        """(deconvolution stages, channel merge) of the decoder: none here."""
+        return (), None
 
-    def _encode_backward(self, caches, d_cube, grads) -> None:
-        g = d_cube
-        for j in reversed(range(self.config.conv_pool_stages)):
-            conv_cache, act, pool_cache = caches[j]
-            g = self._pool.backward(pool_cache, g)
-            if act is not None:
-                g = g * (1.0 - act * act)
-            # stage 0 reads the data, whose gradient nothing uses
-            g, conv_grads = self._convs[j].backward(conv_cache, g, input_grad=j > 0)
-            _collect(grads, f"conv{j}", conv_grads)
+    @functools.cached_property
+    def _halves(self) -> tuple[_SeriesLayers, _SeriesLayers]:
+        """The per-series layers of series 0..n//2-1 and of the rest, built
+        for the model's first batch that splits."""
+        n = self.num_series
+        return self._series.series_range(0, n // 2), self._series.series_range(n // 2, n)
+
+    def _splits(self, batch: int) -> bool:
+        # numpy sums a gradient of one value per window over the batch
+        # pairwise, and one of several values row by row. A range's weight
+        # gradients hold at least (n // 2) * filters values per window, the
+        # group's n * filters, so both sum alike unless that is one.
+        width = self.num_series // 2 * self.config.filters_per_layer
+        return width > 1 and batch * width * self.input_length >= SPLIT_MIN_VALUES
+
+    def _series_forward(self, x: np.ndarray, decode: bool):
+        """The per-series layers on windows x. A batch that ``_splits`` runs
+        series 0..n//2-1 on the worker thread and the rest on this one; the
+        codes and reconstructions are joined along the series axis. The
+        cache holds one ``_SeriesLayers`` cache per range that ran."""
+        if not self._splits(len(x)):
+            code, recon, cache = self._series.forward(x, decode)
+            return code, recon, (cache,)
+        half = self.num_series // 2
+        low, high = self._halves
+        lo, hi = _on_both_cores(_SeriesLayers.forward, (low, x[:, :half], decode),
+                                (high, x[:, half:], decode))
+        code = np.concatenate((lo[0], hi[0]), axis=1)
+        recon = None if lo[1] is None else np.concatenate((lo[1], hi[1]), axis=1)
+        return code, recon, (lo[2], hi[2])
+
+    def _series_backward(self, caches, d_code, d_recon, grads) -> None:
+        if len(caches) == 1:
+            grads.update(self._series.backward(caches[0], d_code, d_recon))
+            return
+        half = self.num_series // 2
+        low, high = self._halves
+        lo, hi = _on_both_cores(
+            _SeriesLayers.backward,
+            (low, caches[0], d_code[:, :half], None if d_recon is None else d_recon[:, :half]),
+            (high, caches[1], d_code[:, half:], None if d_recon is None else d_recon[:, half:]))
+        for name, g in lo.items():
+            grads[name] = np.concatenate((g, hi[name]))
 
     def _steps(self, cube):
         cfg = self.config
@@ -506,36 +657,19 @@ class AECRNN(CRNN):
 
     kind = "aecrnn"
 
-    def _build(self, rng, config: ModelConfig) -> None:
-        # Shared encoder/recurrent/readout parameters draw first, in the same
-        # order as CRNN, so equal seeds give equal shared initial values.
-        super()._build(rng, config)
+    def _decoder(self, rng, config: ModelConfig):
+        # Drawn after the shared encoder/recurrent/readout parameters, which
+        # draw in the same order as CRNN's, so equal seeds give equal shared
+        # initial values.
         n, alpha = config.num_series, config.filters_per_layer
-        self._deconvs = [Deconv1D(n, alpha, alpha, config.filter_size)
-                         for _ in range(config.conv_pool_stages)]
-        for j, deconv in enumerate(self._deconvs):
+        deconvs = [Deconv1D(n, alpha, alpha, config.filter_size)
+                   for _ in range(config.conv_pool_stages)]
+        for j, deconv in enumerate(deconvs):
             self._register(f"deconv{j}", deconv)
-        self._merge = ChannelMerge(n, alpha)
-        self._register("merge", self._merge)
-        _init_series(rng, n, [*self._deconvs, self._merge])
-
-    def _decode(self, cube):
-        d = cube
-        deconv_caches = []
-        for deconv in self._deconvs:
-            d, c = deconv.forward(d)
-            deconv_caches.append(c)
-        r, merge_cache = self._merge.forward(d)
-        return r[:, :, 0, :], (deconv_caches, merge_cache)
-
-    def _decode_backward(self, caches, d_recon, grads):
-        deconv_caches, merge_cache = caches
-        g, merge_grads = self._merge.backward(merge_cache, d_recon[:, :, None, :])
-        _collect(grads, "merge", merge_grads)
-        for j in reversed(range(self.config.conv_pool_stages)):
-            g, dec_grads = self._deconvs[j].backward(deconv_caches[j], g)
-            _collect(grads, f"deconv{j}", dec_grads)
-        return g
+        merge = ChannelMerge(n, alpha)
+        self._register("merge", merge)
+        _init_series(rng, n, [*deconvs, merge])
+        return deconvs, merge
 
 
 class RecurrentBaseline(ParamModel):

@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -202,6 +205,16 @@ class TestTrain:
         assert main(train_args(dataset, out) + ["--config", str(cfg)]) == 1
         assert (capsys.readouterr().err
                 == f"error: usage: {cfg}:2: lr is set again, to '0.5', after '0.1'\n")
+        assert not out.exists()
+
+    def test_two_spellings_of_one_option_are_usage_error_naming_both(
+            self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("filter-size=3\nfilter_size=5\n")
+        out = tmp_path / "t"
+        assert main(train_args(dataset, out) + ["--config", str(cfg)]) == 1
+        assert (capsys.readouterr().err == "error: usage: config file sets both "
+                "filter-size and filter_size, which name one option\n")
         assert not out.exists()
 
     def test_manifest_feeds_back_as_config(self, dataset, tmp_path):
@@ -531,6 +544,45 @@ class TestGridsearch:
                 "--l", "8", "--p", "2", "--grid", str(grid), "--epochs", "2"]
         assert main(base + ["--out", str(serial)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
+        assert ((serial / "grid_report.tsv").read_text()
+                == (parallel / "grid_report.tsv").read_text())
+        assert ((serial / "best_checkpoint.txt").read_bytes()
+                == (parallel / "best_checkpoint.txt").read_bytes())
+
+    def test_jobs_forked_after_the_worker_thread_started_match_serial(self, dataset,
+                                                                     tmp_path):
+        # The process starts the models' worker thread, then forks the pool's
+        # processes, which have no copy of that thread; each must start its
+        # own. Every batch splits, in the forked processes too.
+        script = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from crnn_forecast import cli, models\n"
+            "models.SPLIT_MIN_VALUES = 0\n"
+            "model = models.CRNN(models.ModelConfig(num_series=2, input_length=8, horizon=2,"
+            " filters_per_layer=2))\n"
+            "model.batch_forecast(np.zeros((2, 2, 8)))\n"
+            "assert any(t.name.startswith('crnn-series') for t in threading.enumerate())\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("stages=1\nfilters=2,3\nfilter-size=3\nhidden=3\n")
+        serial = tmp_path / "gs1"
+        parallel = tmp_path / "gs2"
+        base = ["gridsearch", "--model", "aecrnn", "--data", str(dataset),
+                "--l", "8", "--p", "2", "--grid", str(grid), "--epochs", "2"]
+        assert main(base + ["--out", str(serial)]) == 0
+        src = Path(cli.__file__).resolve().parents[1]
+        # its own session, so that a hang ends with every forked process
+        proc = subprocess.Popen([sys.executable, "-c", script, *base, "--jobs", "2",
+                                 "--out", str(parallel)],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+        assert proc.returncode == 0, err
         assert ((serial / "grid_report.tsv").read_text()
                 == (parallel / "grid_report.tsv").read_text())
         assert ((serial / "best_checkpoint.txt").read_bytes()

@@ -442,7 +442,8 @@ ODD_CELLS = [" 1.5 ", "\t2\n", "nan", "-inf", "1_0", "", "  ", "0x10", "1e", "1e
 ROW_CELLS = st.one_of(FINITE.map(repr), FINITE.map(repr),
                       st.sampled_from(["", " ", "x", "1e", "0x10", "1__0", " 7 ",
                                        "1\n", "\r\n2", "x\ny", "\n"]))
-_TMP_PATH_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+_TMP_PATH_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+                        deadline=None)
 CSV_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
              1e16, 1e-5, 0.1, 123456789012345680.0]
 # header names that csv.writer quotes

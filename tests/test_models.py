@@ -16,6 +16,7 @@ from crnn_forecast.models import (AECRNN, CRNN, ConfigError, MODELS, LossBreakdo
                                   ModelConfig, joint_loss, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor
+from crnn_forecast.training import Adam
 
 FIXTURES = Path(__file__).with_name("data")
 FORMAT2_TRAINED = FIXTURES / "checkpoint_format2_aecrnn_trained.txt"
@@ -404,6 +405,136 @@ class TestMultiTaskReduction:
                 continue
             fd_j2 = numeric_grad(lambda: aecrnn.batch_loss(x, y).j2, aecrnn.params[name])
             assert rel_error(g_aecrnn[name] - g_crnn[name], fd_j2) < 1e-6, name
+
+
+def _split_calls(monkeypatch) -> list:
+    """Record each call that splits a batch across the two threads."""
+    calls = []
+    real = models._on_both_cores
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(models, "_on_both_cores", counting)
+    return calls
+
+
+def _passes(model, x, y, steps=3) -> dict:
+    """Forecasts, losses and gradients of one batch, then the parameters
+    after ``steps`` Adam steps on it."""
+    out = {"forecast": model.batch_forecast(x), "loss": model.batch_loss(x, y)}
+    out["backward loss"], grads = model.batch_backward(x, y)
+    out.update((f"grad {name}", g) for name, g in grads.items())
+    out["grad order"] = list(grads)
+    adam = Adam(0.01)
+    for _ in range(steps):
+        adam.step(model.params, model.batch_backward(x, y)[1])
+    out.update((f"param {name}", p) for name, p in model.params.items())
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+class TestSeriesSplitMatchesOneGroup:
+    NEVER = 10 ** 18
+
+    @pytest.mark.parametrize("kind", [CRNN, AECRNN])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("activation", ["linear", "tanh"])
+    @pytest.mark.parametrize("cell", ["rnn", "lstm"])
+    @pytest.mark.parametrize("layout", ["sequence", "single-step"])
+    def test_split_batches_give_the_bits_of_one_group(self, monkeypatch, kind, n, stages,
+                                                      activation, cell, layout):
+        cfg = ModelConfig(num_series=n, input_length=16, horizon=3, conv_pool_stages=stages,
+                          filters_per_layer=2, filter_size=(3, 2, 5)[stages - 1],
+                          rnn_hidden=3, cell_kind=cell, rnn_layout=layout,
+                          conv_activation=activation, seed=n + stages, allow_off_grid=True)
+        rng = np.random.default_rng(10 * n + stages)
+        x = rng.uniform(-0.5, 1.5, (9, n, 16))
+        y = rng.uniform(0.0, 1.0, (9, 3))
+        calls = _split_calls(monkeypatch)
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES", self.NEVER)
+        whole = _passes(kind(cfg), x, y)
+        assert not calls
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES", 0)
+        split = _passes(kind(cfg), x, y)
+        assert calls
+        assert whole.keys() == split.keys()
+        for key in whole:
+            assert _same_bits(whole[key], split[key]), key
+
+    @pytest.mark.parametrize("n, splits", [(2, False), (3, False), (4, True)])
+    def test_one_filter_splits_only_with_two_series_per_range(self, monkeypatch, n, splits):
+        # numpy sums a range's (1, 1) weight gradients over the batch pairwise,
+        # where the group sums them row by row: a split would change bits
+        cfg = ModelConfig(num_series=n, input_length=8, horizon=2, filters_per_layer=1,
+                          rnn_hidden=3, allow_off_grid=True)
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 1.0, (40, n, 8))
+        y = rng.uniform(0.0, 1.0, (40, 2))
+        calls = _split_calls(monkeypatch)
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES", self.NEVER)
+        whole = _passes(AECRNN(cfg), x, y, steps=1)
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES", 0)
+        split = _passes(AECRNN(cfg), x, y, steps=1)
+        assert bool(calls) == splits
+        for key in whole:
+            assert _same_bits(whole[key], split[key]), key
+
+    def test_single_windows_and_pair_batches_never_split(self, monkeypatch):
+        calls = _split_calls(monkeypatch)
+        rng = np.random.default_rng(0)
+        wide = AECRNN(ModelConfig(**TestGroupedParameters.WIDE))
+        wide.forward(rng.uniform(0.0, 1.0, (16, 32)))
+        pair = AECRNN(ModelConfig(**TestGroupedParameters.PAIR))
+        pair.forward(rng.uniform(0.0, 1.0, (2, 32)))
+        x, y = rng.uniform(0.0, 1.0, (32, 2, 32)), rng.uniform(0.0, 1.0, (32, 8))
+        pair.batch_forecast(x)
+        pair.batch_loss(x, y)
+        pair.batch_backward(x, y)
+        pair.batch_forecast(rng.uniform(0.0, 1.0, (256, 2, 32)))  # an inference chunk
+        assert not calls
+
+    def test_wide_training_batches_split(self, monkeypatch):
+        calls = _split_calls(monkeypatch)
+        rng = np.random.default_rng(1)
+        wide = AECRNN(ModelConfig(**TestGroupedParameters.WIDE))
+        wide.batch_backward(rng.uniform(0.0, 1.0, (32, 16, 32)), rng.uniform(0.0, 1.0, (32, 8)))
+        assert len(calls) == 2  # the forward pass and the backward pass
+
+    # overflow (1e308 weights) in the worker's range, in this thread's, and in
+    # both; an inf weight times the zero padding also sets invalid there
+    @pytest.mark.parametrize("weights", [{0: 1e308}, {4: 1e308}, {0: 1e308, 4: math.inf}])
+    def test_floating_point_errors_raise_as_in_one_group(self, monkeypatch, weights):
+        model = CRNN(ModelConfig(num_series=5, input_length=8, horizon=2, filters_per_layer=2,
+                                 rnn_hidden=3))
+        for series, w in weights.items():
+            model.params["conv0.w"][series] = w
+        x = np.random.default_rng(2).uniform(2.0, 3.0, (4, 5, 8))
+        errors = []
+        for min_values in (self.NEVER, 0):
+            monkeypatch.setattr(models, "SPLIT_MIN_VALUES", min_values)
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises(FloatingPointError) as caught:
+                    model.batch_forecast(x)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert "overflow" in errors[0]
+
+    def test_range_views_share_the_weights(self):
+        model = AECRNN(small_config(num_series=5))
+        model.set_params({name: np.full(p.shape, 0.5) for name, p in model.params.items()})
+        low, high = model._halves
+        for layer in [*low.convs, *low.deconvs, low.merge, *high.convs, *high.deconvs,
+                      high.merge]:
+            assert (layer.w == 0.5).all() and (layer.b == 0.5).all()
+        assert [c.num_series for c in low.convs + high.convs] == [2, 3]
 
 
 class TestCheckpoint:
