@@ -20,7 +20,6 @@ from .models import (  # noqa: F401
 )
 from .data import (  # noqa: F401
     CorrelatedSet,
-    CsvLayout,
     DataError,
     Normalizer,
     SyntheticConfig,

@@ -22,14 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (CorrelatedSet, CsvLayout, DataError, Normalizer, SyntheticConfig,
-                   generate_synthetic, ingest_csv, prepare, read_input, write_csv)
-from .evaluation import (METHODS, ExperimentSpec, MetricReport, fit, robustness_experiment,
-                         run_experiment)
-from .models import (GRID_AXES, MODELS, load_checkpoint, model_from_checkpoint,
+from .data import (SYNTHETIC_KINDS, TRAIN_FRAC, VAL_FRACTION, CorrelatedSet, DataError,
+                   Normalizer, SyntheticConfig, generate_synthetic, ingest_csv, prepare,
+                   read_input, write_csv)
+from .evaluation import (METHODS, REPORT_FILE, ExperimentSpec, MetricReport, fit,
+                         robustness_experiment, run_experiment)
+from .models import (BASELINE_FEATURES, CELL_KINDS, CONV_ACTIVATIONS, GRID_AXES, MODELS,
+                     RNN_LAYOUTS, ModelConfig, load_checkpoint, model_from_checkpoint,
                      save_checkpoint)
 from .tensor import NumericError, ShapeError, Tensor
-from .training import TrainConfig, gradcheck
+from .training import GRADCHECK_TOLERANCE, OPTIMIZERS, TrainConfig, gradcheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,10 +174,9 @@ def _parse_columns(text: str | None) -> list[str]:
 def _load_dataset(args, inputs: dict[str, bytes]) -> CorrelatedSet:
     """Ingest the CSV named by --data, honoring --columns/--target/--timestamp.
     The file is read once; its bytes go to ``inputs["data"]`` for the manifest."""
-    layout = CsvLayout(columns=_parse_columns(args.columns), timestamp=args.timestamp,
-                       target=args.target)
     inputs["data"] = read_input(args.data)
-    return ingest_csv(args.data, layout, inputs["data"])
+    return ingest_csv(args.data, columns=_parse_columns(args.columns),
+                      timestamp=args.timestamp, target=args.target, raw=inputs["data"])
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
@@ -242,33 +243,37 @@ def cmd_generate(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stages", type=int, default=1,
+    p.add_argument("--stages", type=int, default=ModelConfig.conv_pool_stages,
                    help="convolution+pooling stages (grid: 1,2,3)")
-    p.add_argument("--filters", type=int, default=2,
-                   help="filters per convolution layer")
-    p.add_argument("--filter-size", type=int, default=3, help="convolution filter size")
-    p.add_argument("--hidden", type=int, default=4, help="recurrent hidden state size")
-    p.add_argument("--cell", choices=("rnn", "lstm"), default="rnn",
+    # not ModelConfig.filters_per_layer (3): the CLI has always defaulted to 2
+    p.add_argument("--filters", type=int, default=2, help="filters per convolution layer")
+    p.add_argument("--filter-size", type=int, default=ModelConfig.filter_size,
+                   help="convolution filter size")
+    p.add_argument("--hidden", type=int, default=ModelConfig.rnn_hidden,
+                   help="recurrent hidden state size")
+    p.add_argument("--cell", choices=CELL_KINDS, default=ModelConfig.cell_kind,
                    help="recurrent cell for crnn/aecrnn")
-    p.add_argument("--layout", choices=("sequence", "single-step"), default="sequence",
+    p.add_argument("--layout", choices=RNN_LAYOUTS, default=ModelConfig.rnn_layout,
                    help="how pooled features feed the recurrent cell")
-    p.add_argument("--conv-activation", choices=("linear", "tanh"), default="linear")
-    p.add_argument("--features", choices=("all", "target"), default="all",
+    p.add_argument("--conv-activation", choices=CONV_ACTIVATIONS,
+                   default=ModelConfig.conv_activation)
+    p.add_argument("--features", choices=BASELINE_FEATURES, default=BASELINE_FEATURES[0],
                    help="inputs seen by the rnn/lstm baselines")
     p.add_argument("--allow-off-grid", action="store_true",
                    help="accept hyper-parameters outside the default search grid")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="learning rate")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    # not TrainConfig.max_epochs (200): the CLI has always defaulted to 100
     p.add_argument("--epochs", type=int, default=100, help="maximum training epochs")
-    p.add_argument("--patience", type=int, default=10,
+    p.add_argument("--patience", type=int, default=TrainConfig.patience,
                    help="epochs without validation improvement before stopping")
-    p.add_argument("--val-frac", type=float, default=0.15,
+    p.add_argument("--val-frac", type=float, default=VAL_FRACTION,
                    help="fraction of training windows held out for validation")
-    p.add_argument("--train-frac", type=float, default=0.84,
+    p.add_argument("--train-frac", type=float, default=TRAIN_FRAC,
                    help="chronological fraction of data used for training+validation")
 
 
@@ -300,6 +305,9 @@ def cmd_forecast(args) -> int:
     fields, tensors = load_checkpoint(args.checkpoint, inputs["checkpoint"])
     model, extras = model_from_checkpoint(fields, tensors)
     norm = Normalizer.from_tensors(extras)
+    if norm.mins.size != model.num_series:
+        raise DataError(f"checkpoint tensor norm.min holds {norm.mins.size} values, "
+                        f"for a model of {model.num_series} series")
     cset = _load_dataset(args, inputs)
     if cset.num_series != model.num_series:
         raise DataError(
@@ -346,7 +354,7 @@ def cmd_evaluate(args) -> int:
             for seed in seeds)
     out = _out_path(args, "evaluate")
     report = run_experiment(args.method, spec, runs, out_dir=out)  # makes out at the end
-    write_manifest(out, "evaluate", args, inputs, {"report": out / "report.tsv"})
+    write_manifest(out, "evaluate", args, inputs, {"report": out / REPORT_FILE})
     print(MetricReport.TABLE_HEADER)
     print(report.table_row())
     return EXIT_OK
@@ -446,13 +454,13 @@ def cmd_gridsearch(args) -> int:
     out = _out_dir(args, "gridsearch")
     ranked = sorted((r for r in results if r[1] is not None),
                     key=lambda r: r[2].best_val_j1)
-    lines = ["rank\tstages\tfilters\tfilter_size\thidden\tval_j1\tstatus"]
+    rows = [("rank", *(_MODEL_FLAGS[name] for name in _GRID_AXIS_FIELDS.values()),
+             "val_j1", "status")]
     for rank, (cell, _, report) in enumerate(ranked, 1):
-        lines.append("%d\t%d\t%d\t%d\t%d\t%.17g\t%s"
-                     % (rank, *cell.values(), report.best_val_j1, report.stopping_reason))
+        rows.append((rank, *cell.values(), "%.17g" % report.best_val_j1, report.stopping_reason))
     failed = [(cell, note) for cell, model, note in results if model is None]
-    for cell, note in failed:
-        lines.append("-\t%d\t%d\t%d\t%d\t-\tFAILED: %s" % (*cell.values(), note))
+    rows.extend(("-", *cell.values(), "-", f"FAILED: {note}") for cell, note in failed)
+    lines = ["\t".join(map(str, row)) for row in rows]
     report_path = out / "grid_report.tsv"
     report_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -471,7 +479,7 @@ def cmd_gridsearch(args) -> int:
 
 # The geometry of gradcheck --small. Unset, these flags read None, so that
 # one given beside --small is refused; without --small they default to these
-# values, but hidden to 4 as in every command.
+# values, but hidden to ModelConfig's as in every command.
 _SMALL_GRADCHECK = dict(x=2, l=8, p=2, stages=1, filters=2, filter_size=3, hidden=3)
 
 
@@ -480,7 +488,8 @@ def cmd_gradcheck(args) -> int:
     if args.small and given:
         raise UsageError(f"--{given[0].replace('_', '-')} cannot be given with --small, "
                          f"which sets it")
-    defaults = _SMALL_GRADCHECK if args.small else {**_SMALL_GRADCHECK, "hidden": 4}
+    defaults = (_SMALL_GRADCHECK if args.small
+                else {**_SMALL_GRADCHECK, "hidden": ModelConfig.rnn_hidden})
     for key, value in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -507,21 +516,21 @@ def _add_common_flags(p: argparse.ArgumentParser, writes_files: bool) -> None:
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=("lagged", "independent"), default="lagged")
-    p.add_argument("--len", type=int, default=2000, help="series length")
-    p.add_argument("--lag", type=int, default=5,
+    p.add_argument("--kind", choices=SYNTHETIC_KINDS, default=SyntheticConfig.kind)
+    p.add_argument("--len", type=int, default=SyntheticConfig.length, help="series length")
+    p.add_argument("--lag", type=int, default=SyntheticConfig.lag,
                    help="steps by which the driver leads the target")
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--base", type=float, default=5.0)
-    p.add_argument("--period", type=int, default=40)
-    p.add_argument("--season-amp", type=float, default=1.0)
-    p.add_argument("--stoch-amp", type=float, default=0.7)
-    p.add_argument("--ar", type=float, default=0.9)
+    p.add_argument("--noise", type=float, default=SyntheticConfig.noise)
+    p.add_argument("--base", type=float, default=SyntheticConfig.base)
+    p.add_argument("--period", type=int, default=SyntheticConfig.season_period)
+    p.add_argument("--season-amp", type=float, default=SyntheticConfig.season_amplitude)
+    p.add_argument("--stoch-amp", type=float, default=SyntheticConfig.stoch_amplitude)
+    p.add_argument("--ar", type=float, default=SyntheticConfig.ar_coeff)
 
 
 def _train_flags(p: argparse.ArgumentParser) -> None:
     _add_csv_flags(p)
-    p.add_argument("--model", choices=tuple(MODELS), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--l", type=int, required=True, help="input window length")
     p.add_argument("--p", type=int, required=True, help="forecast horizon")
     _add_model_flags(p)
@@ -545,7 +554,7 @@ def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--eval-stride", type=int,
                    help="test window stride (default: l+p, non-overlapping)")
-    p.add_argument("--ewma-smoothing", type=float, default=0.3)
+    p.add_argument("--ewma-smoothing", type=float, default=ExperimentSpec.ewma_smoothing)
     _add_model_flags(p)
     _add_train_flags(p)
 
@@ -562,7 +571,7 @@ def _robustness_flags(p: argparse.ArgumentParser) -> None:
 
 def _gridsearch_flags(p: argparse.ArgumentParser) -> None:
     _add_csv_flags(p)
-    p.add_argument("--model", choices=tuple(MODELS), default="crnn")
+    p.add_argument("--model", choices=MODELS, default="crnn")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--grid", help="key=value file overriding the default axes "
@@ -574,13 +583,13 @@ def _gridsearch_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _gradcheck_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=tuple(MODELS), default="crnn")
+    p.add_argument("--model", choices=MODELS, default="crnn")
     p.add_argument("--small", action="store_true",
                    help="check the small reference model; refuses the flags it sets")
     p.add_argument("--x", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--p", type=int)
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
     _add_model_flags(p)
     p.set_defaults(**dict.fromkeys(_SMALL_GRADCHECK))
 

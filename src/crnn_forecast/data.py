@@ -9,9 +9,12 @@ Windows are cut as :class:`Windows`: read-only array views of the normalized
 matrix, with inputs X of shape (N, num_series, input_length), targets Y of
 shape (N, horizon) and the offset of each window, in time order. No window is
 copied until ``stack_samples`` gathers a set into contiguous batches.
-Values are checked once, when a :class:`TimeSeries` is built. A series is
-its name and its values, one per time step; no time base is kept, and a
-timestamp column (``--timestamp``) is only checked for uniform spacing.
+Every :class:`TimeSeries` copies and checks the values it is built from. A
+set sliced in time (``slice_time``) or given new values (``with_values``,
+which ``Normalizer.transform`` calls) is rebuilt series by series, so values
+already checked are copied and checked again. A series is its name and its
+values, one per time step; no time base is kept, and a timestamp column
+(``--timestamp``) is only checked for uniform spacing.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import io
 import logging
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,10 +33,10 @@ from .tensor import Tensor
 
 __all__ = [
     "CorrelatedSet",
-    "CsvLayout",
     "DataError",
     "Normalizer",
     "Prepared",
+    "SYNTHETIC_KINDS",
     "SyntheticConfig",
     "TimeSeries",
     "WindowSample",
@@ -56,6 +59,9 @@ log = logging.getLogger(__name__)
 # time steps per block in write_csv and _latent_signal, which go through a
 # long series block by block so as not to hold one Python float per value
 _BLOCK = 4096
+
+TRAIN_FRAC = 0.84  # default share of a series set, from its start, for training+validation
+VAL_FRACTION = 0.15  # default share of the training windows, the last ones, for validation
 
 
 class DataError(ValueError):
@@ -206,13 +212,27 @@ class Normalizer:
 
     @classmethod
     def from_tensors(cls, tensors) -> "Normalizer":
+        """The normalizer ``tensors`` stores. DataError when it stores none,
+        or naming the tensor when ``norm.min`` or ``norm.max`` is not a
+        vector, not finite, or of another length than the other."""
         try:
-            return cls(tensors["norm.min"], tensors["norm.max"])
+            mins, maxs = tensors["norm.min"], tensors["norm.max"]
         except KeyError as exc:
             raise DataError("checkpoint carries no normalization statistics") from exc
+        for name, values in (("norm.min", mins), ("norm.max", maxs)):
+            if np.ndim(values) != 1:
+                raise DataError(f"checkpoint tensor {name} has shape {np.shape(values)}, "
+                                f"not one value per series")
+            if not np.isfinite(values).all():
+                raise DataError(f"checkpoint tensor {name} holds non-finite values")
+        if len(mins) != len(maxs):
+            raise DataError(f"checkpoint tensor norm.min holds {len(mins)} values, "
+                            f"norm.max {len(maxs)}")
+        return cls(mins, maxs)
 
 
-def split(cset: CorrelatedSet, train_frac: float = 0.84) -> tuple[CorrelatedSet, CorrelatedSet]:
+def split(cset: CorrelatedSet,
+          train_frac: float = TRAIN_FRAC) -> tuple[CorrelatedSet, CorrelatedSet]:
     """Chronological prefix/suffix split at floor(train_frac * length)."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"train_frac must be inside (0, 1), got {train_frac}")
@@ -252,7 +272,7 @@ def segment(cset: CorrelatedSet, input_length: int, horizon: int,
 
 
 def train_val_split(windows: Windows,
-                    val_fraction: float = 0.15) -> tuple[Windows, Windows]:
+                    val_fraction: float = VAL_FRACTION) -> tuple[Windows, Windows]:
     """Chronological carve-out: the last fraction of windows becomes validation.
 
     ``windows`` are in time order, as ``segment`` cuts them; the split is two
@@ -310,18 +330,6 @@ def prepare(cset: CorrelatedSet, input_length: int, horizon: int, *,
 
 
 # -- CSV ingestion --------------------------------------------------------------
-
-
-@dataclass
-class CsvLayout:
-    """Which columns to read, each by name or file column index: ``columns``
-    (default: every column but the timestamp), of which the first is the
-    forecast target. A ``target`` is moved to the front of them, or put
-    there when it is not among them."""
-
-    columns: Sequence[str | int] = field(default_factory=list)
-    timestamp: str | int | None = None
-    target: str | int | None = None
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -418,10 +426,17 @@ def _split_records(raw: bytes) -> list[list[str]] | None:
     return [line.split(",") if line else [] for line in lines]
 
 
-def ingest_csv(path, layout: CsvLayout | None = None,
-               raw: bytes | None = None) -> CorrelatedSet:
+def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int | None = None,
+               target: str | int | None = None, raw: bytes | None = None) -> CorrelatedSet:
     """Read an aligned series set from a comma-separated UTF-8 file, or from
     ``raw``, its bytes already read from ``path``.
+
+    Each column is named by its header name or by its file column index
+    (an int or a string of digits). ``columns`` selects the series to read,
+    in order, the first being the forecast target; empty, it selects every
+    column but the ``timestamp`` one. A ``target`` is moved to the front of
+    the selection, or put there when it is not among it. ``timestamp``
+    names a column that is checked for uniform spacing and not read.
 
     Records are cut on one of two paths that give the same records. Quote-free
     UTF-8 text with no NUL and no overlong line is split at line breaks and
@@ -430,10 +445,9 @@ def ingest_csv(path, layout: CsvLayout | None = None,
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
     ragged row, column selected twice, or non-uniform timestamp column aborts
-    ingestion; a bad row is named by the file line it starts on. The
-    timestamp column is only checked; the series keep no time base.
+    ingestion; a bad row is named by the file line it starts on. The series
+    keep no time base.
     """
-    layout = layout or CsvLayout()
     raw = read_input(path) if raw is None else raw
     records = _split_records(raw)
     if records is None:
@@ -452,22 +466,22 @@ def ingest_csv(path, layout: CsvLayout | None = None,
         raise DataError(f"{path}: file holds no data rows")
 
     width = len(data_rows[0])
-    specs = list(layout.columns) if layout.columns else list(range(width))
+    specs = list(columns) if columns else list(range(width))
     ts_index = None
-    if layout.timestamp is not None:
-        ts_index = _resolve_column(layout.timestamp, header, str(path))
-        if not layout.columns:
+    if timestamp is not None:
+        ts_index = _resolve_column(timestamp, header, str(path))
+        if not columns:
             specs = [i for i in range(width) if i != ts_index]
     indices = [_resolve_column(s, header, str(path)) for s in specs]
     if len(set(indices)) < len(indices):
         twice = next(idx for n, idx in enumerate(indices) if idx in indices[:n])
         name = f" ({header[twice]})" if header is not None and 0 <= twice < len(header) else ""
         raise DataError(f"{path}: column {twice}{name} is selected twice")
-    if layout.target is not None:
-        target = _resolve_column(layout.target, header, str(path))
-        if target == ts_index:
-            raise DataError(f"{path}: the target column {target} is the timestamp column")
-        indices = [target] + [i for i in indices if i != target]
+    if target is not None:
+        first = _resolve_column(target, header, str(path))
+        if first == ts_index:
+            raise DataError(f"{path}: the target column {first} is the timestamp column")
+        indices = [first] + [i for i in indices if i != first]
     for idx in indices + ([ts_index] if ts_index is not None else []):
         if not 0 <= idx < width:
             raise DataError(f"{path}: column index {idx} outside row width {width}")
@@ -476,7 +490,7 @@ def ingest_csv(path, layout: CsvLayout | None = None,
     timestamps = None
     try:
         cells = list(zip(*data_rows, strict=True))  # ValueError on a ragged row
-        columns = np.array([cells[idx] for idx in indices], dtype=np.float64)
+        values = np.array([cells[idx] for idx in indices], dtype=np.float64)
         if ts_index is not None:
             timestamps = np.array(cells[ts_index], dtype=np.float64)
     except ValueError:
@@ -495,8 +509,7 @@ def ingest_csv(path, layout: CsvLayout | None = None,
     if unnamed:
         raise DataError(f"{path}: the header has no name for column {unnamed[0]}")
     names = [header[i] if header is not None else f"col{i}" for i in indices]
-    return CorrelatedSet(tuple(TimeSeries(name, values)
-                               for name, values in zip(names, columns)))
+    return CorrelatedSet(tuple(TimeSeries(name, row) for name, row in zip(names, values)))
 
 
 def write_csv(cset: CorrelatedSet, path) -> None:
@@ -558,6 +571,9 @@ def make_uncorrelated(reference: TimeSeries, seed: int) -> TimeSeries:
     raise DataError("could not generate an uncorrelated surrogate; series too short?")
 
 
+SYNTHETIC_KINDS = ("lagged", "independent")  # in the CLI's order; the first is the default
+
+
 @dataclass
 class SyntheticConfig:
     """Two-series benchmark generator.
@@ -567,7 +583,7 @@ class SyntheticConfig:
     observation noise. ``independent`` draws two unrelated signals.
     """
 
-    kind: str = "lagged"           # "lagged" | "independent"
+    kind: str = SYNTHETIC_KINDS[0]
     length: int = 2000
     lag: int = 5
     noise: float = 0.05
@@ -579,7 +595,7 @@ class SyntheticConfig:
     ar_coeff: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in ("lagged", "independent"):
+        if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         if self.length < 2 or self.lag < 0:
             raise ValueError("length must be >= 2 and lag >= 0")

@@ -28,7 +28,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import ewma_batch, yesterday_batch
-from .data import CorrelatedSet, DataError, Prepared, make_uncorrelated, prepare, stack_samples
+from .data import (TRAIN_FRAC, VAL_FRACTION, CorrelatedSet, DataError, Prepared,
+                   make_uncorrelated, prepare, stack_samples)
 from .models import MODELS
 from .training import TrainConfig, train
 
@@ -46,6 +47,7 @@ __all__ = [
 
 MAPE_EPSILON = 1e-8
 METHODS = ("yesterday", "ewma", *MODELS)
+REPORT_FILE = "report.tsv"  # what run_experiment writes its report row to
 
 
 def rmse(pred, truth) -> float:
@@ -88,8 +90,8 @@ class ExperimentSpec:
 
     input_length: int
     horizon: int
-    train_frac: float = 0.84
-    val_fraction: float = 0.15
+    train_frac: float = TRAIN_FRAC
+    val_fraction: float = VAL_FRACTION
     eval_stride: int | None = None      # default: non-overlapping (l + p)
     train: TrainConfig = field(default_factory=TrainConfig)
     ewma_smoothing: float = 0.3
@@ -98,6 +100,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.eval_stride is not None and self.eval_stride < 1:
             raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
+        if not 0.0 < self.ewma_smoothing <= 1.0:
+            raise ValueError(f"ewma_smoothing must be in (0, 1], got {self.ewma_smoothing}")
 
     def prepare(self, cset: CorrelatedSet) -> Prepared:
         """The windows of one series set, test windows at the spec's stride."""
@@ -194,18 +198,21 @@ def _row_metrics(preds: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _write_dumps(out_dir: Path, scored: Sequence[tuple]) -> None:
-    """One predictions_seed{seed}.tsv per seed of the (seed, offsets, preds,
-    truths) runs: a row per forecast step."""
+    """One predictions_seed{seed}.tsv per (seed, offsets, preds, truths)
+    run: a row per forecast step."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_seed: dict[int, list[str]] = {}
     for seed, offsets, preds, truths in scored:
-        lines = by_seed.setdefault(seed, ["window_offset\tstep\tpredicted\ttruth"])
+        lines = ["window_offset\tstep\tpredicted\ttruth"]
         for offset, pred, truth in zip(offsets.tolist(), preds.tolist(), truths.tolist()):
             lines.extend("%d\t%d\t%.17g\t%.17g" % (offset, step, p, t)
                          for step, (p, t) in enumerate(zip(pred, truth), 1))
-    for seed, lines in sorted(by_seed.items()):
         path = out_dir / f"predictions_seed{seed}.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _refuse_repeat(seed: int, earlier: Sequence[int]) -> None:
+    if seed in earlier:
+        raise ValueError(f"seed {seed} is given twice")
 
 
 def run_experiment(method: str, spec: ExperimentSpec, runs: Iterable[tuple[int, Prepared]],
@@ -219,11 +226,13 @@ def run_experiment(method: str, spec: ExperimentSpec, runs: Iterable[tuple[int, 
     in run order, into the report's means and standard deviations. When
     ``out_dir`` is given, the forecasts and truths of every test window and
     the report row are persisted there once every run has been scored.
+    ValueError when a seed repeats.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     scored = []  # (seed, test offsets, forecasts, truths) of each run
     for seed, prepared in runs:
+        _refuse_repeat(seed, [run[0] for run in scored])
         scored.append((seed, prepared.test.offsets, *_score(method, spec, prepared, seed)))
     if not scored:
         raise ValueError("experiment needs at least one run")
@@ -234,7 +243,7 @@ def run_experiment(method: str, spec: ExperimentSpec, runs: Iterable[tuple[int, 
     if out_dir is not None:
         out_path = Path(out_dir)
         _write_dumps(out_path, scored)
-        (out_path / "report.tsv").write_text(
+        (out_path / REPORT_FILE).write_text(
             MetricReport.TABLE_HEADER + "\n" + report.table_row() + "\n",
             encoding="ascii")
     return report
@@ -254,10 +263,10 @@ class RobustnessReport:
     mape: dict[tuple[str, str], float]
 
     def table(self) -> str:
-        lines = ["input\tcrnn_mape\taecrnn_mape"]
+        lines = ["\t".join(["input", *(f"{model}_mape" for model in ROBUSTNESS_MODELS)])]
         for row in ROBUSTNESS_ROWS:
-            lines.append("%s\t%.6g\t%.6g"
-                         % (row, self.mape[(row, "crnn")], self.mape[(row, "aecrnn")]))
+            lines.append("\t".join([row, *("%.6g" % self.mape[(row, model)]
+                                           for model in ROBUSTNESS_MODELS)]))
         return "\n".join(lines) + "\n"
 
 
@@ -273,12 +282,14 @@ def robustness_experiment(cset: CorrelatedSet, spec: ExperimentSpec,
     each seed, each row's set is prepared once under ``spec`` and both models
     are trained and scored on it with that seed. Each cell of the report is
     the mean over the seeds of the per-seed MAPE. DataError when the set has
-    fewer than two series.
+    fewer than two series, ValueError when a seed repeats.
     """
     if cset.num_series < 2:
         raise DataError("robustness needs a target and a correlated series")
     if not seeds:
         raise ValueError("experiment needs at least one seed")
+    for n, seed in enumerate(seeds):
+        _refuse_repeat(seed, seeds[:n])
     per_seed: dict[tuple[str, str], list[float]] = {
         (row, model): [] for row in ROBUSTNESS_ROWS for model in ROBUSTNESS_MODELS}
     for seed in seeds:

@@ -65,18 +65,18 @@ from .tensor import NumericError, ShapeError, Tensor
 
 __all__ = [
     "AECRNN",
+    "BASELINE_FEATURES",
+    "CELL_KINDS",
+    "CONV_ACTIVATIONS",
     "CRNN",
     "ConfigError",
     "Forecast",
     "GRID_AXES",
-    "GRID_FILTERS",
-    "GRID_FILTER_SIZES",
-    "GRID_HIDDEN",
-    "GRID_STAGES",
     "LossBreakdown",
     "MODELS",
     "ModelConfig",
     "ParamModel",
+    "RNN_LAYOUTS",
     "Reconstruction",
     "RecurrentBaseline",
     "joint_loss",
@@ -85,13 +85,15 @@ __all__ = [
     "save_checkpoint",
 ]
 
+# The choices of each string setting, in the CLI's order; the first is the default.
+CELL_KINDS = ("rnn", "lstm")
+RNN_LAYOUTS = ("sequence", "single-step")
+CONV_ACTIVATIONS = ("linear", "tanh")
+BASELINE_FEATURES = ("all", "target")
+
 # Hyper-parameter ranges searched by the grid runner.
-GRID_STAGES = (1, 2, 3)
-GRID_FILTERS = (2, 3, 4, 5, 8, 10, 16)
-GRID_FILTER_SIZES = (1, 2, 3, 5, 10)
-GRID_HIDDEN = (3, 4, 5, 6)
-_CONV_GRID = {"conv_pool_stages": GRID_STAGES, "filters_per_layer": GRID_FILTERS,
-              "filter_size": GRID_FILTER_SIZES, "rnn_hidden": GRID_HIDDEN}
+_CONV_GRID = {"conv_pool_stages": (1, 2, 3), "filters_per_layer": (2, 3, 4, 5, 8, 10, 16),
+              "filter_size": (1, 2, 3, 5, 10), "rnn_hidden": (3, 4, 5, 6)}
 
 
 class ConfigError(ValueError):
@@ -126,9 +128,9 @@ class ModelConfig:
     filters_per_layer: int = 3
     filter_size: int = 3
     rnn_hidden: int = 4
-    cell_kind: str = "rnn"
-    rnn_layout: str = "sequence"
-    conv_activation: str = "linear"
+    cell_kind: str = CELL_KINDS[0]
+    rnn_layout: str = RNN_LAYOUTS[0]
+    conv_activation: str = CONV_ACTIVATIONS[0]
     seed: int = 0
     allow_off_grid: bool = False
 
@@ -137,12 +139,10 @@ class ModelConfig:
             raise ConfigError("num_series must be at least 1")
         if self.input_length < 1 or self.horizon < 1:
             raise ConfigError("input_length and horizon must be positive")
-        if self.cell_kind not in ("rnn", "lstm"):
-            raise ConfigError(f"unknown cell_kind {self.cell_kind!r}")
-        if self.rnn_layout not in ("sequence", "single-step"):
-            raise ConfigError(f"unknown rnn_layout {self.rnn_layout!r}")
-        if self.conv_activation not in ("linear", "tanh"):
-            raise ConfigError(f"unknown conv_activation {self.conv_activation!r}")
+        for label, choices in (("cell_kind", CELL_KINDS), ("rnn_layout", RNN_LAYOUTS),
+                               ("conv_activation", CONV_ACTIVATIONS)):
+            if getattr(self, label) not in choices:
+                raise ConfigError(f"unknown {label} {getattr(self, label)!r}")
         # checked before the grid, which allow_off_grid skips
         for label in _CONV_GRID:
             if getattr(self, label) < 1:
@@ -160,11 +160,6 @@ class ModelConfig:
                     raise ConfigError(
                         f"{label}={getattr(self, label)} is outside the search grid {grid}; "
                         f"pass allow_off_grid=True to override")
-        # The concatenated feature vector must be well formed by construction.
-        if self.pooled_length < 1:
-            raise ConfigError("input_length too short for the pooling depth")
-        assert self.feature_vector_length == (
-            self.num_series * self.filters_per_layer * self.pooled_length)
 
     @property
     def pooled_length(self) -> int:
@@ -238,16 +233,11 @@ class LossBreakdown:
     """Objective terms: j1 = forecast loss, j2 = reconstruction loss, j = j1 + j2."""
 
     j1: float
-    j2: float
-    j: float
+    j2: float = 0.0
 
-    def __post_init__(self):
-        if self.j != self.j1 + self.j2:
-            raise ValueError("loss breakdown must satisfy j == j1 + j2 exactly")
-
-    @classmethod
-    def of(cls, j1: float, j2: float = 0.0) -> "LossBreakdown":
-        return cls(j1, j2, j1 + j2)
+    @property
+    def j(self) -> float:
+        return self.j1 + self.j2
 
 
 def _as_window_array(window) -> np.ndarray:
@@ -282,10 +272,9 @@ def joint_loss(z: np.ndarray, y: np.ndarray, recon: np.ndarray | None = None,
         j2 = float(np.mean(er ** 2))
         d_recon = 2.0 * er / er.size
     j1 = float(np.mean(ez ** 2))
-    # checked before LossBreakdown, whose j == j1 + j2 check a NaN fails
     if not np.isfinite(j1 + j2):
         raise NumericError(f"objective diverged: j1={j1}, j2={j2}")
-    return LossBreakdown.of(j1, j2), 2.0 * ez / ez.size, d_recon
+    return LossBreakdown(j1, j2), 2.0 * ez / ez.size, d_recon
 
 
 class _NoDraws:
@@ -680,7 +669,8 @@ class RecurrentBaseline(ParamModel):
     """
 
     def __init__(self, cell_kind: str, num_series: int, input_length: int,
-                 horizon: int, hidden: int, features: str = "all", seed: int = 0):
+                 horizon: int, hidden: int, features: str = BASELINE_FEATURES[0],
+                 seed: int = 0):
         if seed < 0:  # before the generator, which would refuse it unnamed
             raise ConfigError(f"seed must be >= 0, got {seed}")
         self._build(np.random.default_rng(seed), cell_kind, num_series, input_length,
@@ -689,14 +679,13 @@ class RecurrentBaseline(ParamModel):
     def _build(self, rng, cell_kind: str, num_series: int, input_length: int,
                horizon: int, hidden: int, features: str, seed: int) -> None:
         super().__init__()
-        if cell_kind not in ("rnn", "lstm"):
+        if cell_kind not in CELL_KINDS:
             raise ValueError(f"unknown cell kind {cell_kind!r}")
-        if features not in ("target", "all"):
+        if features not in BASELINE_FEATURES:
             raise ValueError(f"unknown feature mode {features!r}")
         if hidden < 1:
             raise ConfigError(f"hidden must be at least 1, got {hidden}")
         self.kind = f"{cell_kind}-baseline"
-        self.cell_kind = cell_kind
         self.num_series = num_series
         self.input_length = input_length
         self.horizon = horizon
@@ -734,7 +723,7 @@ def _baseline_args(cell_kind: str, fields: Mapping[str, object]) -> tuple:
     return (cell_kind, _int_field(fields, "num_series"), _int_field(fields, "input_length"),
             _int_field(fields, "horizon"),
             _int_field(fields, "rnn_hidden", ModelConfig.rnn_hidden),
-            fields.get("features", "all"), _int_field(fields, "seed", 0))
+            fields.get("features", BASELINE_FEATURES[0]), _int_field(fields, "seed", 0))
 
 
 # Model kind -> (class, its constructor arguments from the named
@@ -759,8 +748,8 @@ MODELS = {kind: _builder(cls, args) for kind, (cls, args) in _KINDS.items()}
 
 # Model kind -> the searched hyper-parameters its builder reads, with the
 # values the grid runner tries by default.
-GRID_AXES = {"crnn": _CONV_GRID, "aecrnn": _CONV_GRID,
-             "rnn": {"rnn_hidden": GRID_HIDDEN}, "lstm": {"rnn_hidden": GRID_HIDDEN}}
+_RNN_GRID = {"rnn_hidden": _CONV_GRID["rnn_hidden"]}
+GRID_AXES = {"crnn": _CONV_GRID, "aecrnn": _CONV_GRID, "rnn": _RNN_GRID, "lstm": _RNN_GRID}
 
 
 # -- checkpoint container -----------------------------------------------------

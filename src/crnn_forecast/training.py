@@ -15,6 +15,7 @@ __all__ = [
     "Adam",
     "EpochStats",
     "GradcheckReport",
+    "OPTIMIZERS",
     "Sgd",
     "TrainConfig",
     "TrainReport",
@@ -30,13 +31,15 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 GRADCHECK_STEP = 1e-6  # gradcheck's central-difference step
+GRADCHECK_TOLERANCE = 1e-5  # the relative error above which gradcheck fails
+OPTIMIZERS = ("adam", "sgd")  # in the order the CLI lists them; the first is the default
 
 
 @dataclass
 class TrainConfig:
     """Optimization settings; the paper-side models leave these open."""
 
-    optimizer: str = "adam"
+    optimizer: str = OPTIMIZERS[0]
     learning_rate: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 200
@@ -44,7 +47,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got "
@@ -124,10 +127,13 @@ def _make_optimizer(config: TrainConfig):
 @dataclass(frozen=True)
 class EpochStats:
     epoch: int
-    j: float
     j1: float
     j2: float
     val_j1: float
+
+    @property
+    def j(self) -> float:
+        return self.j1 + self.j2
 
 
 @dataclass
@@ -201,8 +207,7 @@ def train(model, samples: Windows, config: TrainConfig,
             log.warning("training diverged at epoch %d: %s", epoch, exc)
             report.stopping_reason = "diverged"
             break
-        report.epochs.append(EpochStats(epoch, epoch_j1 + epoch_j2,
-                                        epoch_j1, epoch_j2, monitored))
+        report.epochs.append(EpochStats(epoch, epoch_j1, epoch_j2, monitored))
         if monitored < report.best_val_j1:
             report.best_val_j1 = monitored
             report.best_epoch = epoch
@@ -243,7 +248,8 @@ class GradcheckReport:
         return line
 
 
-def gradcheck(model, x: np.ndarray, y: np.ndarray, tolerance: float = 1e-5) -> GradcheckReport:
+def gradcheck(model, x: np.ndarray, y: np.ndarray,
+              tolerance: float = GRADCHECK_TOLERANCE) -> GradcheckReport:
     """Verify every parameter's analytic gradient with central differences of
     step GRADCHECK_STEP, on the loss of windows x (batch, n, l) against
     targets y (batch, p).

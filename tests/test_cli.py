@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crnn_forecast import cli, evaluation
+from crnn_forecast import cli, data, evaluation, models, training
 from crnn_forecast.cli import main
 from crnn_forecast.data import CorrelatedSet, Normalizer, ingest_csv, prepare, write_csv
 from crnn_forecast.models import MODELS, load_checkpoint, model_from_checkpoint, save_checkpoint
@@ -73,6 +73,40 @@ class TestParser:
         for name in cli.COMMANDS:
             built = _flags_by_command(cli.build_parser(["--", name, "--seed", "1"]))
             assert built == {name: every[name]}
+
+    def test_choices_are_the_domain_tuples_themselves(self):
+        owners = {"cell": models.CELL_KINDS, "layout": models.RNN_LAYOUTS,
+                  "conv_activation": models.CONV_ACTIVATIONS,
+                  "features": models.BASELINE_FEATURES, "model": MODELS,
+                  "optimizer": training.OPTIMIZERS, "kind": data.SYNTHETIC_KINDS,
+                  "method": evaluation.METHODS}
+        seen = set()
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in sub.choices.values():
+            for action in command._actions:
+                if action.choices is not None:
+                    assert action.choices is owners[action.dest], action.dest
+                    seen.add(action.dest)
+        assert seen == set(owners)
+
+    def test_defaults_are_the_fields_they_set(self):
+        args = cli.build_parser().parse_args(
+            ["evaluate", "--method", "yesterday", "--l", "8", "--p", "2"])
+        spec, train_config = evaluation.ExperimentSpec(8, 2), TrainConfig()
+        assert (args.train_frac, args.val_frac, args.ewma_smoothing) == (
+            spec.train_frac, spec.val_fraction, spec.ewma_smoothing)
+        assert (args.optimizer, args.lr, args.batch_size, args.patience) == (
+            train_config.optimizer, train_config.learning_rate, train_config.batch_size,
+            train_config.patience)
+        assert cli._synthetic_from_args(args) == data.SyntheticConfig()
+        config, fields = models.ModelConfig(1, 8, 2), cli._model_fields(args)
+        for name in ("conv_pool_stages", "filter_size", "rnn_hidden", "cell_kind",
+                     "rnn_layout", "conv_activation", "allow_off_grid"):
+            assert fields[name] == getattr(config, name), name
+        # the two flags whose defaults differ from their fields'
+        assert (args.filters, config.filters_per_layer) == (2, 3)
+        assert (args.epochs, train_config.max_epochs) == (100, 200)
 
     @pytest.mark.parametrize("argv", [[], ["-h"], ["--version"], ["frobnicate", "-h"]])
     def test_argv_naming_no_command_builds_every_command(self, argv):
@@ -353,6 +387,29 @@ class TestForecast:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mins, maxs, message", [
+        ([0.0, 1.0, 2.0], [9.0, 9.0, 9.0], "norm.min holds 3 values, for a model of 2 series"),
+        ([0.0, 1.0, 2.0], [9.0, 9.0], "norm.min holds 3 values, norm.max 2"),
+        ([[0.0], [1.0]], [9.0, 9.0], "norm.min has shape (2, 1)"),
+        ([0.0, 1.0], [9.0, float("nan")], "norm.max holds non-finite values"),
+        ([0.0, -float("inf")], [9.0, 9.0], "norm.min holds non-finite values"),
+    ], ids=["series-count", "lengths", "shape", "nan", "inf"])
+    def test_bad_normalizer_statistics_are_data_error(self, dataset, tmp_path, capsys,
+                                                      mins, maxs, message):
+        train_out = tmp_path / "t"
+        assert main(train_args(dataset, train_out, epochs="1")) == 0
+        ckpt = train_out / "checkpoint.txt"
+        model, _ = model_from_checkpoint(*load_checkpoint(ckpt))
+        save_checkpoint(ckpt, model, extra_tensors={"norm.min": mins, "norm.max": maxs})
+        capsys.readouterr()
+        out = tmp_path / "f"
+        code = main(["forecast", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and message in err
+        assert not out.exists()
+
     def test_out_of_range_offset_is_data_error(self, dataset, tmp_path):
         train_out = tmp_path / "t"
         main(train_args(dataset, train_out))
@@ -446,6 +503,16 @@ class TestEvaluate:
                      "--p", "2", "--ewma-smoothing", smoothing, "--out", str(tmp_path)])
         assert code == 1
         assert "smoothing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["yesterday", "crnn"])
+    def test_ewma_smoothing_is_checked_for_every_method(self, dataset, tmp_path, capsys,
+                                                        method):
+        out = tmp_path / "e"
+        code = main(["evaluate", "--method", method, "--data", str(dataset), "--l", "8",
+                     "--p", "2", "--epochs", "1", "--ewma-smoothing", "0", "--out", str(out)])
+        assert code == 1
+        assert "smoothing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_target_flag_reorders_the_series(self, dataset, tmp_path):
         cset = ingest_csv(dataset)

@@ -11,10 +11,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crnn_forecast import data as data_module
-from crnn_forecast.data import (CorrelatedSet, CsvLayout, DataError, Normalizer,
-                                SyntheticConfig, TimeSeries, Windows, generate_synthetic,
-                                ingest_csv, make_uncorrelated, pearson, segment,
-                                split, stack_samples, train_val_split, write_csv)
+from crnn_forecast.data import (CorrelatedSet, DataError, Normalizer, SyntheticConfig,
+                                TimeSeries, Windows, generate_synthetic, ingest_csv,
+                                make_uncorrelated, pearson, segment, split, stack_samples,
+                                train_val_split, write_csv)
 
 
 def make_set(n_series=2, length=100, seed=0):
@@ -297,19 +297,19 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("t,a\n0,1\n1,2\n3,3\n")
         with pytest.raises(DataError, match="uniform"):
-            ingest_csv(path, CsvLayout(timestamp="t"))
+            ingest_csv(path, timestamp="t")
 
     def test_uniform_timestamps_are_checked_and_not_read_as_a_series(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t,a,b\n10,1,2\n12,3,4\n14,5,6\n")
-        cset = ingest_csv(path, CsvLayout(timestamp="t"))
+        cset = ingest_csv(path, timestamp="t")
         assert [s.id for s in cset.series] == ["a", "b"]  # timestamp column excluded
         assert cset.target.values.tolist() == [1.0, 3.0, 5.0]
 
     def test_column_selection_by_name(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,c\n1,2,3\n4,5,6\n")
-        cset = ingest_csv(path, CsvLayout(columns=["c", "a"]))
+        cset = ingest_csv(path, columns=["c", "a"])
         assert cset.target.id == "c"
         assert cset.target.values.tolist() == [3.0, 6.0]
 
@@ -320,14 +320,14 @@ class TestCsv:
         twice = columns[-1]
         index = "abc".index(twice)
         with pytest.raises(DataError) as info:
-            ingest_csv(path, CsvLayout(columns=columns))
+            ingest_csv(path, columns=columns)
         assert str(info.value) == f"{path}: column {index} ({twice}) is selected twice"
 
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="nope"):
-            ingest_csv(path, CsvLayout(columns=["nope"]))
+            ingest_csv(path, columns=["nope"])
 
     @pytest.mark.parametrize("layout, names", [
         (dict(columns=["a", "b"], target="1"), ["a", "b"]),
@@ -344,7 +344,7 @@ class TestCsv:
         # target already listed is moved, not read twice
         path = tmp_path / "d.csv"
         path.write_text("t,a,b,c\n0,10,20,30\n1,11,21,31\n")
-        cset = ingest_csv(path, CsvLayout(**layout))
+        cset = ingest_csv(path, **layout)
         assert [s.id for s in cset.series] == names
         header = ["t", "a", "b", "c"]
         for s in cset.series:
@@ -359,7 +359,7 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("t,a,b,c\n0,10,20,30\n1,11,21,31\n")
         with pytest.raises(DataError, match=message):
-            ingest_csv(path, CsvLayout(**layout))
+            ingest_csv(path, **layout)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -391,7 +391,7 @@ class TestCsv:
     def test_series_rows_are_c_contiguous(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t,a,b\n0,1,2\n1,3,4\n2,5,6\n")
-        cset = ingest_csv(path, CsvLayout(columns=["b", "a"], timestamp="t"))
+        cset = ingest_csv(path, columns=["b", "a"], timestamp="t")
         assert [s.values.tolist() for s in cset.series] == [[2.0, 4.0, 6.0], [1.0, 3.0, 5.0]]
         assert all(s.values.flags.c_contiguous for s in cset.series)
 
@@ -530,12 +530,12 @@ class TestCsvProperties:
         bad = next((line for line, t in enumerate(stamps, 2) if not _parses(t)), None)
         if bad is None:
             try:
-                ingest_csv(path, CsvLayout(timestamp="t"))
+                ingest_csv(path, timestamp="t")
             except DataError as exc:
                 assert "uniformly spaced" in str(exc)
         else:
             with pytest.raises(DataError) as info:
-                ingest_csv(path, CsvLayout(timestamp="t"))
+                ingest_csv(path, timestamp="t")
             assert str(info.value) == f"{path}: row {bad} has a non-numeric timestamp"
 
 

@@ -211,6 +211,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="eval_stride"):
             tiny_spec(eval_stride=stride)
 
+    @pytest.mark.parametrize("smoothing", [0.0, -0.5, 1.5, math.nan])
+    def test_ewma_smoothing_outside_unit_interval_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            tiny_spec(ewma_smoothing=smoothing)
+
+    def test_repeated_seed_rejected(self, tmp_path):
+        spec = tiny_spec()
+        prepared = synthetic_runs(spec)[0][1]
+        out = tmp_path / "e"
+        with pytest.raises(ValueError, match="seed 0 is given twice"):
+            run_experiment("yesterday", spec, [(0, prepared), (0, prepared)], out_dir=out)
+        assert not out.exists()
+
 
 class TestRobustness:
     def test_table_shape_and_cells(self):
@@ -223,6 +236,7 @@ class TestRobustness:
         }
         table = report.table()
         assert len(table.splitlines()) == 4  # header + 3 rows
+        assert table.splitlines()[0] == "input\tcrnn_mape\taecrnn_mape"
         for value in report.mape.values():
             assert np.isfinite(value)
 
@@ -258,6 +272,13 @@ class TestRobustness:
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5)).take(1)
         with pytest.raises(DataError, match="correlated series"):
             robustness_experiment(cset, tiny_spec(), (0,))
+
+    def test_repeated_seed_rejected_before_any_set_is_prepared(self, monkeypatch):
+        prepared_sets = self.record_prepared_sets(monkeypatch)
+        cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
+        with pytest.raises(ValueError, match="seed 1 is given twice"):
+            robustness_experiment(cset, tiny_spec(), (1, 0, 1))
+        assert prepared_sets == []
 
     def test_no_seeds_rejected(self):
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))
