@@ -307,11 +307,11 @@ def _collect(grads: dict, prefix: str, layer_grads: Mapping[str, np.ndarray]) ->
 # threads when the first stage's output for series 0..n//2-1, batch *
 # (n // 2) * filters * l values, reaches this many. Timed on a 2-vCPU Xeon VM
 # over five model shapes (1-2 stages, 2-8 filters, 2-16 series), a split's
-# hand-off cost about as much as the overlap saved near this size: from x0.91
-# to x1.46 in forecast and from x0.94 to x1.29 in backward; the benchmark's
-# wide model at 32 windows is the x1.46 and x1.29. At a quarter of it, the
-# split lost on every shape but in the wide model's backward pass, down to
-# x0.71.
+# hand-off cost about as much as the overlap saved near this size: from x0.94
+# to x1.18 in forecast and from x0.97 to x1.38 in backward; the benchmark's
+# wide model at 32 windows is the x1.18 and x1.38. At half of it, the split
+# won nowhere by more than x1.00; at a quarter, it lost on every shape, down
+# to x0.51. At twice it, the pair model still lost (x0.98, x0.97).
 SPLIT_MIN_VALUES = 65536
 
 

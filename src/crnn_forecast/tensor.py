@@ -31,12 +31,15 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
 
     Both branches use e = exp(-|x|), which never overflows: 1 / (1 + e) for
     x >= 0 and e / (1 + e) below zero. The branch picks the numerator of one
-    shared division, which rounds as each branch's own division would.
+    shared division, which rounds as each branch's own division would. As
+    0 <= e <= 1, that numerator is max(e, x >= 0): 1.0 or e, and a NaN in x
+    stays a NaN in e and so in the result.
     """
-    e = np.abs(x)
-    np.negative(e, out=e)
+    e = np.copysign(x, -1.0)
     np.exp(e, out=e)
-    return np.where(x >= 0, 1.0, e) / (e + 1.0)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 class Tensor:

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
+from crnn_forecast import layers
 from crnn_forecast.layers import (ChannelMerge, Conv1D, Deconv1D, Dense,
                                   LSTMCell, MaxPool1D, RNNCell)
 from crnn_forecast.tensor import ShapeError, sigmoid_values
@@ -213,8 +216,8 @@ def reference_pool_forward(x):
 
 # Signed zeros, values that underflow to a signed zero when multiplied, and a
 # few repeated values, so that zero products and pooling ties are common.
-SPECIAL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, -1e-200,
-                                  5e-324, -5e-324])
+SPECIALS = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, -1e-200, 5e-324, -5e-324]
+SPECIAL_VALUES = st.sampled_from(SPECIALS)
 VALUES = st.one_of(SPECIAL_VALUES, st.floats(-1e6, 1e6))
 BATCH_SHAPES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
 
@@ -236,6 +239,33 @@ class TestFirstStageMatchesReferenceForms:
         y, xp = conv.forward(x)
         want, want_xp = reference_conv_forward(conv, x)
         assert y.shape == want.shape
+        assert y.tobytes() == want.tobytes()
+        assert xp.tobytes() == want_xp.tobytes()
+
+    # batches of many windows, where each series' windows form one long row;
+    # each is computed at the module's row cutoff and series-major at any size
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3, 5, 10]),
+           batch=st.sampled_from([(), (0,), (1,), (2, 3), (33,), (64,), (96,), (4, 40)]),
+           n=st.integers(1, 16), f=st.integers(1, 8),
+           length=st.sampled_from([1, 2, 3, 7, 16, 31, 32, 33]),
+           min_row=st.sampled_from([layers.SERIES_ROW_MIN_VALUES, 0]))
+    @settings(max_examples=120, deadline=None)
+    def test_long_batches_give_the_matmul_forms_bits(self, seed, k, batch, n, f, length,
+                                                     min_row):
+        rng = np.random.default_rng(seed)
+
+        def values(shape):
+            return np.where(rng.random(shape) < 0.5, rng.choice(SPECIALS, shape),
+                            rng.normal(0.0, 1e3, shape))
+
+        conv = Conv1D(n, 1, f, k)
+        conv.w[...] = values(conv.w.shape)
+        conv.b[...] = values(conv.b.shape)
+        x = values(batch + (n, 1, length))
+        with mock.patch.object(layers, "SERIES_ROW_MIN_VALUES", min_row):
+            y, xp = conv.forward(x)
+        want, want_xp = reference_conv_forward(conv, x)
+        assert y.shape == want.shape and xp.shape == want_xp.shape
         assert y.tobytes() == want.tobytes()
         assert xp.tobytes() == want_xp.tobytes()
 

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
+from test_layers import reference_conv_forward
 from crnn_forecast import layers, models
 from crnn_forecast.data import DataError, Normalizer
 from crnn_forecast.models import (AECRNN, CRNN, ConfigError, MODELS, LossBreakdown,
@@ -531,6 +532,38 @@ class TestSeriesSplitMatchesOneGroup:
                       high.merge]:
             assert (layer.w == 0.5).all() and (layer.b == 0.5).all()
         assert [c.num_series for c in low.convs + high.convs] == [2, 3]
+
+
+class TestFirstStageLayoutStaysInsideTheConv:
+    """A large batch's first conv stage computes series by series. The pool,
+    its mask, the head, the backward pass and the split's join see the bits of
+    the one-matmul-per-tap conv all the same."""
+
+    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("activation", ["linear", "tanh"])
+    @pytest.mark.parametrize("batch, splits", [(5, False), (100, False), (160, True)])
+    @pytest.mark.parametrize("min_row", [layers.SERIES_ROW_MIN_VALUES, 0])
+    def test_model_gives_the_bits_of_the_reference_conv(self, monkeypatch, stages, activation,
+                                                        batch, splits, min_row):
+        # (n // 2) * filters * l = 512 values per window: 128 windows or more
+        # split; at the module's row cutoff 5 windows take the broadcast first
+        # stage, and at 0 every batch is series-major
+        monkeypatch.setattr(layers, "SERIES_ROW_MIN_VALUES", min_row)
+        cfg = ModelConfig(num_series=8, input_length=32, horizon=4, conv_pool_stages=stages,
+                          filters_per_layer=4, filter_size=3, rnn_hidden=3,
+                          conv_activation=activation, seed=stages)
+        rng = np.random.default_rng(stages)
+        x = rng.choice(np.array([0.0, -0.0, 0.5, -1.0, 0.25]), size=(batch, 8, 32))
+        x += rng.uniform(-1.0, 1.0, x.shape) * (rng.random(x.shape) < 0.5)
+        y = rng.uniform(0.0, 1.0, (batch, 4))
+        calls = _split_calls(monkeypatch)
+        got = _passes(AECRNN(cfg), x, y, steps=1)
+        assert bool(calls) == splits
+        monkeypatch.setattr(layers.Conv1D, "forward", reference_conv_forward)
+        want = _passes(AECRNN(cfg), x, y, steps=1)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert _same_bits(got[key], want[key]), key
 
 
 class TestCheckpoint:
