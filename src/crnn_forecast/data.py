@@ -214,7 +214,9 @@ class Normalizer:
     def from_tensors(cls, tensors) -> "Normalizer":
         """The normalizer ``tensors`` stores. DataError when it stores none,
         or naming the tensor when ``norm.min`` or ``norm.max`` is not a
-        vector, not finite, or of another length than the other."""
+        vector, not finite, or of another length than the other, or when
+        ``norm.max`` lies below ``norm.min`` or so far above it that the span
+        overflows."""
         try:
             mins, maxs = tensors["norm.min"], tensors["norm.max"]
         except KeyError as exc:
@@ -228,6 +230,14 @@ class Normalizer:
         if len(mins) != len(maxs):
             raise DataError(f"checkpoint tensor norm.min holds {len(mins)} values, "
                             f"norm.max {len(maxs)}")
+        with np.errstate(over="ignore"):
+            span = np.subtract(maxs, mins, dtype=np.float64)
+        if (span < 0.0).any():
+            raise DataError(f"checkpoint tensor norm.max lies below norm.min at series "
+                            f"{int(np.argmax(span < 0.0))}")
+        if np.isinf(span).any():
+            raise DataError(f"checkpoint tensor norm.max lies too far above norm.min at "
+                            f"series {int(np.argmax(np.isinf(span)))}: the span overflows")
         return cls(mins, maxs)
 
 

@@ -18,13 +18,16 @@ each encoder and decoder stage is a single layer call over all series.
 No series reads another's features before the recurrent cell, so a large
 batch (``SPLIT_MIN_VALUES``) is split across two threads: a worker thread,
 started on first use, runs the encoder and decoder of series 0..n//2-1,
-forward and backward, while the calling thread runs them for the rest;
-codes, reconstructions and gradients are joined along the series axis. The
-layers compute series s from its own weights alone, through numpy loops that
-release the GIL, so the two halves overlap and the results are the bits of
-one call over the group (``CRNN._splits`` names the one model shape where
-they would not be, which never splits). The cell, the readout, the loss and
-the optimizer stay on the calling thread.
+forward and backward, while the calling thread runs them for the rest. Each
+thread runs its share as contiguous ranges of a few series, one after
+another, each range's first stage holding at most ``SPLIT_MIN_VALUES``
+values, so that its arrays stay near the cache; codes, reconstructions and
+gradients are joined along the series axis in range order. The layers
+compute series s from its own weights alone, through numpy loops that
+release the GIL, so the two threads overlap and the results are the bits of
+one call over the group (``CRNN._splits`` and ``CRNN._split_ranges`` keep
+out the one range shape where they would not be). The cell, the readout,
+the loss and the optimizer stay on the calling thread.
 
 ``MODELS`` maps each model kind (crnn, aecrnn, rnn, lstm) to its builder. It
 and ``model_from_checkpoint``, which builds without drawing initial values it
@@ -49,7 +52,6 @@ as decimal tokens, still load.
 from __future__ import annotations
 
 import binascii
-import functools
 import math
 import os
 from collections import OrderedDict
@@ -312,6 +314,13 @@ def _collect(grads: dict, prefix: str, layer_grads: Mapping[str, np.ndarray]) ->
 # wide model at 32 windows is the x1.18 and x1.38. At half of it, the split
 # won nowhere by more than x1.00; at a quarter, it lost on every shape, down
 # to x0.51. At twice it, the pair model still lost (x0.98, x0.97).
+# Each thread then runs its series in ranges of at most this many such values
+# (one series of a 256-window wide chunk, 0.5 MiB per first-stage array where
+# a half's are 4 MiB). In the benchmark's own loop on that VM, such a chunk's
+# batch_forecast took a median 11.4-13.7 ms where the halves took 12.4-16.9
+# ms while the two vCPUs gave two threads no parallel throughput, and 8.3-8.5
+# against 8.0-8.1 ms while they did. Ranges of 2 or 4 series gained less in
+# the first state, and no range size gained in the second.
 SPLIT_MIN_VALUES = 65536
 
 
@@ -543,6 +552,18 @@ class _SeriesLayers:
         return grads
 
 
+def _forward_ranges(ranges, x: np.ndarray, decode: bool) -> list:
+    """``_SeriesLayers.forward`` of each (layers, lo, hi) on x[:, lo:hi], in turn."""
+    return [layers.forward(x[:, lo:hi], decode) for layers, lo, hi in ranges]
+
+
+def _backward_ranges(ranges, caches, d_code: np.ndarray, d_recon: np.ndarray | None) -> list:
+    """``_SeriesLayers.backward`` of each (layers, lo, hi) with its cache, in turn."""
+    return [layers.backward(cache, d_code[:, lo:hi],
+                            None if d_recon is None else d_recon[:, lo:hi])
+            for (layers, lo, hi), cache in zip(ranges, caches)]
+
+
 class CRNN(ParamModel):
     """Convolutional-recurrent forecaster for a correlated series set."""
 
@@ -572,54 +593,72 @@ class CRNN(ParamModel):
         self._register("readout", self._readout)
         self._series = _SeriesLayers(convs, config.conv_activation == "tanh",
                                      *self._decoder(rng, config))
+        # the per-series layers of each range (lo, hi) a split batch has run
+        self._range_layers: dict[tuple[int, int], _SeriesLayers] = {}
 
     def _decoder(self, rng, config: ModelConfig):
         """(deconvolution stages, channel merge) of the decoder: none here."""
         return (), None
 
-    @functools.cached_property
-    def _halves(self) -> tuple[_SeriesLayers, _SeriesLayers]:
-        """The per-series layers of series 0..n//2-1 and of the rest, built
-        for the model's first batch that splits."""
-        n = self.num_series
-        return self._series.series_range(0, n // 2), self._series.series_range(n // 2, n)
-
     def _splits(self, batch: int) -> bool:
         # numpy sums a gradient of one value per window over the batch
         # pairwise, and one of several values row by row. A range's weight
-        # gradients hold at least (n // 2) * filters values per window, the
-        # group's n * filters, so both sum alike unless that is one.
+        # gradients hold (its series) * filters values per window or more,
+        # the group's n * filters, so both sum alike unless that is one.
         width = self.num_series // 2 * self.config.filters_per_layer
         return width > 1 and batch * width * self.input_length >= SPLIT_MIN_VALUES
 
+    def _split_ranges(self, batch: int) -> tuple[list, list]:
+        """(layers, lo, hi) for each range of series lo..hi-1 that a batch
+        that ``_splits`` runs in: those of series 0..n//2-1, which the worker
+        thread runs, then those of the rest, which this one runs. A range
+        holds at most ``SPLIT_MIN_VALUES`` first-stage values, batch * series
+        * filters * l, and one series at least; at one filter it holds two
+        at least, and a one-series tail joins the range before it (see
+        ``_splits``)."""
+        n, filters = self.num_series, self.config.filters_per_layer
+        step = max(SPLIT_MIN_VALUES // (batch * filters * self.input_length),
+                   1 if filters > 1 else 2)
+        views = self._range_layers
+
+        def cut(lo: int, hi: int) -> list:
+            starts = list(range(lo, hi, step))
+            if (hi - starts[-1]) * filters == 1:
+                del starts[-1]
+            ranges = list(zip(starts, starts[1:] + [hi]))
+            for r in ranges:
+                if r not in views:
+                    views[r] = self._series.series_range(*r)
+            return [(views[r], *r) for r in ranges]
+
+        return cut(0, n // 2), cut(n // 2, n)
+
     def _series_forward(self, x: np.ndarray, decode: bool):
         """The per-series layers on windows x. A batch that ``_splits`` runs
-        series 0..n//2-1 on the worker thread and the rest on this one; the
-        codes and reconstructions are joined along the series axis. The
-        cache holds one ``_SeriesLayers`` cache per range that ran."""
+        its ``_split_ranges`` of series 0..n//2-1 on the worker thread and
+        the rest on this one; the codes and reconstructions are joined along
+        the series axis. The cache holds one ``_SeriesLayers`` cache per
+        range that ran, in range order."""
         if not self._splits(len(x)):
             code, recon, cache = self._series.forward(x, decode)
             return code, recon, (cache,)
-        half = self.num_series // 2
-        low, high = self._halves
-        lo, hi = _on_both_cores(_SeriesLayers.forward, (low, x[:, :half], decode),
-                                (high, x[:, half:], decode))
-        code = np.concatenate((lo[0], hi[0]), axis=1)
-        recon = None if lo[1] is None else np.concatenate((lo[1], hi[1]), axis=1)
-        return code, recon, (lo[2], hi[2])
+        low, high = self._split_ranges(len(x))
+        lo, hi = _on_both_cores(_forward_ranges, (low, x, decode), (high, x, decode))
+        outs = lo + hi
+        code = np.concatenate([out[0] for out in outs], axis=1)
+        recon = None if outs[0][1] is None else np.concatenate([out[1] for out in outs], axis=1)
+        return code, recon, tuple(out[2] for out in outs)
 
     def _series_backward(self, caches, d_code, d_recon, grads) -> None:
         if len(caches) == 1:
             grads.update(self._series.backward(caches[0], d_code, d_recon))
             return
-        half = self.num_series // 2
-        low, high = self._halves
-        lo, hi = _on_both_cores(
-            _SeriesLayers.backward,
-            (low, caches[0], d_code[:, :half], None if d_recon is None else d_recon[:, :half]),
-            (high, caches[1], d_code[:, half:], None if d_recon is None else d_recon[:, half:]))
-        for name, g in lo.items():
-            grads[name] = np.concatenate((g, hi[name]))
+        low, high = self._split_ranges(len(d_code))
+        lo, hi = _on_both_cores(_backward_ranges, (low, caches[:len(low)], d_code, d_recon),
+                                (high, caches[len(low):], d_code, d_recon))
+        outs = lo + hi
+        for name in outs[0]:
+            grads[name] = np.concatenate([out[name] for out in outs])
 
     def _steps(self, cube):
         cfg = self.config

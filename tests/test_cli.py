@@ -393,7 +393,9 @@ class TestForecast:
         ([[0.0], [1.0]], [9.0, 9.0], "norm.min has shape (2, 1)"),
         ([0.0, 1.0], [9.0, float("nan")], "norm.max holds non-finite values"),
         ([0.0, -float("inf")], [9.0, 9.0], "norm.min holds non-finite values"),
-    ], ids=["series-count", "lengths", "shape", "nan", "inf"])
+        ([5.0, 0.0], [1.0, 2.0], "norm.max lies below norm.min at series 0"),
+        ([0.0, -1e308], [9.0, 1e308], "above norm.min at series 1: the span overflows"),
+    ], ids=["series-count", "lengths", "shape", "nan", "inf", "max-below-min", "span-overflow"])
     def test_bad_normalizer_statistics_are_data_error(self, dataset, tmp_path, capsys,
                                                       mins, maxs, message):
         train_out = tmp_path / "t"

@@ -230,6 +230,12 @@ class TestNormalizer:
         assert np.array_equal(again.mins, norm.mins)
         assert np.array_equal(again.maxs, norm.maxs)
 
+    def test_constant_series_statistics_load(self):
+        norm = Normalizer.from_tensors({"norm.min": np.array([7.0, 0.0]),
+                                        "norm.max": np.array([7.0, 2.0])})
+        assert norm.spans.tolist() == [1.0, 2.0]
+        assert norm.inverse_target(np.array([0.5])).tolist() == [7.5]
+
 
 class TestLeakage:
     @pytest.mark.parametrize("seed", range(10))

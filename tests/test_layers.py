@@ -214,6 +214,15 @@ def reference_pool_forward(x):
     return np.where(take_right, right, left), take_right
 
 
+def reference_pool_backward(cache, grad_out):
+    """MaxPool1D's input gradient by two ``np.where``s."""
+    take_right, in_shape = cache
+    gx = np.empty(in_shape)
+    gx[..., 0::2] = np.where(take_right, 0.0, grad_out)
+    gx[..., 1::2] = np.where(take_right, grad_out, 0.0)
+    return gx
+
+
 # Signed zeros, values that underflow to a signed zero when multiplied, and a
 # few repeated values, so that zero products and pooling ties are common.
 SPECIALS = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, -1e-200, 5e-324, -5e-324]
@@ -290,6 +299,30 @@ class TestFirstStageMatchesReferenceForms:
         x = np.asarray(x, order=order)
         y, _ = MaxPool1D().forward(x)
         assert y.tobytes() == reference_pool_forward(x)[0].tobytes()
+
+    # gradients of random bits (NaN payloads, subnormals) and special values,
+    # in either memory order and strided along time; float32 ones are widened
+    @given(seed=st.integers(0, 2 ** 32 - 1), lead=st.lists(st.integers(1, 4), max_size=3),
+           half=st.integers(1, 40), order=st.sampled_from("CF"), stride=st.sampled_from([1, 3]),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=150, deadline=None)
+    def test_pool_backward_gives_the_where_forms_bits(self, seed, lead, half, order, stride,
+                                                     dtype):
+        rng = np.random.default_rng(seed)
+        specials = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan])
+        x = np.asarray(rng.choice(specials, (*lead, 2 * half)), order=order)
+        size = (*lead, half * stride)
+        bits = rng.integers(0, 2 ** 63, size, dtype=np.int64) * rng.choice([-1, 1], size)
+        g = bits.view(np.float64) if dtype is np.float64 else (
+            bits.astype(np.int32).view(np.float32))
+        g = np.where(rng.random(size) < 0.3, rng.choice(specials.astype(dtype), size), g)
+        g = np.asarray(g, order=order)[..., ::stride]
+        cache = MaxPool1D().forward(x)[1]
+        with np.errstate(invalid="ignore"):  # widening a signalling float32 NaN sets it
+            gx = MaxPool1D().backward(cache, g)
+            want = reference_pool_backward(cache, g)
+        assert gx.dtype == want.dtype and gx.shape == want.shape == x.shape
+        assert gx.tobytes() == want.tobytes()
 
     @given(data=st.data(), c_in=st.integers(1, 3), k=st.sampled_from([1, 2, 3, 5, 10]),
            batch=BATCH_SHAPES)

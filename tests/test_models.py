@@ -3,10 +3,11 @@ import shutil
 import string
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
@@ -441,7 +442,7 @@ class TestSeriesSplitMatchesOneGroup:
     NEVER = 10 ** 18
 
     @pytest.mark.parametrize("kind", [CRNN, AECRNN])
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 16])
     @pytest.mark.parametrize("stages", [1, 2, 3])
     @pytest.mark.parametrize("activation", ["linear", "tanh"])
     @pytest.mark.parametrize("cell", ["rnn", "lstm"])
@@ -466,10 +467,11 @@ class TestSeriesSplitMatchesOneGroup:
         for key in whole:
             assert _same_bits(whole[key], split[key]), key
 
-    @pytest.mark.parametrize("n, splits", [(2, False), (3, False), (4, True)])
+    @pytest.mark.parametrize("n, splits", [(2, False), (3, False), (4, True), (5, True)])
     def test_one_filter_splits_only_with_two_series_per_range(self, monkeypatch, n, splits):
         # numpy sums a range's (1, 1) weight gradients over the batch pairwise,
-        # where the group sums them row by row: a split would change bits
+        # where the group sums them row by row: a split would change bits. At
+        # n = 5 this thread's three series make one range, not two and one.
         cfg = ModelConfig(num_series=n, input_length=8, horizon=2, filters_per_layer=1,
                           rnn_hidden=3, allow_off_grid=True)
         rng = np.random.default_rng(n)
@@ -524,14 +526,89 @@ class TestSeriesSplitMatchesOneGroup:
         assert errors[0] == errors[1]
         assert "overflow" in errors[0]
 
-    def test_range_views_share_the_weights(self):
+    # with one series per range, n = 6 runs three ranges on each thread: series
+    # 0-2 on the worker, 3-5 on this one. An inf weight times the zero padding
+    # sets invalid, a 1e308 weight times the data overflow; the one group
+    # would raise overflow first whatever the order of the series.
+    @pytest.mark.parametrize("weights, error", [
+        ({1: math.inf, 2: 1e308}, "invalid"), ({1: 1e308, 2: math.inf}, "overflow"),
+        ({1: math.inf, 5: 1e308}, "invalid"), ({2: 1e308, 3: math.inf}, "overflow"),
+        ({4: math.inf, 5: 1e308}, "invalid"), ({4: 1e308, 5: math.inf}, "overflow"),
+    ])
+    def test_the_lowest_ranges_error_is_raised_first(self, monkeypatch, weights, error):
+        model = CRNN(ModelConfig(num_series=6, input_length=8, horizon=2, filters_per_layer=2,
+                                 rnn_hidden=3))
+        for series, w in weights.items():
+            model.params["conv0.w"][series] = w
+        x = np.random.default_rng(3).uniform(2.0, 3.0, (4, 6, 8))
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES", 0)
+        assert [len(part) for part in model._split_ranges(len(x))] == [3, 3]
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match=error):
+                model.batch_forecast(x)
+
+    def test_range_views_share_the_weights(self, monkeypatch):
         model = AECRNN(small_config(num_series=5))
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES", 0)
+        low, high = model._split_ranges(1)
+        assert [[p.convs[0].num_series for p, _, _ in part] for part in (low, high)] == [
+            [1, 1], [1, 1, 1]]
         model.set_params({name: np.full(p.shape, 0.5) for name, p in model.params.items()})
-        low, high = model._halves
-        for layer in [*low.convs, *low.deconvs, low.merge, *high.convs, *high.deconvs,
-                      high.merge]:
-            assert (layer.w == 0.5).all() and (layer.b == 0.5).all()
-        assert [c.num_series for c in low.convs + high.convs] == [2, 3]
+        for part, _, _ in low + high:
+            for layer in [*part.convs, *part.deconvs, part.merge]:
+                assert (layer.w == 0.5).all() and (layer.b == 0.5).all()
+        # built once per range: another batch cut the same way reuses them
+        assert all(a is b for (a, _, _), (b, _, _) in zip(low, model._split_ranges(2)[0]))
+
+
+def _bounds(model, batch) -> list[list[tuple[int, int]]]:
+    """The (lo, hi) of each range of the batch's split, per thread."""
+    return [[(lo, hi) for _, lo, hi in part] for part in model._split_ranges(batch)]
+
+
+class TestSplitRanges:
+    def test_wide_inference_chunks_run_one_series_at_a_time(self):
+        # a 256-window chunk of the 16-series, 8-filter model holds 256 * 8 *
+        # 32 = 65536 first-stage values per series; a 32-window batch 8192
+        wide = AECRNN(ModelConfig(**TestGroupedParameters.WIDE))
+        assert wide._splits(256) and wide._splits(32)
+        assert _bounds(wide, 256) == [[(s, s + 1) for s in range(8)],
+                                      [(s, s + 1) for s in range(8, 16)]]
+        assert _bounds(wide, 32) == [[(0, 8)], [(8, 16)]]
+        assert _bounds(wide, 100) == [[(0, 2), (2, 4), (4, 6), (6, 8)],
+                                      [(8, 10), (10, 12), (12, 14), (14, 16)]]
+
+    @pytest.mark.parametrize("n, min_values, want", [
+        (5, 0, [[(0, 2)], [(2, 5)]]),
+        (5, 10 ** 18, [[(0, 2)], [(2, 5)]]),
+        (7, 0, [[(0, 3)], [(3, 5), (5, 7)]]),
+    ])
+    def test_one_filter_never_runs_a_one_series_range(self, monkeypatch, n, min_values, want):
+        model = CRNN(ModelConfig(num_series=n, input_length=8, horizon=2, filters_per_layer=1,
+                                 rnn_hidden=3, allow_off_grid=True))
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES", min_values)
+        assert _bounds(model, 40) == want
+
+    @given(n=st.integers(2, 24), filters=st.integers(1, 4), batch=st.integers(1, 300),
+           length=st.sampled_from([2, 8, 32]), min_values=st.sampled_from([0, 900, 65536]))
+    @settings(max_examples=150, deadline=None)
+    def test_ranges_tile_the_series_in_order(self, n, filters, batch, length, min_values):
+        assume(n // 2 * filters > 1)  # otherwise no batch splits
+        model = CRNN._undrawn(ModelConfig(num_series=n, input_length=length, horizon=2,
+                                          filters_per_layer=filters, rnn_hidden=3,
+                                          allow_off_grid=True))
+        per_series = batch * filters * length
+        with mock.patch.object(models, "SPLIT_MIN_VALUES", min_values):
+            low, high = _bounds(model, batch)
+        for part, start, end in ((low, 0, n // 2), (high, n // 2, n)):
+            assert [lo for lo, _ in part] == [start] + [hi for _, hi in part[:-1]]
+            assert part[-1][1] == end
+            for lo, hi in part:
+                assert (hi - lo) * filters > 1
+                # at most min_values first-stage values or the fewest series,
+                # not counting a one-series tail that a one-filter range took
+                width = hi - lo - (filters == 1 and hi == end)
+                assert width * per_series <= min_values or width <= (1 if filters > 1 else 2)
 
 
 class TestFirstStageLayoutStaysInsideTheConv:
