@@ -386,17 +386,19 @@ def _raise_row_error(path, data_rows: list[list[str]], lines: list[int], width: 
         if len(row) != width:
             raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
         for idx in indices:
-            cell = row[idx].strip()
-            if not cell:
+            # float() skips only the spaces it knows; str.strip() also drops
+            # control separators such as \x1f, so the test reads the raw cell
+            cell = row[idx]
+            if not cell.strip():
                 raise DataError(f"{path}: row {line} has a blank cell in column {idx}")
             try:
                 float(cell)
             except ValueError:
-                raise DataError(
-                    f"{path}: row {line} column {idx} is not numeric: {cell!r}") from None
+                raise DataError(f"{path}: row {line} column {idx} is not numeric: "
+                                f"{cell.strip()!r}") from None
         if ts_index is not None:
             try:
-                float(row[ts_index].strip())
+                float(row[ts_index])
             except ValueError:
                 raise DataError(
                     f"{path}: row {line} has a non-numeric timestamp") from None
