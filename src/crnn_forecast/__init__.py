@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .tensor import NumericError, ShapeError, Tensor  # noqa: F401
 from .models import (  # noqa: F401
     AECRNN,
+    BaselineConfig,
     CRNN,
     ConfigError,
     Forecast,

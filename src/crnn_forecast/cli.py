@@ -28,8 +28,8 @@ from .data import (SYNTHETIC_KINDS, TRAIN_FRAC, VAL_FRACTION, CorrelatedSet, Dat
 from .evaluation import (METHODS, REPORT_FILE, ExperimentSpec, MetricReport, fit,
                          robustness_experiment, run_experiment)
 from .models import (BASELINE_FEATURES, CELL_KINDS, CONV_ACTIVATIONS, GRID_AXES, MODELS,
-                     RNN_LAYOUTS, ModelConfig, load_checkpoint, model_from_checkpoint,
-                     save_checkpoint)
+                     RNN_LAYOUTS, BaselineConfig, ModelConfig, load_checkpoint,
+                     model_from_checkpoint, save_checkpoint)
 from .tensor import NumericError, ShapeError, Tensor
 from .training import GRADCHECK_TOLERANCE, OPTIMIZERS, TrainConfig, gradcheck
 
@@ -245,8 +245,8 @@ def cmd_generate(args) -> int:
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stages", type=int, default=ModelConfig.conv_pool_stages,
                    help="convolution+pooling stages (grid: 1,2,3)")
-    # not ModelConfig.filters_per_layer (3): the CLI has always defaulted to 2
-    p.add_argument("--filters", type=int, default=2, help="filters per convolution layer")
+    p.add_argument("--filters", type=int, default=ModelConfig.filters_per_layer,
+                   help="filters per convolution layer")
     p.add_argument("--filter-size", type=int, default=ModelConfig.filter_size,
                    help="convolution filter size")
     p.add_argument("--hidden", type=int, default=ModelConfig.rnn_hidden,
@@ -257,7 +257,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="how pooled features feed the recurrent cell")
     p.add_argument("--conv-activation", choices=CONV_ACTIVATIONS,
                    default=ModelConfig.conv_activation)
-    p.add_argument("--features", choices=BASELINE_FEATURES, default=BASELINE_FEATURES[0],
+    p.add_argument("--features", choices=BASELINE_FEATURES, default=BaselineConfig.features,
                    help="inputs seen by the rnn/lstm baselines")
     p.add_argument("--allow-off-grid", action="store_true",
                    help="accept hyper-parameters outside the default search grid")
@@ -267,8 +267,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="learning rate")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    # not TrainConfig.max_epochs (200): the CLI has always defaulted to 100
-    p.add_argument("--epochs", type=int, default=100, help="maximum training epochs")
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs,
+                   help="maximum training epochs")
     p.add_argument("--patience", type=int, default=TrainConfig.patience,
                    help="epochs without validation improvement before stopping")
     p.add_argument("--val-frac", type=float, default=VAL_FRACTION,
@@ -304,15 +304,14 @@ def cmd_forecast(args) -> int:
     inputs = {"checkpoint": read_input(args.checkpoint)}
     fields, tensors = load_checkpoint(args.checkpoint, inputs["checkpoint"])
     model, extras = model_from_checkpoint(fields, tensors)
+    n, length = model.config.num_series, model.config.input_length
     norm = Normalizer.from_tensors(extras)
-    if norm.mins.size != model.num_series:
+    if norm.mins.size != n:
         raise DataError(f"checkpoint tensor norm.min holds {norm.mins.size} values, "
-                        f"for a model of {model.num_series} series")
+                        f"for a model of {n} series")
     cset = _load_dataset(args, inputs)
-    if cset.num_series != model.num_series:
-        raise DataError(
-            f"checkpoint expects {model.num_series} series, data has {cset.num_series}")
-    length = model.input_length
+    if cset.num_series != n:
+        raise DataError(f"checkpoint expects {n} series, data has {cset.num_series}")
     offset = args.offset if args.offset is not None else cset.length - length
     if offset < 0 or offset + length > cset.length:
         raise DataError(

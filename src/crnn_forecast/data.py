@@ -559,9 +559,13 @@ def make_uncorrelated(reference: TimeSeries, seed: int) -> TimeSeries:
 
     Regenerates with a fresh seed until |corr| with the reference drops
     below 0.1 (almost always the first attempt), at most SURROGATE_ATTEMPTS
-    times.
+    times. DataError when the reference is constant, whose correlation with
+    any series is undefined, or when every attempt fails.
     """
     v = reference.values
+    if v.min() == v.max():
+        raise DataError(f"series {reference.id!r} is constant; "
+                        f"it has no uncorrelated surrogate")
     n = len(v)
     mean = float(v.mean())
     std = float(v.std())
@@ -573,11 +577,7 @@ def make_uncorrelated(reference: TimeSeries, seed: int) -> TimeSeries:
         if n % 2 == 0:
             phases[-1] = 0.0
         surrogate = np.fft.irfft(spectrum * np.exp(1j * phases), n=n)
-        s_std = surrogate.std()
-        if s_std > 0 and std > 0:
-            surrogate = (surrogate - surrogate.mean()) / s_std * std + mean
-        else:
-            surrogate = rng.normal(mean, max(std, 1e-12), size=n)
+        surrogate = (surrogate - surrogate.mean()) / surrogate.std() * std + mean
         if abs(pearson(surrogate, v)) < 0.1:
             return TimeSeries(f"{reference.id}-uncorrelated", surrogate)
     raise DataError("could not generate an uncorrelated surrogate; series too short?")

@@ -29,9 +29,13 @@ one call over the group (``CRNN._splits`` and ``CRNN._split_ranges`` keep
 out the one range shape where they would not be). The cell, the readout,
 the loss and the optimizer stay on the calling thread.
 
-``MODELS`` maps each model kind (crnn, aecrnn, rnn, lstm) to its builder. It
-and ``model_from_checkpoint``, which builds without drawing initial values it
-would overwrite, read the one table of kinds, ``_KINDS``.
+Each model is built from a frozen config, checked when it is built:
+``ModelConfig`` for CRNN and AECRNN, ``BaselineConfig`` for the baselines.
+A config's fields, in order, are the model's checkpoint header after its
+kind. ``_KINDS`` holds each model kind (crnn, aecrnn, rnn, lstm) once, as
+its class and config class. ``MODELS``, which maps each kind to its builder,
+``model_from_checkpoint``, which builds without drawing initial values it
+would overwrite, and ``GRID_AXES`` all read it.
 
 ``ParamModel`` holds the one forecast, loss and gradient path. A window
 batch is encoded and, when the model has a decoder, reconstructed from its
@@ -52,6 +56,7 @@ as decimal tokens, still load.
 from __future__ import annotations
 
 import binascii
+import functools
 import math
 import os
 from collections import OrderedDict
@@ -68,6 +73,7 @@ from .tensor import NumericError, ShapeError, Tensor
 __all__ = [
     "AECRNN",
     "BASELINE_FEATURES",
+    "BaselineConfig",
     "CELL_KINDS",
     "CONV_ACTIVATIONS",
     "CRNN",
@@ -92,6 +98,7 @@ CELL_KINDS = ("rnn", "lstm")
 RNN_LAYOUTS = ("sequence", "single-step")
 CONV_ACTIVATIONS = ("linear", "tanh")
 BASELINE_FEATURES = ("all", "target")
+_CELLS = dict(zip(CELL_KINDS, (RNNCell, LSTMCell)))  # cell kind -> its class
 
 # Hyper-parameter ranges searched by the grid runner.
 _CONV_GRID = {"conv_pool_stages": (1, 2, 3), "filters_per_layer": (2, 3, 4, 5, 8, 10, 16),
@@ -114,9 +121,44 @@ def _int_field(fields: Mapping[str, object], name: str, default=MISSING) -> int:
         raise DataError(f"model header field {name}={fields[name]!r} is not an integer") from None
 
 
+class _Config:
+    """The header form and the checks every model config shares. A config
+    is frozen; its fields, in order, are the model's checkpoint header."""
+
+    def _check_geometry_and_seed(self) -> None:
+        if self.num_series < 1:
+            raise ConfigError("num_series must be at least 1")
+        if self.input_length < 1 or self.horizon < 1:
+            raise ConfigError("input_length and horizon must be positive")
+        if self.seed < 0:  # before the generator, which would refuse it unnamed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def to_fields(self) -> "OrderedDict[str, str]":
+        out: OrderedDict[str, str] = OrderedDict()
+        for f in dataclass_fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = str(int(v)) if isinstance(v, bool) else str(v)
+        return out
+
+    @classmethod
+    def from_fields(cls, fields: Mapping[str, object]):
+        """Build from named values, as strings or as values; names the
+        config lacks are ignored. DataError names a required field that is
+        absent or an integer field that does not hold an integer."""
+        kwargs = {}
+        for f in dataclass_fields(cls):
+            if f.type == "int":
+                kwargs[f.name] = _int_field(fields, f.name, f.default)
+            elif f.type == "bool":
+                kwargs[f.name] = bool(_int_field(fields, f.name, f.default))
+            elif f.name in fields:
+                kwargs[f.name] = fields[f.name]
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class ModelConfig:
-    """Shape and hyper-parameter set for one network instance.
+class ModelConfig(_Config):
+    """Shape and hyper-parameter set for one conv-recurrent network.
 
     ``input_length`` must be divisible by 2**conv_pool_stages because each
     pooling stage halves the time axis. Hyper-parameters outside the default
@@ -127,7 +169,7 @@ class ModelConfig:
     input_length: int
     horizon: int
     conv_pool_stages: int = 1
-    filters_per_layer: int = 3
+    filters_per_layer: int = 2
     filter_size: int = 3
     rnn_hidden: int = 4
     cell_kind: str = CELL_KINDS[0]
@@ -137,10 +179,7 @@ class ModelConfig:
     allow_off_grid: bool = False
 
     def __post_init__(self):
-        if self.num_series < 1:
-            raise ConfigError("num_series must be at least 1")
-        if self.input_length < 1 or self.horizon < 1:
-            raise ConfigError("input_length and horizon must be positive")
+        self._check_geometry_and_seed()
         for label, choices in (("cell_kind", CELL_KINDS), ("rnn_layout", RNN_LAYOUTS),
                                ("conv_activation", CONV_ACTIVATIONS)):
             if getattr(self, label) not in choices:
@@ -149,8 +188,6 @@ class ModelConfig:
         for label in _CONV_GRID:
             if getattr(self, label) < 1:
                 raise ConfigError(f"{label} must be at least 1, got {getattr(self, label)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         divisor = 2 ** self.conv_pool_stages
         if self.input_length % divisor != 0:
             raise ConfigError(
@@ -178,26 +215,25 @@ class ModelConfig:
             return self.num_series * self.filters_per_layer
         return self.feature_vector_length
 
-    def to_fields(self) -> "OrderedDict[str, str]":
-        out: OrderedDict[str, str] = OrderedDict()
-        for f in dataclass_fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = str(int(v)) if isinstance(v, bool) else str(v)
-        return out
 
-    @classmethod
-    def from_fields(cls, fields: Mapping[str, str]) -> "ModelConfig":
-        """Build from named values; DataError names a required field that is
-        absent or an integer field that does not hold an integer."""
-        kwargs = {}
-        for f in dataclass_fields(cls):
-            if f.type == "int":
-                kwargs[f.name] = _int_field(fields, f.name, f.default)
-            elif f.type == "bool":
-                kwargs[f.name] = bool(_int_field(fields, f.name, f.default))
-            elif f.name in fields:
-                kwargs[f.name] = fields[f.name]
-        return cls(**kwargs)
+@dataclass(frozen=True)
+class BaselineConfig(_Config):
+    """Shape and hyper-parameters of a recurrent baseline. ``features``
+    "target" feeds the cell only the target series, "all" every series."""
+
+    num_series: int
+    input_length: int
+    horizon: int
+    rnn_hidden: int = ModelConfig.rnn_hidden
+    features: str = BASELINE_FEATURES[0]
+    seed: int = 0
+
+    def __post_init__(self):
+        self._check_geometry_and_seed()
+        if self.features not in BASELINE_FEATURES:
+            raise ConfigError(f"unknown feature mode {self.features!r}")
+        if self.rnn_hidden < 1:
+            raise ConfigError(f"hidden must be at least 1, got {self.rnn_hidden}")
 
 
 class Forecast:
@@ -376,19 +412,22 @@ class ParamModel:
     ``grads``.
 
     A model's constructor hands its arguments to ``_build(rng, *args)`` with
-    a generator seeded from them, which draws the initial values in a fixed
-    order; ``_undrawn`` builds the same model with no draw.
+    a generator seeded from its config, which draws the initial values in a
+    fixed order; ``_undrawn`` builds the same model with no draw.
     """
 
     kind = ""
-    num_series: int
-    input_length: int
-    horizon: int
+    config: ModelConfig | BaselineConfig
     _cell: RNNCell | LSTMCell
     _readout: Dense
 
-    def __init__(self):
+    def __init__(self, config: ModelConfig | BaselineConfig):
+        self.config = config
         self.params: "OrderedDict[str, np.ndarray]" = OrderedDict()
+
+    def checkpoint_fields(self) -> "OrderedDict[str, str]":
+        """The checkpoint header's fields: the model kind, then the config's."""
+        return OrderedDict(model=self.kind, **self.config.to_fields())
 
     @classmethod
     def _undrawn(cls, *args):
@@ -417,11 +456,11 @@ class ParamModel:
             target[...] = src
 
     def _check_batch(self, x: np.ndarray) -> None:
-        if (x.ndim != 3 or x.shape[1] != self.num_series
-                or x.shape[2] != self.input_length):
+        cfg = self.config
+        if x.ndim != 3 or x.shape[1:] != (cfg.num_series, cfg.input_length):
             raise ShapeError(
-                f"expected windows of shape (batch, {self.num_series}, "
-                f"{self.input_length}), got {x.shape}")
+                f"expected windows of shape (batch, {cfg.num_series}, "
+                f"{cfg.input_length}), got {x.shape}")
         if not np.isfinite(x).all():
             raise NumericError("window batch holds non-finite values")
 
@@ -573,11 +612,7 @@ class CRNN(ParamModel):
         self._build(np.random.default_rng(config.seed), config)
 
     def _build(self, rng, config: ModelConfig) -> None:
-        super().__init__()
-        self.config = config
-        self.num_series = config.num_series
-        self.input_length = config.input_length
-        self.horizon = config.horizon
+        super().__init__(config)
         n, alpha = config.num_series, config.filters_per_layer
         convs = [Conv1D(n, 1 if j == 0 else alpha, alpha, config.filter_size)
                  for j in range(config.conv_pool_stages)]
@@ -586,8 +621,7 @@ class CRNN(ParamModel):
         # Draw series by series, each series' stages in turn: the order of the
         # per-series layers of format 1, so every seed keeps its initial values.
         _init_series(rng, n, convs)
-        cell_cls = RNNCell if config.cell_kind == "rnn" else LSTMCell
-        self._cell = cell_cls(config.rnn_input_size, config.rnn_hidden, rng)
+        self._cell = _CELLS[config.cell_kind](config.rnn_input_size, config.rnn_hidden, rng)
         self._register("rnn", self._cell)
         self._readout = Dense(config.rnn_hidden, config.horizon, rng)
         self._register("readout", self._readout)
@@ -605,8 +639,9 @@ class CRNN(ParamModel):
         # pairwise, and one of several values row by row. A range's weight
         # gradients hold (its series) * filters values per window or more,
         # the group's n * filters, so both sum alike unless that is one.
-        width = self.num_series // 2 * self.config.filters_per_layer
-        return width > 1 and batch * width * self.input_length >= SPLIT_MIN_VALUES
+        cfg = self.config
+        width = cfg.num_series // 2 * cfg.filters_per_layer
+        return width > 1 and batch * width * cfg.input_length >= SPLIT_MIN_VALUES
 
     def _split_ranges(self, batch: int) -> tuple[list, list]:
         """(layers, lo, hi) for each range of series lo..hi-1 that a batch
@@ -616,8 +651,8 @@ class CRNN(ParamModel):
         * filters * l, and one series at least; at one filter it holds two
         at least, and a one-series tail joins the range before it (see
         ``_splits``)."""
-        n, filters = self.num_series, self.config.filters_per_layer
-        step = max(SPLIT_MIN_VALUES // (batch * filters * self.input_length),
+        n, filters = self.config.num_series, self.config.filters_per_layer
+        step = max(SPLIT_MIN_VALUES // (batch * filters * self.config.input_length),
                    1 if filters > 1 else 2)
         views = self._range_layers
 
@@ -674,11 +709,6 @@ class CRNN(ParamModel):
             return np.moveaxis(gx, 0, -1).reshape(shape)
         return gx[0].reshape(shape)
 
-    def checkpoint_fields(self) -> "OrderedDict[str, str]":
-        fields = OrderedDict(model=self.kind)
-        fields.update(self.config.to_fields())
-        return fields
-
 
 class AECRNN(CRNN):
     """CRNN plus per-series deconvolution decoders with a reconstruction loss."""
@@ -703,92 +733,57 @@ class AECRNN(CRNN):
 class RecurrentBaseline(ParamModel):
     """RNN or LSTM applied step-by-step to the raw window, then a dense readout.
 
-    ``features="target"`` feeds only the target series; ``features="all"``
-    stacks every series into the per-step feature vector.
+    ``cell_kind`` (one of ``CELL_KINDS``) names the cell; ``config`` holds
+    the rest, checked when it was built. Its ``features="target"`` feeds only
+    the target series; ``features="all"`` stacks every series into the
+    per-step feature vector.
     """
 
-    def __init__(self, cell_kind: str, num_series: int, input_length: int,
-                 horizon: int, hidden: int, features: str = BASELINE_FEATURES[0],
-                 seed: int = 0):
-        if seed < 0:  # before the generator, which would refuse it unnamed
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        self._build(np.random.default_rng(seed), cell_kind, num_series, input_length,
-                    horizon, hidden, features, seed)
+    def __init__(self, cell_kind: str, config: BaselineConfig):
+        self._build(np.random.default_rng(config.seed), cell_kind, config)
 
-    def _build(self, rng, cell_kind: str, num_series: int, input_length: int,
-               horizon: int, hidden: int, features: str, seed: int) -> None:
-        super().__init__()
-        if cell_kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {cell_kind!r}")
-        if features not in BASELINE_FEATURES:
-            raise ValueError(f"unknown feature mode {features!r}")
-        if hidden < 1:
-            raise ConfigError(f"hidden must be at least 1, got {hidden}")
+    def _build(self, rng, cell_kind: str, config: BaselineConfig) -> None:
+        super().__init__(config)
         self.kind = f"{cell_kind}-baseline"
-        self.num_series = num_series
-        self.input_length = input_length
-        self.horizon = horizon
-        self.hidden = hidden
-        self.features = features
-        self.seed = seed
-        input_size = 1 if features == "target" else num_series
-        cell_cls = RNNCell if cell_kind == "rnn" else LSTMCell
-        self._cell = cell_cls(input_size, hidden, rng)
+        input_size = 1 if config.features == "target" else config.num_series
+        self._cell = _CELLS[cell_kind](input_size, config.rnn_hidden, rng)
         self._register("rnn", self._cell)
-        self._readout = Dense(hidden, horizon, rng)
+        self._readout = Dense(config.rnn_hidden, config.horizon, rng)
         self._register("readout", self._readout)
 
     def _steps(self, x: np.ndarray) -> np.ndarray:
-        rows = x[:, :1, :] if self.features == "target" else x
+        rows = x[:, :1, :] if self.config.features == "target" else x
         return np.moveaxis(rows, -1, 0)
 
     def _steps_backward(self, gx) -> None:
         return None  # the steps are the raw window, which nothing learns from
 
-    def checkpoint_fields(self) -> "OrderedDict[str, str]":
-        return OrderedDict(
-            model=self.kind,
-            num_series=str(self.num_series),
-            input_length=str(self.input_length),
-            horizon=str(self.horizon),
-            rnn_hidden=str(self.hidden),
-            features=self.features,
-            seed=str(self.seed),
-        )
+
+# Model kind -> (model class, config class). A kind's model is built from
+# named hyper-parameters, the checkpoint header fields, given as strings
+# (from a file) or as values; its config class reads the names it holds and
+# ignores the rest. A baseline kind also names the baseline's cell.
+_KINDS = {"crnn": (CRNN, ModelConfig), "aecrnn": (AECRNN, ModelConfig),
+          "rnn": (RecurrentBaseline, BaselineConfig), "lstm": (RecurrentBaseline, BaselineConfig)}
 
 
-def _baseline_args(cell_kind: str, fields: Mapping[str, object]) -> tuple:
-    """The baseline's arguments; the conv-model names are ignored."""
-    return (cell_kind, _int_field(fields, "num_series"), _int_field(fields, "input_length"),
-            _int_field(fields, "horizon"),
-            _int_field(fields, "rnn_hidden", ModelConfig.rnn_hidden),
-            fields.get("features", BASELINE_FEATURES[0]), _int_field(fields, "seed", 0))
-
-
-# Model kind -> (class, its constructor arguments from the named
-# hyper-parameters). Every kind reads the same names, the checkpoint header
-# fields, given as strings (from a file) or as values. The conv models
-# validate them through ModelConfig; the baselines read only their geometry,
-# rnn_hidden, features and seed, so no conv-grid check applies.
-_KINDS = {
-    "crnn": (CRNN, lambda fields: (ModelConfig.from_fields(fields),)),
-    "aecrnn": (AECRNN, lambda fields: (ModelConfig.from_fields(fields),)),
-    "rnn": (RecurrentBaseline, lambda fields: _baseline_args("rnn", fields)),
-    "lstm": (RecurrentBaseline, lambda fields: _baseline_args("lstm", fields)),
-}
-
-
-def _builder(cls, args):
-    return lambda fields: cls(*args(fields))
+def _new_model(kind: str, fields: Mapping[str, object], undrawn: bool = False) -> ParamModel:
+    """The ``kind`` model of the named hyper-parameters; ``undrawn`` builds
+    it with every parameter zero and no random value drawn."""
+    cls, config_cls = _KINDS[kind]
+    config = config_cls.from_fields(fields)
+    args = (kind, config) if cls is RecurrentBaseline else (config,)
+    return cls._undrawn(*args) if undrawn else cls(*args)
 
 
 # Model kind -> builder of a model from the named hyper-parameters.
-MODELS = {kind: _builder(cls, args) for kind, (cls, args) in _KINDS.items()}
+MODELS = {kind: functools.partial(_new_model, kind) for kind in _KINDS}
 
-# Model kind -> the searched hyper-parameters its builder reads, with the
+# Model kind -> the searched hyper-parameters its config holds, with the
 # values the grid runner tries by default.
-_RNN_GRID = {"rnn_hidden": _CONV_GRID["rnn_hidden"]}
-GRID_AXES = {"crnn": _CONV_GRID, "aecrnn": _CONV_GRID, "rnn": _RNN_GRID, "lstm": _RNN_GRID}
+GRID_AXES = {kind: {f.name: _CONV_GRID[f.name] for f in dataclass_fields(config_cls)
+                    if f.name in _CONV_GRID}
+             for kind, (_, config_cls) in _KINDS.items()}
 
 
 # -- checkpoint container -----------------------------------------------------
@@ -896,7 +891,7 @@ def _stack_series_tensors(model, tensors: Mapping[str, np.ndarray]):
     parameters they became; every other tensor passes through."""
     out: "OrderedDict[str, np.ndarray]" = OrderedDict(tensors)
     for name, target in model.params.items():
-        parts = [f"series{s}.{name}" for s in range(model.num_series)]
+        parts = [f"series{s}.{name}" for s in range(model.config.num_series)]
         if name in out or not all(part in out for part in parts):
             continue
         pieces = [out.pop(part) for part in parts]
@@ -918,9 +913,9 @@ def model_from_checkpoint(fields: Mapping[str, str], tensors: Mapping[str, np.nd
     fmt = _checkpoint_format(fields)
     kind = fields.get("model", "")
     # the baselines' header kinds are rnn-baseline and lstm-baseline
-    cls, args = _KINDS.get(kind.removesuffix("-baseline"), (None, None))
+    base = kind.removesuffix("-baseline")
     # set_params overwrites every parameter, so none is drawn
-    model = cls._undrawn(*args(fields)) if cls else None
+    model = _new_model(base, fields, undrawn=True) if base in _KINDS else None
     if model is None or model.kind != kind:
         raise ConfigError(f"checkpoint names unknown model kind {kind!r}")
     if fmt == "1":

@@ -42,7 +42,7 @@ class TrainConfig:
     optimizer: str = OPTIMIZERS[0]
     learning_rate: float = 1e-3
     batch_size: int = 32
-    max_epochs: int = 200
+    max_epochs: int = 100
     patience: int = 10
     seed: int = 0
 

@@ -164,6 +164,11 @@ def _generate_stage() -> list[Command]:
                      ["gradcheck", "--small", "--l", "16", "--hidden", "5"], 1),
              # gradcheck writes no file
              Command(GENERATE, "gradcheck_out", ["gradcheck", "--small", "--out", "gc"], 1),
+             # a baseline refuses a geometry of no series, window or horizon, as crnn does
+             Command(GENERATE, "gradcheck_rnn_x0", ["gradcheck", "--model", "rnn", "--x", "0"], 1),
+             Command(GENERATE, "gradcheck_lstm_l0",
+                     ["gradcheck", "--model", "lstm", "--l", "0"], 1),
+             Command(GENERATE, "gradcheck_rnn_p0", ["gradcheck", "--model", "rnn", "--p", "0"], 1),
              Command(GENERATE, "unknown_command", ["frobnicate"], 1)]
     return cmds
 

@@ -3,7 +3,7 @@ import pytest
 
 from crnn_forecast.baselines import ewma_batch, yesterday_batch
 from crnn_forecast.data import CorrelatedSet, TimeSeries, segment
-from crnn_forecast.models import (MODELS, RecurrentBaseline, load_checkpoint,
+from crnn_forecast.models import (MODELS, BaselineConfig, RecurrentBaseline, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
 from crnn_forecast.training import TrainConfig, train
 
@@ -100,24 +100,26 @@ class TestRecurrentBaseline:
         assert r1.epochs == r2.epochs
 
     def test_feature_modes_change_input_width(self):
-        target_only = RecurrentBaseline("rnn", 3, 8, 2, hidden=4, features="target")
-        all_series = RecurrentBaseline("rnn", 3, 8, 2, hidden=4, features="all")
+        target_only = RecurrentBaseline("rnn", BaselineConfig(3, 8, 2, rnn_hidden=4,
+                                                              features="target"))
+        all_series = RecurrentBaseline("rnn", BaselineConfig(3, 8, 2, rnn_hidden=4,
+                                                             features="all"))
         assert target_only.params["rnn.w_xh"].shape == (4, 1)
         assert all_series.params["rnn.w_xh"].shape == (4, 3)
 
     def test_forecast_plug_compatibility(self):
-        model = RecurrentBaseline("lstm", 2, 8, 3, hidden=4, seed=1)
+        model = RecurrentBaseline("lstm", BaselineConfig(2, 8, 3, rnn_hidden=4, seed=1))
         window = np.random.default_rng(0).uniform(0, 1, (2, 8))
         forecast, recon = model.forward(window)
         assert forecast.values.shape == (3,) and recon is None
 
     def test_checkpoint_round_trip(self, tmp_path):
-        model = RecurrentBaseline("lstm", 2, 8, 3, hidden=4, features="target",
-                                  seed=5)
+        model = RecurrentBaseline("lstm", BaselineConfig(2, 8, 3, rnn_hidden=4,
+                                                         features="target", seed=5))
         path = tmp_path / "b.txt"
         save_checkpoint(path, model)
         rebuilt, _ = model_from_checkpoint(*load_checkpoint(path))
         assert rebuilt.kind == "lstm-baseline"
-        assert rebuilt.features == "target"
+        assert rebuilt.config == model.config
         for k in model.params:
             assert np.array_equal(rebuilt.params[k], model.params[k])

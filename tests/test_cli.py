@@ -104,9 +104,9 @@ class TestParser:
         for name in ("conv_pool_stages", "filter_size", "rnn_hidden", "cell_kind",
                      "rnn_layout", "conv_activation", "allow_off_grid"):
             assert fields[name] == getattr(config, name), name
-        # the two flags whose defaults differ from their fields'
-        assert (args.filters, config.filters_per_layer) == (2, 3)
-        assert (args.epochs, train_config.max_epochs) == (100, 200)
+        assert args.filters == config.filters_per_layer
+        assert fields["features"] == models.BaselineConfig(1, 8, 2).features
+        assert args.epochs == train_config.max_epochs
 
     @pytest.mark.parametrize("argv", [[], ["-h"], ["--version"], ["frobnicate", "-h"]])
     def test_argv_naming_no_command_builds_every_command(self, argv):
@@ -885,6 +885,16 @@ class TestRobustnessCommand:
         assert main(["robustness", "--len", "260", "--l", "8", "--p", "2", "--epochs", "1",
                      "--seeds", seeds, "--out", str(out)]) == 1
         assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_target_is_data_error_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "flat.csv"
+        data.write_text("t,x\n" + "".join(f"1.5,{v}\n" for v in range(60)))
+        out = tmp_path / "r"
+        assert main(["robustness", "--data", str(data), "--l", "8", "--p", "2",
+                     "--out", str(out)]) == 2
+        assert "series 't' is constant" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -611,17 +611,25 @@ class TestMakeUncorrelated:
             sur = make_uncorrelated(ref, seed=seed)
             assert abs(pearson(sur.values, ref.values)) < 0.1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # corrcoef of a constant
     def test_gives_up_after_the_attempt_budget(self, monkeypatch):
-        # a constant reference has no defined correlation, so every draw fails
+        # every surrogate of a two-value series is it or its mirror, |r| = 1
         draws = []
         real_rng = np.random.default_rng
         monkeypatch.setattr(data_module, "SURROGATE_ATTEMPTS", 3)
         monkeypatch.setattr(data_module.np.random, "default_rng",
                             lambda seed: draws.append(seed) or real_rng(seed))
         with pytest.raises(DataError, match="uncorrelated surrogate"):
-            make_uncorrelated(TimeSeries("c", np.ones(40)), seed=2)
+            make_uncorrelated(TimeSeries("c", np.array([0.0, 1.0])), seed=2)
         assert draws == [(2, 0), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("values", [np.ones(40), np.full(7, 0.1), np.array([3.0])])
+    def test_constant_reference_refused_before_any_draw(self, monkeypatch, values):
+        def no_draw(seed):
+            raise AssertionError("a surrogate was drawn")
+
+        monkeypatch.setattr(data_module.np.random, "default_rng", no_draw)
+        with pytest.raises(DataError, match="series 'c' is constant"):
+            make_uncorrelated(TimeSeries("c", values), seed=2)
 
     def test_deterministic(self):
         ref = generate_synthetic(SyntheticConfig(length=300, seed=5)).target

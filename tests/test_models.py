@@ -14,8 +14,8 @@ from conftest import numeric_grad, rel_error
 from test_layers import reference_conv_forward
 from crnn_forecast import layers, models
 from crnn_forecast.data import DataError, Normalizer
-from crnn_forecast.models import (AECRNN, CRNN, ConfigError, MODELS, LossBreakdown,
-                                  ModelConfig, joint_loss, load_checkpoint,
+from crnn_forecast.models import (AECRNN, CRNN, BaselineConfig, ConfigError, MODELS,
+                                  LossBreakdown, ModelConfig, joint_loss, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
 from crnn_forecast.tensor import NumericError, ShapeError, Tensor
 from crnn_forecast.training import Adam
@@ -86,6 +86,26 @@ class TestRecurrentBaselineConfig:
     def test_negative_seed_rejected_by_name(self, kind):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             MODELS[kind](dict(num_series=2, input_length=8, horizon=2, rnn_hidden=3, seed=-1))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_series", 0, "num_series must be at least 1"),
+        ("input_length", 0, "input_length and horizon must be positive"),
+        ("horizon", -1, "input_length and horizon must be positive"),
+        ("rnn_hidden", 0, "hidden must be at least 1, got 0"),
+        ("features", "bogus", "unknown feature mode 'bogus'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_each_bad_field_refused_by_name(self, field, value, message):
+        fields = dict(num_series=2, input_length=8, horizon=2, rnn_hidden=3)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            BaselineConfig(**{**fields, field: value})
+
+    def test_fields_round_trip_in_header_order(self):
+        cfg = BaselineConfig(3, 8, 2, rnn_hidden=5, features="target", seed=4)
+        assert list(cfg.to_fields().items()) == [
+            ("num_series", "3"), ("input_length", "8"), ("horizon", "2"),
+            ("rnn_hidden", "5"), ("features", "target"), ("seed", "4")]
+        assert BaselineConfig.from_fields(cfg.to_fields()) == cfg
 
 
 class TestLossFunctions:
@@ -691,8 +711,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(layers._FilterGroup, "init_series", no_series_draw)
         monkeypatch.setattr(layers.ChannelMerge, "init_series", no_series_draw)
-        cls, args = models._KINDS[kind]
-        undrawn = cls._undrawn(*args(header))
+        undrawn = models._new_model(kind, header, undrawn=True)
         assert list(undrawn.params) == list(tensors)
         for name, arr in undrawn.params.items():
             assert not arr.any(), name
@@ -917,7 +936,45 @@ AWKWARD_FLOATS = (-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.225073858507
                   1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf)
 
 
+@st.composite
+def kinds_and_configs(draw):
+    """A model kind and a valid config of it, small enough to build quickly."""
+    kind = draw(st.sampled_from(tuple(MODELS)))
+    num_series, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32))
+    if kind in ("rnn", "lstm"):
+        return kind, BaselineConfig(num_series, draw(st.integers(1, 12)), horizon,
+                                    draw(st.integers(1, 6)),
+                                    draw(st.sampled_from(models.BASELINE_FEATURES)), seed)
+    stages, off_grid = draw(st.integers(1, 3)), draw(st.booleans())
+
+    def size(name):
+        return draw(st.integers(1, 6) if off_grid else st.sampled_from(models._CONV_GRID[name]))
+
+    return kind, ModelConfig(
+        num_series, draw(st.integers(1, 3)) * 2 ** stages, horizon, stages,
+        size("filters_per_layer"), size("filter_size"), size("rnn_hidden"),
+        draw(st.sampled_from(models.CELL_KINDS)), draw(st.sampled_from(models.RNN_LAYOUTS)),
+        draw(st.sampled_from(models.CONV_ACTIVATIONS)), seed, off_grid)
+
+
 class TestCheckpointProperties:
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture],
+              deadline=None)
+    @given(drawn=kinds_and_configs())
+    def test_every_kind_round_trips_its_config_and_checkpoint(self, tmp_path, drawn):
+        kind, cfg = drawn
+        assert type(cfg).from_fields(cfg.to_fields()) == cfg
+        model = MODELS[kind](cfg.to_fields())
+        assert model.config == cfg
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, model)
+        rebuilt, extras = model_from_checkpoint(*load_checkpoint(path))
+        assert (rebuilt.kind, rebuilt.config, extras) == (model.kind, cfg, {})
+        assert list(rebuilt.params) == list(model.params)
+        for name, arr in model.params.items():
+            assert rebuilt.params[name].tobytes() == arr.tobytes(), name
+
     @_TMP_PATH_OK
     @given(kind=st.sampled_from(tuple(MODELS)), data=st.data())
     def test_save_load_rebuild_is_bit_exact_for_every_kind(self, tmp_path, kind, data):
@@ -1053,7 +1110,7 @@ class TestFormat2Checkpoints:
         model, extras = model_from_checkpoint(fields, tensors)
         assert sorted(extras) == ["check.forecast", "check.reconstruction", "check.window",
                                   "norm.max", "norm.min"]
-        assert Normalizer.from_tensors(extras).mins.shape == (model.num_series,)
+        assert Normalizer.from_tensors(extras).mins.shape == (model.config.num_series,)
         forecast, recon = model.forward(extras["check.window"])
         assert rel_error(forecast.values, extras["check.forecast"]) < 1e-12
         assert rel_error(recon.values, extras["check.reconstruction"]) < 1e-12
@@ -1095,7 +1152,7 @@ class TestFormat1Checkpoints:
         forecast, recon = model.forward(extras["check.window"])
         assert rel_error(forecast.values, extras["check.forecast"]) < 1e-12
         assert rel_error(recon.values, extras["check.reconstruction"]) < 1e-12
-        for s in range(model.num_series):
+        for s in range(model.config.num_series):
             assert np.array_equal(model.params["conv1.w"][s], tensors[f"series{s}.conv1.w"])
             assert np.array_equal(model.params["deconv0.b"][s],
                                   tensors[f"series{s}.deconv0.b"])

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from crnn_forecast.data import (SyntheticConfig, Windows, generate_synthetic, segment,
                                 stack_samples, train_val_split)
 from crnn_forecast.layers import Dense
-from crnn_forecast.models import (AECRNN, CRNN, ModelConfig, ParamModel, load_checkpoint,
-                                  model_from_checkpoint, save_checkpoint)
+from crnn_forecast.models import (AECRNN, CRNN, BaselineConfig, ModelConfig, ParamModel,
+                                  load_checkpoint, model_from_checkpoint, save_checkpoint)
 from crnn_forecast.training import Adam, Sgd, TrainConfig, gradcheck, mean_j1, train
 
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
@@ -216,10 +216,7 @@ class _LinearToy(ParamModel):
     kind = "linear-toy"
 
     def __init__(self, num_series=2, input_length=4, horizon=2, seed=0):
-        super().__init__()
-        self.num_series = num_series
-        self.input_length = input_length
-        self.horizon = horizon
+        super().__init__(BaselineConfig(num_series, input_length, horizon, seed=seed))
         self._dense = Dense(num_series * input_length, horizon,
                             np.random.default_rng(seed))
         self._register("dense", self._dense)
