@@ -20,7 +20,10 @@ axis with optional leading batch axes.
 The recurrent cells (RNNCell, LSTMCell) take their steps in the one form
 the models send: a time-major array (T, batch, features). Their Python loop
 over time holds only what depends on the previous step. The input
-projection of every step is one batched matmul before the loop; the
+projection of every step is one batched matmul before the loop, on the
+steps as given: on a view whose strides BLAS cannot take, numpy's matmul
+runs its own loop, which on longer feature rows sums in another order than
+BLAS, so a contiguous copy would move the forecasts' bits. The
 forward cache keeps every step's hidden state (and, for the LSTM, cell
 state, tanh of it and gate activations). The backward loop carries only
 the state gradients and writes each step's pre-activation gradient into one
@@ -455,7 +458,10 @@ class LSTMCell:
     projects every step's input in one batched matmul before the time loop.
     Its cache is (the steps, hidden states, cell states, tanh of the cell
     states, gate activations (T, batch, 4H)); the candidate block of
-    the gates holds tanh, the other three the sigmoid. ``backward`` forms
+    the gates holds tanh, the other three the sigmoid. The loop writes each
+    step's gates, states and temporaries into buffers made once per call,
+    with ``out=``, and the gate buffer is the cache itself; a later call
+    makes its own, so no cache is overwritten. ``backward`` forms
     every step's local gate derivatives before the loop, carries only dh and
     dc through it, and takes the weight and input gradients after it.
     """
@@ -479,22 +485,34 @@ class LSTMCell:
         _check_steps("LSTM", x, self.input_size)
         n = self.hidden_size
         xw = x @ self.w_x.T
+        gates = np.empty(xw.shape)
+        gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
         hs = np.empty(xw.shape[:-1] + (n,))
         cs = np.empty(hs.shape)
         tcs = np.empty(hs.shape)
-        gates = []
-        h = c = np.zeros(hs.shape[1:])
+        # the step's pre-activation, the sigmoid's scratch and the two
+        # products of the cell update, reused by every step
+        z = np.empty(xw.shape[1:])
+        scratch = np.empty(z.shape)
+        forget = np.empty(hs.shape[1:])
+        admit = np.empty(forget.shape)
+        h = c = np.zeros(forget.shape)
         w_h_t = self.w_h.T
-        for t in range(len(x)):
-            z = xw[t] + h @ w_h_t
-            z += self.b
+        b = self.b
+        z_cand = z[:, 2 * n:3 * n]
+        for xw_t, g, g_i, g_f, g_c, g_o, c_t, tc_t, h_t in zip(
+                xw, gates, gi, gf, gc, go, cs, tcs, hs):
+            np.matmul(h, w_h_t, out=z)
+            z += xw_t
+            z += b
             # one sigmoid over all four gate blocks; the candidate block takes tanh
-            g = sigmoid_values(z)
-            g[..., 2 * n:3 * n] = np.tanh(z[..., 2 * n:3 * n])
-            c = np.add(g[..., n:2 * n] * c, g[..., 0:n] * g[..., 2 * n:3 * n], out=cs[t])
-            h = np.multiply(g[..., 3 * n:4 * n], np.tanh(c, out=tcs[t]), out=hs[t])
-            gates.append(g)
-        return hs, hs[-1], (x, hs, cs, tcs, np.stack(gates))
+            sigmoid_values(z, out=g, scratch=scratch)
+            np.tanh(z_cand, out=g_c)
+            np.multiply(g_f, c, out=forget)
+            np.multiply(g_i, g_c, out=admit)
+            c = np.add(forget, admit, out=c_t)
+            h = np.multiply(g_o, np.tanh(c, out=tc_t), out=h_t)
+        return hs, hs[-1], (x, hs, cs, tcs, gates)
 
     def backward(self, cache, grad_final: np.ndarray):
         """Backpropagation through time; returns (input gradients

@@ -26,18 +26,27 @@ class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
 
 
-def sigmoid_values(x: np.ndarray) -> np.ndarray:
+def sigmoid_values(x: np.ndarray, *, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function on a raw ndarray.
 
     Both branches use e = exp(-|x|), which never overflows: 1 / (1 + e) for
     x >= 0 and e / (1 + e) below zero. The branch picks the numerator of one
     shared division, which rounds as each branch's own division would. As
-    0 <= e <= 1, that numerator is max(e, x >= 0): 1.0 or e, and a NaN in x
-    stays a NaN in e and so in the result.
+    0 <= e <= 1, that numerator is max(e, sign(x)): x > 0 gives 1; x = +-0
+    gives e = 1, the tie; x < 0 gives e, as e >= 0 > -1; and a NaN in x is a
+    NaN in e and in sign(x), so in the result. The float64 sign, rather than
+    the bool x >= 0, keeps the maximum off numpy's bool-to-float casting
+    loop; the bits are the same.
+
+    ``out`` takes the result and ``scratch`` the exponentials, both float64
+    arrays of x's shape, so that a caller in a loop allocates nothing;
+    ``scratch`` must share no memory with x or ``out``.
     """
-    e = np.copysign(x, -1.0)
+    e = np.copysign(x, -1.0, out=scratch)
     np.exp(e, out=e)
-    num = np.maximum(e, x >= 0)
+    num = np.sign(x, out=out)
+    np.maximum(e, num, out=num)
     e += 1.0
     return np.divide(num, e, out=num)
 

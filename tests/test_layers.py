@@ -578,6 +578,31 @@ class TestLSTMCell:
         assert rel_error(grads["b"], numeric_grad(loss, cell.b)) < FD_TOL
         assert rel_error(gxs, numeric_grad(loss, xs)) < FD_TOL
 
+    def test_buffers_belong_to_one_call(self):
+        # a second call, on steps of the same shape and on other shapes, writes
+        # none of the first call's arrays; the steps are read, never written
+        rng = np.random.default_rng(5)
+        cell = LSTMCell(8, 4, rng)
+        cell.b[...] = rng.uniform(-1, 1, cell.b.shape)
+        x = np.moveaxis(rng.uniform(-3, 3, (6, 8, 5)), -1, 0)
+        x.setflags(write=False)
+        x_bytes = x.tobytes()
+        grad_final = rng.uniform(-1, 1, (6, 4))
+        hs, final, cache = cell.forward(x)
+        names = ("hidden states", "final state", "steps", "cached hidden states",
+                 "cell states", "tanh of cell states", "gates")
+        first = [a.tobytes() for a in (hs, final, *cache)]
+        cell.forward(rng.uniform(-3, 3, x.shape))
+        cell.forward(rng.uniform(-3, 3, (3, 2, 8)))
+        for name, kept, a in zip(names, first, (hs, final, *cache)):
+            assert a.tobytes() == kept, name
+        _, ref_gxs, ref_grads = reference_lstm(cell, list(x), grad_final)
+        gx, grads = cell.backward(cache, grad_final)
+        assert all(np.array_equal(gx[t], ref_gxs[t]) for t in range(len(x)))
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+        assert x.tobytes() == x_bytes
+
 
 # -- reference recurrences: the per-step loops the cells replaced --------------
 
@@ -705,3 +730,33 @@ class TestCellsMatchPerStepLoops:
             cell.forward(np.zeros((3, 2, 4, 2)))
         with pytest.raises(ShapeError):
             cell.forward(np.zeros((3, 4, 5)))
+
+
+class TestLSTMCacheMatchesPerStepLoop:
+    """The forward cache holds the per-step loop's bits: every cell state,
+    its tanh, and every gate activation, the candidate block as tanh."""
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("shape", TestCellsMatchPerStepLoops.SHAPES.values(),
+                             ids=list(TestCellsMatchPerStepLoops.SHAPES))
+    def test_same_bits_as_reference(self, shape, strided):
+        steps, batch, in_size, n = shape
+        rng = np.random.default_rng([steps, in_size, n, strided])
+        cell = LSTMCell(in_size, n, rng)
+        cell.b[...] = rng.uniform(-1, 1, cell.b.shape)
+        if strided:
+            x = np.moveaxis(rng.uniform(-3, 3, (batch, in_size, steps)), -1, 0)
+        else:
+            x = rng.uniform(-3, 3, (steps, batch, in_size))
+        _, _, (_, _, cs, tcs, gates) = cell.forward(x)
+        assert gates.shape == (steps, batch, 4 * n)
+        h = c = np.zeros((batch, n))
+        for t in range(steps):
+            z = x[t] @ cell.w_x.T + h @ cell.w_h.T + cell.b
+            g = sigmoid_values(z)
+            g[..., 2 * n:3 * n] = np.tanh(z[..., 2 * n:3 * n])
+            c = g[..., n:2 * n] * c + g[..., 0:n] * g[..., 2 * n:3 * n]
+            h = g[..., 3 * n:4 * n] * np.tanh(c)
+            assert np.array_equal(gates[t], g), t
+            assert np.array_equal(cs[t], c), t
+            assert np.array_equal(tcs[t], np.tanh(c)), t
