@@ -356,10 +356,13 @@ def _resolve_column(spec: str | int, header: list[str] | None, path: str) -> int
         return int(spec)
     if header is None:
         raise DataError(f"{path}: column {spec!r} given by name but the file has no header")
-    try:
-        return header.index(spec)
-    except ValueError:
-        raise DataError(f"{path}: no column named {spec!r} (header: {header})") from None
+    matches = [i for i, name in enumerate(header) if name == spec]
+    if not matches:
+        raise DataError(f"{path}: no column named {spec!r} (header: {header})")
+    if len(matches) > 1:
+        raise DataError(f"{path}: the name {spec!r} heads columns "
+                        f"{', '.join(map(str, matches))}; select one by index")
+    return matches[0]
 
 
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
@@ -448,7 +451,9 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
     in order, the first being the forecast target; empty, it selects every
     column but the ``timestamp`` one. A ``target`` is moved to the front of
     the selection, or put there when it is not among it. ``timestamp``
-    names a column that is checked for uniform spacing and not read.
+    names a column that is checked for uniform spacing and not read; neither
+    ``columns`` nor ``target`` may select it. A name that heads more than one
+    column is refused; such a column is selected by index.
 
     Records are cut on one of two paths that give the same records. Quote-free
     UTF-8 text with no NUL and no overlong line is split at line breaks and
@@ -489,6 +494,8 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
         twice = next(idx for n, idx in enumerate(indices) if idx in indices[:n])
         name = f" ({header[twice]})" if header is not None and 0 <= twice < len(header) else ""
         raise DataError(f"{path}: column {twice}{name} is selected twice")
+    if ts_index in indices:
+        raise DataError(f"{path}: column {ts_index} is the timestamp column")
     if target is not None:
         first = _resolve_column(target, header, str(path))
         if first == ts_index:

@@ -4,13 +4,12 @@ Layers operate on raw float64 ndarrays. The convolutional pieces (Conv1D,
 Deconv1D, ChannelMerge) act on a group of n series at once: their inputs
 have trailing axes (n, channels, length), and their weights carry a leading
 series axis, so series s is transformed by its own filters ``w[s]``. One
-call covers every series; with more than one input channel, each filter tap
-is one broadcast matmul over the series axis and any leading batch axes.
-Conv1D with one input channel forms each tap as a broadcast product instead,
-over one row per series that holds all of a large batch's windows (see
-Conv1D). ``series_range`` gives one of these layers for a contiguous range
-of its series, with views of its weights. The matmuls and ufuncs
-compute each series' matrices alone and the weight gradients are summed
+call covers every series; each filter tap is one broadcast matmul over the
+series axis and any leading batch axes, except in Conv1D with one input
+channel, where one matmul over a strided view of the padded input sums every
+tap (see Conv1D). ``series_range`` gives one of these layers for a
+contiguous range of its series, with views of its weights. The matmuls and
+ufuncs compute each series' matrices alone and the weight gradients are summed
 over the batch axes only, so each series' outputs and gradients are the
 bits of the whole group's call, as long as a weight gradient of the range
 holds more than one value per window (numpy sums a single value per window
@@ -42,6 +41,7 @@ import copy
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, sigmoid_values
 
@@ -71,25 +71,6 @@ def _check_group(layer: str, x: np.ndarray, num_series: int, channels: int) -> N
 def _sum_to_group(a: np.ndarray) -> np.ndarray:
     """Sum a (..., n, rows, cols) array over its leading batch axes."""
     return a.reshape((-1,) + a.shape[-3:]).sum(axis=0)
-
-
-# Conv1D computes a one-input-channel batch series-major once one series'
-# windows hold this many values (batch * length). On a 2-vCPU Xeon VM
-# (numpy 2.4) a numpy loop of up to 2560 values cost some 1.3 ns per value
-# and one of 3072 or more some 0.35 ns. At length 32 and 2-16 series the
-# series-major conv ran x0.94-x1.07 as fast as the broadcast form at 48-80
-# windows, and x1.47-x1.68 as fast at 96.
-SERIES_ROW_MIN_VALUES = 3072
-
-
-def _tap_sum(w: np.ndarray, bias: np.ndarray, taps) -> np.ndarray:
-    """w[..., 0] * taps[0] + w[..., 1] * taps[1] + ... + bias, added in that order."""
-    y = np.multiply(w[..., 0], taps[0])
-    tmp = np.empty_like(y)
-    for k in range(1, len(taps)):
-        y += np.multiply(w[..., k], taps[k], out=tmp)
-    y += bias
-    return y
 
 
 class _PerSeries:
@@ -149,25 +130,15 @@ class Conv1D(_FilterGroup):
     sizes, all on the right for even ones.
 
     With C_in > 1 each tap k adds the matmul ``w[..., k] @ window_k``. With
-    C_in = 1, as in a model's first stage, that matmul has an inner size of 1
-    and costs one BLAS call per window, series and tap, so the tap is the
-    broadcast product ``w[..., k] * window_k`` instead. Both round each
-    product once and add the taps, then the bias, in the same order, so the
-    values agree. A matmul's sum starts from +0 and never ends at -0; adding
-    the bias as ``b + 0.0`` (a -0 bias read as +0) makes the product form
-    match that too, bit for bit.
-
-    Over a batch, the broadcast product runs one numpy inner loop of only L
-    values per window, series and filter: the weight varies along n and F,
-    which lie between the batch and time axes. Once a series' windows hold
-    ``SERIES_ROW_MIN_VALUES`` values, the batch is computed series-major
-    instead: series s's windows, shifted by tap k, are copied side by side
-    into one row, so each product, tap sum and bias add runs n * F loops of
-    batch * L values. The gain is in loop length, not arithmetic: each output
-    keeps its products, their order and the -0 rule. One copy returns the
-    sums in the broadcast form's (..., n, F, L) layout, so no later layer
-    sees another layout; a series-major view would change the bits of the
-    head's input projection, which numpy's matmul then sums without BLAS.
+    C_in = 1, as in a model's first stage, that matmul would have an inner
+    size of 1, so the K shifted windows of each series are one read-only
+    strided (..., n, K, L) view of the padded input instead, and one matmul
+    ``w[:, :, 0, :] @ windows`` sums every tap. Its result is a fresh
+    C-ordered array, so no later layer sees the view's strides. It may round
+    otherwise than the per-tap sum of the same products, and stays within
+    the forward-error bound of a (K + 1)-term dot product of it. Each
+    window's output is the bits of its own call, at any batch shape and for
+    any ``series_range``.
     """
 
     def _padding(self) -> tuple[int, int]:
@@ -182,21 +153,16 @@ class Conv1D(_FilterGroup):
         # one zeroed buffer and a slice write; np.pad costs ~10x more per call
         xp = np.zeros(x.shape[:-1] + (pad_l + length + pad_r,), dtype=x.dtype)
         xp[..., pad_l:pad_l + length] = x
-        bias = (self.b + 0.0)[..., None]
         if self.in_channels > 1:
             y = self.w[..., 0] @ xp[..., :length]
             for k in range(1, self.filter_size):
                 y += self.w[..., k] @ xp[..., k:k + length]
-            y += bias
-        elif x.size < SERIES_ROW_MIN_VALUES * self.num_series:
-            y = _tap_sum(self.w, bias, [xp[..., k:k + length] for k in range(self.filter_size)])
         else:
-            n = self.num_series
-            rows = xp.reshape(-1, n, xp.shape[-1]).swapaxes(0, 1)
-            y = _tap_sum(self.w, bias, [rows[..., k:k + length].reshape(n, 1, -1)
-                                        for k in range(self.filter_size)])
-            y = y.reshape(y.shape[:2] + (-1, length)).transpose(2, 0, 1, 3)
-            y = np.ascontiguousarray(y).reshape(x.shape[:-3] + y.shape[1:])
+            step = xp.strides[-1]
+            windows = as_strided(xp, xp.shape[:-2] + (self.filter_size, length),
+                                 xp.strides[:-2] + (step, step), writeable=False)
+            y = self.w[:, :, 0, :] @ windows
+        y += self.b[..., None]
         return y, xp
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):

@@ -37,12 +37,39 @@ Usage::
 
     python tests/golden/fixed_commands.py [--src SRC] [--keep DIR]
     python tests/golden/fixed_commands.py --fingerprint
+    python tests/golden/fixed_commands.py --compare BASE CHANGE
 
 ``--src`` names the package source to run (default: this checkout's
 ``src``); ``--keep`` writes into DIR, which must not exist, instead of a
 temporary directory. The exit status is 1 when a fact above does not hold;
 each is named on stderr. ``--fingerprint`` runs nothing and prints the
 environment that the digests depend on, as ``key=value`` lines.
+
+``--compare`` runs nothing either. It reads two ``--keep`` directories, a
+run of the parent's source (``git archive HEAD src`` unpacked elsewhere and
+given as ``--src``) and a run of the change's, and checks them against the
+stated tolerance under which a change may move output bits:
+
+- both hold the same file set, and each file the same number of lines;
+- lines are split into tokens at tabs, spaces, commas and ``=``; a token
+  that is not a float, or that is an integer on both sides, matches
+  exactly, separators included;
+- floats, and the values of checkpoint tensors written in hex, satisfy
+  ``|a - b| <= 1e-12 * max(|a|, |b|) + 1e-15``; a NaN matches only a NaN,
+  and an infinity only itself;
+- in ``report.tsv``, ``robustness.tsv`` and standard output, a float
+  printed with at most 6 significant digits on both sides may differ by
+  one unit in its 6th digit;
+- checkpoint headers, tensor names and tensor shapes match exactly;
+- manifests match line for line, except for the value of
+  ``run.digest.checkpoint``;
+- in gradcheck's standard output only ``PASS``/``FAIL`` and ``checked=``
+  are compared: ``max_rel_error`` and ``worst`` are finite-difference
+  noise.
+
+It prints, per file type, how many files differ and their largest relative
+and absolute deviation; on a breach it exits 1 and names the first one on
+stderr.
 
 The digests recorded in ``SHA256SUMS`` next to this file were written in the
 environment recorded in ``FINGERPRINT``; ``tests/test_golden.py`` compares
@@ -56,8 +83,10 @@ import argparse
 import csv
 import ctypes
 import hashlib
+import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -378,6 +407,165 @@ def digests(work: Path) -> list[str]:
     return lines
 
 
+# The stated tolerance of --compare
+REL_TOL = 1e-12
+ABS_TOL = 1e-15
+SHORT_DIGITS = 6  # significant digits of the fields that reports print
+SHORT_FILES = ("report.tsv", "robustness.tsv")  # and every standard output
+FREE_MANIFEST_KEY = "run.digest.checkpoint"
+GRADCHECK_NOISE = ("max_rel_error=", "worst=")
+
+_SEPARATORS = re.compile(r"([\t ,=])")
+_INT = re.compile(r"[+-]?\d+")
+_FLOAT = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|nan|inf)")
+_HEX = re.compile(r"(?:[0-9a-f]{16})+")
+
+
+def _kind(rel: str) -> str:
+    """The file type a path is tallied under: a log's suffix, the inputs
+    that the runner writes, or else the file's name with its numbers starred."""
+    if rel.startswith("logs/"):
+        return "logs/*" + rel[rel.rindex("."):]
+    if "/" not in rel:
+        return "inputs"
+    return re.sub(r"\d+", "*", rel.rsplit("/", 1)[-1])
+
+
+def _sig_digits(token: str) -> int:
+    mantissa = re.split("[eE]", token.lstrip("+-"))[0].replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def _last_unit(value: float) -> float:
+    """One unit in the last place of ``value`` printed at SHORT_DIGITS digits."""
+    return 10.0 ** (math.floor(math.log10(abs(value))) - SHORT_DIGITS + 1) if value else 0.0
+
+
+def _value_breach(a: float, b: float, dev: list[float], unit: float | None = None) -> str | None:
+    """Why b may not stand for a, or None; records |a - b| and its relative
+    size in ``dev``. Within ``unit`` when given, else within the relative
+    bound."""
+    if math.isnan(a) or math.isnan(b):
+        return None if math.isnan(a) and math.isnan(b) else "a NaN matches only a NaN"
+    if a == b:
+        return None
+    if math.isinf(a) or math.isinf(b):
+        return "an infinity matches only itself"
+    diff, size = abs(a - b), max(abs(a), abs(b))
+    dev[0], dev[1] = max(dev[0], diff / size), max(dev[1], diff)
+    if unit is not None:
+        return None if diff <= unit * (1 + 1e-9) else (
+            f"more than one unit in the last of {SHORT_DIGITS} digits")
+    if diff <= REL_TOL * size + ABS_TOL:
+        return None
+    return f"|a - b| = {diff:.3g} exceeds {REL_TOL:g} * {size:.17g} + {ABS_TOL:g}"
+
+
+def _line_breach(a: str, b: str, short: bool, dev: list[float]) -> str | None:
+    """Why line b may not stand for line a, token by token, or None."""
+    ta, tb = _SEPARATORS.split(a), _SEPARATORS.split(b)
+    if len(ta) != len(tb):
+        return "the lines hold different numbers of tokens"
+    for x, y in zip(ta, tb):
+        if x == y:
+            continue
+        if (_INT.fullmatch(x) and _INT.fullmatch(y)
+                or not (_FLOAT.fullmatch(x) and _FLOAT.fullmatch(y))):
+            return f"{x!r} against {y!r}"
+        fx, fy = float(x), float(y)
+        unit = None
+        if short and max(_sig_digits(x), _sig_digits(y)) <= SHORT_DIGITS:
+            unit = max(_last_unit(fx), _last_unit(fy))
+        reason = _value_breach(fx, fy, dev, unit)
+        if reason is not None:
+            return f"{x} against {y}: {reason}"
+    return None
+
+
+def _tensor_breach(a: str, b: str, dev: list[float]) -> str | None:
+    """Why checkpoint line b may not stand for line a, or None. A tensor
+    written in hex keeps its name and shape and moves its values within the
+    relative bound; any other line is compared token by token."""
+    fa, fb = a.split(" "), b.split(" ")
+    if not (len(fa) == len(fb) == 3 and _HEX.fullmatch(fa[2]) and _HEX.fullmatch(fb[2])):
+        return _line_breach(a, b, False, dev)
+    if fa[:2] != fb[:2]:
+        return f"tensor {' '.join(fa[:2])} against {' '.join(fb[:2])}"
+    if len(fa[2]) != len(fb[2]):
+        return "the tensors hold different numbers of values"
+    values = (np.frombuffer(bytes.fromhex(f[2]), dtype="<f8") for f in (fa, fb))
+    for i, (x, y) in enumerate(zip(*values)):
+        reason = _value_breach(float(x), float(y), dev)
+        if reason is not None:
+            return f"{fa[0]}[{i}] {float(x)!r} against {float(y)!r}: {reason}"
+    return None
+
+
+def _file_breach(rel: str, a: bytes, b: bytes, dev: list[float]) -> str | None:
+    """Why file b may not stand for file a, both at path ``rel``, or None."""
+    lines_a = a.decode("utf-8", "replace").split("\n")
+    lines_b = b.decode("utf-8", "replace").split("\n")
+    if len(lines_a) != len(lines_b):
+        return f"{rel}: {len(lines_a)} lines against {len(lines_b)}"
+    name = rel.rsplit("/", 1)[-1]
+    checkpoint = lines_a[0].startswith("format=")
+    gradcheck = rel.startswith("logs/gradcheck_") and rel.endswith(".stdout")
+    short = name in SHORT_FILES or rel.endswith(".stdout")
+    for number, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if x == y:
+            continue
+        if name == "manifest.txt":
+            free = x.partition("=")[0] == y.partition("=")[0] == FREE_MANIFEST_KEY
+            reason = None if free else "manifest lines differ"
+        elif gradcheck:
+            x, y = ([t for t in line.split(" ") if not t.startswith(GRADCHECK_NOISE)]
+                    for line in (x, y))
+            reason = None if x == y else "gradcheck verdicts differ"
+        elif checkpoint:
+            reason = "checkpoint headers differ" if number == 1 else _tensor_breach(x, y, dev)
+        else:
+            reason = _line_breach(x, y, short, dev)
+        if reason is not None:
+            return f"{rel}:{number}: {reason}"
+    return None
+
+
+def compare(base: Path, change: Path) -> tuple[dict[str, list], list[str]]:
+    """(per file type [files, files that differ, largest relative deviation,
+    largest absolute deviation], every breach of the tolerance) for the run
+    in ``change`` against the run in ``base``."""
+    trees = [{p.relative_to(top).as_posix() for p in top.rglob("*") if p.is_file()}
+             for top in (base, change)]
+    breaches = [f"{rel}: only in {top}" for rel, top in
+                sorted([(rel, base) for rel in trees[0] - trees[1]]
+                       + [(rel, change) for rel in trees[1] - trees[0]])]
+    table: dict[str, list] = {}
+    for rel in sorted(trees[0] & trees[1]):
+        row = table.setdefault(_kind(rel), [0, 0, 0.0, 0.0])
+        row[0] += 1
+        a, b = (base / rel).read_bytes(), (change / rel).read_bytes()
+        if a == b:
+            continue
+        row[1] += 1
+        dev = [0.0, 0.0]
+        reason = _file_breach(rel, a, b, dev)
+        row[2], row[3] = max(row[2], dev[0]), max(row[3], dev[1])
+        if reason is not None:
+            breaches.append(reason)
+    return table, breaches
+
+
+def _compare_main(base: Path, change: Path) -> int:
+    table, breaches = compare(base, change)
+    print(f"{'file type':<24}{'files':>6}{'differ':>8}{'max rel dev':>13}{'max abs dev':>13}")
+    for kind, (files, differ, rel, diff) in sorted(table.items()):
+        print(f"{kind:<24}{files:>6}{differ:>8}{rel:>13.3g}{diff:>13.3g}")
+    if breaches:
+        print(f"{len(breaches)} breach(es) of the tolerance; the first: {breaches[0]}",
+              file=sys.stderr)
+    return 1 if breaches else 0
+
+
 def _openblas_core() -> str:
     """The kernel core the loaded OpenBLAS runs, or "unknown". A build for
     several cores (DYNAMIC_ARCH) picks it for the CPU at load time, so it
@@ -421,7 +609,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--keep", type=Path, help="work directory to create and keep")
     parser.add_argument("--fingerprint", action="store_true",
                         help="print the environment's fingerprint and run nothing")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "CHANGE"),
+                        help="check two kept runs against the stated tolerance; run nothing")
     args = parser.parse_args(argv)
+    if args.compare:
+        for top in args.compare:
+            if not top.is_dir():
+                parser.error(f"--compare: {top} is not a directory")
+        return _compare_main(*args.compare)
     if args.fingerprint:
         print("\n".join(f"{key}={value}" for key, value in fingerprint().items()))
         return 0

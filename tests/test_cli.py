@@ -310,6 +310,14 @@ class TestTargetFlag:
         assert fields["num_series"] == str(len(hundreds))
         assert [int(v // 100) for v in tensors["norm.min"]] == hundreds
 
+    def test_timestamp_column_in_columns_is_data_error(self, four_columns, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["train", "--model", "rnn", "--data", str(four_columns), "--l", "8",
+                     "--p", "2", "--epochs", "1", "--columns", "t,a", "--timestamp", "t",
+                     "--out", str(out)]) == 2
+        assert "column 0 is the timestamp column" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestForecast:
     def test_emits_horizon_rows_matching_model_output(self, dataset, tmp_path):

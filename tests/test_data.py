@@ -329,6 +329,30 @@ class TestCsv:
             ingest_csv(path, columns=columns)
         assert str(info.value) == f"{path}: column {index} ({twice}) is selected twice"
 
+    @pytest.mark.parametrize("layout", [dict(columns=["t", "a"]), dict(columns=["a", "0"]),
+                                        dict(columns=["a"], target="t")])
+    def test_timestamp_column_selected_as_a_series_rejected(self, tmp_path, layout):
+        path = tmp_path / "d.csv"
+        path.write_text("t,a\n0,1\n1,2\n")
+        with pytest.raises(DataError, match="column 0 is the timestamp column"):
+            ingest_csv(path, timestamp="t", **layout)
+
+    @pytest.mark.parametrize("layout", [dict(columns=["a", "b"]), dict(columns=["b"], target="a"),
+                                        dict(timestamp="a")])
+    def test_name_heading_two_columns_rejected(self, tmp_path, layout):
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(DataError) as info:
+            ingest_csv(path, **layout)
+        assert str(info.value) == f"{path}: the name 'a' heads columns 0, 1; select one by index"
+
+    def test_columns_under_a_repeated_name_read_by_index_or_all(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,b\n1,2,3\n4,5,6\n")
+        assert [s.values.tolist() for s in ingest_csv(path, columns=["1", "b"]).series] == [
+            [2.0, 5.0], [3.0, 6.0]]
+        assert [s.id for s in ingest_csv(path).series] == ["a", "a", "b"]
+
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n")

@@ -13,9 +13,16 @@ kinds of check read what it wrote:
   recorded digest. Float results depend on the interpreter, numpy and the
   BLAS kernels, so elsewhere this test skips and names the field that
   differs.
+
+The tests of ``fixed_commands.py --compare``, the stated tolerance under
+which a change may move output bits, build small fake trees and run no
+command: each change inside the tolerance passes, and each outside it is
+named as a breach.
 """
 
 import importlib.util
+import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -74,3 +81,102 @@ def test_fixed_commands_write_the_recorded_bytes(fixed_run, recorded):
                         f"this environment has {key}={here.get(key)}")
     changed = [path for path in recorded if written.get(path) != recorded[path]]
     assert not changed, f"{len(changed)} of {len(recorded)} files changed: {changed}"
+
+
+# -- --compare: the stated tolerance, on small fake trees -------------------------
+
+J = 0.29927275977467382
+WEIGHTS = [0.21189941198285014, -0.35499256268288515, 0.0, 1.5]
+
+
+def _hex(values) -> str:
+    return b"".join(struct.pack("<d", v) for v in values).hex()
+
+
+def fake_tree() -> dict[str, str]:
+    """A kept run in miniature: each file type that --compare treats apart."""
+    return {
+        "train/train_report.tsv": f"epoch\tj\n1\t{J:.17g}\n2\t{J / 2:.17g}\n",
+        "train/manifest.txt": "run.command=train\nseed=1\nrun.digest.data=ab12\n",
+        "train/checkpoint.txt": ("format=3 model=crnn seed=1\n"
+                                 f"conv0.w 2x2 {_hex(WEIGHTS)}\nconv0.b 2 {_hex([0.5, -0.25])}\n"),
+        "forecast/manifest.txt": "run.command=forecast\nrun.digest.checkpoint=e092af\n",
+        "eval/report.tsv": "method\tmape_mean\ncrnn\t26.2185\n",
+        "logs/train.stdout": f"best_epoch=2 best_val_j1={J:.17g} epochs_run=2 reason=max-epochs\n",
+        "logs/train.code": "0\n",
+        "logs/gradcheck_crnn.stdout": "PASS max_rel_error=7.753e-09 worst=conv0.w[10] checked=48\n",
+    }
+
+
+def write_tree(top: Path, files: dict[str, str]) -> Path:
+    for rel, text in files.items():
+        (top / rel).parent.mkdir(parents=True, exist_ok=True)
+        (top / rel).write_text(text, encoding="utf-8")
+    return top
+
+
+def _replace(rel: str, old: str, new: str):
+    def edit(files):
+        assert old in files[rel]
+        files[rel] = files[rel].replace(old, new)
+    return edit
+
+
+ACCEPTED = {
+    "one_ulp_in_a_17g_field": _replace("train/train_report.tsv", f"{J:.17g}",
+                                       f"{math.nextafter(J, 1.0):.17g}"),
+    "one_ulp_in_a_hex_tensor_value": _replace("train/checkpoint.txt", _hex(WEIGHTS),
+                                              _hex([math.nextafter(WEIGHTS[0], 1.0),
+                                                    *WEIGHTS[1:]])),
+    "one_unit_in_a_6g_field": _replace("eval/report.tsv", "26.2185", "26.2186"),
+    "another_checkpoint_digest": _replace("forecast/manifest.txt", "e092af", "77aa01"),
+    "gradcheck_noise": _replace("logs/gradcheck_crnn.stdout", "7.753e-09 worst=conv0.w[10]",
+                                "1.2e-08 worst=conv0.b[1]"),
+}
+REFUSED = {
+    "another_epoch_count": _replace("logs/train.stdout", "epochs_run=2", "epochs_run=3"),
+    "a_17g_field_reprinted_as_6g": _replace("train/train_report.tsv", f"{J:.17g}", f"{J:.6g}"),
+    "a_value_moved_1e-9_relative": _replace("train/train_report.tsv", f"{J:.17g}",
+                                            f"{J * (1 + 1e-9):.17g}"),
+    "a_dropped_manifest_line": _replace("train/manifest.txt", "seed=1\n", ""),
+    "a_renamed_tensor": _replace("train/checkpoint.txt", "conv0.b 2", "conv0.c 2"),
+    "an_extra_file": lambda files: files.update({"eval/extra.tsv": "x\n"}),
+    "two_units_in_a_6g_field": _replace("eval/report.tsv", "26.2185", "26.2187"),
+    "another_gradcheck_verdict": _replace("logs/gradcheck_crnn.stdout", "PASS", "FAIL"),
+    "a_nan_for_a_value": _replace("train/checkpoint.txt", _hex([0.5, -0.25]),
+                                  _hex([math.nan, -0.25])),
+}
+
+
+def _compare(tmp_path, edit):
+    fixed = load_fixed_commands()
+    base = write_tree(tmp_path / "base", fake_tree())
+    files = fake_tree()
+    edit(files)
+    return fixed.compare(base, write_tree(tmp_path / "change", files))
+
+
+@pytest.mark.parametrize("edit", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_compare_accepts_a_change_inside_the_tolerance(tmp_path, edit):
+    table, breaches = _compare(tmp_path, edit)
+    assert breaches == []
+    assert sum(differ for _, differ, _, _ in table.values()) == 1
+
+
+@pytest.mark.parametrize("edit", REFUSED.values(), ids=REFUSED.keys())
+def test_compare_refuses_a_change_outside_the_tolerance(tmp_path, edit):
+    _, breaches = _compare(tmp_path, edit)
+    assert len(breaches) == 1
+
+
+def test_compare_exits_1_and_names_the_first_breach(tmp_path, capsys):
+    fixed = load_fixed_commands()
+    base = write_tree(tmp_path / "base", fake_tree())
+    files = fake_tree()
+    REFUSED["a_value_moved_1e-9_relative"](files)
+    change = write_tree(tmp_path / "change", files)
+    assert fixed.main(["--compare", str(base), str(base)]) == 0
+    assert fixed.main(["--compare", str(base), str(change)]) == 1
+    out, err = capsys.readouterr()
+    assert "train_report.tsv" in out
+    assert "train/train_report.tsv:2:" in err

@@ -1,12 +1,9 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
-from crnn_forecast import layers
 from crnn_forecast.layers import (ChannelMerge, Conv1D, Deconv1D, Dense,
                                   LSTMCell, MaxPool1D, RNNCell)
 from crnn_forecast.tensor import ShapeError, sigmoid_values
@@ -231,14 +228,44 @@ VALUES = st.one_of(SPECIAL_VALUES, st.floats(-1e6, 1e6))
 BATCH_SHAPES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
 
 
+def drawn_one_channel_conv(seed, k, batch, n, f, length):
+    """A one-input-channel Conv1D and an input for it, half of their values
+    drawn from SPECIALS and half from N(0, 1e3)."""
+    rng = np.random.default_rng(seed)
+
+    def values(shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(SPECIALS, shape),
+                        rng.normal(0.0, 1e3, shape))
+
+    conv = Conv1D(n, 1, f, k)
+    conv.w[...] = values(conv.w.shape)
+    conv.b[...] = values(conv.b.shape)
+    return conv, values(batch + (n, 1, length))
+
+
+def assert_within_dot_product_bound(conv, x, y):
+    """y is the one-input-channel conv of x within the forward-error bound of
+    a (K + 1)-term dot product: |y - ref| <= 2 (K + 1) eps (|w| |window| + |b|)
+    + (K + 1) 5e-324, where ref is the matmul-per-tap form."""
+    want, want_xp = reference_conv_forward(conv, x)
+    bound_conv = Conv1D(conv.num_series, 1, conv.num_filters, conv.filter_size)
+    bound_conv.w[...], bound_conv.b[...] = np.abs(conv.w), np.abs(conv.b)
+    magnitude, _ = reference_conv_forward(bound_conv, np.abs(x))
+    terms = conv.filter_size + 1
+    bound = 2 * terms * np.finfo(np.float64).eps * magnitude + terms * 5e-324
+    assert y.shape == want.shape
+    assert np.all(np.abs(y - want) <= bound)
+    return want_xp
+
+
 class TestFirstStageMatchesReferenceForms:
-    """The one-input-channel conv, the pooling and the conv backward without
-    an input gradient give the bits of the forms they replaced, signed
-    zeros included."""
+    """The one-input-channel conv stays within a dot product's rounding of the
+    matmul-per-tap form; the pooling and the conv backward without an input
+    gradient give the bits of the forms they replaced, signed zeros included."""
 
     @given(data=st.data(), k=st.sampled_from([1, 2, 3, 5, 10]), batch=BATCH_SHAPES)
     @settings(max_examples=150, deadline=None)
-    def test_one_channel_conv_gives_the_matmul_forms_bits(self, data, k, batch):
+    def test_one_channel_conv_stays_within_the_matmul_forms_bound(self, data, k, batch):
         n, f, length = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
                         data.draw(st.integers(1, 12)))
         conv = Conv1D(n, 1, f, k)
@@ -246,37 +273,39 @@ class TestFirstStageMatchesReferenceForms:
         conv.b[...] = data.draw(arrays(np.float64, conv.b.shape, elements=VALUES))
         x = data.draw(arrays(np.float64, batch + (n, 1, length), elements=VALUES))
         y, xp = conv.forward(x)
-        want, want_xp = reference_conv_forward(conv, x)
-        assert y.shape == want.shape
-        assert y.tobytes() == want.tobytes()
+        want_xp = assert_within_dot_product_bound(conv, x, y)
         assert xp.tobytes() == want_xp.tobytes()
 
-    # batches of many windows, where each series' windows form one long row;
-    # each is computed at the module's row cutoff and series-major at any size
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3, 5, 10]),
            batch=st.sampled_from([(), (0,), (1,), (2, 3), (33,), (64,), (96,), (4, 40)]),
            n=st.integers(1, 16), f=st.integers(1, 8),
-           length=st.sampled_from([1, 2, 3, 7, 16, 31, 32, 33]),
-           min_row=st.sampled_from([layers.SERIES_ROW_MIN_VALUES, 0]))
+           length=st.sampled_from([1, 2, 3, 7, 16, 31, 32, 33]))
     @settings(max_examples=120, deadline=None)
-    def test_long_batches_give_the_matmul_forms_bits(self, seed, k, batch, n, f, length,
-                                                     min_row):
-        rng = np.random.default_rng(seed)
+    def test_long_batches_stay_within_the_matmul_forms_bound(self, seed, k, batch, n, f,
+                                                             length):
+        conv, x = drawn_one_channel_conv(seed, k, batch, n, f, length)
+        y, xp = conv.forward(x)
+        want_xp = assert_within_dot_product_bound(conv, x, y)
+        assert xp.shape == want_xp.shape and xp.tobytes() == want_xp.tobytes()
 
-        def values(shape):
-            return np.where(rng.random(shape) < 0.5, rng.choice(SPECIALS, shape),
-                            rng.normal(0.0, 1e3, shape))
-
-        conv = Conv1D(n, 1, f, k)
-        conv.w[...] = values(conv.w.shape)
-        conv.b[...] = values(conv.b.shape)
-        x = values(batch + (n, 1, length))
-        with mock.patch.object(layers, "SERIES_ROW_MIN_VALUES", min_row):
-            y, xp = conv.forward(x)
-        want, want_xp = reference_conv_forward(conv, x)
-        assert y.shape == want.shape and xp.shape == want_xp.shape
-        assert y.tobytes() == want.tobytes()
-        assert xp.tobytes() == want_xp.tobytes()
+    # every window, and every range of series, is the bits of its own call
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3, 5, 10]),
+           batch=st.sampled_from([(1,), (2,), (7,), (33,), (2, 3)]), n=st.integers(1, 6),
+           f=st.integers(1, 5), length=st.sampled_from([1, 2, 3, 8, 16, 32]),
+           lo_hi=st.tuples(st.integers(0, 5), st.integers(1, 6)))
+    @settings(max_examples=150, deadline=None)
+    def test_one_channel_conv_gives_each_windows_and_ranges_own_bits(self, seed, k, batch, n,
+                                                                      f, length, lo_hi):
+        conv, x = drawn_one_channel_conv(seed, k, batch, n, f, length)
+        y, _ = conv.forward(x)
+        assert y.flags.c_contiguous
+        for i in np.ndindex(*batch):
+            assert conv.forward(x[i])[0].tobytes() == y[i].tobytes()
+            assert conv.forward(x[i][None])[0].tobytes() == y[i].tobytes()
+        lo = min(lo_hi[0], n - 1)
+        hi = min(max(lo_hi[1], lo + 1), n)
+        part, _ = conv.series_range(lo, hi).forward(x[..., lo:hi, :, :])
+        assert part.tobytes() == np.ascontiguousarray(y[..., lo:hi, :, :]).tobytes()
 
     @given(data=st.data(), order=st.sampled_from("CF"))
     @settings(max_examples=150, deadline=None)

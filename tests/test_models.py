@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
-from test_layers import reference_conv_forward
 from crnn_forecast import layers, models
 from crnn_forecast.data import DataError, Normalizer
 from crnn_forecast.models import (AECRNN, CRNN, BaselineConfig, ConfigError, MODELS,
@@ -632,20 +631,17 @@ class TestSplitRanges:
 
 
 class TestFirstStageLayoutStaysInsideTheConv:
-    """A large batch's first conv stage computes series by series. The pool,
-    its mask, the head, the backward pass and the split's join see the bits of
-    the one-matmul-per-tap conv all the same."""
+    """The first conv stage sums its taps over a strided view of its input.
+    The pool, its mask, the head, the backward pass and the split's join see
+    the bits of a conv that returns a C-ordered copy of its output all the
+    same, so no layout of the conv's reaches them."""
 
     @pytest.mark.parametrize("stages", [1, 2])
     @pytest.mark.parametrize("activation", ["linear", "tanh"])
     @pytest.mark.parametrize("batch, splits", [(5, False), (100, False), (160, True)])
-    @pytest.mark.parametrize("min_row", [layers.SERIES_ROW_MIN_VALUES, 0])
-    def test_model_gives_the_bits_of_the_reference_conv(self, monkeypatch, stages, activation,
-                                                        batch, splits, min_row):
-        # (n // 2) * filters * l = 512 values per window: 128 windows or more
-        # split; at the module's row cutoff 5 windows take the broadcast first
-        # stage, and at 0 every batch is series-major
-        monkeypatch.setattr(layers, "SERIES_ROW_MIN_VALUES", min_row)
+    def test_model_gives_the_bits_of_a_c_ordered_conv(self, monkeypatch, stages, activation,
+                                                      batch, splits):
+        # (n // 2) * filters * l = 512 values per window: 128 windows or more split
         cfg = ModelConfig(num_series=8, input_length=32, horizon=4, conv_pool_stages=stages,
                           filters_per_layer=4, filter_size=3, rnn_hidden=3,
                           conv_activation=activation, seed=stages)
@@ -656,7 +652,13 @@ class TestFirstStageLayoutStaysInsideTheConv:
         calls = _split_calls(monkeypatch)
         got = _passes(AECRNN(cfg), x, y, steps=1)
         assert bool(calls) == splits
-        monkeypatch.setattr(layers.Conv1D, "forward", reference_conv_forward)
+        forward = layers.Conv1D.forward
+
+        def c_ordered_forward(conv, inputs):
+            out, cache = forward(conv, inputs)
+            return np.array(out, order="C"), cache
+
+        monkeypatch.setattr(layers.Conv1D, "forward", c_ordered_forward)
         want = _passes(AECRNN(cfg), x, y, steps=1)
         assert got.keys() == want.keys()
         for key in want:
