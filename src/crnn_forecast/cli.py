@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import itertools
-import multiprocessing
 import os
 import re
 import sys
@@ -445,6 +444,7 @@ def cmd_gridsearch(args) -> int:
         raise DataError("not enough windows for a train/validation split")
     run = (args.model, _model_fields(args), prepared, _train_config(args))
     if args.jobs > 1:
+        import multiprocessing  # here, not at load: it adds ~8 ms to every start-up
         with multiprocessing.Pool(args.jobs, _share_grid_run, (run,)) as pool:
             results = pool.map(_grid_cell_worker, cells)
     else:

@@ -426,7 +426,7 @@ def _split_records(raw: bytes) -> list[list[str]] | None:
     commas; a line ends at \\r\\n, \\r or \\n, and a blank line is an empty
     record."""
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         return None
     if '"' in text or "\0" in text:
@@ -444,7 +444,8 @@ def _split_records(raw: bytes) -> list[list[str]] | None:
 def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int | None = None,
                target: str | int | None = None, raw: bytes | None = None) -> CorrelatedSet:
     """Read an aligned series set from a comma-separated UTF-8 file, or from
-    ``raw``, its bytes already read from ``path``.
+    ``raw``, its bytes already read from ``path``. A leading byte-order mark,
+    as spreadsheet exports write, is skipped.
 
     Each column is named by its header name or by its file column index
     (an int or a string of digits). ``columns`` selects the series to read,
@@ -470,7 +471,7 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
     if records is None:
         try:
             # decoded in chunks, with line breaks left to csv.reader, as open() does
-            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
             records = list(csv.reader(text))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc

@@ -170,8 +170,7 @@ def fit(kind: str, hparams: Mapping[str, object], prepared: Prepared,
     _, num_series, input_length = prepared.train.x.shape
     model = MODELS[kind]({**hparams, "num_series": num_series, "input_length": input_length,
                           "horizon": prepared.train.y.shape[1], "seed": config.seed})
-    _, report = train(model, prepared.train, config, val_samples=prepared.val)
-    return model, report
+    return train(model, prepared.train, config, val_samples=prepared.val)
 
 
 def _score(method: str, spec: ExperimentSpec, prepared: Prepared,

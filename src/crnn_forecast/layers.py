@@ -41,7 +41,6 @@ import copy
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, sigmoid_values
 
@@ -159,8 +158,11 @@ class Conv1D(_FilterGroup):
                 y += self.w[..., k] @ xp[..., k:k + length]
         else:
             step = xp.strides[-1]
-            windows = as_strided(xp, xp.shape[:-2] + (self.filter_size, length),
-                                 xp.strides[:-2] + (step, step), writeable=False)
+            # the constructor checks that the view lies inside xp; as_strided
+            # checks nothing and costs some 4 us more per call
+            windows = np.ndarray(xp.shape[:-2] + (self.filter_size, length), xp.dtype, xp, 0,
+                                 xp.strides[:-2] + (step, step))
+            windows.flags.writeable = False
             y = self.w[:, :, 0, :] @ windows
         y += self.b[..., None]
         return y, xp
@@ -282,7 +284,7 @@ class ChannelMerge(_PerSeries):
     """Learned 1x1 reduction of C channels to one per series, followed by a sigmoid.
 
     Collapses each series' feature rows (..., n, C, L) into a single bounded
-    row (..., n, 1, L) with values in (0, 1). Weights w (n, C) and biases
+    row (..., n, 1, L) with values in [0, 1]. Weights w (n, C) and biases
     b (n,) start at zero; ``init_series`` draws one series' weights.
     """
 
@@ -456,10 +458,9 @@ class LSTMCell:
         hs = np.empty(xw.shape[:-1] + (n,))
         cs = np.empty(hs.shape)
         tcs = np.empty(hs.shape)
-        # the step's pre-activation, the sigmoid's scratch and the two
-        # products of the cell update, reused by every step
+        # the step's pre-activation and the two products of the cell update,
+        # reused by every step
         z = np.empty(xw.shape[1:])
-        scratch = np.empty(z.shape)
         forget = np.empty(hs.shape[1:])
         admit = np.empty(forget.shape)
         h = c = np.zeros(forget.shape)
@@ -472,7 +473,7 @@ class LSTMCell:
             z += xw_t
             z += b
             # one sigmoid over all four gate blocks; the candidate block takes tanh
-            sigmoid_values(z, out=g, scratch=scratch)
+            sigmoid_values(z, out=g)
             np.tanh(z_cand, out=g_c)
             np.multiply(g_f, c, out=forget)
             np.multiply(g_i, g_c, out=admit)

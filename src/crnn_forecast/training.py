@@ -175,9 +175,9 @@ def train(model, samples: Windows, config: TrainConfig,
 
     Early stopping monitors validation forecast loss (j1). When no validation
     windows are supplied, the training j1 of each epoch is monitored instead
-    (useful for deliberate overfitting). The model is left holding the
-    parameters of the best epoch; they are also returned. ValueError when
-    there is no training window.
+    (useful for deliberate overfitting). Returns (model, report), the model
+    left holding the parameters of the best epoch. ValueError when there is
+    no training window.
     """
     x_train, y_train = stack_samples(samples)
     x_mon, y_mon = stack_samples(val_samples) if val_samples else (x_train, y_train)
@@ -221,7 +221,7 @@ def train(model, samples: Windows, config: TrainConfig,
     if not report.stopping_reason:
         report.stopping_reason = "max-epochs"
     model.set_params(best_params)
-    return model.get_params_copy(), report
+    return model, report
 
 
 @dataclass

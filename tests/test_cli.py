@@ -173,6 +173,16 @@ class TestTrain:
         assert "run.command=train" in manifest
         assert "run.digest.data=" in manifest
 
+    def test_byte_order_mark_is_read_past_but_digested(self, dataset, tmp_path):
+        bom_data = tmp_path / "bom.csv"
+        bom_data.write_bytes(b"\xef\xbb\xbf" + dataset.read_bytes())
+        for data_file, out in ((dataset, tmp_path / "plain"), (bom_data, tmp_path / "bom")):
+            assert main(train_args(data_file, out, epochs="1")) == 0
+        assert ((tmp_path / "bom" / "checkpoint.txt").read_bytes()
+                == (tmp_path / "plain" / "checkpoint.txt").read_bytes())
+        manifest = _manifest(tmp_path / "bom")
+        assert manifest["run.digest.data"] == hashlib.sha256(bom_data.read_bytes()).hexdigest()
+
     def test_checkpoint_carries_normalizer(self, dataset, tmp_path):
         out = tmp_path / "t"
         main(train_args(dataset, out))
@@ -625,6 +635,16 @@ class TestGridsearch:
                 == (parallel / "grid_report.tsv").read_text())
         assert ((serial / "best_checkpoint.txt").read_bytes()
                 == (parallel / "best_checkpoint.txt").read_bytes())
+
+    def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
+        # only gridsearch --jobs > 1 uses it, and a fresh process pays for its import
+        script = ("import sys, crnn_forecast.cli\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_jobs_forked_after_the_worker_thread_started_match_serial(self, dataset,
                                                                      tmp_path):

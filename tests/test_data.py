@@ -293,6 +293,25 @@ class TestCsv:
             ingest_csv(path)
         assert str(info.value) == f"{path}: row {line} column 1 is not numeric: 'x'"
 
+    def test_headerless_file_behind_a_byte_order_mark_keeps_every_row(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with the UTF-8 BOM
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2.0\n3,4\n")
+        cset = ingest_csv(path)
+        assert [s.id for s in cset.series] == ["col0", "col1"]
+        assert cset.values_matrix().tolist() == [[1.5, 3.0], [2.0, 4.0]]
+
+    @pytest.mark.parametrize("header", [b"date,a,b", b'date,"a",b', b'"date",a,b'],
+                             ids=["quote-free", "quoted", "quoted-first-cell"])
+    def test_header_behind_a_byte_order_mark_resolves_by_name(self, tmp_path, header):
+        raw = b"\xef\xbb\xbf" + header + b"\n0,1,2\n1,3,4\n"
+        assert (data_module._split_records(raw) is None) == (b'"' in header)
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        cset = ingest_csv(path, timestamp="date", target="b")
+        assert [s.id for s in cset.series] == ["b", "a"]
+        assert cset.values_matrix().tolist() == [[2.0, 4.0], [1.0, 3.0]]
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n3\n")
@@ -572,7 +591,8 @@ class TestCsvProperties:
 
 def _reader_records(raw: bytes) -> list[list[str]]:
     """The records csv.reader cuts from raw, decoded as ingest_csv's csv path does."""
-    return list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")))
+    return list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig",
+                                            newline="")))
 
 
 # Quote-free text: digits, commas, every line break csv.reader splits at, and
