@@ -418,17 +418,12 @@ def read_input(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _split_records(raw: bytes) -> list[list[str]] | None:
-    """The records csv.reader would cut from ``raw``, cut by plain splitting,
-    or None when splitting might not agree with csv.reader: the bytes are not
-    UTF-8, or hold a quote, a NUL or a line longer than the field size limit.
-    Without quotes, a record is one line and its cells are the line split at
-    commas; a line ends at \\r\\n, \\r or \\n, and a blank line is an empty
-    record."""
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
+def _split_records(text: str) -> list[list[str]] | None:
+    """The records csv.reader would cut from ``text``, cut by plain splitting,
+    or None when splitting might not agree with csv.reader: the text holds a
+    quote, a NUL or a line longer than the field size limit. Without quotes,
+    a record is one line and its cells are the line split at commas; a line
+    ends at \\r\\n, \\r or \\n, and a blank line is an empty record."""
     if '"' in text or "\0" in text:
         return None
     if "\r" in text:
@@ -456,10 +451,12 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
     ``columns`` nor ``target`` may select it. A name that heads more than one
     column is refused; such a column is selected by index.
 
-    Records are cut on one of two paths that give the same records. Quote-free
-    UTF-8 text with no NUL and no overlong line is split at line breaks and
-    commas (``_split_records``); any other input goes through csv.reader, so
-    quoted cells are read and every malformed input gets csv's error.
+    The bytes are decoded as UTF-8 in one piece, so a decode error names the
+    bad byte's offset in the file, mark included. Records are then cut on one
+    of two paths that give the same records. Quote-free text with no NUL and
+    no overlong line is split at line breaks and commas (``_split_records``);
+    any other text goes through csv.reader, so quoted cells are read and
+    every malformed input gets csv's error.
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
     ragged row, column selected twice, or non-uniform timestamp column aborts
@@ -467,13 +464,16 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
     keep no time base.
     """
     raw = read_input(path) if raw is None else raw
-    records = _split_records(raw)
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    records = _split_records(text)
     if records is None:
         try:
-            # decoded in chunks, with line breaks left to csv.reader, as open() does
-            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-            records = list(csv.reader(text))
-        except (UnicodeDecodeError, csv.Error) as exc:
+            # line breaks left to csv.reader, as open(newline="") does
+            records = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in records if "".join(r).strip()]  # drop rows of blank cells
     if not rows:

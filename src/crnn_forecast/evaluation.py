@@ -176,7 +176,8 @@ def fit(kind: str, hparams: Mapping[str, object], prepared: Prepared,
 def _score(method: str, spec: ExperimentSpec, prepared: Prepared,
            seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Fit ``method`` on one prepared set for one seed. Returns its test
-    forecasts and their truths, each (N, p) in original units."""
+    forecasts and their truths, each (N, p) in original units. A model
+    forecasts one batch of windows per call, so memory stays bounded."""
     x_test, y_test = stack_samples(prepared.test)
     if method == "yesterday":
         forecasts = yesterday_batch(x_test, spec.horizon)
@@ -185,7 +186,9 @@ def _score(method: str, spec: ExperimentSpec, prepared: Prepared,
     else:
         model, _ = fit(method, spec.hparams, prepared,
                        dataclasses.replace(spec.train, seed=seed))
-        forecasts = model.batch_forecast(x_test)
+        size = spec.train.batch_size
+        forecasts = np.concatenate([model.batch_forecast(x_test[start:start + size])
+                                    for start in range(0, len(x_test), size)])
     return prepared.norm.inverse_target(forecasts), prepared.norm.inverse_target(y_test)
 
 

@@ -24,12 +24,14 @@ steps as given: on a view whose strides BLAS cannot take, numpy's matmul
 runs its own loop, which on longer feature rows sums in another order than
 BLAS, so a contiguous copy would move the forecasts' bits. The
 forward cache keeps every step's hidden state (and, for the LSTM, cell
-state, tanh of it and gate activations). The backward loop carries only
-the state gradients and writes each step's pre-activation gradient into one
-buffer, from which the weight gradients and the input gradients are taken
-after the loop. Each product and each sum keeps the operands and order of a
-per-step loop, so the results are that loop's bits (tests/test_layers.py
-holds that loop as the reference).
+state, tanh of it and gate activations). The backward pass is
+backpropagation through time in time order: its loop carries only the
+state gradients and writes step t's pre-activation gradient into row t of
+one (T, batch, out) array, from which one matmul each gives the input
+gradients and every weight gradient (``_sequence_grads``). The sums run in
+another order than a per-step loop's, so the gradients match that loop
+within rounding, not bit for bit (tests/test_layers.py holds the loop as
+the reference and states the bound); the forward pass gives its bits.
 
 Each backward pass is the exact adjoint of its forward map and is checked
 against central finite differences in the test suite.
@@ -346,14 +348,16 @@ def _check_steps(cell: str, x: np.ndarray, input_size: int) -> None:
                          f"got shape {x.shape}")
 
 
-def _weight_grad(dz_rev: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """sum over t of dz_t^T @ inputs_t, for dz_rev (T, batch, out) holding
-    the steps last first and inputs (T, batch, in) first first.
-
-    Each step's product is the matmul a per-step loop forms, and the sum runs
-    from the last step to the first, as a loop running backward in time adds.
-    """
-    return np.matmul(dz_rev.swapaxes(1, 2), inputs[::-1]).sum(axis=0)
+def _sequence_grads(dz: np.ndarray, x: np.ndarray, hs: np.ndarray, w_in: np.ndarray):
+    """(input gradients, input-weight, recurrent-weight and bias gradients)
+    of a recurrent cell from its pre-activation gradients dz (T, batch, out),
+    steps x and hidden states hs, all time-major. Each weight gradient is one
+    matmul over every (step, window) row; the recurrent one pairs step t's dz
+    with step t-1's state, as the zero start state adds nothing."""
+    rows = dz.reshape(-1, dz.shape[-1])
+    return (dz @ w_in, rows.T @ x.reshape(-1, x.shape[-1]),
+            dz[1:].reshape(-1, dz.shape[-1]).T @ hs[:-1].reshape(-1, hs.shape[-1]),
+            rows.sum(axis=0))
 
 
 class RNNCell:
@@ -362,8 +366,9 @@ class RNNCell:
     ``forward`` takes the steps as one array (T, batch, input_size) and
     projects every step's input in one batched matmul before the time loop,
     which then adds only the recurrent term. Its cache is (the steps, every
-    hidden state). ``backward`` carries only dh through the loop; the weight
-    gradients and the input gradients are taken after it.
+    hidden state). ``backward`` carries only dh through the loop, writing
+    step t's pre-activation gradient into row t; the weight gradients and the
+    input gradients are taken after it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -399,21 +404,15 @@ class RNNCell:
         Returns (input gradients (T, batch, input_size), parameter gradients).
         """
         x, hs = cache
-        steps = len(x)
         dtanh = 1.0 - hs * hs
-        dz_rev = np.empty(hs.shape)  # row k holds step steps-1-k
+        dz = np.empty(hs.shape)
         dh = grad_final.reshape(hs.shape[1:])
-        for k in range(steps):
-            dz = np.multiply(dh, dtanh[steps - 1 - k], out=dz_rev[k])
-            if k + 1 < steps:
-                dh = dz @ self.w_hh
-        grads = {
-            "w_xh": _weight_grad(dz_rev, x),
-            # the zero start state adds nothing to gw_hh
-            "w_hh": _weight_grad(dz_rev[:-1], hs[:-1]),
-            "b": dz_rev.sum(axis=1).sum(axis=0),
-        }
-        return (dz_rev @ self.w_xh)[::-1], grads
+        for t in reversed(range(len(x))):
+            np.multiply(dh, dtanh[t], out=dz[t])
+            if t:
+                dh = dz[t] @ self.w_hh
+        gx, gw_xh, gw_hh, gb = _sequence_grads(dz, x, hs, self.w_xh)
+        return gx, {"w_xh": gw_xh, "w_hh": gw_hh, "b": gb}
 
 
 class LSTMCell:
@@ -429,9 +428,10 @@ class LSTMCell:
     the gates holds tanh, the other three the sigmoid. The loop writes each
     step's gates, states and temporaries into buffers made once per call,
     with ``out=``, and the gate buffer is the cache itself; a later call
-    makes its own, so no cache is overwritten. ``backward`` forms
-    every step's local gate derivatives before the loop, carries only dh and
-    dc through it, and takes the weight and input gradients after it.
+    makes its own, so no cache is overwritten. ``backward`` forms one
+    array of every step's local gate derivatives before the loop, carries
+    only dh and dc through it, writing step t's gate gradient into row t,
+    and takes the weight and input gradients after it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -486,35 +486,24 @@ class LSTMCell:
         (T, batch, input_size), parameter gradients)."""
         x, hs, cs, tcs, gates = cache
         n = self.hidden_size
-        steps = len(x)
         gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
-        # Step t's gate gradient is dz = ((d * s) * q) blockwise, with
-        # d = (dc*gc, dc*c_prev, dc*gi, dh*tanh(c)) and q = 1 - s, except that
-        # the candidate block has s = 1.0 and q = 1 - gc^2: the roundings of
-        # di*gi*(1-gi), df*gf*(1-gf), dg*(1-gc^2) and do*go*(1-go).
-        s = gates.copy()
-        s[..., 2 * n:3 * n] = 1.0
-        q = 1.0 - gates
-        q[..., 2 * n:3 * n] = 1.0 - gc * gc
         c_prev = np.concatenate((np.zeros((1,) + cs.shape[1:]), cs[:-1]))
-        r = np.concatenate((gc, c_prev, gi, tcs), axis=-1)
-        dtanh_c = 1.0 - tcs * tcs
-        dz_rev = np.empty(gates.shape)  # row k holds step steps-1-k
+        # step t's gate gradient is concat(dc, dc, dc, dh) * local[t], whose
+        # blocks are gc*gi(1-gi), c_prev*gf(1-gf), gi*(1-gc^2), tanh(c)*go(1-go)
+        local = 1.0 - gates
+        local *= gates
+        local[..., 2 * n:3 * n] = 1.0 - gc * gc
+        local *= np.concatenate((gc, c_prev, gi, tcs), axis=-1)
+        # dh_t/dc_t, from h_t = go * tanh(c_t)
+        dh_dc = go * (1.0 - tcs * tcs)
+        dz = np.empty(gates.shape)
         dh = grad_final.reshape(hs.shape[1:])
         dc = np.zeros(dh.shape)
-        for k in range(steps):
-            t = steps - 1 - k
-            dc = dc + dh * go[t] * dtanh_c[t]
-            dz = np.multiply(np.concatenate((dc, dc, dc, dh), axis=-1), r[t], out=dz_rev[k])
-            dz *= s[t]
-            dz *= q[t]
+        for t in reversed(range(len(x))):
+            dc = dc + dh * dh_dc[t]
+            np.multiply(np.concatenate((dc, dc, dc, dh), axis=-1), local[t], out=dz[t])
             if t:
                 dc = dc * gf[t]
-                dh = dz @ self.w_h
-        grads = {
-            "w_x": _weight_grad(dz_rev, x),
-            # the zero start state adds nothing to gw_h
-            "w_h": _weight_grad(dz_rev[:-1], hs[:-1]),
-            "b": dz_rev.sum(axis=1).sum(axis=0),
-        }
-        return (dz_rev @ self.w_x)[::-1], grads
+                dh = dz[t] @ self.w_h
+        gx, gw_x, gw_h, gb = _sequence_grads(dz, x, hs, self.w_x)
+        return gx, {"w_x": gw_x, "w_h": gw_h, "b": gb}

@@ -821,7 +821,7 @@ def save_checkpoint(path, model, extra_tensors: Mapping[str, np.ndarray] | None 
 def _checkpoint_format(fields: Mapping[str, str]) -> str:
     fmt = fields.get("format")
     if fmt not in _READABLE_FORMATS:
-        raise ConfigError(f"unsupported checkpoint format {fmt!r} "
+        raise DataError(f"unsupported checkpoint format {fmt!r} "
                           f"(readable formats: {', '.join(_READABLE_FORMATS)})")
     return fmt
 
@@ -908,16 +908,21 @@ def model_from_checkpoint(fields: Mapping[str, str], tensors: Mapping[str, np.nd
 
     Returns (model, extras) where extras holds tensors that are not model
     parameters (e.g. normalization statistics). Format-1 contents are
-    converted to the grouped parameters of format 2.
+    converted to the grouped parameters of format 2. A header that names no
+    model or breaks its config's contract raises DataError, as the file is
+    the bad input.
     """
     fmt = _checkpoint_format(fields)
     kind = fields.get("model", "")
     # the baselines' header kinds are rnn-baseline and lstm-baseline
     base = kind.removesuffix("-baseline")
-    # set_params overwrites every parameter, so none is drawn
-    model = _new_model(base, fields, undrawn=True) if base in _KINDS else None
+    try:
+        # set_params overwrites every parameter, so none is drawn
+        model = _new_model(base, fields, undrawn=True) if base in _KINDS else None
+    except ConfigError as exc:
+        raise DataError(f"checkpoint header breaks the model contract: {exc}") from None
     if model is None or model.kind != kind:
-        raise ConfigError(f"checkpoint names unknown model kind {kind!r}")
+        raise DataError(f"checkpoint names unknown model kind {kind!r}")
     if fmt == "1":
         tensors = _stack_series_tensors(model, tensors)
     missing = [k for k in model.params if k not in tensors]

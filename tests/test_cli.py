@@ -405,6 +405,30 @@ class TestForecast:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("model=crnn", "model=foo", "unknown model kind 'foo'"),
+        ("format=3", "format=9", "unsupported checkpoint format '9'"),
+        ("num_series=2", "num_series=0", "num_series must be at least 1"),
+        ("filters_per_layer=2", "filters_per_layer=7", "filters_per_layer=7 is outside"),
+        ("input_length=8", "input_length=7", "input_length 7 is not divisible"),
+    ], ids=["model", "format", "num_series", "filters_per_layer", "input_length"])
+    def test_header_breaking_the_model_contract_is_data_error(self, dataset, tmp_path,
+                                                               capsys, old, new, message):
+        train_out = tmp_path / "t"
+        assert main(train_args(dataset, train_out, epochs="1")) == 0
+        ckpt = train_out / "checkpoint.txt"
+        header, rest = ckpt.read_text().split("\n", 1)
+        assert f" {old} " in f" {header} "
+        ckpt.write_text(f" {header} ".replace(f" {old} ", f" {new} ").strip() + "\n" + rest)
+        capsys.readouterr()
+        out = tmp_path / "f"
+        code = main(["forecast", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mins, maxs, message", [
         ([0.0, 1.0, 2.0], [9.0, 9.0, 9.0], "norm.min holds 3 values, for a model of 2 series"),
         ([0.0, 1.0, 2.0], [9.0, 9.0], "norm.min holds 3 values, norm.max 2"),

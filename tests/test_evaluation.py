@@ -225,6 +225,38 @@ class TestRunExperiment:
         assert not out.exists()
 
 
+class TestScore:
+    @pytest.mark.parametrize("method", ["crnn", "aecrnn", "rnn", "lstm"])
+    def test_forecasts_at_most_one_batch_of_windows_per_call(self, monkeypatch, method):
+        # eval stride 1 leaves more test windows than two batches, and not a multiple
+        spec = tiny_spec(eval_stride=1)
+        (_, prepared), = synthetic_runs(spec, length=400)
+        windows = len(prepared.test)
+        assert windows > 2 * spec.train.batch_size and windows % spec.train.batch_size
+        sizes, whole = [], []
+        real_fit = evaluation.fit
+
+        def recording_fit(*args, **kwargs):
+            model, report = real_fit(*args, **kwargs)
+            forecast = model.batch_forecast
+            whole.append(forecast(prepared.test.x))
+
+            def recording_forecast(x):
+                sizes.append(len(x))
+                return forecast(x)
+
+            model.batch_forecast = recording_forecast
+            return model, report
+
+        monkeypatch.setattr(evaluation, "fit", recording_fit)
+        preds, _ = evaluation._score(method, spec, prepared, seed=0)
+        assert max(sizes) <= spec.train.batch_size and sum(sizes) == windows
+        assert len(preds) == windows
+        # slicing moves forecasts by rounding only (one batched call is the oracle)
+        np.testing.assert_allclose(preds, prepared.norm.inverse_target(whole[0]),
+                                   rtol=1e-12, atol=1e-15)
+
+
 class TestRobustness:
     def test_table_shape_and_cells(self):
         cset = generate_synthetic(SyntheticConfig(length=260, seed=5))

@@ -768,17 +768,36 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="missing parameters"):
             model_from_checkpoint(fields, tensors)
 
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("crnn", "num_series", "0", "num_series must be at least 1"),
+        ("crnn", "filters_per_layer", "7", "filters_per_layer=7 is outside the search grid"),
+        ("aecrnn", "input_length", "7", "input_length 7 is not divisible"),
+        ("lstm", "rnn_hidden", "0", "hidden must be at least 1, got 0"),
+    ], ids=["num_series", "filters_per_layer", "input_length", "rnn_hidden"])
+    def test_header_breaking_the_contract_is_data_error_from_a_checkpoint_only(
+            self, tmp_path, kind, field, value, message):
+        # the file is the bad input; a caller that builds the config gets ConfigError
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, MODELS[kind]({"num_series": 2, "input_length": 8, "horizon": 2}))
+        fields, tensors = load_checkpoint(path)
+        fields[field] = value
+        with pytest.raises(DataError, match=f"checkpoint header breaks the model "
+                                            f"contract: {message}"):
+            model_from_checkpoint(fields, tensors)
+        with pytest.raises(ConfigError, match=message):
+            MODELS[kind](fields)
+
     @pytest.mark.parametrize("fmt", ["0", "4", ""])
     def test_unknown_format_rejected_by_name(self, tmp_path, fmt):
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, CRNN(small_config()))
         fields, tensors = load_checkpoint(path)
         fields["format"] = fmt
-        with pytest.raises(ConfigError, match=f"format '{fmt}'"):
+        with pytest.raises(DataError, match=f"format '{fmt}'"):
             model_from_checkpoint(fields, tensors)
         text = path.read_text().replace("format=3", f"format={fmt}", 1)
         path.write_text(text)
-        with pytest.raises(ConfigError, match=f"format '{fmt}'"):
+        with pytest.raises(DataError, match=f"format '{fmt}'"):
             load_checkpoint(path)
 
     def test_truncated_file_names_the_tensor(self, tmp_path):
