@@ -7,14 +7,15 @@ series axis, so series s is transformed by its own filters ``w[s]``. One
 call covers every series; each filter tap is one broadcast matmul over the
 series axis and any leading batch axes, except in Conv1D with one input
 channel, where one matmul over a strided view of the padded input sums every
-tap (see Conv1D). ``series_range`` gives one of these layers for a
-contiguous range of its series, with views of its weights. The matmuls and
-ufuncs compute each series' matrices alone and the weight gradients are summed
-over the batch axes only, so each series' outputs and gradients are the
-bits of the whole group's call, as long as a weight gradient of the range
-holds more than one value per window (numpy sums a single value per window
-pairwise, and several row by row). Dense acts on a trailing (features,)
-axis with optional leading batch axes.
+tap (see Conv1D), and in Deconv1D's backward pass, where one matmul over the
+stacked taps gives each gradient (see Deconv1D). ``series_range`` gives one
+of these layers for a contiguous range of its series, with views of its
+weights. The matmuls and ufuncs compute each series' matrices alone and the
+weight gradients are summed over the batch axes only, so each series'
+outputs and gradients are the bits of the whole group's call, as long as a
+weight gradient of the range holds more than one value per window (numpy
+sums a single value per window pairwise, and several row by row). Dense acts
+on a trailing (features,) axis with optional leading batch axes.
 
 The recurrent cells (RNNCell, LSTMCell) take their steps in the one form
 the models send: a time-major array (T, batch, features). Their Python loop
@@ -246,6 +247,11 @@ class Deconv1D(_FilterGroup):
 
     Each input position scatters its filter response at offset 2*i; anything
     past 2L is cropped so one deconvolution exactly undoes one pooling halving.
+
+    The backward pass stacks the K taps' output gradients into one
+    zero-padded (..., n, K*F, L) array: one matmul gives the weight gradient
+    and one the input gradient, within rounding of per-tap matmuls. The
+    forward pass keeps one matmul per tap; stacked, it gained only some 3%.
     """
 
     def _taps(self, l_out: int):
@@ -272,12 +278,14 @@ class Deconv1D(_FilterGroup):
             raise ShapeError(
                 f"Deconv1D backward: gradient shape {grad_out.shape} does not match "
                 f"output shape (..., {self.num_series}, {self.num_filters}, {l_out})")
-        gw = np.zeros_like(self.w)
-        gx = np.zeros(x.shape)
+        n, f, c, taps = self.w.shape
+        # rows k*F..(k+1)*F: tap k's gradient, zero past its n_k positions
+        g = np.zeros(x.shape[:-2] + (taps * f, x.shape[-1]))
         for k, n_k in self._taps(l_out):
-            gk = grad_out[..., k::2]
-            gw[..., k] = _sum_to_group(gk @ x[..., :n_k].swapaxes(-1, -2))
-            gx[..., :n_k] += self.w[..., k].swapaxes(-1, -2) @ gk
+            g[..., k * f:(k + 1) * f, :n_k] = grad_out[..., k::2]
+        gw = _sum_to_group(g @ x.swapaxes(-1, -2)).reshape(n, taps, f, c).transpose(0, 2, 3, 1)
+        w_stacked = self.w.transpose(0, 3, 1, 2).reshape(n, taps * f, c)
+        gx = w_stacked.swapaxes(-1, -2) @ g
         gb = _sum_to_group(grad_out).sum(axis=-1)
         return gx, {"w": gw, "b": gb}
 

@@ -59,8 +59,8 @@ import binascii
 import functools
 import math
 import os
+import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from typing import Mapping
 
@@ -360,22 +360,19 @@ def _collect(grads: dict, prefix: str, layer_grads: Mapping[str, np.ndarray]) ->
 SPLIT_MIN_VALUES = 65536
 
 
-def _new_worker() -> ThreadPoolExecutor:
-    """An executor of one thread, which it starts on the first submit."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="crnn-series")
+# _on_both_cores's executor, made on first use: concurrent.futures takes ~4 ms to import
+_worker = None
+_worker_lock = threading.Lock()
 
 
-_worker = _new_worker()
-
-
-def _replace_worker() -> None:
+def _reset_worker() -> None:
     # A forked child has no copy of its parent's worker thread, so it would
-    # wait forever on the parent's executor; it starts a thread of its own.
-    global _worker
-    _worker = _new_worker()
+    # wait forever on the parent's executor; it makes a worker of its own.
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_replace_worker)
+os.register_at_fork(after_in_child=_reset_worker)
 
 
 def _under_errstate(call, err: dict, fn, args):
@@ -388,6 +385,11 @@ def _on_both_cores(fn, lo_args: tuple, hi_args: tuple):
     this thread's floating-point error handling, the second on this thread.
     Returns once both are done. When either raises, the error is raised
     after both are done, the first call's when both raise."""
+    global _worker
+    with _worker_lock:  # two caller threads must not both make one
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crnn-series")
     lo = _worker.submit(_under_errstate, np.geterrcall(), np.geterr(), fn, lo_args)
     try:
         hi = fn(*hi_args)

@@ -660,15 +660,23 @@ class TestGridsearch:
         assert ((serial / "best_checkpoint.txt").read_bytes()
                 == (parallel / "best_checkpoint.txt").read_bytes())
 
-    def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
-        # only gridsearch --jobs > 1 uses it, and a fresh process pays for its import
+    @staticmethod
+    def modules_loaded_by_importing_the_cli(prefix):
         script = ("import sys, crnn_forecast.cli\n"
-                  "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
+                  f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))\n")
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        return proc.stdout
+
+    def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
+        # only gridsearch --jobs > 1 uses it, and a fresh process pays for its import
+        assert self.modules_loaded_by_importing_the_cli("multiprocessing") == "[]\n"
+
+    def test_importing_the_cli_leaves_concurrent_futures_unloaded(self):
+        # only a batch that splits across two threads uses it
+        assert self.modules_loaded_by_importing_the_cli("concurrent") == "[]\n"
 
     def test_jobs_forked_after_the_worker_thread_started_match_serial(self, dataset,
                                                                      tmp_path):

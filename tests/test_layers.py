@@ -415,6 +415,73 @@ class TestDeconv1D:
         assert rel_error(gx, numeric_grad(loss, x)) < FD_TOL
 
 
+def reference_deconv_backward(deconv, x, grad_out):
+    """Deconv1D's backward with one pair of matmuls per filter tap."""
+    gw = np.zeros_like(deconv.w)
+    gx = np.zeros(x.shape)
+    for k, n_k in deconv._taps(2 * x.shape[-1]):
+        gk = grad_out[..., k::2]
+        gw[..., k] = (gk @ x[..., :n_k].swapaxes(-1, -2)).reshape(
+            (-1,) + gw.shape[:-1]).sum(axis=0)
+        gx[..., :n_k] += deconv.w[..., k].swapaxes(-1, -2) @ gk
+    gb = grad_out.reshape((-1,) + grad_out.shape[-3:]).sum(axis=0).sum(axis=-1)
+    return gx, {"w": gw, "b": gb}
+
+
+class TestDeconvBackwardMatchesPerTapLoop:
+    """The stacked-tap backward against the matmul-per-tap loop."""
+
+    # taps that _taps cuts, one window, and the pair, wide and inference shapes
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 10),
+           batch=st.one_of(st.sampled_from([(), (1,), (2, 3)]),
+                           st.integers(2, 256).map(lambda b: (b,))),
+           n=st.integers(1, 4), c=st.integers(1, 4), f=st.integers(1, 4),
+           length=st.integers(1, 12), lo_hi=st.tuples(st.integers(0, 3), st.integers(1, 4)))
+    @example(seed=0, k=5, batch=(), n=1, c=1, f=1, length=1, lo_hi=(0, 1))
+    @example(seed=1, k=10, batch=(3,), n=2, c=2, f=3, length=2, lo_hi=(1, 2))
+    @example(seed=2, k=3, batch=(), n=16, c=8, f=8, length=8, lo_hi=(3, 11))
+    @example(seed=3, k=3, batch=(32,), n=2, c=4, f=4, length=16, lo_hi=(1, 2))
+    @example(seed=4, k=3, batch=(32,), n=16, c=8, f=8, length=16, lo_hi=(0, 8))
+    @example(seed=5, k=3, batch=(32,), n=16, c=8, f=8, length=8, lo_hi=(5, 6))
+    @example(seed=6, k=3, batch=(256,), n=4, c=4, f=4, length=8, lo_hi=(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, seed, k, batch, n, c, f, length, lo_hi):
+        """The bias gradient is the loop's bits. The weight and input gradients
+        sum their products in another order (one matmul over all K taps, with
+        zeros where a tap's output falls past 2L), so each is held to a
+        normwise bound, max|a - ref| <= 1e-12 * max|ref|; a signed zero
+        compares by value. Each range of series gives the bits of the whole
+        group's call."""
+        rng = np.random.default_rng(seed)
+
+        def values(shape):
+            return np.where(rng.random(shape) < 0.3, rng.choice(SPECIALS, shape),
+                            rng.normal(0.0, 1e3, shape))
+
+        deconv = Deconv1D(n, c, f, k)
+        deconv.w[...] = values(deconv.w.shape)
+        x = values(batch + (n, c, length))
+        g = values(batch + (n, f, 2 * length))
+        _, cache = deconv.forward(x)
+        gx, grads = deconv.backward(cache, g)
+        want_gx, want = reference_deconv_backward(deconv, x, g)
+        assert grads["b"].tobytes() == want["b"].tobytes()
+        assert_within_normwise_bound(gx, want_gx, "input gradients")
+        assert_within_normwise_bound(grads["w"], want["w"], "w")
+
+        lo = min(lo_hi[0], n - 1)
+        hi = min(max(lo_hi[1], lo + 1), n)
+        part = deconv.series_range(lo, hi)
+        part_gx, part_grads = part.backward(part.forward(x[..., lo:hi, :, :])[1],
+                                            g[..., lo:hi, :, :])
+        assert part_gx.tobytes() == np.ascontiguousarray(gx[..., lo:hi, :, :]).tobytes()
+        assert part_grads["b"].tobytes() == grads["b"][lo:hi].tobytes()
+        # numpy sums one value per window pairwise (see the layers docstring)
+        if (hi - lo) * k * f * c > 1:
+            assert part_grads["w"].tobytes() == np.ascontiguousarray(
+                grads["w"][lo:hi]).tobytes()
+
+
 class TestChannelMerge:
     def test_sigmoid_of_zero(self):
         merge = ChannelMerge(1, 1)

@@ -1,7 +1,12 @@
+import concurrent.futures
 import math
+import operator
 import shutil
 import string
 import struct
+import sys
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -578,6 +583,37 @@ class TestSeriesSplitMatchesOneGroup:
                 assert (layer.w == 0.5).all() and (layer.b == 0.5).all()
         # built once per range: another batch cut the same way reuses them
         assert all(a is b for (a, _, _), (b, _, _) in zip(low, model._split_ranges(2)[0]))
+
+    def test_callers_on_several_threads_make_one_worker(self, monkeypatch):
+        made, real = [], concurrent.futures.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            time.sleep(0.01)  # a slow start, so that a second caller would overtake it
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+        monkeypatch.setattr(models, "_worker", None)
+        results = [None] * 8
+
+        def call(i):
+            results[i] = models._on_both_cores(operator.add, (i, 1), (i, 2))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            for executor in made:
+                executor.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(made) == 1
+        assert results == [(i + 1, i + 2) for i in range(len(results))]
 
 
 def _bounds(model, batch) -> list[list[tuple[int, int]]]:
