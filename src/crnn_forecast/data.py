@@ -9,12 +9,11 @@ Windows are cut as :class:`Windows`: read-only array views of the normalized
 matrix, with inputs X of shape (N, num_series, input_length), targets Y of
 shape (N, horizon) and the offset of each window, in time order. No window is
 copied until ``stack_samples`` gathers a set into contiguous batches.
-Every :class:`TimeSeries` copies and checks the values it is built from. A
-set sliced in time (``slice_time``) or given new values (``with_values``,
-which ``Normalizer.transform`` calls) is rebuilt series by series, so values
-already checked are copied and checked again. A series is its name and its
-values, one per time step; no time base is kept, and a timestamp column
-(``--timestamp``) is only checked for uniform spacing.
+Values are checked once. A :class:`TimeSeries` copies and checks the values
+its caller gives; ``ingest_csv`` and ``with_values`` check one matrix whose
+read-only rows become the series, and ``slice_time`` returns views of them.
+A series is its name and values, one per time step; no time base is kept,
+and a timestamp column (``--timestamp``) is only checked for uniform spacing.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -130,17 +128,33 @@ class CorrelatedSet:
         return CorrelatedSet(self.series[:k])
 
     def slice_time(self, start: int, stop: int) -> "CorrelatedSet":
+        """Steps [start, stop) of each series: views, no copy, no new check."""
         if not 0 <= start < stop <= self.length:
             raise DataError(f"invalid time slice [{start}, {stop})")
-        return CorrelatedSet(tuple(TimeSeries(s.id, s.values[start:stop])
-                                   for s in self.series))
+        return CorrelatedSet(tuple(_series_view(s.id, s.values[start:stop]) for s in self.series))
 
     def with_values(self, matrix: np.ndarray) -> "CorrelatedSet":
-        """Same identities, replaced values (e.g. normalized)."""
+        """Same identities, replaced values (e.g. normalized), copied and checked once."""
         if matrix.shape != (self.num_series, self.length):
             raise DataError(f"replacement matrix shape {matrix.shape} does not match")
-        return CorrelatedSet(tuple(TimeSeries(s.id, matrix[i])
-                                   for i, s in enumerate(self.series)))
+        return _rows_as_set([s.id for s in self.series], np.array(matrix, np.float64, order="C"))
+
+
+def _series_view(id: str, values: np.ndarray) -> TimeSeries:
+    """A series over ``values``, read-only and checked already, kept as they are."""
+    series = object.__new__(TimeSeries)
+    series.__dict__.update(id=id, values=values)  # a frozen dataclass's fields
+    return series
+
+
+def _rows_as_set(ids: Sequence[str], m: np.ndarray) -> CorrelatedSet:
+    """The series ``ids`` over the rows of ``m``, a C-ordered float64 matrix
+    no caller holds, made read-only. DataError names the first non-finite one."""
+    finite = np.isfinite(m).all(axis=-1)
+    if not finite.all():
+        raise DataError(f"series {ids[int(np.argmin(finite))]!r} has missing or non-finite values")
+    m.setflags(write=False)
+    return CorrelatedSet(tuple(map(_series_view, ids, m)))
 
 
 @dataclass(frozen=True)
@@ -342,13 +356,12 @@ def prepare(cset: CorrelatedSet, input_length: int, horizon: int, *,
 # -- CSV ingestion --------------------------------------------------------------
 
 
-def _looks_like_header(row: list[str]) -> bool:
-    for cell in row:
-        try:
-            float(cell)
-        except ValueError:
-            return True
-    return False
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _resolve_column(spec: str | int, header: list[str] | None, path: str) -> int:
@@ -365,27 +378,18 @@ def _resolve_column(spec: str | int, header: list[str] | None, path: str) -> int
     return matches[0]
 
 
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
-
-
-def _row_lines(records: list[list[str]]) -> list[int]:
-    """The file line each non-blank record starts on. A record takes one
-    line plus one per line break inside its quoted cells, as csv.reader
-    counts the lines of a file opened with newline=""."""
-    starts, line = [], 1
-    for record in records:
-        if "".join(record).strip():
-            starts.append(line)
-        line += 1 + sum(len(_LINE_BREAK.findall(cell)) for cell in record)
-    return starts
-
-
-def _raise_row_error(path, data_rows: list[list[str]], lines: list[int], width: int,
-                     indices: list[int], ts_index: int | None) -> None:
-    """Raise the DataError for the first data row, in file order, that is
-    ragged or holds a selected cell that float() rejects; ``lines`` holds the
-    file line each row starts on."""
-    for row, line in zip(data_rows, lines):
+def _raise_row_error(path, text: str, skip: int, width: int, indices: list[int],
+                     ts_index: int | None) -> None:
+    """Raise the DataError for the first data row of ``text`` that is ragged or
+    holds a selected cell that float() rejects, cut and numbered by the line it
+    starts on as csv.reader reads them, past ``skip`` non-blank header rows."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, start = [], 1
+    for row in reader:
+        if "".join(row).strip():
+            rows.append((start, row))
+        start = reader.line_num + 1
+    for line, row in rows[skip:]:
         if len(row) != width:
             raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
         for idx in indices:
@@ -394,17 +398,11 @@ def _raise_row_error(path, data_rows: list[list[str]], lines: list[int], width: 
             cell = row[idx]
             if not cell.strip():
                 raise DataError(f"{path}: row {line} has a blank cell in column {idx}")
-            try:
-                float(cell)
-            except ValueError:
+            if not _parses(cell):
                 raise DataError(f"{path}: row {line} column {idx} is not numeric: "
                                 f"{cell.strip()!r}") from None
-        if ts_index is not None:
-            try:
-                float(row[ts_index])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {line} has a non-numeric timestamp") from None
+        if ts_index is not None and not _parses(row[ts_index]):
+            raise DataError(f"{path}: row {line} has a non-numeric timestamp") from None
 
 
 def read_input(path) -> bytes:
@@ -418,22 +416,21 @@ def read_input(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _split_records(text: str) -> list[list[str]] | None:
-    """The records csv.reader would cut from ``text``, cut by plain splitting,
-    or None when splitting might not agree with csv.reader: the text holds a
-    quote, a NUL or a line longer than the field size limit. Without quotes,
-    a record is one line and its cells are the line split at commas; a line
-    ends at \\r\\n, \\r or \\n, and a blank line is an empty record."""
-    if '"' in text or "\0" in text:
+# A comma and every character str.strip() strips: what a blank record's line holds
+_BLANK = (",\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+          "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
+def _quote_free_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` if csv.reader would read each as one record of the
+    cells between its commas; None if the text holds a quote, a NUL, a line end
+    of str.splitlines that csv.reader keeps in a cell, or an overlong line."""
+    if any(c in text for c in '"\0\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'):
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":  # the text ends with a line break, or is empty
-        lines.pop()
+    lines = text.splitlines()
     if max(map(len, lines), default=0) > csv.field_size_limit():
         return None
-    return [line.split(",") if line else [] for line in lines]
+    return lines
 
 
 def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int | None = None,
@@ -452,11 +449,11 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
     column is refused; such a column is selected by index.
 
     The bytes are decoded as UTF-8 in one piece, so a decode error names the
-    bad byte's offset in the file, mark included. Records are then cut on one
-    of two paths that give the same records. Quote-free text with no NUL and
-    no overlong line is split at line breaks and commas (``_split_records``);
-    any other text goes through csv.reader, so quoted cells are read and
-    every malformed input gets csv's error.
+    bad byte's offset in the file, mark included. Quote-free text is cut into
+    lines, its non-blank ones joined and split at commas once; other text
+    goes through csv.reader, so quoted cells are read and a malformed input
+    gets csv's error. Both give one flat list of cells, column i being
+    ``flat[i::width]``, and one cast reads the selected columns.
 
     A cell is read as float() reads it. Any blank or non-numeric cell,
     ragged row, column selected twice, or non-uniform timestamp column aborts
@@ -468,22 +465,28 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
         text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    records = _split_records(text)
-    if records is None:
+    lines = _quote_free_lines(text)
+    if lines is not None:  # a row is a line, its cells the line cut at commas
+        rows = [line for line in lines if line.strip(_BLANK)]
+    else:  # line breaks left to csv.reader, as open(newline="") does
         try:
-            # line breaks left to csv.reader, as open(newline="") does
-            records = list(csv.reader(io.StringIO(text, newline="")))
+            rows = [r for r in csv.reader(io.StringIO(text, newline="")) if "".join(r).strip()]
         except csv.Error as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in records if "".join(r).strip()]  # drop rows of blank cells
-    if not rows:
-        raise DataError(f"{path}: file holds no data rows")
-    header = rows[0] if _looks_like_header(rows[0]) else None
+    head = (rows[0].split(",") if lines is not None else rows[0]) if rows else []
+    header = None if all(map(_parses, head)) else head
     data_rows = rows[1:] if header is not None else rows
     if not data_rows:
         raise DataError(f"{path}: file holds no data rows")
+    if lines is not None:
+        width = data_rows[0].count(",") + 1
+        ragged = any(row.count(",") != width - 1 for row in data_rows)
+        flat = ",".join(data_rows).split(",")
+    else:
+        width = len(data_rows[0])
+        ragged = any(len(row) != width for row in data_rows)
+        flat = [cell for row in data_rows for cell in row]
 
-    width = len(data_rows[0])
     specs = list(columns) if columns else list(range(width))
     ts_index = None
     if timestamp is not None:
@@ -502,25 +505,22 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
         if first == ts_index:
             raise DataError(f"{path}: the target column {first} is the timestamp column")
         indices = [first] + [i for i in indices if i != first]
-    for idx in indices + ([ts_index] if ts_index is not None else []):
+    selected = indices + ([ts_index] if ts_index is not None else [])
+    for idx in selected:
         if not 0 <= idx < width:
             raise DataError(f"{path}: column index {idx} outside row width {width}")
 
-    # One cast per column set; numpy reads each str cell with float().
-    timestamps = None
+    # One cast of the selected columns, i as flat[i::width]; numpy reads a str with float()
     try:
-        cells = list(zip(*data_rows, strict=True))  # ValueError on a ragged row
-        values = np.array([cells[idx] for idx in indices], dtype=np.float64)
-        if ts_index is not None:
-            timestamps = np.array(cells[ts_index], dtype=np.float64)
-    except ValueError:
-        # only a failed cast pays for numbering the lines
-        lines = _row_lines(records)[len(rows) - len(data_rows):]
-        _raise_row_error(path, data_rows, lines, width, indices, ts_index)
+        if ragged:
+            raise ValueError("ragged row")  # named below, as a bad cell is
+        values = np.array([flat[idx::width] for idx in selected], dtype=np.float64)
+    except ValueError:  # only a bad row pays for cutting rows into cells and numbering lines
+        _raise_row_error(path, text, len(rows) - len(data_rows), width, indices, ts_index)
         raise
 
-    if timestamps is not None and len(timestamps) > 1:
-        deltas = np.diff(timestamps)
+    if ts_index is not None and len(data_rows) > 1:
+        deltas = np.diff(values[-1])
         interval = float(deltas[0])
         if interval <= 0 or not np.allclose(deltas, interval, rtol=1e-9, atol=0.0):
             raise DataError(f"{path}: timestamp column is not uniformly spaced")
@@ -529,7 +529,7 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
     if unnamed:
         raise DataError(f"{path}: the header has no name for column {unnamed[0]}")
     names = [header[i] if header is not None else f"col{i}" for i in indices]
-    return CorrelatedSet(tuple(TimeSeries(name, row) for name, row in zip(names, values)))
+    return _rows_as_set(names, values[:len(indices)])
 
 
 def write_csv(cset: CorrelatedSet, path) -> None:

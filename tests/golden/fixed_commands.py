@@ -5,8 +5,9 @@ evaluate for all six methods on a generated CSV and on synthetic data, and
 with ``--eval-stride 3``; gridsearch with one and two workers, with an LSTM
 cell, with a failing cell and for a baseline; train plus forecast (last
 window and ``--offset 5``) for every model kind and variant; forecast from a
-format-2 checkpoint, from a quoted CSV, from a pipe and from its own
-manifest; robustness on the CSV and on synthetic data; ``gradcheck --small``
+format-2 checkpoint, from a quoted CSV, from a loose one (a byte-order mark,
+bare \\r line ends, a blank line and a line of commas), from a pipe and from
+its own manifest; robustness on the CSV and on synthetic data; ``gradcheck --small``
 for every kind; ``-h``; and the inputs that each exit code (1 usage, 2 data,
 3 numeric) answers. Each command runs in its own process, in one work
 directory and with relative paths, so that two checkouts write the same
@@ -17,8 +18,9 @@ The commands run in four stages, grouped by what they read: commands that
 read no output (generate, gradcheck, the parser), then those that read the
 generated inputs (train, evaluate, gridsearch, robustness), then those that
 read trained checkpoints (forecast), then those that read manifests. Between
-stages the runner writes the inputs it derives: a quoted and a 30-row copy
-of the generated CSV, and a copy of a checkpoint whose readout bias is NaN.
+stages the runner writes the inputs it derives: a quoted, a loose and a
+30-row copy of the generated CSV, and a copy of a checkpoint whose readout
+bias is NaN.
 Within a stage the commands run in parallel, one process per core.
 ``COLUMNS`` is set for every command, so that the bytes of ``-h`` do not
 depend on the caller's terminal.
@@ -134,6 +136,7 @@ INPUTS = {
 }
 # Files the runner derives from what the first two stages write
 QUOTED = "quoted.csv"         # the generated CSV with every cell quoted
+LOOSE = "loose.csv"           # it behind a BOM, \r line ends, a blank and a comma line
 SHORT = "short.csv"           # its header and first 30 rows
 NAN_READOUT = "nan_readout.txt"  # train_crnn's checkpoint with a NaN readout bias
 
@@ -150,11 +153,12 @@ class Command(NamedTuple):
 
 
 # Files that must hold equal bytes: a forecast rerun from its own manifest,
-# read from quoted cells and from a pipe; a second training of a recurrent
-# model; and a grid run on one and on two workers.
+# read from quoted cells, from a loose file and from a pipe; a second
+# training of a recurrent model; and a grid run on one and on two workers.
 SAME_BYTES = [
     ("forecast_crnn/predictions.tsv", "forecast_crnn_config/predictions.tsv"),
     ("forecast_crnn/predictions.tsv", "forecast_quoted/predictions.tsv"),
+    ("forecast_crnn/predictions.tsv", "forecast_loose/predictions.tsv"),
     ("forecast_crnn/predictions.tsv", "forecast_pipe/predictions.tsv"),
     ("train_aecrnn_lstm/checkpoint.txt", "train_aecrnn_lstm_again/checkpoint.txt"),
     ("grid_jobs1/grid_report.tsv", "grid_jobs2/grid_report.tsv"),
@@ -287,6 +291,8 @@ def _checkpoints_stage() -> list[Command]:
                       "--offset", "5", "--out", f"forecast_{name}_offset5"]))
     cmds.append(("forecast_quoted", ["forecast", "--data", QUOTED, "--checkpoint",
                                      "train_crnn/checkpoint.txt", "--out", "forecast_quoted"]))
+    cmds.append(("forecast_loose", ["forecast", "--data", LOOSE, "--checkpoint",
+                                    "train_crnn/checkpoint.txt", "--out", "forecast_loose"]))
     cmds = [Command(CHECKPOINTS, name, argv) for name, argv in cmds]
     cmds += [Command(CHECKPOINTS, PIPED, ["forecast", "--data", "/dev/stdin", "--checkpoint",
                                           "train_crnn/checkpoint.txt", "--out", PIPED],
@@ -314,6 +320,15 @@ def _write_quoted(src: Path, dst: Path) -> None:
         csv.writer(fout, quoting=csv.QUOTE_ALL).writerows(csv.reader(fin))
 
 
+def _write_loose(src: Path, dst: Path) -> None:
+    """Copy a CSV behind a UTF-8 byte-order mark, every line ended by a bare
+    \\r, with a blank line after the header and a line of commas half way."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    lines.insert(len(lines) // 2, ",")
+    lines.insert(1, "")
+    dst.write_text("\ufeff" + "\r".join(lines) + "\r", encoding="utf-8", newline="")
+
+
 def _write_nan_readout(src: Path, dst: Path) -> None:
     """Copy a format-3 checkpoint with every readout bias value NaN."""
     lines = src.read_text(encoding="ascii").splitlines(keepends=True)
@@ -328,6 +343,7 @@ def _derive_inputs(work: Path, stage: int) -> None:
     """Write the inputs that ``stage`` reads and earlier stages' outputs make."""
     if stage == INPUT_DATA:
         _write_quoted(work / DATA, work / QUOTED)
+        _write_loose(work / DATA, work / LOOSE)
         with open(work / DATA, "rb") as fh:
             (work / SHORT).write_bytes(b"".join(fh.readline() for _ in range(31)))
     elif stage == CHECKPOINTS:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import os
 import signal
@@ -351,6 +352,32 @@ class TestForecast:
         expected = norm.inverse_target(model.forward(Tensor(window))[0].values)
         got = [float(line.split("\t")[1]) for line in lines[1:]]
         assert got == expected.tolist()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted"])
+    @pytest.mark.parametrize("fault, message", [
+        ("x", "row 200 column 1 is not numeric: 'x'"),
+        ("", "row 200 has a blank cell in column 1"),
+        (None, "row 200 has 3 cells, expected 2"),
+    ], ids=["bad-cell", "blank-cell", "ragged-row"])
+    def test_bad_row_outside_the_window_is_data_error(self, dataset, tmp_path, capsys,
+                                                       quoted, fault, message):
+        # the whole file is checked, not only the rows that the window reads
+        train_out = tmp_path / "t"
+        assert main(train_args(dataset, train_out, epochs="1")) == 0
+        with open(dataset, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[199] = rows[199] + ["7"] if fault is None else [rows[199][0], fault]
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL).writerows(rows)
+        assert (b'"' in bad.read_bytes()) == quoted
+        capsys.readouterr()
+        out = tmp_path / "f"
+        code = main(["forecast", "--checkpoint", str(train_out / "checkpoint.txt"),
+                     "--data", str(bad), "--offset", "10", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: data: {bad}: {message}\n"
+        assert not out.exists()
 
     def test_wrong_series_count_is_data_error(self, dataset, tmp_path, capsys):
         train_out = tmp_path / "t"

@@ -53,6 +53,34 @@ class TestCorrelatedSet:
         assert cset.target.id == "s0"
         assert cset.num_series == 3
 
+    def test_sliced_and_replaced_rows_are_read_only_and_c_contiguous(self):
+        cset = make_set(3, 50)
+        sliced = cset.slice_time(5, 20)
+        assert all(np.shares_memory(a.values, b.values)  # views: nothing copied
+                   for a, b in zip(sliced.series, cset.series))
+        replaced = cset.with_values(np.asfortranarray(cset.values_matrix() * 2.0))
+        for result in (sliced, replaced, replaced.slice_time(1, 9)):
+            assert all(not s.values.flags.writeable and s.values.flags.c_contiguous
+                       for s in result.series)
+        assert sliced.values_matrix().tolist() == cset.values_matrix()[:, 5:20].tolist()
+
+    def test_with_values_keeps_a_private_copy_of_the_callers_matrix(self):
+        cset = make_set(2, 10)
+        matrix = cset.values_matrix() + 1.0
+        replaced = cset.with_values(matrix)
+        matrix[:] = -1.0
+        assert replaced.values_matrix().tolist() == (cset.values_matrix() + 1.0).tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_replacement_names_the_first_bad_series(self, bad):
+        cset = make_set(3, 10)
+        matrix = cset.values_matrix()
+        matrix[2, 1] = bad
+        matrix[1, 7] = bad
+        with pytest.raises(DataError) as info:
+            cset.with_values(matrix)
+        assert str(info.value) == "series 's1' has missing or non-finite values"
+
     def test_take(self):
         cset = make_set(3)
         assert cset.take(1).num_series == 1
@@ -305,7 +333,7 @@ class TestCsv:
                              ids=["quote-free", "quoted", "quoted-first-cell"])
     def test_header_behind_a_byte_order_mark_resolves_by_name(self, tmp_path, header):
         raw = b"\xef\xbb\xbf" + header + b"\n0,1,2\n1,3,4\n"
-        assert (data_module._split_records(raw[3:].decode()) is None) == (b'"' in header)
+        assert (data_module._quote_free_lines(raw[3:].decode()) is None) == (b'"' in header)
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         cset = ingest_csv(path, timestamp="date", target="b")
@@ -597,9 +625,78 @@ def _reader_records(text: str) -> list[list[str]]:
 # Quote-free text: digits, commas, every line break csv.reader splits at, and
 # characters str.splitlines would split at but csv.reader keeps in a cell.
 SPLIT_CHARS = "09.-ex ,\t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff"
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+# The parts of quote-free text, drawn from SPLIT_CHARS: cells, names, and
+# blank lines, which hold only spaces, only commas or both.
+CELL_CHARS = SPLIT_CHARS.translate({ord(c): None for c in ",\r\n"})
+NUMBER = st.from_regex(r"-?[09]{1,3}(\.[09]{0,2})?(e-?[09])?", fullmatch=True)
+LOOSE_CELL = st.one_of(NUMBER, NUMBER, NUMBER, st.text(CELL_CHARS, max_size=3))
+BLANK_LINE = st.one_of(st.just(""), st.text(" \t", min_size=1, max_size=2),
+                       st.sampled_from(SPLITLINES_ONLY),
+                       st.lists(st.text(" \t", max_size=1), min_size=2, max_size=4).map(",".join))
+HEADER_NAME = st.from_regex(r"[ex][09ex]?", fullmatch=True)
+
+
+@st.composite
+def quote_free_files(draw):
+    """Quote-free CSV text, a header line maybe, rows (some ragged) and blank
+    lines, each ended by \\n, \\r or \\r\\n; and an ingest_csv selection for it."""
+    width = draw(st.integers(1, 3))
+    names = draw(st.lists(HEADER_NAME, min_size=width, max_size=width))
+    row = st.lists(LOOSE_CELL, min_size=width, max_size=width).map(",".join)
+    ragged = st.lists(LOOSE_CELL, min_size=1, max_size=width + 1).map(",".join)
+    lines = draw(st.lists(st.one_of(row, row, row, ragged, BLANK_LINE, BLANK_LINE),
+                          min_size=2, max_size=7))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, min(2, len(lines)))), ",".join(names))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    spec = st.one_of(st.integers(0, width - 1), st.integers(-1, width).map(str),
+                     st.sampled_from(names))
+    maybe = st.one_of(st.none(), st.none(), spec)
+    return text, dict(columns=draw(st.just([]) | st.lists(spec, max_size=width)),
+                      timestamp=draw(maybe), target=draw(maybe))
+
+
+def _ingest_outcome(path, layout):
+    """The names and value bits ingest_csv reads from path, or its DataError text."""
+    try:
+        cset = ingest_csv(path, **layout)
+    except DataError as exc:
+        return str(exc)
+    return [s.id for s in cset.series], cset.values_matrix().tobytes()
 
 
 class TestSplitRecords:
+    @_TMP_PATH_OK
+    @given(case=quote_free_files(), bom=st.booleans())
+    @example(case=("e,x\r\r\n9,0\r \t\r,\n, ,\r\n0.9,-9e-0\r", {}), bom=True)
+    @example(case=("9,0\n,\n0,9\n", {}), bom=False)
+    @example(case=("9,0\n\n9\n0,9,0\n", {}), bom=False)
+    @example(case=("e,x\n9\x0b0,9\n", {}), bom=False)
+    @example(case=("e,x,ex\r9,0,9\r0,9,90\r", dict(columns=["ex", "1"], timestamp="e",
+                                                    target="x")), bom=True)
+    def test_ingest_csv_reads_quote_free_text_as_csv_reader_cuts_it(self, tmp_path, case, bom):
+        # the oracle: the records csv.reader cuts from what ingest_csv decodes,
+        # every cell quoted, so that ingest_csv reads them through csv.reader
+        text, layout = case
+        raw = ("\ufeff" if bom else "") + text
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw.encode())
+        got = _ingest_outcome(path, layout)
+        quoted = io.StringIO()
+        csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows(
+            _reader_records(raw.removeprefix("\ufeff")))
+        path.write_bytes((raw[:len(raw) - len(text)] + quoted.getvalue()).encode())
+        assert got == _ingest_outcome(path, layout)
+
+    def test_blank_holds_a_comma_and_every_character_str_strip_strips(self):
+        spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert set(data_module._BLANK) == spaces | {","}
+
     @given(text=st.text(alphabet=SPLIT_CHARS, max_size=60), bom=st.booleans())
     @example(text="a,b\r\n1,2\r\n", bom=False)
     @example(text="a,b\r1,2\r\r3,4", bom=False)
@@ -610,7 +707,11 @@ class TestSplitRecords:
     def test_quote_free_text_splits_as_csv_reader_reads_it(self, text, bom):
         # ingest_csv drops one leading mark; one left in the text is a character
         text = ("\ufeff" if bom else "") + text
-        assert data_module._split_records(text) == _reader_records(text)
+        lines = data_module._quote_free_lines(text)
+        # a splitlines-only separator sends the text to csv.reader; nothing else does
+        assert (lines is None) == any(c in text for c in SPLITLINES_ONLY)
+        if lines is not None:
+            assert [line.split(",") if line else [] for line in lines] == _reader_records(text)
 
     # csv.reader accepts a NUL from Python 3.11 on
     NUL_ERROR = ("{path}: row 2 column 1 is not numeric: '2\\x00'" if sys.version_info >= (3, 11)
@@ -622,7 +723,7 @@ class TestSplitRecords:
          "cannot read {path}: field larger than field limit (%d)" % csv.field_size_limit()),
     ], ids=["nul", "field-over-csv-limit"])
     def test_other_input_gets_csv_readers_error(self, tmp_path, raw, message):
-        assert data_module._split_records(raw.decode()) is None
+        assert data_module._quote_free_lines(raw.decode()) is None
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         with pytest.raises(DataError) as info:
@@ -631,7 +732,7 @@ class TestSplitRecords:
 
     def test_quoted_cells_take_the_csv_reader_path(self, tmp_path):
         raw = b'a,"b"\r\n"1","2"\r\n3,"4\n"\r\n'
-        assert data_module._split_records(raw.decode()) is None
+        assert data_module._quote_free_lines(raw.decode()) is None
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         cset = ingest_csv(path)
