@@ -519,6 +519,8 @@ def ingest_csv(path, *, columns: Sequence[str | int] = (), timestamp: str | int 
         _raise_row_error(path, text, len(rows) - len(data_rows), width, indices, ts_index)
         raise
 
+    if ts_index is not None and not np.isfinite(values[-1]).all():
+        raise DataError(f"{path}: timestamp column {ts_index} holds a non-finite value")
     if ts_index is not None and len(data_rows) > 1:
         deltas = np.diff(values[-1])
         interval = float(deltas[0])

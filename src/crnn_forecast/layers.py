@@ -24,8 +24,8 @@ projection of every step is one batched matmul before the loop, on the
 steps as given: on a view whose strides BLAS cannot take, numpy's matmul
 runs its own loop, which on longer feature rows sums in another order than
 BLAS, so a contiguous copy would move the forecasts' bits. The
-forward cache keeps every step's hidden state (and, for the LSTM, cell
-state, tanh of it and gate activations). The backward pass is
+forward cache keeps every step's hidden state (and, for the LSTM, its gate
+activations, cell state and tanh of it). The backward pass is
 backpropagation through time in time order: its loop carries only the
 state gradients and writes step t's pre-activation gradient into row t of
 one (T, batch, out) array, from which one matmul each gives the input
@@ -429,17 +429,23 @@ class LSTMCell:
     Gate weights are stacked row-wise in the order (input, forget,
     candidate, output); biases start at zero.
 
-    ``forward`` takes the steps as one array (T, batch, input_size) and
-    projects every step's input in one batched matmul before the time loop.
-    Its cache is (the steps, hidden states, cell states, tanh of the cell
-    states, gate activations (T, batch, 4H)); the candidate block of
-    the gates holds tanh, the other three the sigmoid. The loop writes each
-    step's gates, states and temporaries into buffers made once per call,
-    with ``out=``, and the gate buffer is the cache itself; a later call
-    makes its own, so no cache is overwritten. ``backward`` forms one
-    array of every step's local gate derivatives before the loop, carries
-    only dh and dc through it, writing step t's gate gradient into row t,
-    and takes the weight and input gradients after it.
+    ``forward`` takes the steps as one array (T, batch, input_size). It
+    halves the rows of the three sigmoid gates in copies of the weights,
+    projects every step's input in one batched matmul before the time loop,
+    and forms each step's pre-activation z window by window, in one matmul
+    and two adds. One tanh then writes tanh(z/2) for the sigmoid gates and
+    tanh(z) for the candidate, gate-major, into row t of a (T + 1, 5, batch,
+    H) buffer of blocks (i, f, g, o, c_{t-1}); adding 1 and halving finish
+    ``sigmoid_values``' arithmetic, one multiply gives i*g and f*c_{t-1},
+    and c_t goes to row t+1. Each matmul keeps its rows' order and shape
+    and halving is exact, so every value has the bits of the unhalved
+    arithmetic unless a halved weight, bias, product or partial sum lies
+    below 2**-1021 in magnitude or an unhalved one overflows. The cache is
+    (the steps, hidden states, the buffer, tanh of the cell states), made
+    anew by each call. ``backward`` forms one array of every step's local
+    gate derivatives (i, f, g, o) before the loop, carries only dh and dc
+    through it, writing step t's gate gradient into row t, and takes the
+    weight and input gradients after it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -460,42 +466,46 @@ class LSTMCell:
         """
         _check_steps("LSTM", x, self.input_size)
         n = self.hidden_size
-        xw = x @ self.w_x.T
-        gates = np.empty(xw.shape)
-        gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
-        hs = np.empty(xw.shape[:-1] + (n,))
-        cs = np.empty(hs.shape)
+        steps, batch = x.shape[:2]
+        # per gate block (i, f, g, o): its rows' factor and the term that finishes
+        # its activation; x + -0.0 is x for every x, -0.0 included
+        half, one = np.array([[0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]])
+        rows_half = np.repeat(half, n)
+        xw = x @ (self.w_x * rows_half[:, None]).T
+        w_h_t = (self.w_h * rows_half[:, None]).T
+        b = self.b * rows_half
+        one, half = (np.repeat(v, batch * n).reshape(4, batch, n) for v in (one, half))
+        # row t holds step t's gate blocks (i, f, g, o), then c_{t-1}; c_t goes to row t+1
+        blocks = np.empty((steps + 1, 5, batch, n))
+        blocks[0, 4] = 0.0
+        hs = np.empty((steps, batch, n))
         tcs = np.empty(hs.shape)
-        # the step's pre-activation and the two products of the cell update,
-        # reused by every step
-        z = np.empty(xw.shape[1:])
-        forget = np.empty(hs.shape[1:])
-        admit = np.empty(forget.shape)
-        h = c = np.zeros(forget.shape)
-        w_h_t = self.w_h.T
-        b = self.b
-        z_cand = z[:, 2 * n:3 * n]
-        for xw_t, g, g_i, g_f, g_c, g_o, c_t, tc_t, h_t in zip(
-                xw, gates, gi, gf, gc, go, cs, tcs, hs):
+        z = np.empty(xw.shape[1:])  # the step's pre-activation, window by window
+        z_blocks = z.reshape(batch, 4, n).transpose(1, 0, 2)
+        prods = np.empty((2, batch, n))  # (i*g, f*c_{t-1}), reused by every step
+        h = np.zeros(hs.shape[1:])
+        rows = blocks[:-1]
+        for xw_t, g, i_f, g_c, g_o, c_t, tc_t, h_t in zip(
+                xw, rows[:, :4], rows[:, :2], rows[:, 2::2], rows[:, 3], blocks[1:, 4], tcs, hs):
             np.matmul(h, w_h_t, out=z)
             z += xw_t
             z += b
-            # one sigmoid over all four gate blocks; the candidate block takes tanh
-            sigmoid_values(z, out=g)
-            np.tanh(z_cand, out=g_c)
-            np.multiply(g_f, c, out=forget)
-            np.multiply(g_i, g_c, out=admit)
-            c = np.add(forget, admit, out=c_t)
-            h = np.multiply(g_o, np.tanh(c, out=tc_t), out=h_t)
-        return hs, hs[-1], (x, hs, cs, tcs, gates)
+            # tanh(z/2) in the halved sigmoid blocks, tanh(z) in the candidate's
+            np.tanh(z_blocks, out=g)
+            g += one
+            g *= half
+            np.multiply(i_f, g_c, out=prods)
+            np.add(prods[1], prods[0], out=c_t)
+            h = np.multiply(g_o, np.tanh(c_t, out=tc_t), out=h_t)
+        return hs, hs[-1], (x, hs, blocks, tcs)
 
     def backward(self, cache, grad_final: np.ndarray):
         """Backpropagation through time; returns (input gradients
         (T, batch, input_size), parameter gradients)."""
-        x, hs, cs, tcs, gates = cache
+        x, hs, blocks, tcs = cache
         n = self.hidden_size
-        gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
-        c_prev = np.concatenate((np.zeros((1,) + cs.shape[1:]), cs[:-1]))
+        gi, gf, gc, go, c_prev = (blocks[:-1, k] for k in range(5))
+        gates = np.concatenate((gi, gf, gc, go), axis=-1)
         # step t's gate gradient is concat(dc, dc, dc, dh) * local[t], whose
         # blocks are gc*gi(1-gi), c_prev*gf(1-gf), gi*(1-gc^2), tanh(c)*go(1-go)
         local = 1.0 - gates

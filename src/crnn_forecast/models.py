@@ -307,9 +307,10 @@ def joint_loss(z: np.ndarray, y: np.ndarray, recon: np.ndarray | None = None,
         if recon.shape != x.shape:
             raise ShapeError(f"reconstructions {recon.shape} do not match windows {x.shape}")
         er = recon - np.clip(x, 0.0, 1.0)
-        j2 = float(np.mean(er ** 2))
+        # np.mean's arithmetic, add.reduce then a true divide, at less cost per call
+        j2 = float((er ** 2).sum() / er.size)
         d_recon = 2.0 * er / er.size
-    j1 = float(np.mean(ez ** 2))
+    j1 = float((ez ** 2).sum() / ez.size)
     if not np.isfinite(j1 + j2):
         raise NumericError(f"objective diverged: j1={j1}, j2={j2}")
     return LossBreakdown(j1, j2), 2.0 * ez / ez.size, d_recon
@@ -701,14 +702,14 @@ class CRNN(ParamModel):
         cfg = self.config
         if cfg.rnn_layout == "sequence":
             # step t sees every series' filters at pooled position t, series-major
-            return np.moveaxis(cube, -1, 0).reshape(cfg.pooled_length, len(cube), -1)
+            return cube.transpose(3, 0, 1, 2).reshape(cfg.pooled_length, len(cube), -1)
         return cube.reshape(1, len(cube), cfg.feature_vector_length)
 
     def _steps_backward(self, gx):
         cfg = self.config
         shape = (gx.shape[1], cfg.num_series, cfg.filters_per_layer, cfg.pooled_length)
         if cfg.rnn_layout == "sequence":
-            return np.moveaxis(gx, 0, -1).reshape(shape)
+            return gx.transpose(1, 2, 0).reshape(shape)
         return gx[0].reshape(shape)
 
 
@@ -755,7 +756,7 @@ class RecurrentBaseline(ParamModel):
 
     def _steps(self, x: np.ndarray) -> np.ndarray:
         rows = x[:, :1, :] if self.config.features == "target" else x
-        return np.moveaxis(rows, -1, 0)
+        return rows.transpose(2, 0, 1)
 
     def _steps_backward(self, gx) -> None:
         return None  # the steps are the raw window, which nothing learns from

@@ -330,6 +330,17 @@ class TestTargetFlag:
         assert not out.exists()
 
 
+    def test_non_finite_timestamp_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("t,a\n0,1\ninf,2\ninf,3\n")
+        out = tmp_path / "t"
+        assert main(["train", "--model", "rnn", "--data", str(path), "--l", "8", "--p", "2",
+                     "--epochs", "1", "--timestamp", "t", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "timestamp column 0 holds a non-finite value" in err
+        assert "Warning" not in err and not out.exists()
+
+
 class TestForecast:
     def test_emits_horizon_rows_matching_model_output(self, dataset, tmp_path):
         train_out = tmp_path / "t"

@@ -352,6 +352,16 @@ class TestCsv:
         with pytest.raises(DataError, match="uniform"):
             ingest_csv(path, timestamp="t")
 
+    @pytest.mark.parametrize("stamps", [["0", "inf", "inf"], ["inf", "inf"], ["0", "-inf", "1"],
+                                        ["nan", "1", "2"], ["inf"]])
+    def test_non_finite_timestamps_are_a_data_error_naming_the_column(self, tmp_path, stamps):
+        # two inf stamps once let np.diff's inf - inf warning out before any DataError
+        path = tmp_path / "d.csv"
+        path.write_text("a,t\n" + "".join(f"{i},{t}\n" for i, t in enumerate(stamps)))
+        with pytest.raises(DataError) as info:
+            ingest_csv(path, timestamp="t")
+        assert str(info.value) == f"{path}: timestamp column 1 holds a non-finite value"
+
     def test_uniform_timestamps_are_checked_and_not_read_as_a_series(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t,a,b\n10,1,2\n12,3,4\n14,5,6\n")

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import numeric_grad, rel_error
 from crnn_forecast.layers import (ChannelMerge, Conv1D, Deconv1D, Dense,
-                                  LSTMCell, MaxPool1D, RNNCell)
+                                  LSTMCell, MaxPool1D, RNNCell, _sequence_grads)
 from crnn_forecast.tensor import ShapeError, sigmoid_values
 
 FD_TOL = 1e-5
@@ -620,13 +620,21 @@ class TestRNNCell:
         assert rel_error(gxs, numeric_grad(loss, xs)) < FD_TOL
 
 
+def lstm_cache_arrays(cache):
+    """(cell states, tanh of them, gate activations (T, batch, 4H) in the gate
+    order (i, f, g, o)) of an LSTMCell forward cache, read from its buffer of
+    blocks (i, f, g, o, c_{t-1})."""
+    _, _, blocks, tcs = cache
+    return blocks[1:, 4], tcs, np.concatenate([blocks[:-1, k] for k in range(4)], axis=-1)
+
+
 class TestLSTMCell:
     def test_zero_weights_hand_recurrence(self):
         cell = LSTMCell(2, 3, np.random.default_rng(0))
         cell.w_x[...] = 0.0
         cell.w_h[...] = 0.0
         hs, final, cache = cell.forward(np.zeros((1, 1, 2)))
-        _, _, cs, _, gates = cache
+        cs, _, gates = lstm_cache_arrays(cache)
         gi, gf, gc, go = np.split(gates[0], 4, axis=-1)
         # all gates sigmoid(0) = 0.5, candidate tanh(0) = 0:
         # c' = 0.5*0 + 0.5*0 = 0, h' = 0.5*tanh(0) = 0
@@ -647,7 +655,7 @@ class TestLSTMCell:
         rng = np.random.default_rng(4)
         cell = LSTMCell(2, 3, rng)
         _, final, cache = cell.forward(rng.uniform(-3, 3, (20, 1, 2)))
-        _, _, cs, tcs, gates = cache
+        cs, tcs, gates = lstm_cache_arrays(cache)
         assert gates.shape == (20, 1, 12) and cs.shape == tcs.shape == (20, 1, 3)
         gi, gf, gc, go = np.split(gates, 4, axis=-1)
         for g in (gi, gf, go):
@@ -688,7 +696,7 @@ class TestLSTMCell:
         hs, final, cache = cell.forward(x)
         gx, grads = cell.backward(cache, grad_final)
         names = ("hidden states", "final state", "steps", "cached hidden states",
-                 "cell states", "tanh of cell states", "gates", "input gradients",
+                 "gate and cell state blocks", "tanh of cell states", "input gradients",
                  *grads)
         first = [a.tobytes() for a in (hs, final, *cache, gx, *grads.values())]
         cell.forward(rng.uniform(-3, 3, x.shape))
@@ -769,6 +777,62 @@ def reference_lstm(cell, xs, grad_final):
         gxs[t] = dz @ cell.w_x
         dh = dz @ cell.w_h
     return hs, gxs, {"w_x": gw_x, "w_h": gw_h, "b": gb}
+
+
+def gate_cache_forward(cell, x):
+    """LSTMCell.forward as it was before the gate-major block buffer: one
+    sigmoid over all four gate blocks, tanh then over the candidate's, and a
+    cache of (steps, hidden states, cell states, their tanh, gates (T, batch,
+    4H)). The bit-exact oracle of the cell."""
+    n = cell.hidden_size
+    xw = x @ cell.w_x.T
+    gates = np.empty(xw.shape)
+    gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
+    hs = np.empty(xw.shape[:-1] + (n,))
+    cs = np.empty(hs.shape)
+    tcs = np.empty(hs.shape)
+    z = np.empty(xw.shape[1:])
+    forget = np.empty(hs.shape[1:])
+    admit = np.empty(forget.shape)
+    h = c = np.zeros(forget.shape)
+    z_cand = z[:, 2 * n:3 * n]
+    for xw_t, g, g_i, g_f, g_c, g_o, c_t, tc_t, h_t in zip(
+            xw, gates, gi, gf, gc, go, cs, tcs, hs):
+        np.matmul(h, cell.w_h.T, out=z)
+        z += xw_t
+        z += cell.b
+        sigmoid_values(z, out=g)
+        np.tanh(z_cand, out=g_c)
+        np.multiply(g_f, c, out=forget)
+        np.multiply(g_i, g_c, out=admit)
+        c = np.add(forget, admit, out=c_t)
+        h = np.multiply(g_o, np.tanh(c, out=tc_t), out=h_t)
+    return hs, hs[-1], (x, hs, cs, tcs, gates)
+
+
+def gate_cache_backward(cell, cache, grad_final):
+    """LSTMCell.backward on a ``gate_cache_forward`` cache, as it was before
+    the block buffer."""
+    x, hs, cs, tcs, gates = cache
+    n = cell.hidden_size
+    gi, gf, gc, go = (gates[..., k * n:(k + 1) * n] for k in range(4))
+    c_prev = np.concatenate((np.zeros((1,) + cs.shape[1:]), cs[:-1]))
+    local = 1.0 - gates
+    local *= gates
+    local[..., 2 * n:3 * n] = 1.0 - gc * gc
+    local *= np.concatenate((gc, c_prev, gi, tcs), axis=-1)
+    dh_dc = go * (1.0 - tcs * tcs)
+    dz = np.empty(gates.shape)
+    dh = grad_final.reshape(hs.shape[1:])
+    dc = np.zeros(dh.shape)
+    for t in reversed(range(len(x))):
+        dc = dc + dh * dh_dc[t]
+        np.multiply(np.concatenate((dc, dc, dc, dh), axis=-1), local[t], out=dz[t])
+        if t:
+            dc = dc * gf[t]
+            dh = dz[t] @ cell.w_h
+    gx, gw_x, gw_h, gb = _sequence_grads(dz, x, hs, cell.w_x)
+    return gx, {"w_x": gw_x, "w_h": gw_h, "b": gb}
 
 
 def with_shape_examples(shapes):
@@ -852,6 +916,49 @@ class TestCellsMatchPerStepLoops:
             cell.forward(np.zeros((3, 4, 5)))
 
 
+class TestLSTMCellMatchesGateCacheCell:
+    """The cell gives the bytes of the gate-cache cell it replaced."""
+
+    # (steps, batch, input size, hidden size). With OpenBLAS 0.3.31, reordering
+    # the gate rows moved bits at odd hidden sizes from 13 up and batches from
+    # 12 up, and one recurrent matmul per gate block did at a batch of 1
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 48), st.integers(1, 24),
+                           st.integers(1, 40)),
+           strided=st.booleans(),
+           scales=st.tuples(*[st.floats(-3.0, 2.0)] * 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(16, 32, 8, 13), strided=False, scales=(0.0, 0.0, 0.0), seed=0)
+    @example(shape=(12, 1, 25, 14), strided=True, scales=(0.0, 0.0, 0.0), seed=0)
+    @example(shape=(16, 32, 8, 4), strided=False, scales=(0.0, -0.5, 0.0), seed=1)
+    @settings(max_examples=25, deadline=None)
+    def test_same_bytes_as_gate_cache_cell(self, shape, strided, scales, seed):
+        """Hidden states, final state, input gradients and every weight and
+        bias gradient, for steps, weights and biases of magnitude 1e-3 to 1e2
+        and steps as a contiguous array or a strided view."""
+        steps, batch, in_size, hidden = shape
+        x_scale, w_scale, b_scale = (10.0 ** e for e in scales)
+        rng = np.random.default_rng(seed)
+        cell = LSTMCell(in_size, hidden, rng)
+        for w in (cell.w_x, cell.w_h):
+            w[...] = rng.uniform(-w_scale, w_scale, w.shape)
+        cell.b[...] = rng.uniform(-b_scale, b_scale, cell.b.shape)
+        if strided:
+            x = np.moveaxis(rng.uniform(-x_scale, x_scale, (batch, in_size, steps)), -1, 0)
+        else:
+            x = rng.uniform(-x_scale, x_scale, (steps, batch, in_size))
+        grad_final = rng.uniform(-1, 1, (batch, hidden))
+        hs, final, cache = cell.forward(x)
+        gx, grads = cell.backward(cache, grad_final)
+        ref_hs, ref_final, ref_cache = gate_cache_forward(cell, x)
+        ref_gx, ref_grads = gate_cache_backward(cell, ref_cache, grad_final)
+        assert hs.tobytes() == ref_hs.tobytes()
+        assert final.tobytes() == ref_final.tobytes()
+        assert gx.tobytes() == ref_gx.tobytes()
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
 class TestLSTMCacheMatchesPerStepLoop:
     """The forward cache holds the per-step loop's bits: every cell state,
     its tanh, and every gate activation, the candidate block as tanh."""
@@ -868,7 +975,7 @@ class TestLSTMCacheMatchesPerStepLoop:
             x = np.moveaxis(rng.uniform(-3, 3, (batch, in_size, steps)), -1, 0)
         else:
             x = rng.uniform(-3, 3, (steps, batch, in_size))
-        _, _, (_, _, cs, tcs, gates) = cell.forward(x)
+        cs, tcs, gates = lstm_cache_arrays(cell.forward(x)[2])
         assert gates.shape == (steps, batch, 4 * n)
         h = c = np.zeros((batch, n))
         for t in range(steps):

@@ -701,6 +701,43 @@ class TestFirstStageLayoutStaysInsideTheConv:
             assert _same_bits(got[key], want[key]), key
 
 
+class TestStepsLayout:
+    """The cells multiply the steps as ``_steps`` hands them over, strides
+    included, and numpy's matmul sums in another order when BLAS cannot take
+    the strides, so the steps' layout is part of the forecasts' bits: a view
+    of the pooled cube or of the window, with the shape and strides of its
+    ``np.moveaxis`` form."""
+
+    @pytest.mark.parametrize("layout", models.RNN_LAYOUTS)
+    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("batch", [5, 160])  # 160 windows of 8 series split
+    def test_model_steps_are_the_moveaxis_view_of_the_cube(self, layout, stages, batch):
+        cfg = ModelConfig(num_series=8, input_length=32, horizon=4, conv_pool_stages=stages,
+                          filters_per_layer=4, filter_size=3, rnn_hidden=3,
+                          rnn_layout=layout, seed=stages)
+        model = AECRNN(cfg)
+        x = np.random.default_rng(stages).uniform(0.0, 1.0, (batch, 8, 32))
+        cube = model._series_forward(x, decode=False)[0]
+        steps = model._steps(cube)
+        if layout == "sequence":
+            want = np.moveaxis(cube, -1, 0).reshape(cfg.pooled_length, batch, -1)
+        else:
+            want = cube.reshape(1, batch, cfg.feature_vector_length)
+        assert np.shares_memory(steps, cube)
+        assert (steps.shape, steps.strides) == (want.shape, want.strides)
+        assert np.array_equal(model._steps_backward(steps), cube)  # the inverse layout
+
+    @pytest.mark.parametrize("features", models.BASELINE_FEATURES)
+    @pytest.mark.parametrize("cell", models.CELL_KINDS)
+    def test_baseline_steps_are_the_moveaxis_view_of_the_window(self, features, cell):
+        model = models.RecurrentBaseline(cell, BaselineConfig(3, 8, 2, features=features))
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (6, 3, 8))
+        steps = model._steps(x)
+        want = np.moveaxis(x[:, :1, :] if features == "target" else x, -1, 0)
+        assert np.shares_memory(steps, x)
+        assert (steps.shape, steps.strides) == (want.shape, want.strides)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = small_config(seed=13, cell_kind="lstm")
