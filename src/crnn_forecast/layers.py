@@ -18,21 +18,25 @@ sums a single value per window pairwise, and several row by row). Dense acts
 on a trailing (features,) axis with optional leading batch axes.
 
 The recurrent cells (RNNCell, LSTMCell) take their steps in the one form
-the models send: a time-major array (T, batch, features). Their Python loop
-over time holds only what depends on the previous step. The input
-projection of every step is one batched matmul before the loop, on the
-steps as given: on a view whose strides BLAS cannot take, numpy's matmul
-runs its own loop, which on longer feature rows sums in another order than
-BLAS, so a contiguous copy would move the forecasts' bits. The
-forward cache keeps every step's hidden state (and, for the LSTM, its gate
-activations, cell state and tanh of it). The backward pass is
-backpropagation through time in time order: its loop carries only the
-state gradients and writes step t's pre-activation gradient into row t of
-one (T, batch, out) array, from which one matmul each gives the input
-gradients and every weight gradient (``_sequence_grads``). The sums run in
-another order than a per-step loop's, so the gradients match that loop
-within rounding, not bit for bit (tests/test_layers.py holds the loop as
-the reference and states the bound); the forward pass gives its bits.
+the models send: a time-major array (T, batch, features), and return one
+C-contiguous (T, batch, hidden) array of hidden states whose last row is the
+final state. Their Python loop over time holds only what depends on the
+previous step. The input projection of every step is one batched matmul
+before the loop, on the steps as given: on a view whose strides BLAS cannot
+take, numpy's matmul runs its own loop, which on longer feature rows sums in
+another order than BLAS, so a contiguous copy would move the forecasts'
+bits. Inside the call LSTMCell keeps its states batch-minor, (hidden, batch),
+and RNNCell window-major. The forward cache keeps every step's hidden state
+(and, for the LSTM, its gate activations, cell state and tanh of it). The
+backward pass is backpropagation through time in time order: its loop
+carries only the state gradients and writes step t's pre-activation
+gradient into row t of one (T, batch, out) array, from which one matmul
+each gives the input gradients and every weight gradient
+(``_sequence_grads``). The sums run in another order than a per-step loop's,
+so the gradients match that loop within rounding, not bit for bit
+(tests/test_layers.py holds the loop as the reference and states the
+bound); the forward passes give its bits, LSTMCell's where BLAS sums its
+swapped operands alike (see LSTMCell).
 
 Each backward pass is the exact adjoint of its forward map and is checked
 against central finite differences in the test suite.
@@ -429,23 +433,32 @@ class LSTMCell:
     Gate weights are stacked row-wise in the order (input, forget,
     candidate, output); biases start at zero.
 
-    ``forward`` takes the steps as one array (T, batch, input_size). It
-    halves the rows of the three sigmoid gates in copies of the weights,
-    projects every step's input in one batched matmul before the time loop,
-    and forms each step's pre-activation z window by window, in one matmul
-    and two adds. One tanh then writes tanh(z/2) for the sigmoid gates and
-    tanh(z) for the candidate, gate-major, into row t of a (T + 1, 5, batch,
-    H) buffer of blocks (i, f, g, o, c_{t-1}); adding 1 and halving finish
+    ``forward`` takes the steps as one array (T, batch, input_size) and keeps
+    every state batch-minor, (H, batch). It halves the rows of the three
+    sigmoid gates in copies of the weights, projects every step's input in
+    one matmul ``w_x @ steps^T`` into (T, 4H, batch) before the time loop,
+    and forms each step's pre-activation z in one matmul ``w_h @ h`` and two
+    adds. One tanh then writes tanh(z/2) for the sigmoid gates and tanh(z)
+    for the candidate into row t of a (T + 1, 5, H, batch) buffer of
+    contiguous blocks (i, f, g, o, c_{t-1}); adding 1 and halving finish
     ``sigmoid_values``' arithmetic, one multiply gives i*g and f*c_{t-1},
-    and c_t goes to row t+1. Each matmul keeps its rows' order and shape
-    and halving is exact, so every value has the bits of the unhalved
-    arithmetic unless a halved weight, bias, product or partial sum lies
-    below 2**-1021 in magnitude or an unhalved one overflows. The cache is
-    (the steps, hidden states, the buffer, tanh of the cell states), made
-    anew by each call. ``backward`` forms one array of every step's local
-    gate derivatives (i, f, g, o) before the loop, carries only dh and dc
-    through it, writing step t's gate gradient into row t, and takes the
-    weight and input gradients after it.
+    and c_t goes to row t+1. The hidden states come back as one C-contiguous
+    (T, batch, H) copy. The cache is (the steps, hidden states, the buffer,
+    tanh of the cell states (T, H, batch)), made anew by each call.
+
+    Halving is exact, so every value has the bits of the unhalved
+    window-major arithmetic (``h @ W.T``) where BLAS sums ``W @ h.T`` alike,
+    unless a halved weight, bias, product or partial sum lies below 2**-1021
+    in magnitude or an unhalved one overflows. scipy-openblas 0.3.31 on
+    SkylakeX kernels sums them alike except at batches above 192 that are
+    not a multiple of 8, and where a matmul sums 16 or more products;
+    there they differ by rounding (tests/test_layers.py states the bound).
+
+    ``backward`` forms every step's local gate derivatives (i, f, g, o) on
+    the buffer's blocks and copies them once into the window-major
+    (T, batch, 4H) layout; its loop carries only dh and dc, writing step t's
+    gate gradient into row t, and the weight and input gradients are taken
+    after it. From a given cache it computes the window-major cell's bits.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -470,24 +483,24 @@ class LSTMCell:
         # per gate block (i, f, g, o): its rows' factor and the term that finishes
         # its activation; x + -0.0 is x for every x, -0.0 included
         half, one = np.array([[0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]])
-        rows_half = np.repeat(half, n)
-        xw = x @ (self.w_x * rows_half[:, None]).T
-        w_h_t = (self.w_h * rows_half[:, None]).T
-        b = self.b * rows_half
-        one, half = (np.repeat(v, batch * n).reshape(4, batch, n) for v in (one, half))
+        rows_half = np.repeat(half, n)[:, None]
+        xw = (self.w_x * rows_half) @ x.transpose(0, 2, 1)  # (T, 4H, batch)
+        w_h = self.w_h * rows_half
+        b = self.b[:, None] * rows_half
+        one, half = (np.repeat(v, n * batch).reshape(4, n, batch) for v in (one, half))
         # row t holds step t's gate blocks (i, f, g, o), then c_{t-1}; c_t goes to row t+1
-        blocks = np.empty((steps + 1, 5, batch, n))
+        blocks = np.empty((steps + 1, 5, n, batch))
         blocks[0, 4] = 0.0
-        hs = np.empty((steps, batch, n))
+        hs = np.empty((steps, n, batch))
         tcs = np.empty(hs.shape)
-        z = np.empty(xw.shape[1:])  # the step's pre-activation, window by window
-        z_blocks = z.reshape(batch, 4, n).transpose(1, 0, 2)
-        prods = np.empty((2, batch, n))  # (i*g, f*c_{t-1}), reused by every step
-        h = np.zeros(hs.shape[1:])
+        z = np.empty(xw.shape[1:])  # the step's pre-activation
+        z_blocks = z.reshape(4, n, batch)
+        prods = np.empty((2, n, batch))  # (i*g, f*c_{t-1}), reused by every step
+        h = np.zeros((n, batch))
         rows = blocks[:-1]
         for xw_t, g, i_f, g_c, g_o, c_t, tc_t, h_t in zip(
                 xw, rows[:, :4], rows[:, :2], rows[:, 2::2], rows[:, 3], blocks[1:, 4], tcs, hs):
-            np.matmul(h, w_h_t, out=z)
+            np.matmul(w_h, h, out=z)
             z += xw_t
             z += b
             # tanh(z/2) in the halved sigmoid blocks, tanh(z) in the candidate's
@@ -497,6 +510,7 @@ class LSTMCell:
             np.multiply(i_f, g_c, out=prods)
             np.add(prods[1], prods[0], out=c_t)
             h = np.multiply(g_o, np.tanh(c_t, out=tc_t), out=h_t)
+        hs = hs.transpose(0, 2, 1).copy()
         return hs, hs[-1], (x, hs, blocks, tcs)
 
     def backward(self, cache, grad_final: np.ndarray):
@@ -504,17 +518,21 @@ class LSTMCell:
         (T, batch, input_size), parameter gradients)."""
         x, hs, blocks, tcs = cache
         n = self.hidden_size
+        steps, batch = hs.shape[:2]
+        gates = blocks[:-1, :4]
         gi, gf, gc, go, c_prev = (blocks[:-1, k] for k in range(5))
-        gates = np.concatenate((gi, gf, gc, go), axis=-1)
         # step t's gate gradient is concat(dc, dc, dc, dh) * local[t], whose
         # blocks are gc*gi(1-gi), c_prev*gf(1-gf), gi*(1-gc^2), tanh(c)*go(1-go)
         local = 1.0 - gates
         local *= gates
-        local[..., 2 * n:3 * n] = 1.0 - gc * gc
-        local *= np.concatenate((gc, c_prev, gi, tcs), axis=-1)
+        local[:, 2] = 1.0 - gc * gc
+        local *= np.concatenate((gc, c_prev, gi, tcs), axis=1).reshape(local.shape)
         # dh_t/dc_t, from h_t = go * tanh(c_t)
         dh_dc = go * (1.0 - tcs * tcs)
-        dz = np.empty(gates.shape)
+        # the loop's operands, copied once each into its window-major layout
+        local = np.ascontiguousarray(local.transpose(0, 3, 1, 2)).reshape(steps, batch, 4 * n)
+        dh_dc, gf = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (dh_dc, gf))
+        dz = np.empty(local.shape)
         dh = grad_final.reshape(hs.shape[1:])
         dc = np.zeros(dh.shape)
         for t in reversed(range(len(x))):

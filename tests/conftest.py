@@ -1,6 +1,13 @@
-"""Shared test helpers: finite-difference oracles and gradient comparison."""
+"""Shared test helpers: finite-difference oracles, gradient comparison, and
+the environment that recorded float bytes belong to."""
+
+import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def numeric_grad(loss_fn, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -24,3 +31,29 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-6)))
+
+
+def load_fixed_commands():
+    spec = importlib.util.spec_from_file_location("fixed_commands",
+                                                  GOLDEN / "fixed_commands.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_fingerprint(path: Path) -> dict[str, str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(line.split("=", 1) for line in lines if line)
+
+
+@functools.cache
+def fingerprint_difference() -> str | None:
+    """None where this environment matches ``golden/FINGERPRINT``; otherwise
+    the first field that differs, in words. Float bytes depend on the
+    interpreter, numpy and the BLAS kernels, so a test that compares them with
+    recorded or reordered arithmetic skips with this message elsewhere."""
+    here = load_fixed_commands().fingerprint()
+    for key, value in read_fingerprint(GOLDEN / "FINGERPRINT").items():
+        if here.get(key) != value:
+            return f"recorded with {key}={value}; this environment has {key}={here.get(key)}"
+    return None

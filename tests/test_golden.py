@@ -20,27 +20,13 @@ command: each change inside the tolerance passes, and each outside it is
 named as a breach.
 """
 
-import importlib.util
 import math
 import struct
 from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).with_name("golden")
-FIXED_COMMANDS = GOLDEN / "fixed_commands.py"
-
-
-def load_fixed_commands():
-    spec = importlib.util.spec_from_file_location("fixed_commands", FIXED_COMMANDS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def read_fingerprint(path: Path) -> dict[str, str]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return dict(line.split("=", 1) for line in lines if line)
+from conftest import GOLDEN, fingerprint_difference, load_fixed_commands
 
 
 def digest_by_path(lines: list[str]) -> dict[str, str]:
@@ -73,12 +59,10 @@ def test_fixed_commands_keep_the_exit_codes_outputs_and_equal_bytes(fixed_run):
 
 
 def test_fixed_commands_write_the_recorded_bytes(fixed_run, recorded):
-    fixed, _, written = fixed_run
-    here = fixed.fingerprint()
-    for key, value in read_fingerprint(GOLDEN / "FINGERPRINT").items():
-        if here.get(key) != value:
-            pytest.skip(f"digests were recorded with {key}={value}; "
-                        f"this environment has {key}={here.get(key)}")
+    _, _, written = fixed_run
+    difference = fingerprint_difference()
+    if difference:
+        pytest.skip(f"digests were {difference}")
     changed = [path for path in recorded if written.get(path) != recorded[path]]
     assert not changed, f"{len(changed)} of {len(recorded)} files changed: {changed}"
 

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import numeric_grad, rel_error
+from conftest import fingerprint_difference, numeric_grad, rel_error
 from crnn_forecast.layers import (ChannelMerge, Conv1D, Deconv1D, Dense,
                                   LSTMCell, MaxPool1D, RNNCell, _sequence_grads)
 from crnn_forecast.tensor import ShapeError, sigmoid_values
@@ -622,10 +624,13 @@ class TestRNNCell:
 
 def lstm_cache_arrays(cache):
     """(cell states, tanh of them, gate activations (T, batch, 4H) in the gate
-    order (i, f, g, o)) of an LSTMCell forward cache, read from its buffer of
-    blocks (i, f, g, o, c_{t-1})."""
+    order (i, f, g, o)), window-major, of an LSTMCell forward cache, read from
+    its batch-minor buffer of blocks (i, f, g, o, c_{t-1}) and tanh of the
+    cell states."""
     _, _, blocks, tcs = cache
-    return blocks[1:, 4], tcs, np.concatenate([blocks[:-1, k] for k in range(4)], axis=-1)
+    gates = blocks[:-1, :4].transpose(0, 3, 1, 2)
+    return (blocks[1:, 4].swapaxes(-1, -2), tcs.swapaxes(-1, -2),
+            gates.reshape(gates.shape[:2] + (-1,)))
 
 
 class TestLSTMCell:
@@ -696,7 +701,8 @@ class TestLSTMCell:
         hs, final, cache = cell.forward(x)
         gx, grads = cell.backward(cache, grad_final)
         names = ("hidden states", "final state", "steps", "cached hidden states",
-                 "gate and cell state blocks", "tanh of cell states", "input gradients",
+                 "batch-minor gate and cell state blocks", "batch-minor tanh of cell states",
+                 "input gradients",
                  *grads)
         first = [a.tobytes() for a in (hs, final, *cache, gx, *grads.values())]
         cell.forward(rng.uniform(-3, 3, x.shape))
@@ -783,7 +789,8 @@ def gate_cache_forward(cell, x):
     """LSTMCell.forward as it was before the gate-major block buffer: one
     sigmoid over all four gate blocks, tanh then over the candidate's, and a
     cache of (steps, hidden states, cell states, their tanh, gates (T, batch,
-    4H)). The bit-exact oracle of the cell."""
+    4H)), all window-major. The oracle of the cell: bit-exact where BLAS sums
+    the swapped operands alike (see TestLSTMCellMatchesGateCacheCell)."""
     n = cell.hidden_size
     xw = x @ cell.w_x.T
     gates = np.empty(xw.shape)
@@ -916,25 +923,77 @@ class TestCellsMatchPerStepLoops:
             cell.forward(np.zeros((3, 4, 5)))
 
 
-class TestLSTMCellMatchesGateCacheCell:
-    """The cell gives the bytes of the gate-cache cell it replaced."""
+def gate_cache_arrays(cell, x, grad_final):
+    """{name: array} of the gate-cache cell's forward and backward on steps x."""
+    hs, final, cache = gate_cache_forward(cell, x)
+    gx, grads = gate_cache_backward(cell, cache, grad_final)
+    return {"hidden states": hs, "final state": final, "input gradients": gx, **grads}
 
-    # (steps, batch, input size, hidden size). With OpenBLAS 0.3.31, reordering
+
+def lstm_arrays(cell, x, grad_final):
+    """{name: array} of the cell's forward and backward, named as above."""
+    hs, final, cache = cell.forward(x)
+    gx, grads = cell.backward(cache, grad_final)
+    return {"hidden states": hs, "final state": final, "input gradients": gx, **grads}
+
+
+def one_ulp_sensitivity(cell, x, grad_final, rng, draws=4):
+    """{name: max|a' - a|} of the gate-cache cell's arrays, the largest over
+    ``draws`` runs in which every weight of w_x and w_h moves by one ulp, each
+    in a drawn direction: the scale at which these weights' recurrence
+    amplifies a rounding of its products. One draw can move an array far
+    less than another, so a single one is no scale to bound by."""
+    ref = gate_cache_arrays(cell, x, grad_final)
+    moved = dict.fromkeys(ref, 0.0)
+    for _ in range(draws):
+        nudged = copy.copy(cell)
+        for name in ("w_x", "w_h"):
+            w = getattr(cell, name)
+            away = np.where(rng.random(w.shape) < 0.5, -np.inf, np.inf)
+            setattr(nudged, name, np.nextafter(w, away))
+        for name, a in gate_cache_arrays(nudged, x, grad_final).items():
+            moved[name] = max(moved[name], np.max(np.abs(a - ref[name])))
+    return moved
+
+
+class TestLSTMCellMatchesGateCacheCell:
+    """The batch-minor cell against the gate-cache cell, the window-major
+    arithmetic it replaced. Both multiply the same operands, but with their
+    roles swapped (``W @ h.T`` against ``h @ W.T``), and BLAS may sum the two
+    in another order. With scipy-openblas 0.3.31 on SkylakeX kernels they
+    differ at batches above 192 that are not a multiple of 8, and where a
+    matmul sums 16 or more products (hidden or input size 16 and up) even at
+    a batch of 2; elsewhere the bytes are equal."""
+
+    # (steps, batch, input size, hidden size). The first three examples move
+    # bits: 16 summed products, a batch above 192, and weights whose
+    # deviation needs the sensitivity bound. With OpenBLAS 0.3.31, reordering
     # the gate rows moved bits at odd hidden sizes from 13 up and batches from
     # 12 up, and one recurrent matmul per gate block did at a batch of 1
-    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 48), st.integers(1, 24),
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 300), st.integers(1, 24),
                            st.integers(1, 40)),
            strided=st.booleans(),
            scales=st.tuples(*[st.floats(-3.0, 2.0)] * 3),
            seed=st.integers(0, 2**32 - 1))
+    @example(shape=(2, 2, 1, 16), strided=False, scales=(0.0, 0.0, 0.0), seed=0)
+    @example(shape=(4, 201, 8, 4), strided=True, scales=(0.0, 0.0, 0.0), seed=0)
+    @example(shape=(11, 290, 17, 35), strided=True, scales=(0.0, 1.6, 0.0), seed=2)
     @example(shape=(16, 32, 8, 13), strided=False, scales=(0.0, 0.0, 0.0), seed=0)
     @example(shape=(12, 1, 25, 14), strided=True, scales=(0.0, 0.0, 0.0), seed=0)
     @example(shape=(16, 32, 8, 4), strided=False, scales=(0.0, -0.5, 0.0), seed=1)
     @settings(max_examples=25, deadline=None)
-    def test_same_bytes_as_gate_cache_cell(self, shape, strided, scales, seed):
+    def test_within_rounding_of_gate_cache_cell(self, shape, strided, scales, seed):
         """Hidden states, final state, input gradients and every weight and
         bias gradient, for steps, weights and biases of magnitude 1e-3 to 1e2
-        and steps as a contiguous array or a strided view."""
+        and steps as a contiguous array or a strided view.
+
+        With weights up to 1 in magnitude each array lies within
+        max|a - ref| <= 1e-12 * max|ref| (the largest seen over some 1600
+        draws: 5.7e-15). Larger weights amplify rounding through the
+        recurrence, so there each array may deviate by 16 times the largest
+        change of the reference itself over four draws in which every weight
+        moves by one ulp, if that is more (the largest ratio seen: 0.83, over
+        964 arrays that deviated by more than 1e-12 * max|ref|)."""
         steps, batch, in_size, hidden = shape
         x_scale, w_scale, b_scale = (10.0 ** e for e in scales)
         rng = np.random.default_rng(seed)
@@ -947,16 +1006,38 @@ class TestLSTMCellMatchesGateCacheCell:
         else:
             x = rng.uniform(-x_scale, x_scale, (steps, batch, in_size))
         grad_final = rng.uniform(-1, 1, (batch, hidden))
-        hs, final, cache = cell.forward(x)
-        gx, grads = cell.backward(cache, grad_final)
-        ref_hs, ref_final, ref_cache = gate_cache_forward(cell, x)
-        ref_gx, ref_grads = gate_cache_backward(cell, ref_cache, grad_final)
-        assert hs.tobytes() == ref_hs.tobytes()
-        assert final.tobytes() == ref_final.tobytes()
-        assert gx.tobytes() == ref_gx.tobytes()
-        assert list(grads) == list(ref_grads)
-        for name, g in grads.items():
-            assert g.tobytes() == ref_grads[name].tobytes(), name
+        got = lstm_arrays(cell, x, grad_final)
+        ref = gate_cache_arrays(cell, x, grad_final)
+        assert list(got) == list(ref)
+        sensitivity = one_ulp_sensitivity(cell, x, grad_final, rng) if w_scale > 1.0 else {}
+        for name, a in got.items():
+            assert a.shape == ref[name].shape, name
+            allowed = max(1e-12 * np.max(np.abs(ref[name])), 16.0 * sensitivity.get(name, 0.0))
+            assert np.max(np.abs(a - ref[name])) <= allowed, name
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 89, 256])
+    def test_same_bytes_at_the_benchmark_shapes(self, batch, strided):
+        """At perfbench's ``pair`` shapes (input 8, hidden 4, 16 steps, and
+        its batches), forward and backward give the gate-cache cell's bytes.
+        Those depend on the BLAS kernels, so, like the golden digests, this
+        skips where the environment differs from ``golden/FINGERPRINT``."""
+        difference = fingerprint_difference()
+        if difference:
+            pytest.skip(f"the equal bytes were {difference}")
+        rng = np.random.default_rng([batch, strided])
+        cell = LSTMCell(8, 4, rng)
+        cell.b[...] = rng.uniform(-1, 1, cell.b.shape)
+        if strided:  # the sequence-layout view a model sends
+            x = np.moveaxis(rng.uniform(-3, 3, (batch, 8, 16)), -1, 0)
+        else:
+            x = rng.uniform(-3, 3, (16, batch, 8))
+        grad_final = rng.uniform(-1, 1, (batch, 4))
+        got = lstm_arrays(cell, x, grad_final)
+        ref = gate_cache_arrays(cell, x, grad_final)
+        assert list(got) == list(ref)
+        for name, a in got.items():
+            assert a.tobytes() == ref[name].tobytes(), name
 
 
 class TestLSTMCacheMatchesPerStepLoop:

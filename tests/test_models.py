@@ -738,6 +738,31 @@ class TestStepsLayout:
         assert (steps.shape, steps.strides) == (want.shape, want.strides)
 
 
+class TestCellOutputLayout:
+    """Both cells return C-contiguous hidden states (T, batch, H) and a final
+    state that is the view ``hs[-1]``, whatever layout they keep inside: the
+    readout multiplies the final state and ``_sequence_grads`` the hidden
+    states, and a matmul's bits depend on its operands' layout."""
+
+    @pytest.mark.parametrize("cell", models.CELL_KINDS)
+    @pytest.mark.parametrize("layout", models.RNN_LAYOUTS)
+    @pytest.mark.parametrize("batch", [1, 5, 201])
+    def test_hidden_states_are_c_contiguous_and_final_is_their_last_row(self, cell, layout,
+                                                                       batch):
+        cfg = ModelConfig(num_series=2, input_length=16, horizon=2, conv_pool_stages=1,
+                          filters_per_layer=3, filter_size=3, rnn_hidden=5, cell_kind=cell,
+                          rnn_layout=layout, seed=1)
+        model = AECRNN(cfg)
+        x = np.random.default_rng(batch).uniform(0.0, 1.0, (batch, 2, 16))
+        steps = model._steps(model._series_forward(x, decode=False)[0])
+        for x_steps in (steps, np.ascontiguousarray(steps)):
+            hs, final, _ = model._cell.forward(x_steps)
+            assert hs.shape == (len(steps), batch, 5) and hs.flags.c_contiguous
+            last = hs[-1]
+            assert (final.shape, final.strides) == (last.shape, last.strides)
+            assert final.ctypes.data == last.ctypes.data
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = small_config(seed=13, cell_kind="lstm")
