@@ -31,7 +31,7 @@ from .baselines import ewma_batch, yesterday_batch
 from .data import (TRAIN_FRAC, VAL_FRACTION, CorrelatedSet, DataError, Prepared,
                    make_uncorrelated, prepare, stack_samples)
 from .models import MODELS
-from .training import TrainConfig, train
+from .training import SCORE_WINDOWS, TrainConfig, train
 
 __all__ = [
     "METHODS",
@@ -177,7 +177,7 @@ def _score(method: str, spec: ExperimentSpec, prepared: Prepared,
            seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Fit ``method`` on one prepared set for one seed. Returns its test
     forecasts and their truths, each (N, p) in original units. A model
-    forecasts one batch of windows per call, so memory stays bounded."""
+    forecasts SCORE_WINDOWS windows per call, so memory stays bounded."""
     x_test, y_test = stack_samples(prepared.test)
     if method == "yesterday":
         forecasts = yesterday_batch(x_test, spec.horizon)
@@ -186,9 +186,8 @@ def _score(method: str, spec: ExperimentSpec, prepared: Prepared,
     else:
         model, _ = fit(method, spec.hparams, prepared,
                        dataclasses.replace(spec.train, seed=seed))
-        size = spec.train.batch_size
-        forecasts = np.concatenate([model.batch_forecast(x_test[start:start + size])
-                                    for start in range(0, len(x_test), size)])
+        forecasts = np.concatenate([model.batch_forecast(x_test[start:start + SCORE_WINDOWS])
+                                    for start in range(0, len(x_test), SCORE_WINDOWS)])
     return prepared.norm.inverse_target(forecasts), prepared.norm.inverse_target(y_test)
 
 

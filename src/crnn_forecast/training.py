@@ -1,4 +1,5 @@
-"""Mini-batch gradient descent with early stopping and gradient verification."""
+"""Mini-batch gradient descent with early stopping and gradient verification.
+Every pass that takes no gradient runs SCORE_WINDOWS windows per call."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ ADAM_EPSILON = 1e-8
 GRADCHECK_STEP = 1e-6  # gradcheck's central-difference step
 GRADCHECK_TOLERANCE = 1e-5  # the relative error above which gradcheck fails
 OPTIMIZERS = ("adam", "sgd")  # in the order the CLI lists them; the first is the default
+SCORE_WINDOWS = 128  # windows per call of a pass that takes no gradient
 
 
 @dataclass
@@ -158,14 +160,14 @@ class TrainReport:
                    self.stopping_reason))
 
 
-def mean_j1(model, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
-    """Forecast loss j1 over a whole window set, evaluated batch_size windows
-    at a time: the size-weighted mean of the per-slice j1, so memory stays
-    bounded by one batch's activations."""
+def mean_j1(model, x: np.ndarray, y: np.ndarray) -> float:
+    """Forecast loss j1 over a whole window set, from the forecasts alone (no
+    decoder runs), SCORE_WINDOWS windows at a time: the size-weighted mean
+    of the per-slice j1, so memory stays bounded by one slice's activations."""
     total = 0.0
-    for start in range(0, len(x), batch_size):
-        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        total += model.batch_loss(xb, yb).j1 * (len(xb) / len(x))
+    for start in range(0, len(x), SCORE_WINDOWS):
+        xb, yb = x[start:start + SCORE_WINDOWS], y[start:start + SCORE_WINDOWS]
+        total += model.batch_loss(xb, yb, decode=False).j1 * (len(xb) / len(x))
     return total
 
 
@@ -173,9 +175,12 @@ def train(model, samples: Windows, config: TrainConfig,
           val_samples: Windows | None = None):
     """Fit a model by mini-batch gradient descent.
 
-    Early stopping monitors validation forecast loss (j1). When no validation
-    windows are supplied, the training j1 of each epoch is monitored instead
-    (useful for deliberate overfitting). Returns (model, report), the model
+    Early stopping monitors the validation windows' forecast loss j1
+    (``mean_j1``, which runs no decoder). When no validation windows are
+    supplied, the training j1 of each epoch is monitored instead (useful for
+    deliberate overfitting). Training stops as "diverged" when a batch's
+    objective, the monitored loss or, after an epoch's steps, any parameter
+    (decoder included) is not finite. Returns (model, report), the model
     left holding the parameters of the best epoch. ValueError when there is
     no training window.
     """
@@ -200,9 +205,12 @@ def train(model, samples: Windows, config: TrainConfig,
                 optimizer.step(model.params, grads)
                 sum_j1 += loss.j1 * idx.size
                 sum_j2 += loss.j2 * idx.size
+            bad = [name for name, p in model.params.items() if not np.isfinite(p).all()]
+            if bad:
+                raise NumericError(f"parameters not finite: {', '.join(bad)}")
             epoch_j1 = sum_j1 / n
             epoch_j2 = sum_j2 / n
-            monitored = mean_j1(model, x_mon, y_mon, config.batch_size)
+            monitored = mean_j1(model, x_mon, y_mon)
         except NumericError as exc:
             log.warning("training diverged at epoch %d: %s", epoch, exc)
             report.stopping_reason = "diverged"

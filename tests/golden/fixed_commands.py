@@ -70,8 +70,8 @@ stated tolerance under which a change may move output bits:
   noise.
 
 It prints, per file type, how many files differ and their largest relative
-and absolute deviation; on a breach it exits 1 and names the first one on
-stderr.
+and absolute deviation, then each file that differs with its own; on a
+breach it exits 1 and names the first one on stderr.
 
 The digests recorded in ``SHA256SUMS`` next to this file were written in the
 environment recorded in ``FINGERPRINT``; ``tests/test_golden.py`` compares
@@ -546,16 +546,19 @@ def _file_breach(rel: str, a: bytes, b: bytes, dev: list[float]) -> str | None:
     return None
 
 
-def compare(base: Path, change: Path) -> tuple[dict[str, list], list[str]]:
+def compare(base: Path, change: Path) -> tuple[dict[str, list], list[str], list[tuple]]:
     """(per file type [files, files that differ, largest relative deviation,
-    largest absolute deviation], every breach of the tolerance) for the run
-    in ``change`` against the run in ``base``."""
+    largest absolute deviation], every breach of the tolerance, and each
+    file that differs as (path, largest relative deviation, largest absolute
+    deviation) in path order) for the run in ``change`` against the run in
+    ``base``."""
     trees = [{p.relative_to(top).as_posix() for p in top.rglob("*") if p.is_file()}
              for top in (base, change)]
     breaches = [f"{rel}: only in {top}" for rel, top in
                 sorted([(rel, base) for rel in trees[0] - trees[1]]
                        + [(rel, change) for rel in trees[1] - trees[0]])]
     table: dict[str, list] = {}
+    moved: list[tuple] = []
     for rel in sorted(trees[0] & trees[1]):
         row = table.setdefault(_kind(rel), [0, 0, 0.0, 0.0])
         row[0] += 1
@@ -566,16 +569,22 @@ def compare(base: Path, change: Path) -> tuple[dict[str, list], list[str]]:
         dev = [0.0, 0.0]
         reason = _file_breach(rel, a, b, dev)
         row[2], row[3] = max(row[2], dev[0]), max(row[3], dev[1])
+        moved.append((rel, *dev))
         if reason is not None:
             breaches.append(reason)
-    return table, breaches
+    return table, breaches, moved
 
 
 def _compare_main(base: Path, change: Path) -> int:
-    table, breaches = compare(base, change)
+    table, breaches, moved = compare(base, change)
     print(f"{'file type':<24}{'files':>6}{'differ':>8}{'max rel dev':>13}{'max abs dev':>13}")
     for kind, (files, differ, rel, diff) in sorted(table.items()):
         print(f"{kind:<24}{files:>6}{differ:>8}{rel:>13.3g}{diff:>13.3g}")
+    if moved:
+        width = max(len("file that differs"), *(len(rel) for rel, _, _ in moved))
+        print(f"\n{'file that differs':<{width}}{'max rel dev':>13}{'max abs dev':>13}")
+        for rel, rel_dev, abs_dev in moved:
+            print(f"{rel:<{width}}{rel_dev:>13.3g}{abs_dev:>13.3g}")
     if breaches:
         print(f"{len(breaches)} breach(es) of the tolerance; the first: {breaches[0]}",
               file=sys.stderr)

@@ -8,7 +8,7 @@ from crnn_forecast.data import (CorrelatedSet, DataError, SyntheticConfig, TimeS
                                 generate_synthetic, ingest_csv, write_csv)
 from crnn_forecast.evaluation import (ExperimentSpec, MetricReport, mape_detailed, rmse,
                                       robustness_experiment, run_experiment)
-from crnn_forecast.training import TrainConfig
+from crnn_forecast.training import SCORE_WINDOWS, TrainConfig
 
 FAST_TRAIN = TrainConfig(max_epochs=3, batch_size=16, patience=3)
 
@@ -227,12 +227,12 @@ class TestRunExperiment:
 
 class TestScore:
     @pytest.mark.parametrize("method", ["crnn", "aecrnn", "rnn", "lstm"])
-    def test_forecasts_at_most_one_batch_of_windows_per_call(self, monkeypatch, method):
-        # eval stride 1 leaves more test windows than two batches, and not a multiple
-        spec = tiny_spec(eval_stride=1)
-        (_, prepared), = synthetic_runs(spec, length=400)
+    def test_forecasts_score_windows_per_call(self, monkeypatch, method):
+        # eval stride 1 leaves more test windows than two slices, and not a multiple
+        spec = tiny_spec(eval_stride=1, train_frac=0.3)
+        (_, prepared), = synthetic_runs(spec, length=800)
         windows = len(prepared.test)
-        assert windows > 2 * spec.train.batch_size and windows % spec.train.batch_size
+        assert windows > 2 * SCORE_WINDOWS and windows % SCORE_WINDOWS
         sizes, whole = [], []
         real_fit = evaluation.fit
 
@@ -250,7 +250,8 @@ class TestScore:
 
         monkeypatch.setattr(evaluation, "fit", recording_fit)
         preds, _ = evaluation._score(method, spec, prepared, seed=0)
-        assert max(sizes) <= spec.train.batch_size and sum(sizes) == windows
+        assert sizes == [min(SCORE_WINDOWS, windows - start)
+                         for start in range(0, windows, SCORE_WINDOWS)]
         assert len(preds) == windows
         # slicing moves forecasts by rounding only (one batched call is the oracle)
         np.testing.assert_allclose(preds, prepared.norm.inverse_target(whole[0]),

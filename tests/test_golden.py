@@ -142,14 +142,15 @@ def _compare(tmp_path, edit):
 
 @pytest.mark.parametrize("edit", ACCEPTED.values(), ids=ACCEPTED.keys())
 def test_compare_accepts_a_change_inside_the_tolerance(tmp_path, edit):
-    table, breaches = _compare(tmp_path, edit)
+    table, breaches, moved = _compare(tmp_path, edit)
     assert breaches == []
     assert sum(differ for _, differ, _, _ in table.values()) == 1
+    assert len(moved) == 1
 
 
 @pytest.mark.parametrize("edit", REFUSED.values(), ids=REFUSED.keys())
 def test_compare_refuses_a_change_outside_the_tolerance(tmp_path, edit):
-    _, breaches = _compare(tmp_path, edit)
+    _, breaches, _ = _compare(tmp_path, edit)
     assert len(breaches) == 1
 
 
@@ -164,3 +165,21 @@ def test_compare_exits_1_and_names_the_first_breach(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "train_report.tsv" in out
     assert "train/train_report.tsv:2:" in err
+
+
+def test_compare_names_each_file_that_differs_with_its_deviations(tmp_path, capsys):
+    fixed = load_fixed_commands()
+    base = write_tree(tmp_path / "base", fake_tree())
+    files = fake_tree()
+    ACCEPTED["one_ulp_in_a_17g_field"](files)
+    ACCEPTED["one_unit_in_a_6g_field"](files)
+    change = write_tree(tmp_path / "change", files)
+    _, _, moved = fixed.compare(base, change)
+    ulp = math.nextafter(J, 1.0) - J
+    assert moved == [("eval/report.tsv", pytest.approx(1e-4 / 26.2186), pytest.approx(1e-4)),
+                     ("train/train_report.tsv", ulp / math.nextafter(J, 1.0), ulp)]
+    assert fixed.main(["--compare", str(base), str(change)]) == 0
+    listed = capsys.readouterr().out.split("file that differs")[1].splitlines()[1:]
+    assert [line.split() for line in listed] == [
+        ["eval/report.tsv", "3.81e-06", "0.0001"],
+        ["train/train_report.tsv", f"{ulp / J:.3g}", f"{ulp:.3g}"]]

@@ -616,6 +616,47 @@ class TestSeriesSplitMatchesOneGroup:
         assert results == [(i + 1, i + 2) for i in range(len(results))]
 
 
+class TestForecastOnlyLoss:
+    """``batch_loss(x, y, decode=False)`` scores ``batch_forecast(x)`` alone:
+    the decoder does not feed the forecast, so j1 keeps its bits."""
+
+    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("cell", models.CELL_KINDS)
+    @pytest.mark.parametrize("layout", models.RNN_LAYOUTS)
+    @pytest.mark.parametrize("batch", [1, 33, 300])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_aecrnn_j1_has_the_bits_of_the_full_objective(self, monkeypatch, stages, cell,
+                                                          layout, batch, split):
+        cfg = ModelConfig(num_series=4, input_length=16, horizon=3, conv_pool_stages=stages,
+                          filters_per_layer=2, filter_size=3, rnn_hidden=3, cell_kind=cell,
+                          rnn_layout=layout, seed=stages + batch, allow_off_grid=True)
+        rng = np.random.default_rng(batch)
+        x = rng.uniform(-0.5, 1.5, (batch, 4, 16))
+        y = rng.uniform(0.0, 1.0, (batch, 3))
+        calls = _split_calls(monkeypatch)
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES",
+                            0 if split else TestSeriesSplitMatchesOneGroup.NEVER)
+        model = AECRNN(cfg)
+        full, alone = model.batch_loss(x, y), model.batch_loss(x, y, decode=False)
+        assert bool(calls) == split
+        assert struct.pack("<d", alone.j1) == struct.pack("<d", full.j1)
+        assert alone.j2 == 0.0 < full.j2
+
+    @pytest.mark.parametrize("kind", ["crnn", "rnn", "lstm"])
+    def test_models_without_a_decoder_give_the_same_objective(self, kind):
+        model = MODELS[kind]({**SMALL, "seed": 3})
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.0, 1.0, (33, 2, 8)), rng.uniform(0.0, 1.0, (33, 2))
+        assert model.batch_loss(x, y, decode=False) == model.batch_loss(x, y)
+
+    def test_non_finite_window_raises(self):
+        model = AECRNN(small_config())
+        x, y = np.ones((3, 2, 8)), np.ones((3, 2))
+        x[1, 0, 4] = np.nan
+        with pytest.raises(NumericError):
+            model.batch_loss(x, y, decode=False)
+
+
 def _bounds(model, batch) -> list[list[tuple[int, int]]]:
     """The (lo, hi) of each range of the batch's split, per thread."""
     return [[(lo, hi) for _, lo, hi in part] for part in model._split_ranges(batch)]

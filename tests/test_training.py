@@ -8,12 +8,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from crnn_forecast import models
 from crnn_forecast.data import (SyntheticConfig, Windows, generate_synthetic, segment,
                                 stack_samples, train_val_split)
-from crnn_forecast.layers import Dense
+from crnn_forecast.layers import ChannelMerge, Deconv1D, Dense
 from crnn_forecast.models import (AECRNN, CELL_KINDS, CONV_ACTIVATIONS, CRNN, RNN_LAYOUTS,
                                   BaselineConfig, ModelConfig, ParamModel, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
-from crnn_forecast.training import (GRADCHECK_STEP, Adam, Sgd, TrainConfig, gradcheck, mean_j1,
-                                    train)
+from crnn_forecast.training import (GRADCHECK_STEP, SCORE_WINDOWS, Adam, Sgd, TrainConfig,
+                                    gradcheck, mean_j1, train)
 
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
              filters_per_layer=2, filter_size=3, rnn_hidden=4)
@@ -193,13 +193,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(model, toy_samples()[:0], TrainConfig())
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 32, 1000])
-    def test_batched_monitored_loss_equals_full_set_loss(self, batch_size):
-        samples = toy_samples(seed=8)
+    @pytest.mark.parametrize("windows", [1, 7, SCORE_WINDOWS - 1, SCORE_WINDOWS,
+                                         SCORE_WINDOWS + 1, 2 * SCORE_WINDOWS + 3])
+    def test_batched_monitored_loss_equals_full_set_loss(self, windows):
+        x, y = stack_samples(toy_samples(length=2 * SCORE_WINDOWS + 12, seed=8))
+        x, y = x[:windows], y[:windows]
         model = AECRNN(ModelConfig(**SMALL, seed=8))
-        x, y = stack_samples(samples)
         full = model.batch_loss(x, y).j1
-        assert abs(mean_j1(model, x, y, batch_size) - full) <= 1e-12 * full
+        assert abs(mean_j1(model, x, y) - full) <= 1e-12 * full
 
     def test_checkpoint_reproduces_validation_loss_bitwise(self, tmp_path):
         samples = toy_samples(seed=7)
@@ -212,6 +213,68 @@ class TestTrain:
         rebuilt, _ = model_from_checkpoint(*load_checkpoint(path))
         x, y = stack_samples(val)
         assert rebuilt.batch_loss(x, y).j1 == report.best_val_j1
+
+    def test_a_decoder_made_non_finite_by_the_last_step_diverges(self, monkeypatch):
+        # The monitored loss reads no decoder output, so only the check of
+        # every parameter after an epoch's steps keeps this inf out of the
+        # best parameters.
+        tr, val = train_val_split(toy_samples(seed=9))
+        model = AECRNN(ModelConfig(**SMALL, seed=9))
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=9)
+        steps = cfg.max_epochs * -(-len(tr) // cfg.batch_size)
+        real, calls = Adam.step, []
+
+        def step(self, params, grads):
+            real(self, params, grads)
+            calls.append(1)
+            if len(calls) == steps:
+                params["merge.w"][...] = np.inf
+
+        monkeypatch.setattr(Adam, "step", step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, report = train(model, tr, cfg, val_samples=val)
+        assert len(calls) == steps
+        assert report.stopping_reason == "diverged"
+        assert len(report.epochs) == cfg.max_epochs - 1
+        assert all(np.isfinite(p).all() for p in model.params.values())
+
+
+def _counted(monkeypatch, cls, method: str, log: list) -> None:
+    """Append the windows of each call of ``cls.method`` to ``log``."""
+    real = getattr(cls, method)
+
+    def counting(self, x, *args, **kwargs):
+        log.append(x)
+        return real(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(cls, method, counting)
+
+
+class TestMonitoredLoss:
+    """Validation scores the forecasts alone, SCORE_WINDOWS windows per call."""
+
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_validation_runs_no_decoder_in_bounded_slices(self, monkeypatch, stages):
+        rng = np.random.default_rng(stages)
+        n_train, n_val, epochs, batch = 40, 2 * SCORE_WINDOWS + 3, 2, 32
+        train_set = Windows(rng.uniform(0, 1, (n_train, 2, 8)), rng.uniform(0, 1, (n_train, 2)),
+                            np.arange(n_train))
+        x_val, y_val = rng.uniform(0, 1, (n_val, 2, 8)), rng.uniform(0, 1, (n_val, 2))
+        model = AECRNN(ModelConfig(**{**SMALL, "conv_pool_stages": stages}, seed=stages))
+        deconvs, merges, losses = [], [], []
+        _counted(monkeypatch, Deconv1D, "forward", deconvs)
+        _counted(monkeypatch, ChannelMerge, "forward", merges)
+        _counted(monkeypatch, AECRNN, "batch_loss", losses)
+        _, report = train(model, train_set,
+                          TrainConfig(batch_size=batch, max_epochs=epochs, patience=epochs),
+                          val_samples=Windows(x_val, y_val, np.arange(n_val)))
+        assert len(report.epochs) == epochs
+        batches = epochs * -(-n_train // batch)
+        assert (len(deconvs), len(merges)) == (batches * stages, batches)
+        starts = range(0, n_val, SCORE_WINDOWS)
+        assert [len(x) for x in losses] == epochs * [min(SCORE_WINDOWS, n_val - s) for s in starts]
+        for x, start in zip(losses, epochs * list(starts)):
+            assert np.array_equal(x, x_val[start:start + SCORE_WINDOWS])
 
 
 class _LinearToy(ParamModel):
