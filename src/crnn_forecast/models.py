@@ -506,13 +506,13 @@ class ParamModel:
         z, _ = self._head(self._series_forward(x, decode=False)[0])
         return z
 
-    def batch_loss(self, x: np.ndarray, y: np.ndarray, decode: bool = True) -> LossBreakdown:
-        """The objective of windows x against targets y; ``decode=False`` scores
-        the forecasts alone (j2 = 0), whose j1 keeps its bits: no decoder feeds them."""
-        if not decode:
-            return joint_loss(self.batch_forecast(x), y)[0]
-        z, recon, _ = self._run(x)
-        return joint_loss(z, y, recon, x)[0]
+    def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
+        """Forecast loss of windows x against targets y, from the forecasts
+        alone (j2 = 0): no decoder runs, and none feeds the forecasts, so j1
+        has the bits of ``batch_backward``'s, which also returns the objective."""
+        self._check_batch(x)
+        z, _ = self._head(self._series_forward(x, decode=False)[0])
+        return joint_loss(z, y)[0]
 
     def batch_backward(self, x: np.ndarray, y: np.ndarray):
         """Loss and exact parameter gradients for a batch of windows."""

@@ -167,7 +167,7 @@ def mean_j1(model, x: np.ndarray, y: np.ndarray) -> float:
     total = 0.0
     for start in range(0, len(x), SCORE_WINDOWS):
         xb, yb = x[start:start + SCORE_WINDOWS], y[start:start + SCORE_WINDOWS]
-        total += model.batch_loss(xb, yb, decode=False).j1 * (len(xb) / len(x))
+        total += model.batch_loss(xb, yb).j1 * (len(xb) / len(x))
     return total
 
 
@@ -259,8 +259,8 @@ class GradcheckReport:
 def gradcheck(model, x: np.ndarray, y: np.ndarray,
               tolerance: float = GRADCHECK_TOLERANCE) -> GradcheckReport:
     """Verify every parameter's analytic gradient with central differences of
-    step GRADCHECK_STEP, on the loss of windows x (batch, n, l) against
-    targets y (batch, p).
+    step GRADCHECK_STEP, on the objective that ``batch_backward`` returns
+    for windows x (batch, n, l) against targets y (batch, p).
 
     Relative error uses |a - n| / max(|a| + |n|, 1e-6); the floor keeps
     near-zero gradients from amplifying finite-difference noise. Intended for
@@ -271,7 +271,7 @@ def gradcheck(model, x: np.ndarray, y: np.ndarray,
     _, analytic = model.batch_backward(x, y)
 
     def loss_value() -> float:
-        return model.batch_loss(x, y).j
+        return model.batch_backward(x, y)[0].j
 
     report = GradcheckReport(0.0, "", 0, tolerance)
     for name, param in model.params.items():

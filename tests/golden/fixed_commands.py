@@ -546,40 +546,39 @@ def _file_breach(rel: str, a: bytes, b: bytes, dev: list[float]) -> str | None:
     return None
 
 
-def compare(base: Path, change: Path) -> tuple[dict[str, list], list[str], list[tuple]]:
-    """(per file type [files, files that differ, largest relative deviation,
-    largest absolute deviation], every breach of the tolerance, and each
-    file that differs as (path, largest relative deviation, largest absolute
-    deviation) in path order) for the run in ``change`` against the run in
-    ``base``."""
+def compare(base: Path, change: Path) -> tuple[dict[str, int], list[str], list[tuple]]:
+    """(the number of files of each file type, every breach of the tolerance,
+    and each file that differs as (path, largest relative deviation, largest
+    absolute deviation) in path order) for the run in ``change`` against the
+    run in ``base``."""
     trees = [{p.relative_to(top).as_posix() for p in top.rglob("*") if p.is_file()}
              for top in (base, change)]
     breaches = [f"{rel}: only in {top}" for rel, top in
                 sorted([(rel, base) for rel in trees[0] - trees[1]]
                        + [(rel, change) for rel in trees[1] - trees[0]])]
-    table: dict[str, list] = {}
+    files: dict[str, int] = {}
     moved: list[tuple] = []
     for rel in sorted(trees[0] & trees[1]):
-        row = table.setdefault(_kind(rel), [0, 0, 0.0, 0.0])
-        row[0] += 1
+        files[_kind(rel)] = files.get(_kind(rel), 0) + 1
         a, b = (base / rel).read_bytes(), (change / rel).read_bytes()
         if a == b:
             continue
-        row[1] += 1
         dev = [0.0, 0.0]
         reason = _file_breach(rel, a, b, dev)
-        row[2], row[3] = max(row[2], dev[0]), max(row[3], dev[1])
         moved.append((rel, *dev))
         if reason is not None:
             breaches.append(reason)
-    return table, breaches, moved
+    return files, breaches, moved
 
 
 def _compare_main(base: Path, change: Path) -> int:
-    table, breaches, moved = compare(base, change)
+    files, breaches, moved = compare(base, change)
     print(f"{'file type':<24}{'files':>6}{'differ':>8}{'max rel dev':>13}{'max abs dev':>13}")
-    for kind, (files, differ, rel, diff) in sorted(table.items()):
-        print(f"{kind:<24}{files:>6}{differ:>8}{rel:>13.3g}{diff:>13.3g}")
+    for kind, count in sorted(files.items()):
+        devs = [(r, a) for path, r, a in moved if _kind(path) == kind]
+        rel = max((r for r, _ in devs), default=0.0)
+        diff = max((a for _, a in devs), default=0.0)
+        print(f"{kind:<24}{count:>6}{len(devs):>8}{rel:>13.3g}{diff:>13.3g}")
     if moved:
         width = max(len("file that differs"), *(len(rel) for rel, _, _ in moved))
         print(f"\n{'file that differs':<{width}}{'max rel dev':>13}{'max abs dev':>13}")

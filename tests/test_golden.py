@@ -142,9 +142,9 @@ def _compare(tmp_path, edit):
 
 @pytest.mark.parametrize("edit", ACCEPTED.values(), ids=ACCEPTED.keys())
 def test_compare_accepts_a_change_inside_the_tolerance(tmp_path, edit):
-    table, breaches, moved = _compare(tmp_path, edit)
+    files, breaches, moved = _compare(tmp_path, edit)
     assert breaches == []
-    assert sum(differ for _, differ, _, _ in table.values()) == 1
+    assert sum(files.values()) == len(fake_tree())
     assert len(moved) == 1
 
 

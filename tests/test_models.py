@@ -272,7 +272,7 @@ class TestAECRNNForward:
         model = AECRNN(cfg)
         for seed in range(20):
             window, target = random_case(cfg, seed)
-            lb = model.batch_loss(window[None], target[None])
+            lb = model.batch_backward(window[None], target[None])[0]
             assert lb.j == lb.j1 + lb.j2
             assert lb.j1 >= 0.0 and lb.j2 >= 0.0
 
@@ -292,7 +292,7 @@ class TestModelGradients:
         _, grads = model.batch_backward(x, y)
 
         def loss():
-            return model.batch_loss(x, y).j
+            return model.batch_backward(x, y)[0].j
 
         for name, param in model.params.items():
             fd = numeric_grad(loss, param)
@@ -307,7 +307,7 @@ class TestModelGradients:
         _, grads = model.batch_backward(x, y)
 
         def loss():
-            return model.batch_loss(x, y).j
+            return model.batch_backward(x, y)[0].j
 
         for name, param in model.params.items():
             assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-5, name
@@ -320,7 +320,7 @@ class TestModelGradients:
         _, grads = model.batch_backward(x, y)
 
         def loss():
-            return model.batch_loss(x, y).j
+            return model.batch_backward(x, y)[0].j
 
         for name, param in model.params.items():
             assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-5, name
@@ -336,7 +336,7 @@ class TestModelGradients:
         _, grads = model.batch_backward(x, y)
 
         def loss():
-            return model.batch_loss(x, y).j
+            return model.batch_backward(x, y)[0].j
 
         for name, param in model.params.items():
             assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-5, name
@@ -382,7 +382,7 @@ class TestModelGradients:
         _, grads = model.batch_backward(x, y)
 
         def loss():
-            return model.batch_loss(x, y).j
+            return model.batch_backward(x, y)[0].j
 
         for name, param in model.params.items():
             assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-5, name
@@ -425,7 +425,8 @@ class TestMultiTaskReduction:
             if not name.startswith("conv"):
                 assert g_aecrnn[name].tobytes() == g_crnn[name].tobytes(), name
                 continue
-            fd_j2 = numeric_grad(lambda: aecrnn.batch_loss(x, y).j2, aecrnn.params[name])
+            fd_j2 = numeric_grad(lambda: aecrnn.batch_backward(x, y)[0].j2,
+                                 aecrnn.params[name])
             assert rel_error(g_aecrnn[name] - g_crnn[name], fd_j2) < 1e-6, name
 
 
@@ -617,8 +618,8 @@ class TestSeriesSplitMatchesOneGroup:
 
 
 class TestForecastOnlyLoss:
-    """``batch_loss(x, y, decode=False)`` scores ``batch_forecast(x)`` alone:
-    the decoder does not feed the forecast, so j1 keeps its bits."""
+    """``batch_loss`` scores the forecasts alone: the decoder does not feed
+    them, so its j1 has the bits of the objective ``batch_backward`` returns."""
 
     @pytest.mark.parametrize("stages", [1, 2])
     @pytest.mark.parametrize("cell", models.CELL_KINDS)
@@ -637,7 +638,7 @@ class TestForecastOnlyLoss:
         monkeypatch.setattr(models, "SPLIT_MIN_VALUES",
                             0 if split else TestSeriesSplitMatchesOneGroup.NEVER)
         model = AECRNN(cfg)
-        full, alone = model.batch_loss(x, y), model.batch_loss(x, y, decode=False)
+        full, alone = model.batch_backward(x, y)[0], model.batch_loss(x, y)
         assert bool(calls) == split
         assert struct.pack("<d", alone.j1) == struct.pack("<d", full.j1)
         assert alone.j2 == 0.0 < full.j2
@@ -647,14 +648,14 @@ class TestForecastOnlyLoss:
         model = MODELS[kind]({**SMALL, "seed": 3})
         rng = np.random.default_rng(3)
         x, y = rng.uniform(0.0, 1.0, (33, 2, 8)), rng.uniform(0.0, 1.0, (33, 2))
-        assert model.batch_loss(x, y, decode=False) == model.batch_loss(x, y)
+        assert model.batch_loss(x, y) == model.batch_backward(x, y)[0]
 
     def test_non_finite_window_raises(self):
         model = AECRNN(small_config())
         x, y = np.ones((3, 2, 8)), np.ones((3, 2))
         x[1, 0, 4] = np.nan
         with pytest.raises(NumericError):
-            model.batch_loss(x, y, decode=False)
+            model.batch_loss(x, y)
 
 
 def _bounds(model, batch) -> list[list[tuple[int, int]]]:
