@@ -26,17 +26,18 @@ before the loop, on the steps as given: on a view whose strides BLAS cannot
 take, numpy's matmul runs its own loop, which on longer feature rows sums in
 another order than BLAS, so a contiguous copy would move the forecasts'
 bits. Inside the call LSTMCell keeps its states batch-minor, (hidden, batch),
-and RNNCell window-major. The forward cache keeps every step's hidden state
-(and, for the LSTM, its gate activations, cell state and tanh of it). The
-backward pass is backpropagation through time in time order: its loop
-carries only the state gradients and writes step t's pre-activation
-gradient into row t of one (T, batch, out) array, from which one matmul
-each gives the input gradients and every weight gradient
-(``_sequence_grads``). The sums run in another order than a per-step loop's,
-so the gradients match that loop within rounding, not bit for bit
-(tests/test_layers.py holds the loop as the reference and states the
-bound); the forward passes give its bits, LSTMCell's where BLAS sums its
-swapped operands alike (see LSTMCell).
+its gate blocks as (i, f, o, g, c_{t-1}) and every step's operands same-shape
+or 0-d; RNNCell keeps its states window-major. The forward cache keeps every
+step's hidden state (and, for the LSTM, its gate activations, cell state and
+tanh of it). The backward pass is backpropagation through time in time
+order: its loop carries only the state gradients and writes step t's
+pre-activation gradient, in the parameters' gate order, into row t of one
+(T, batch, out) array, from which one matmul each gives the input gradients
+and every weight gradient (``_sequence_grads``). The sums run in another
+order than a per-step loop's, so the gradients match that loop within
+rounding, not bit for bit (tests/test_layers.py holds the loop as the
+reference and states the bound); the forward passes give its bits,
+LSTMCell's where BLAS sums its swapped operands alike (see LSTMCell).
 
 Each backward pass is the exact adjoint of its forward map and is checked
 against central finite differences in the test suite.
@@ -61,6 +62,11 @@ __all__ = [
     "RNNCell",
     "glorot_uniform",
 ]
+
+# LSTMCell's gate order (i, f, o, g) as indices of (i, f, g, o), each gate's factor in its
+# halved weights, and 0-d operands: a Python float costs a ufunc call about 0.2 us more
+_BUFFER_GATES, _BUFFER_HALF = np.array([0, 1, 3, 2]), np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+_ONE, _HALF = np.array(1.0), np.array(0.5)
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -427,6 +433,25 @@ class RNNCell:
         return gx, {"w_xh": gw_xh, "w_hh": gw_hh, "b": gb}
 
 
+def _lstm_local_grads(blocks: np.ndarray, tcs: np.ndarray):
+    """Window-major (T, batch, 4H) local gate derivatives, gates (i, f, g, o), and
+    dh_t/dc_t and forget gates (T, batch, H) of an LSTMCell cache, formed on one
+    block-major copy of its buffer so that every operand is contiguous."""
+    steps, _, n, batch = blocks[:-1].shape
+    gi, gf, go, gc, _ = gates = blocks[:-1].transpose(1, 0, 2, 3).copy()
+    # blocks (i, f, g, o): gc*gi(1-gi), c_prev*gf(1-gf), gi*(1-gc^2), tanh(c)*go(1-go)
+    local = np.empty((4, steps, n, batch))
+    for part, gate, factor in ((local[:2], gates[:2], gates[3:]), (local[3], go, tcs)):
+        np.subtract(1.0, gate, out=part)
+        part *= gate
+        part *= factor
+    cand = np.subtract(1.0, np.multiply(gc, gc, out=local[2]), out=local[2])
+    cand *= gi
+    dh_dc = go * (1.0 - tcs * tcs)  # from h_t = go * tanh(c_t)
+    return (local.transpose(1, 3, 0, 2).copy().reshape(steps, batch, 4 * n),
+            *(np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (dh_dc, gf)))
+
+
 class LSTMCell:
     """Standard LSTM cell with input/forget/candidate/output gates.
 
@@ -434,31 +459,34 @@ class LSTMCell:
     candidate, output); biases start at zero.
 
     ``forward`` takes the steps as one array (T, batch, input_size) and keeps
-    every state batch-minor, (H, batch). It halves the rows of the three
-    sigmoid gates in copies of the weights, projects every step's input in
-    one matmul ``w_x @ steps^T`` into (T, 4H, batch) before the time loop,
-    and forms each step's pre-activation z in one matmul ``w_h @ h`` and two
-    adds. One tanh then writes tanh(z/2) for the sigmoid gates and tanh(z)
-    for the candidate into row t of a (T + 1, 5, H, batch) buffer of
-    contiguous blocks (i, f, g, o, c_{t-1}); adding 1 and halving finish
-    ``sigmoid_values``' arithmetic, one multiply gives i*g and f*c_{t-1},
-    and c_t goes to row t+1. The hidden states come back as one C-contiguous
-    (T, batch, H) copy. The cache is (the steps, hidden states, the buffer,
-    tanh of the cell states (T, H, batch)), made anew by each call.
+    every state batch-minor, (H, batch). Each call copies the weights and
+    bias with their gate rows in the order (i, f, o, g), the sigmoid gates'
+    halved, repeats the bias into a (4H, batch) array, and projects every
+    step's input in one matmul ``w_x @ steps^T`` into (T, 4H, batch). A step
+    forms z in one matmul ``w_h @ h`` and two same-shape adds; one tanh puts
+    tanh(z/2) for the sigmoid gates and tanh(z) for the candidate into row t
+    of a (T + 1, 5, H, batch) buffer of contiguous blocks (i, f, o, g,
+    c_{t-1}); adding 0-d 1 to and halving the (3, H, batch) sigmoid run finish
+    ``sigmoid_values``' arithmetic, one multiply of (i, f) by (g, c_{t-1})
+    gives i*g and f*c_{t-1}, and c_t goes to row t+1. No step allocates. The
+    hidden states come back as one C-contiguous (T, batch, H) copy. The cache
+    is (the steps, hidden states, the buffer, tanh of the cell states
+    (T, H, batch)), made anew by each call.
 
     Halving is exact, so every value has the bits of the unhalved
-    window-major arithmetic (``h @ W.T``) where BLAS sums ``W @ h.T`` alike,
-    unless a halved weight, bias, product or partial sum lies below 2**-1021
-    in magnitude or an unhalved one overflows. scipy-openblas 0.3.31 on
-    SkylakeX kernels sums them alike except at batches above 192 that are
-    not a multiple of 8, and where a matmul sums 16 or more products;
-    there they differ by rounding (tests/test_layers.py states the bound).
+    window-major arithmetic (``h @ W.T``, rows in the parameters' order)
+    where BLAS sums ``W @ h.T`` alike, unless a halved weight, bias, product
+    or partial sum lies below 2**-1021 in magnitude or an unhalved one
+    overflows. scipy-openblas 0.3.31 on SkylakeX kernels sums them alike
+    except at batches above 192 that are not a multiple of 8, and where a
+    matmul sums 16 or more products; there they differ by rounding, at those
+    batches also by row order (tests/test_layers.py states the bound).
 
-    ``backward`` forms every step's local gate derivatives (i, f, g, o) on
-    the buffer's blocks and copies them once into the window-major
-    (T, batch, 4H) layout; its loop carries only dh and dc, writing step t's
-    gate gradient into row t, and the weight and input gradients are taken
-    after it. From a given cache it computes the window-major cell's bits.
+    ``backward`` forms the local gate derivatives once, window-major and in
+    the parameters' gate order (``_lstm_local_grads``); its loop carries dh
+    (a copy of ``grad_final``, never written) and dc in place, writing step
+    t's gate gradient into row t, and the weight and input gradients are
+    taken after it. From a given cache it computes the window-major bits.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -480,15 +508,12 @@ class LSTMCell:
         _check_steps("LSTM", x, self.input_size)
         n = self.hidden_size
         steps, batch = x.shape[:2]
-        # per gate block (i, f, g, o): its rows' factor and the term that finishes
-        # its activation; x + -0.0 is x for every x, -0.0 included
-        half, one = np.array([[0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]])
-        rows_half = np.repeat(half, n)[:, None]
-        xw = (self.w_x * rows_half) @ x.transpose(0, 2, 1)  # (T, 4H, batch)
-        w_h = self.w_h * rows_half
-        b = self.b[:, None] * rows_half
-        one, half = (np.repeat(v, n * batch).reshape(4, n, batch) for v in (one, half))
-        # row t holds step t's gate blocks (i, f, g, o), then c_{t-1}; c_t goes to row t+1
+        # the gate rows in the buffer's order (i, f, o, g), the sigmoid gates' halved
+        w_x, w_h, b = ((w.reshape(4, n, -1)[_BUFFER_GATES] * _BUFFER_HALF).reshape(4 * n, -1)
+                       for w in (self.w_x, self.w_h, self.b))
+        xw = w_x @ x.transpose(0, 2, 1)  # (T, 4H, batch)
+        b = np.repeat(b, batch, axis=1)  # (4H, batch), same-shape as each step's z
+        # row t holds step t's gate blocks (i, f, o, g), then c_{t-1}; c_t goes to row t+1
         blocks = np.empty((steps + 1, 5, n, batch))
         blocks[0, 4] = 0.0
         hs = np.empty((steps, n, batch))
@@ -498,15 +523,16 @@ class LSTMCell:
         prods = np.empty((2, n, batch))  # (i*g, f*c_{t-1}), reused by every step
         h = np.zeros((n, batch))
         rows = blocks[:-1]
-        for xw_t, g, i_f, g_c, g_o, c_t, tc_t, h_t in zip(
-                xw, rows[:, :4], rows[:, :2], rows[:, 2::2], rows[:, 3], blocks[1:, 4], tcs, hs):
+        for xw_t, g, sig, i_f, g_c, g_o, c_t, tc_t, h_t in zip(
+                xw, rows[:, :4], rows[:, :3], rows[:, :2], rows[:, 3:], rows[:, 2],
+                blocks[1:, 4], tcs, hs):
             np.matmul(w_h, h, out=z)
             z += xw_t
             z += b
             # tanh(z/2) in the halved sigmoid blocks, tanh(z) in the candidate's
             np.tanh(z_blocks, out=g)
-            g += one
-            g *= half
+            sig += _ONE
+            sig *= _HALF
             np.multiply(i_f, g_c, out=prods)
             np.add(prods[1], prods[0], out=c_t)
             h = np.multiply(g_o, np.tanh(c_t, out=tc_t), out=h_t)
@@ -517,29 +543,16 @@ class LSTMCell:
         """Backpropagation through time; returns (input gradients
         (T, batch, input_size), parameter gradients)."""
         x, hs, blocks, tcs = cache
-        n = self.hidden_size
-        steps, batch = hs.shape[:2]
-        gates = blocks[:-1, :4]
-        gi, gf, gc, go, c_prev = (blocks[:-1, k] for k in range(5))
-        # step t's gate gradient is concat(dc, dc, dc, dh) * local[t], whose
-        # blocks are gc*gi(1-gi), c_prev*gf(1-gf), gi*(1-gc^2), tanh(c)*go(1-go)
-        local = 1.0 - gates
-        local *= gates
-        local[:, 2] = 1.0 - gc * gc
-        local *= np.concatenate((gc, c_prev, gi, tcs), axis=1).reshape(local.shape)
-        # dh_t/dc_t, from h_t = go * tanh(c_t)
-        dh_dc = go * (1.0 - tcs * tcs)
-        # the loop's operands, copied once each into its window-major layout
-        local = np.ascontiguousarray(local.transpose(0, 3, 1, 2)).reshape(steps, batch, 4 * n)
-        dh_dc, gf = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (dh_dc, gf))
+        local, dh_dc, gf = _lstm_local_grads(blocks, tcs)
         dz = np.empty(local.shape)
-        dh = grad_final.reshape(hs.shape[1:])
-        dc = np.zeros(dh.shape)
+        # the state gradients and the steps' scratch, written in place by every step
+        dh = grad_final.reshape(hs.shape[1:]).copy()
+        dc, dc_step, spread = np.zeros(dh.shape), np.empty(dh.shape), np.empty(dz.shape[1:])
         for t in reversed(range(len(x))):
-            dc = dc + dh * dh_dc[t]
-            np.multiply(np.concatenate((dc, dc, dc, dh), axis=-1), local[t], out=dz[t])
+            dc += np.multiply(dh, dh_dc[t], out=dc_step)
+            np.multiply(np.concatenate((dc, dc, dc, dh), axis=-1, out=spread), local[t], out=dz[t])
             if t:
-                dc = dc * gf[t]
-                dh = dz[t] @ self.w_h
+                dc *= gf[t]
+                np.matmul(dz[t], self.w_h, out=dh)
         gx, gw_x, gw_h, gb = _sequence_grads(dz, x, hs, self.w_x)
         return gx, {"w_x": gw_x, "w_h": gw_h, "b": gb}

@@ -73,6 +73,17 @@ It prints, per file type, how many files differ and their largest relative
 and absolute deviation, then each file that differs with its own; on a
 breach it exits 1 and names the first one on stderr.
 
+A change can move output bits without changing any formula, and this
+tolerance covers such moves too. A matmul's bits depend on its operands'
+roles and memory layout, not only on their values. ``W @ h.T`` and
+``(h @ W.T).T`` round otherwise with scipy-openblas 0.3.31 at batches above
+192 that are not a multiple of 8, and so do a weight's rows in another
+order. The same steps as a strided view and as a contiguous copy give other
+forecasts, as numpy's matmul runs its own loop on strides BLAS cannot take.
+So swapping a product's operands, copying or transposing an operand, or
+reordering a weight's rows is such a change; only the digests show it, and
+only where the environment matches ``FINGERPRINT``.
+
 The digests recorded in ``SHA256SUMS`` next to this file were written in the
 environment recorded in ``FINGERPRINT``; ``tests/test_golden.py`` compares
 them when the environment is the same, and checks the facts above in every
