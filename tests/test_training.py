@@ -347,6 +347,28 @@ class TestGradcheck:
         assert report.num_checked == sum(p.size for p in model.params.values())
 
 
+KINK_STEP_DIVISOR = 100  # how much smaller the step is where a kink lies inside GRADCHECK_STEP
+
+
+def difference_rounding(objective, step):
+    """The central difference's own rounding at ``step``: 16 eps |J| / step."""
+    return 16 * np.finfo(np.float64).eps * abs(objective) / step
+
+
+def one_sided_slopes(model, x, y, name, i, step):
+    """The objective's backward and forward differences in entry i of
+    parameter ``name``, each over ``step``; the entry is restored after."""
+    flat = model.params[name].reshape(-1)
+    saved = flat[i]
+    flat[i] = saved - step
+    down = model.batch_backward(x, y)[0].j
+    flat[i] = saved + step
+    up = model.batch_backward(x, y)[0].j
+    flat[i] = saved
+    centre = model.batch_backward(x, y)[0].j
+    return (centre - down) / step, (up - centre) / step
+
+
 class TestGradientExactness:
     """Hand-derived gradients against gradcheck's central differences, over
     drawn small CRNN and AECRNN configurations, with the per-series layers
@@ -365,7 +387,14 @@ class TestGradientExactness:
         16 eps |J| / GRADCHECK_STEP, some 3.6e-9 |J|. gradcheck floors the
         relative error's denominator at 1e-6, so a correct gradient near 1e-6
         fails it by that rounding alone, in about 1 of 20 such configurations
-        (a dropped factor in any gradient is far above the bound)."""
+        (a dropped factor in any gradient is far above the bound).
+
+        A max-pool or ReLU switch within one step of the point puts a kink in
+        the objective, and the central difference then averages two slopes.
+        An entry above the rounding bound passes only if its two one-sided
+        differences show such a kink and the central difference at a step
+        KINK_STEP_DIVISOR times smaller agrees, at the tolerance or that
+        step's rounding bound (seed 25910 lands 1e-6 above a max-pool tie)."""
         unit = 2 ** stages
         cfg = ModelConfig(
             num_series=data.draw(st.integers(1, 3), label="n"),
@@ -383,7 +412,16 @@ class TestGradientExactness:
         with mock.patch.object(models, "SPLIT_MIN_VALUES",
                                0 if split else models.SPLIT_MIN_VALUES):
             report = gradcheck(model, x, y)
-        objective = model.batch_backward(x, y)[0].j
-        rounding = 16 * np.finfo(np.float64).eps * abs(objective) / GRADCHECK_STEP
-        assert all(abs(a - numeric) <= rounding for _, _, a, numeric, _ in report.failures), (
-            report.summary())
+            objective = model.batch_backward(x, y)[0].j
+            for name, i, a, numeric, _ in report.failures:
+                if abs(a - numeric) <= difference_rounding(objective, GRADCHECK_STEP):
+                    continue
+                down, up = one_sided_slopes(model, x, y, name, i, GRADCHECK_STEP)
+                assert abs(up - down) >= abs(a - numeric), report.summary()
+                small = GRADCHECK_STEP / KINK_STEP_DIVISOR
+                down, up = one_sided_slopes(model, x, y, name, i, small)
+                numeric = 0.5 * (up + down)
+                assert (abs(a - numeric) <= GRADCHECK_TOLERANCE * max(abs(a) + abs(numeric), 1e-6)
+                        or abs(a - numeric) <= difference_rounding(objective, small)), (
+                    f"{name}[{i}]: analytic {a!r}, central difference {numeric!r} at step "
+                    f"{small!r}; {report.summary()}")
