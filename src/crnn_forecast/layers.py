@@ -63,10 +63,12 @@ __all__ = [
     "glorot_uniform",
 ]
 
-# LSTMCell's gate order (i, f, o, g) as indices of (i, f, g, o), each gate's factor in its
-# halved weights, and 0-d operands: a Python float costs a ufunc call about 0.2 us more
-_BUFFER_GATES, _BUFFER_HALF = np.array([0, 1, 3, 2]), np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
-_ONE, _HALF = np.array(1.0), np.array(0.5)
+# LSTMCell's buffer gate order (i, f, o, g) as indices of the parameters' (i, f, g, o),
+# each buffer gate's factor in the halved weights, and the sigmoid finish's 0-d operands
+_BUFFER_GATES = np.array([0, 1, 3, 2])
+_BUFFER_HALF = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+_ONE = np.array(1.0)  # a ufunc call takes about 0.2 us more with a Python float
+_HALF = np.array(0.5)
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -441,12 +443,16 @@ def _lstm_local_grads(blocks: np.ndarray, tcs: np.ndarray):
     gi, gf, go, gc, _ = gates = blocks[:-1].transpose(1, 0, 2, 3).copy()
     # blocks (i, f, g, o): gc*gi(1-gi), c_prev*gf(1-gf), gi*(1-gc^2), tanh(c)*go(1-go)
     local = np.empty((4, steps, n, batch))
-    for part, gate, factor in ((local[:2], gates[:2], gates[3:]), (local[3], go, tcs)):
-        np.subtract(1.0, gate, out=part)
-        part *= gate
-        part *= factor
-    cand = np.subtract(1.0, np.multiply(gc, gc, out=local[2]), out=local[2])
-    cand *= gi
+    local_if, local_g, local_o = local[:2], local[2], local[3]
+    np.subtract(1.0, gates[:2], out=local_if)
+    local_if *= gates[:2]
+    local_if *= gates[3:]  # (gc, c_prev)
+    np.multiply(gc, gc, out=local_g)
+    np.subtract(1.0, local_g, out=local_g)
+    local_g *= gi
+    np.subtract(1.0, go, out=local_o)
+    local_o *= go
+    local_o *= tcs
     dh_dc = go * (1.0 - tcs * tcs)  # from h_t = go * tanh(c_t)
     return (local.transpose(1, 3, 0, 2).copy().reshape(steps, batch, 4 * n),
             *(np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (dh_dc, gf)))

@@ -12,8 +12,8 @@ from crnn_forecast.layers import ChannelMerge, Deconv1D, Dense
 from crnn_forecast.models import (AECRNN, CELL_KINDS, CONV_ACTIVATIONS, CRNN, RNN_LAYOUTS,
                                   BaselineConfig, ModelConfig, ParamModel, load_checkpoint,
                                   model_from_checkpoint, save_checkpoint)
-from crnn_forecast.training import (GRADCHECK_STEP, SCORE_WINDOWS, Adam, Sgd, TrainConfig,
-                                    gradcheck, mean_j1, train)
+from crnn_forecast.training import (GRADCHECK_STEP, GRADCHECK_TOLERANCE, SCORE_WINDOWS, Adam,
+                                    Sgd, TrainConfig, gradcheck, mean_j1, train)
 
 SMALL = dict(num_series=2, input_length=8, horizon=2, conv_pool_stages=1,
              filters_per_layer=2, filter_size=3, rnn_hidden=4)
@@ -347,12 +347,7 @@ class TestGradcheck:
         assert report.num_checked == sum(p.size for p in model.params.values())
 
 
-KINK_STEP_DIVISOR = 100  # how much smaller the step is where a kink lies inside GRADCHECK_STEP
-
-
-def difference_rounding(objective, step):
-    """The central difference's own rounding at ``step``: 16 eps |J| / step."""
-    return 16 * np.finfo(np.float64).eps * abs(objective) / step
+KINK_STEP_DIVISOR = 100  # how much smaller the kink re-check's step is than GRADCHECK_STEP
 
 
 def one_sided_slopes(model, x, y, name, i, step):
@@ -369,6 +364,30 @@ def one_sided_slopes(model, x, y, name, i, step):
     return (centre - down) / step, (up - centre) / step
 
 
+def assert_gradcheck_passes_up_to_rounding_or_kink(model, x, y):
+    """gradcheck passes at GRADCHECK_TOLERANCE, except on entries whose error
+    is the central difference's own rounding, |a - numeric| <= 16 eps |J| /
+    GRADCHECK_STEP (some 3.6e-9 |J|), or a kink: a max-pool or ReLU switch
+    within one step of the point, where the central difference averages two
+    slopes. Such an entry passes only if its one-sided differences differ by
+    at least its error and the central difference at a step KINK_STEP_DIVISOR
+    times smaller passes at GRADCHECK_TOLERANCE."""
+    report = gradcheck(model, x, y)
+    objective = model.batch_backward(x, y)[0].j
+    rounding = 16 * np.finfo(np.float64).eps * abs(objective) / GRADCHECK_STEP
+    for name, i, a, numeric, _ in report.failures:
+        if abs(a - numeric) <= rounding:
+            continue
+        down, up = one_sided_slopes(model, x, y, name, i, GRADCHECK_STEP)
+        assert abs(up - down) >= abs(a - numeric), report.summary()
+        step = GRADCHECK_STEP / KINK_STEP_DIVISOR
+        down, up = one_sided_slopes(model, x, y, name, i, step)
+        numeric = 0.5 * (up + down)
+        assert abs(a - numeric) <= GRADCHECK_TOLERANCE * max(abs(a) + abs(numeric), 1e-6), (
+            f"{name}[{i}]: analytic {a!r}, central difference {numeric!r} at step {step!r}; "
+            f"{report.summary()}")
+
+
 class TestGradientExactness:
     """Hand-derived gradients against gradcheck's central differences, over
     drawn small CRNN and AECRNN configurations, with the per-series layers
@@ -382,19 +401,11 @@ class TestGradientExactness:
     @settings(max_examples=20, deadline=None)
     def test_gradcheck_passes_up_to_difference_rounding(self, kind, stages, data, cell, layout,
                                                         activation, split, seed):
-        """gradcheck passes at GRADCHECK_TOLERANCE, except on entries whose
-        error is the central difference's own rounding: |a - numeric| <=
-        16 eps |J| / GRADCHECK_STEP, some 3.6e-9 |J|. gradcheck floors the
-        relative error's denominator at 1e-6, so a correct gradient near 1e-6
-        fails it by that rounding alone, in about 1 of 20 such configurations
-        (a dropped factor in any gradient is far above the bound).
-
-        A max-pool or ReLU switch within one step of the point puts a kink in
-        the objective, and the central difference then averages two slopes.
-        An entry above the rounding bound passes only if its two one-sided
-        differences show such a kink and the central difference at a step
-        KINK_STEP_DIVISOR times smaller agrees, at the tolerance or that
-        step's rounding bound (seed 25910 lands 1e-6 above a max-pool tie)."""
+        """assert_gradcheck_passes_up_to_rounding_or_kink holds. gradcheck
+        floors the relative error's denominator at 1e-6, so a correct gradient
+        near 1e-6 fails it by the difference's rounding alone, in about 1 of 20
+        such configurations (a dropped factor in any gradient is far above the
+        bound)."""
         unit = 2 ** stages
         cfg = ModelConfig(
             num_series=data.draw(st.integers(1, 3), label="n"),
@@ -411,17 +422,20 @@ class TestGradientExactness:
         model = kind(cfg)
         with mock.patch.object(models, "SPLIT_MIN_VALUES",
                                0 if split else models.SPLIT_MIN_VALUES):
-            report = gradcheck(model, x, y)
-            objective = model.batch_backward(x, y)[0].j
-            for name, i, a, numeric, _ in report.failures:
-                if abs(a - numeric) <= difference_rounding(objective, GRADCHECK_STEP):
-                    continue
-                down, up = one_sided_slopes(model, x, y, name, i, GRADCHECK_STEP)
-                assert abs(up - down) >= abs(a - numeric), report.summary()
-                small = GRADCHECK_STEP / KINK_STEP_DIVISOR
-                down, up = one_sided_slopes(model, x, y, name, i, small)
-                numeric = 0.5 * (up + down)
-                assert (abs(a - numeric) <= GRADCHECK_TOLERANCE * max(abs(a) + abs(numeric), 1e-6)
-                        or abs(a - numeric) <= difference_rounding(objective, small)), (
-                    f"{name}[{i}]: analytic {a!r}, central difference {numeric!r} at step "
-                    f"{small!r}; {report.summary()}")
+            assert_gradcheck_passes_up_to_rounding_or_kink(model, x, y)
+
+    def test_gradcheck_passes_across_a_max_pool_tie(self):
+        """A drawn case where conv0.b[3] lies about 1e-6 above a max-pool tie:
+        gradcheck's central difference at GRADCHECK_STEP averages the slopes
+        on either side (rel error 4.4e-2), while the analytic gradient is
+        right, as the one-sided differences show."""
+        cfg = ModelConfig(num_series=2, input_length=8, horizon=1, conv_pool_stages=2,
+                          filters_per_layer=3, filter_size=4, rnn_hidden=1, cell_kind="rnn",
+                          rnn_layout="sequence", conv_activation="linear", seed=25910,
+                          allow_off_grid=True)
+        rng = np.random.default_rng(25910)
+        x = rng.uniform(0.0, 1.0, (1, cfg.num_series, cfg.input_length))
+        y = rng.uniform(0.0, 1.0, (1, cfg.horizon))
+        model = CRNN(cfg)
+        assert [entry[:2] for entry in gradcheck(model, x, y).failures] == [("conv0.b", 3)]
+        assert_gradcheck_passes_up_to_rounding_or_kink(model, x, y)
