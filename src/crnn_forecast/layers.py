@@ -29,7 +29,17 @@ bits. Inside the call LSTMCell keeps its states batch-minor, (hidden, batch),
 its gate blocks as (i, f, o, g, c_{t-1}) and every step's operands same-shape
 or 0-d; RNNCell keeps its states window-major. The forward cache keeps every
 step's hidden state (and, for the LSTM, its gate activations, cell state and
-tanh of it). The backward pass is backpropagation through time in time
+tanh of it). ``final_state`` gives the final state alone, with the bits of
+``forward``'s, and keeps no cache; RNNCell's is its ``forward``, whose one
+cache is its output.
+
+Only a model's gradient path calls ``forward`` on the cells and on
+MaxPool1D; its forecast path calls ``final_state`` and ``MaxPool1D.values``,
+which keep nothing for a backward pass that never comes. LSTMCell runs two
+copies of its step loop for that: one loop writing either into its cache or
+into stride-0 views of one step's scratch cut a 256-window forecast by 3.5%
+where the scratch-only loop cuts it by 9.5%, and made a single window 4%
+slower. The backward pass is backpropagation through time in time
 order: its loop carries only the state gradients and writes step t's
 pre-activation gradient, in the parameters' gate order, into row t of one
 (T, batch, out) array, from which one matmul each gives the input gradients
@@ -210,9 +220,16 @@ class MaxPool1D:
     """Max pooling with a fixed 1x2 window and stride 2.
 
     Ties route to the left position, which keeps the backward pass
-    deterministic. The forward cache records the winning positions.
+    deterministic. ``values`` gives the pooled values alone, for a forecast;
+    ``forward`` gives them too and caches the winning positions for
+    ``backward``. The winners' mask costs more than the maximum itself (22.7
+    against 16.0 us on a 256-window chunk of perfbench's ``pair`` model), so
+    a forecast does not make it. Making it in ``backward`` instead would keep
+    each pool's input alive until then: in a trial, ``wide`` training's peak
+    RSS rose 10.8% and its inference fell 12.9% through glibc's mmap
+    threshold.
 
-    The output is ``np.maximum(right, left)``. On a tie, ±0 included, numpy
+    Both give ``np.maximum(right, left)``. On a tie, ±0 included, numpy
     returns the second operand, the left value, so the output has the bits
     of ``np.where(right > left, right, left)`` for every input without NaN.
     With a NaN in the right half the output is NaN where ``np.where`` gave
@@ -229,13 +246,15 @@ class MaxPool1D:
     batches of a 16-series model.
     """
 
-    def forward(self, x: np.ndarray):
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The pooled values alone, with no record of the winners."""
         length = x.shape[-1]
         if length % 2 != 0:
             raise ShapeError(f"max-pool needs an even time length, got {length}")
-        left = x[..., 0::2]
-        right = x[..., 1::2]
-        return np.maximum(right, left), (right > left, x.shape)
+        return np.maximum(x[..., 1::2], x[..., 0::2])
+
+    def forward(self, x: np.ndarray):
+        return self.values(x), (x[..., 1::2] > x[..., 0::2], x.shape)
 
     def backward(self, cache, grad_out: np.ndarray):
         take_right, in_shape = cache
@@ -385,10 +404,12 @@ class RNNCell:
 
     ``forward`` takes the steps as one array (T, batch, input_size) and
     projects every step's input in one batched matmul before the time loop,
-    which then adds only the recurrent term. Its cache is (the steps, every
-    hidden state). ``backward`` carries only dh through the loop, writing
-    step t's pre-activation gradient into row t; the weight gradients and the
-    input gradients are taken after it.
+    which then adds the recurrent term and the bias, repeated once per call
+    to the step's (batch, H) shape, in place: no step allocates. Its cache is
+    (the steps, every hidden state), its output, so ``final_state`` is the
+    last row of ``forward``'s. ``backward`` carries only dh through the loop,
+    writing step t's pre-activation gradient into row t; the weight gradients
+    and the input gradients are taken after it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -411,12 +432,20 @@ class RNNCell:
         xw = x @ self.w_xh.T
         hs = np.empty(xw.shape)
         h = np.zeros(hs.shape[1:])
+        b = np.repeat(self.b[None], len(h), axis=0)  # (batch, H), same-shape as each step's z
+        z = np.empty(h.shape)  # the step's pre-activation
         w_hh_t = self.w_hh.T
-        for t in range(len(x)):
-            z = xw[t] + h @ w_hh_t
-            z += self.b
-            h = np.tanh(z, out=hs[t])
+        for xw_t, h_t in zip(xw, hs):
+            np.matmul(h, w_hh_t, out=z)
+            z += xw_t
+            z += b
+            h = np.tanh(z, out=h_t)
         return hs, hs[-1], (x, hs)
+
+    def final_state(self, x: np.ndarray) -> np.ndarray:
+        """The final state (batch, hidden) of ``forward`` on steps x, whose
+        cache, every hidden state, is its output."""
+        return self.forward(x)[1]
 
     def backward(self, cache, grad_final: np.ndarray):
         """Backpropagation through time for a loss on the final hidden state.
@@ -479,6 +508,13 @@ class LSTMCell:
     is (the steps, hidden states, the buffer, tanh of the cell states
     (T, H, batch)), made anew by each call.
 
+    ``final_state`` runs the same calls on operands of the same shapes and
+    strides, with one step's (5, H, batch) buffer reused by every step, and
+    returns the final state alone, as a C-contiguous (batch, H) copy with the
+    bits of ``forward``'s. It is the forecast path's loop; only the gradient
+    path needs ``forward``'s cache (see the module docstring for why the two
+    loops are not one).
+
     Halving is exact, so every value has the bits of the unhalved
     window-major arithmetic (``h @ W.T``, rows in the parameters' order)
     where BLAS sums ``W @ h.T`` alike, unless a halved weight, bias, product
@@ -511,14 +547,9 @@ class LSTMCell:
 
         Returns (hidden states (T, batch, hidden), final state, cache).
         """
-        _check_steps("LSTM", x, self.input_size)
+        w_h, xw, b = self._projected(x)
+        steps, _, batch = xw.shape
         n = self.hidden_size
-        steps, batch = x.shape[:2]
-        # the gate rows in the buffer's order (i, f, o, g), the sigmoid gates' halved
-        w_x, w_h, b = ((w.reshape(4, n, -1)[_BUFFER_GATES] * _BUFFER_HALF).reshape(4 * n, -1)
-                       for w in (self.w_x, self.w_h, self.b))
-        xw = w_x @ x.transpose(0, 2, 1)  # (T, 4H, batch)
-        b = np.repeat(b, batch, axis=1)  # (4H, batch), same-shape as each step's z
         # row t holds step t's gate blocks (i, f, o, g), then c_{t-1}; c_t goes to row t+1
         blocks = np.empty((steps + 1, 5, n, batch))
         blocks[0, 4] = 0.0
@@ -544,6 +575,44 @@ class LSTMCell:
             h = np.multiply(g_o, np.tanh(c_t, out=tc_t), out=h_t)
         hs = hs.transpose(0, 2, 1).copy()
         return hs, hs[-1], (x, hs, blocks, tcs)
+
+    def final_state(self, x: np.ndarray) -> np.ndarray:
+        """The final state (batch, hidden) of ``forward`` on steps x, with its
+        bytes and layout, from the same ufunc calls on operands of the same
+        shapes and strides; every step reuses one (5, H, batch) block buffer
+        and no cache is kept."""
+        w_h, xw, b = self._projected(x)
+        n, batch = self.hidden_size, xw.shape[-1]
+        block = np.empty((5, n, batch))  # (i, f, o, g, c), c_{t-1} until step t writes c_t
+        block[4] = 0.0
+        g, sig, i_f, g_c, g_o, c = block[:4], block[:3], block[:2], block[3:], block[2], block[4]
+        z = np.empty(xw.shape[1:])
+        z_blocks = z.reshape(4, n, batch)
+        prods = np.empty((2, n, batch))
+        tc = np.empty((n, batch))
+        h = np.zeros((n, batch))
+        for xw_t in xw:
+            np.matmul(w_h, h, out=z)
+            z += xw_t
+            z += b
+            np.tanh(z_blocks, out=g)
+            sig += _ONE
+            sig *= _HALF
+            np.multiply(i_f, g_c, out=prods)
+            np.add(prods[1], prods[0], out=c)
+            np.multiply(g_o, np.tanh(c, out=tc), out=h)
+        return h.T.copy()
+
+    def _projected(self, x: np.ndarray):
+        """(recurrent weights (4H, H), every step's input projection
+        (T, 4H, batch), bias (4H, batch)) for steps x, gate rows in the order
+        (i, f, o, g), the sigmoid gates' halved."""
+        _check_steps("LSTM", x, self.input_size)
+        n = self.hidden_size
+        w_x, w_h, b = ((w.reshape(4, n, -1)[_BUFFER_GATES] * _BUFFER_HALF).reshape(4 * n, -1)
+                       for w in (self.w_x, self.w_h, self.b))
+        xw = w_x @ x.transpose(0, 2, 1)
+        return w_h, xw, np.repeat(b, x.shape[1], axis=1)  # b same-shape as each step's z
 
     def backward(self, cache, grad_final: np.ndarray):
         """Backpropagation through time; returns (input gradients

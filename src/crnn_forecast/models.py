@@ -40,7 +40,9 @@ would overwrite, and ``GRID_AXES`` all read it.
 ``ParamModel`` holds the one forecast, loss and gradient path. A window
 batch is encoded and, when the model has a decoder, reconstructed from its
 code; the code is fed step by step to a recurrent cell whose final state a
-dense readout maps to the horizon; ``joint_loss`` scores both outputs. The
+dense readout maps to the horizon; ``joint_loss`` scores both outputs. Only
+``batch_backward`` keeps the layers' caches; a forecast and the forecast
+loss run the same arithmetic without them, to the same bits. The
 models supply only their parts: the per-series layers (CRNN, AECRNN; the
 identity for the baselines) and how the code becomes the cell's steps.
 All gradients are hand-derived and checked against finite differences in the
@@ -414,6 +416,13 @@ class ParamModel:
     the reconstructions' gradient; both store their layers' gradients in
     ``grads``.
 
+    Only ``batch_backward`` keeps caches: it runs ``_series_forward`` with
+    ``decode`` set and ``_head``, the cell's ``forward``. ``batch_forecast``,
+    ``batch_loss`` and ``forward`` run ``_forecast``, the cell's
+    ``final_state``, which keeps none, and give the same bits;
+    ``batch_forecast`` and ``batch_loss`` also run ``_series_forward``
+    without ``decode``, whose pools keep no record of their winners.
+
     A model's constructor hands its arguments to ``_build(rng, *args)`` with
     a generator seeded from its config, which draws the initial values in a
     fixed order; ``_undrawn`` builds the same model with no draw.
@@ -492,31 +501,30 @@ class ParamModel:
 
     # -- the one path -----------------------------------------------------------
 
-    def _run(self, x: np.ndarray):
-        """Forecasts, reconstructions (None without a decoder) and the caches
-        of every part, for a window batch."""
+    def _forecast(self, x: np.ndarray, decode: bool):
+        """Forecasts and reconstructions (None without a decoder or unless
+        ``decode`` is set) of a window batch: the forecasts of ``_head``, with
+        its bits, from the cell's final state alone."""
         self._check_batch(x)
-        code, recon, series_cache = self._series_forward(x, decode=True)
-        z, head_cache = self._head(code)
-        return z, recon, (series_cache, head_cache)
+        code, recon, _ = self._series_forward(x, decode)
+        z, _ = self._readout.forward(self._cell.final_state(self._steps(code)))
+        return z, recon
 
     def batch_forecast(self, x: np.ndarray) -> np.ndarray:
         """Forecasts (batch, horizon) for windows (batch, n, l); no decoder runs."""
-        self._check_batch(x)
-        z, _ = self._head(self._series_forward(x, decode=False)[0])
-        return z
+        return self._forecast(x, decode=False)[0]
 
     def batch_loss(self, x: np.ndarray, y: np.ndarray) -> LossBreakdown:
         """Forecast loss of windows x against targets y, from the forecasts
         alone (j2 = 0): no decoder runs, and none feeds the forecasts, so j1
         has the bits of ``batch_backward``'s, which also returns the objective."""
-        self._check_batch(x)
-        z, _ = self._head(self._series_forward(x, decode=False)[0])
-        return joint_loss(z, y)[0]
+        return joint_loss(self._forecast(x, decode=False)[0], y)[0]
 
     def batch_backward(self, x: np.ndarray, y: np.ndarray):
         """Loss and exact parameter gradients for a batch of windows."""
-        z, recon, (series_cache, head_cache) = self._run(x)
+        self._check_batch(x)
+        code, recon, series_cache = self._series_forward(x, decode=True)
+        z, head_cache = self._head(code)
         loss, dz, d_recon = joint_loss(z, y, recon, x)
         grads: dict[str, np.ndarray] = {}
         d_code = self._head_backward(head_cache, dz, grads)
@@ -526,7 +534,7 @@ class ParamModel:
     def forward(self, window) -> tuple[Forecast, Reconstruction | None]:
         """Forecast and reconstruction (None without a decoder) of one
         (num_series, input_length) window."""
-        z, recon, _ = self._run(_as_window_array(window)[None])
+        z, recon = self._forecast(_as_window_array(window)[None], decode=True)
         return Forecast(z[0]), None if recon is None else Reconstruction(recon[0])
 
 
@@ -551,8 +559,10 @@ class _SeriesLayers:
 
     def forward(self, x: np.ndarray, decode: bool):
         """Pooled feature cubes (batch, n, alpha, pooled), reconstructions
-        (batch, n, l) or None, and the cache, for windows (batch, n, l). The
-        decoder runs when there is one and ``decode`` is set."""
+        (batch, n, l) or None, and the cache, for windows (batch, n, l). With
+        ``decode`` set the decoder runs, when there is one, and the cache
+        holds what ``backward`` needs; without it the encoder alone runs, its
+        pools give their values alone, and the cache is None."""
         h = x[:, :, None, :]
         enc_caches = []
         for conv in self.convs:
@@ -560,9 +570,14 @@ class _SeriesLayers:
             act = None
             if self.tanh:
                 h = act = np.tanh(h)
+            if not decode:
+                h = self.pool.values(h)
+                continue
             h, pool_cache = self.pool.forward(h)
             enc_caches.append((conv_cache, act, pool_cache))
-        if not decode or self.merge is None:
+        if not decode:
+            return h, None, None
+        if self.merge is None:
             return h, None, (enc_caches, None)
         d = h
         deconv_caches = []

@@ -6,8 +6,21 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 
 GOLDEN = Path(__file__).with_name("golden")
+
+# CI runs tier-1 with --hypothesis-profile=ci, so that a failure drawn there
+# prints the @reproduce_failure blob that replays it in any checkout. Recent
+# Hypothesis versions ship a ci profile of their own (derandomized, with no
+# deadline and no database) that prints it already and that they load
+# wherever they detect CI; this profile keeps every other setting of that one.
+try:
+    _HYPOTHESIS_CI = settings.get_profile("ci")
+except InvalidArgument:  # a version without it
+    _HYPOTHESIS_CI = None
+settings.register_profile("ci", _HYPOTHESIS_CI, print_blob=True)
 
 
 def numeric_grad(loss_fn, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:

@@ -805,6 +805,91 @@ class TestCellOutputLayout:
             assert final.ctypes.data == last.ctypes.data
 
 
+# (kind, config fields, split): the conv-recurrent kinds with each cell and
+# layout, split or not, and the baselines with each feature mode
+_FORECAST_CASES = [
+    *((kind, {"cell_kind": cell, "rnn_layout": layout}, split) for kind in ("crnn", "aecrnn")
+      for cell in models.CELL_KINDS for layout in models.RNN_LAYOUTS for split in (False, True)),
+    *((kind, {"features": features}, False) for kind in ("rnn", "lstm")
+      for features in models.BASELINE_FEATURES),
+]
+
+
+def _scored(monkeypatch) -> list:
+    """Record the forecasts and reconstructions of each ``joint_loss`` call."""
+    seen = []
+    real = models.joint_loss
+
+    def recording(z, y, recon=None, x=None):
+        seen.append((z, recon))
+        return real(z, y, recon, x)
+
+    monkeypatch.setattr(models, "joint_loss", recording)
+    return seen
+
+
+def _counted_calls(monkeypatch, cls, method: str) -> list:
+    """Record each call of ``cls.method``."""
+    calls = []
+    real = getattr(cls, method)
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, method, counting)
+    return calls
+
+
+class TestCacheFreeForecasts:
+    """``batch_forecast``, ``batch_loss`` and ``forward`` keep no cache: the
+    cell gives its final state alone and, without the decoder, the pools
+    their values alone. They give the bits of the forecasts, and ``forward``
+    those of the reconstructions, that ``batch_backward`` scores."""
+
+    @pytest.mark.parametrize("kind, fields, split", _FORECAST_CASES,
+                             ids=[f"{k}-{'-'.join(f.values())}{'-split' * s}"
+                                  for k, f, s in _FORECAST_CASES])
+    def test_same_bits_as_the_caching_path(self, monkeypatch, kind, fields, split):
+        model = MODELS[kind]({"num_series": 4, "input_length": 16, "horizon": 3,
+                              "conv_pool_stages": 2, "filters_per_layer": 2, "filter_size": 3,
+                              "rnn_hidden": 3, "allow_off_grid": True, "seed": 7, **fields})
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(-0.5, 1.5, (33, 4, 16)), rng.uniform(0.0, 1.0, (33, 3))
+        calls = _split_calls(monkeypatch)
+        monkeypatch.setattr(models, "SPLIT_MIN_VALUES",
+                            0 if split else TestSeriesSplitMatchesOneGroup.NEVER)
+        seen = _scored(monkeypatch)
+        model.batch_backward(x, y)
+        assert bool(calls) == split
+        model.batch_loss(x, y)
+        model.batch_backward(x[:1], y[:1])
+        (z, _), (z_loss, _), (z_one, recon_one) = seen
+        assert model.batch_forecast(x).tobytes() == z.tobytes()
+        assert z_loss.tobytes() == z.tobytes()
+        forecast, recon = model.forward(x[0])
+        assert forecast.values.tobytes() == z_one[0].tobytes()
+        assert (recon is None) == (recon_one is None) == (kind != "aecrnn")
+        if recon is not None:
+            assert recon.values.tobytes() == recon_one[0].tobytes()
+
+    @pytest.mark.parametrize("kind", ["aecrnn", "lstm"])
+    def test_only_backward_runs_the_caching_layers(self, monkeypatch, kind):
+        model = MODELS[kind]({**SMALL, "cell_kind": "lstm", "seed": 2})
+        rng = np.random.default_rng(2)
+        x, y = rng.uniform(0.0, 1.0, (5, 2, 8)), rng.uniform(0.0, 1.0, (5, 2))
+        cells = _counted_calls(monkeypatch, layers.LSTMCell, "forward")
+        pools = _counted_calls(monkeypatch, layers.MaxPool1D, "forward")
+        model.batch_forecast(x)
+        model.batch_loss(x, y)
+        assert (cells, pools) == ([], [])
+        model.forward(x[0])
+        assert cells == []
+        model.batch_backward(x, y)
+        assert cells == [1]
+        assert len(pools) == (2 if kind == "aecrnn" else 0)  # forward's and backward's
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = small_config(seed=13, cell_kind="lstm")
